@@ -28,6 +28,14 @@ pub const DEFAULT_CONNECT_ATTEMPTS: u32 = 6;
 /// attempt (100 ms, 200 ms, 400 ms, ...).
 pub const DEFAULT_CONNECT_BACKOFF: Duration = Duration::from_millis(100);
 
+/// The sleep after the `polls`-th unfinished poll of [`Client::wait`]
+/// (0-based): 1 ms doubling to a 25 ms cap. Corpus jobs finish in 3–10 ms,
+/// so a fixed 25 ms poll floored every `submit --wait` at several times
+/// the job itself; a long job still settles at 40 polls/s.
+fn wait_poll_delay(polls: u32) -> Duration {
+    Duration::from_millis((1u64 << polls.min(5)).min(25))
+}
+
 /// What a submit returned: the job joined (created or existing) and how
 /// the dedup went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,14 +261,17 @@ impl Client {
         }
     }
 
-    /// Polls until `job` reaches a terminal status or `budget` elapses.
+    /// Polls until `job` reaches a terminal status or `budget` elapses,
+    /// sleeping [`wait_poll_delay`] between polls.
     pub fn wait(&mut self, job: u64, budget: Duration) -> io::Result<JobStatus> {
         let deadline = Instant::now() + budget;
+        let mut polls = 0u32;
         loop {
             match self.status(job)? {
                 Some(status) if status.is_terminal() => return Ok(status),
                 Some(_) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(25));
+                    std::thread::sleep(wait_poll_delay(polls));
+                    polls = polls.saturating_add(1);
                 }
                 Some(status) => {
                     return Err(io::Error::new(
@@ -439,5 +450,17 @@ impl Client {
                 format!("unexpected response to peer-done: {other:?}"),
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wait_polls_back_off_from_one_millisecond_to_the_cap() {
+        let delays: Vec<u64> = (0..8).map(|n| wait_poll_delay(n).as_millis() as u64).collect();
+        assert_eq!(delays, [1, 2, 4, 8, 16, 25, 25, 25]);
+        assert_eq!(wait_poll_delay(u32::MAX), Duration::from_millis(25));
     }
 }

@@ -1,7 +1,7 @@
 //! Virtual-time accounting: work, span, serial sections, and makespan.
 //!
-//! The VM executes serially (one virtual thread between yield points), but
-//! models a `P`-processor machine for *timing*. Three quantities are
+//! The VM applies operations serially (one at a time, in scheduler order),
+//! but models a `P`-processor machine for *timing*. Three quantities are
 //! accumulated during a run:
 //!
 //! * **work** — the sum of all costs across all threads;

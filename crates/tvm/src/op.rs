@@ -3,14 +3,18 @@
 //! Every interaction a virtual thread has with shared state — memory
 //! accesses, synchronization, simulated system calls, and the pure
 //! instrumentation markers used by sketching (function entries and basic
-//! blocks) — is described by an [`Op`]. A thread *announces* its next op to
-//! the coordinator and parks; the coordinator applies the op's effect to the
-//! VM state when (and if) the scheduler selects that thread, and hands back
-//! an [`OpResult`].
+//! blocks) — is described by an [`Op`]. A thread *announces* each op into
+//! its FIFO; the coordinator applies the head op's effect to the VM state
+//! when (and if) the scheduler selects that thread. A thread parks only on
+//! an op whose [`OpResult`] it needs or whose misuse must fault it at that
+//! call; after any other op ([`Op::runs_ahead`]) it keeps running and the op
+//! takes effect later, in scheduler order.
 //!
 //! This announce/apply split is what makes execution deterministic: between
-//! two ops a thread performs only thread-local computation, so the entire
-//! run is a pure function of (program, inputs, scheduler decisions).
+//! two ops a thread performs only thread-local computation — so what it
+//! announces next cannot depend on *when* a result-less op is applied — and
+//! the entire run is a pure function of (program, inputs, scheduler
+//! decisions).
 
 use crate::ids::{
     BarrierId, BbId, BufId, ChanId, CondId, ConnId, FdId, FuncId, LockId, RwLockId, SemId,
@@ -162,8 +166,8 @@ pub enum Op {
     Func(FuncId),
     /// Basic-block marker (BB / BB-N sketching).
     BasicBlock(BbId),
-    /// Pure thread-local computation of the given virtual cost. A yield
-    /// point, but touches no shared state.
+    /// Pure thread-local computation of the given virtual cost. A
+    /// scheduling point, but touches no shared state.
     Compute(u64),
     /// Voluntary yield with no other effect.
     Yield,
@@ -226,6 +230,50 @@ impl Op {
     /// Whether this op is a simulated system call (SYS sketching).
     pub fn is_syscall(&self) -> bool {
         matches!(self, Op::Syscall(_))
+    }
+
+    /// Whether a thread may keep running after announcing this op instead
+    /// of parking until it is applied: `true` iff applying it always yields
+    /// [`OpResult::Unit`] and can never fault (`VmState::apply` /
+    /// `World::apply` never answer `Applied::Fault` for it), so the thread
+    /// learns nothing from waiting. Exhaustive on purpose — a new variant
+    /// must be classified here.
+    pub fn runs_ahead(&self) -> bool {
+        match self {
+            Op::ThreadStart
+            | Op::Write(..)
+            | Op::LockAcquire(_)
+            | Op::RwAcquireRead(_)
+            | Op::RwAcquireWrite(_)
+            | Op::CondReacquire(..)
+            | Op::CondNotifyOne(_)
+            | Op::CondNotifyAll(_)
+            | Op::BarrierWait(_)
+            | Op::BarrierResume(_)
+            | Op::SemAcquire(_)
+            | Op::SemRelease(_)
+            | Op::ChanClose(_)
+            | Op::Join(_)
+            | Op::Func(_)
+            | Op::BasicBlock(_)
+            | Op::Compute(_)
+            | Op::Yield
+            | Op::ThreadExit => true,
+            Op::Buf(_, b) => match b {
+                BufOp::Append(_) | BufOp::Clear => true,
+                // Value-returning, or (`Set`) faults out of bounds.
+                BufOp::ReadAll | BufOp::Len | BufOp::Set { .. } => false,
+            },
+            // Value-returning.
+            Op::Read(_) | Op::FetchAdd(..) | Op::CompareSwap(..) | Op::ChanRecv(_) | Op::Spawn => {
+                false
+            }
+            // Unit, but a misuse faults the announcing thread at this call.
+            Op::LockRelease(_) | Op::RwRelease(_) | Op::CondWait(..) | Op::ChanSend(..) => false,
+            // Every syscall can fault in the simulated world; `Fail` never
+            // returns.
+            Op::Syscall(_) | Op::Fail(_) => false,
+        }
     }
 
     /// The shared-memory location this op touches, if any.

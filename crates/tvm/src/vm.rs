@@ -1,15 +1,24 @@
 //! The virtual machine coordinator and the thread-side [`Ctx`] API.
 //!
-//! Each virtual thread is an OS thread gated by a baton: it *announces* its
-//! next operation and the coordinator step applies operations one at a time
-//! according to the scheduler, so exactly one virtual thread executes user
-//! code at any moment. The coordinator is not a thread but a function
-//! ([`coordinate`]) run by whichever virtual thread completed quiescence —
-//! so consecutive picks of the same thread cost no context switch, and a
-//! handoff to another thread costs exactly one. Execution is a
-//! deterministic function of (program, world, scheduler decisions) — the
-//! property every recorder, replayer, and certificate in this workspace is
-//! built on.
+//! Each virtual thread is an OS thread that *announces* its operations
+//! into a per-thread FIFO; the coordinator step applies one queue head at a
+//! time according to the scheduler. VM-visible effects are therefore applied
+//! one at a time in scheduler order, while thread-local code between ops may
+//! overlap in wall time: a thread that announces an op which can neither
+//! return a value nor fault ([`Op::runs_ahead`]) keeps running to its next
+//! op instead of parking, and parks only on an op whose result it needs.
+//! Bodies must not share non-VM state between vthreads.
+//!
+//! The coordinator is not a thread but a function ([`coordinate`]) run by
+//! whichever virtual thread made the last missing head known. It picks only
+//! when *every* live thread's head op is known, so the candidates the
+//! scheduler sees — and with them schedules, sketches, snapshots and
+//! certificates — do not depend on how far any thread has run ahead. A pick
+//! of a thread that has run ahead costs no wakeup and no context switch; a
+//! pick that delivers a value (or a fault) to a parked thread costs one.
+//! Execution is a deterministic function of (program, world, scheduler
+//! decisions) — the property every recorder, replayer, and certificate in
+//! this workspace is built on.
 
 use crate::clock::{TimeReport, VClock};
 use crate::cost::CostModel;
@@ -25,7 +34,7 @@ use crate::state::{Applied, ResourceSpec, VmState};
 use crate::sys::{AcceptStatus, WorldConfig};
 use crate::trace::{Event, Observer, Trace, TraceMode};
 use crate::sync::{Condvar, Mutex, MutexGuard};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -145,21 +154,32 @@ pub struct RunOutcome {
 /// Panic payload used to unwind parked threads at shutdown. Not a crash.
 struct Shutdown;
 
+/// Bound on one thread's announced-but-unapplied ops: a thread that reaches
+/// it parks until its queue drains, which caps the memory a
+/// `loop { ctx.yield_now() }` body can pin while another thread computes.
+const MAX_AHEAD: usize = 64;
+
 enum Phase {
-    /// OS thread created; has not announced yet.
-    Starting,
-    /// Parked with a pending operation.
-    Announced(Op),
+    /// Executing user code (or about to start), possibly ahead of ops it
+    /// has queued.
+    Running,
+    /// Parked until its queue drains; the last queued op carries the result.
+    Waiting,
     /// Result delivered; about to resume user code.
     Granted,
-    /// Executing user code.
-    Running,
     /// Done. `None` = clean exit, `Some(msg)` = crash.
     Exited(Option<String>),
 }
 
 struct Slot {
     phase: Phase,
+    /// Announced-but-unapplied ops, oldest first. The head is this thread's
+    /// scheduling candidate; everything behind it runs ahead.
+    queue: VecDeque<Op>,
+    /// The body finished (`None` clean, `Some(msg)` crashed) with ops still
+    /// queued: the slot turns `Exited` when the queue drains — the pick
+    /// boundary at which the exit becomes VM-visible.
+    exit_pending: Option<Option<String>>,
     result: Option<OpResult>,
     fault: Option<String>,
     /// Interned: shared with the spawn request instead of re-copied.
@@ -170,6 +190,24 @@ struct Slot {
     /// This thread's private wakeup: a grant (or shutdown poison) wakes
     /// exactly this thread, never the whole herd.
     cv: Arc<Condvar>,
+}
+
+impl Slot {
+    /// A freshly launched thread: nothing announced yet.
+    fn new(name: Arc<str>) -> Slot {
+        Slot {
+            phase: Phase::Running,
+            queue: VecDeque::new(),
+            exit_pending: None,
+            result: None,
+            fault: None,
+            name,
+            tseq: 0,
+            spawn_req: None,
+            os_handle: None,
+            cv: Arc::new(Condvar::new()),
+        }
+    }
 }
 
 struct SpawnReq {
@@ -186,10 +224,12 @@ struct Hub {
 /// Coordinator state: the scheduler, the observer, and everything the step
 /// loop mutates. It lives *inside* the hub mutex so that the virtual
 /// threads themselves can run scheduling steps ([`coordinate`]): whichever
-/// thread completes quiescence (by announcing or exiting) picks, applies,
-/// and grants while already holding the lock. When the scheduler picks the
-/// announcing thread again, the grant is observed on the way out of the
-/// same critical section — no context switch at all. A dedicated
+/// thread makes the last missing head known (by announcing or exiting)
+/// picks and applies while already holding the lock, and keeps doing so
+/// for as long as every head is known. A pick of the announcing thread is
+/// observed on the way out of the same critical section, and a pick of a
+/// thread that ran ahead needs no wakeup either — only a result or fault
+/// delivered to a *parked* thread costs a context switch. A dedicated
 /// coordinator thread would instead pay two switches per event (to the
 /// coordinator and back), which dominated replay attempt wall-clock.
 ///
@@ -297,7 +337,10 @@ fn launch(
 }
 
 /// The handle a virtual thread uses for every interaction with shared
-/// state. Obtained only inside [`run`]; all methods are yield points.
+/// state. Obtained only inside [`run`]. Every method announces one op and
+/// is a scheduling point; methods that return a value (or whose misuse
+/// faults the caller) also block until that op has been applied, the rest
+/// return at once and the op takes effect in scheduler order.
 pub struct Ctx {
     shared: Arc<Shared>,
     tid: ThreadId,
@@ -316,11 +359,18 @@ impl Ctx {
             drop(hub);
             std::panic::panic_any(Shutdown);
         }
-        hub.slots[me].phase = Phase::Announced(op);
-        // The announcing thread carries the baton: if this announce
-        // completed quiescence, run scheduling steps right here. A
-        // self-grant is then observed immediately below without parking.
+        let slot = &mut hub.slots[me];
+        let ahead = op.runs_ahead() && slot.queue.len() + 1 < MAX_AHEAD;
+        slot.queue.push_back(op);
+        slot.phase = if ahead { Phase::Running } else { Phase::Waiting };
+        // The announcing thread carries the baton: if this announce made
+        // the last missing head known, run scheduling steps right here.
         coordinate(&mut hub, &self.shared, Some(self.tid));
+        if ahead {
+            return OpResult::Unit;
+        }
+        // A grant made by the call above is observed immediately below
+        // without parking.
         let cv = hub.slots[me].cv.clone();
         loop {
             if hub.poisoned {
@@ -648,10 +698,17 @@ fn thread_main(shared: &Arc<Shared>, tid: ThreadId, body: Box<dyn FnOnce(&mut Ct
         }
     };
     let mut hub = shared.hub.lock();
-    hub.slots[tid.index()].phase = Phase::Exited(exit);
-    // An exit can complete quiescence too; the exiting thread runs the
-    // next scheduling steps before its OS thread terminates (or, under a
-    // pooled executor, returns to the pool).
+    let slot = &mut hub.slots[tid.index()];
+    if slot.queue.is_empty() {
+        slot.phase = Phase::Exited(exit);
+    } else {
+        // The body ran ahead of ops that are not applied yet; the exit (or
+        // crash) becomes visible once they are.
+        slot.exit_pending = Some(exit);
+    }
+    // An exit can make the last missing head known too; the exiting thread
+    // runs the next scheduling steps before its OS thread terminates (or,
+    // under a pooled executor, returns to the pool).
     coordinate(&mut hub, shared, None);
 }
 
@@ -757,16 +814,7 @@ fn run_exec(
     {
         let mut hub = shared.hub.lock();
         let root_name: Arc<str> = Arc::from("main");
-        hub.slots.push(Slot {
-            phase: Phase::Starting,
-            result: None,
-            fault: None,
-            name: root_name.clone(),
-            tseq: 0,
-            spawn_req: None,
-            os_handle: None,
-            cv: Arc::new(Condvar::new()),
-        });
+        hub.slots.push(Slot::new(root_name.clone()));
         hub.coord.known_exited.push(false);
         let (handle, os_spawned) = launch(&shared, ROOT_THREAD, &root_name, Box::new(root));
         hub.slots[0].os_handle = handle;
@@ -776,25 +824,26 @@ fn run_exec(
     }
 
     // Wait for the outcome; the virtual threads coordinate themselves.
-    let status = {
+    // Then shut down: poison the hub *in the same critical section* — a
+    // thread that ran ahead may announce at any moment, and must find
+    // either the decided status or the poison, never a hub that looks
+    // open for another pick — and wait for every vthread to be gone, by
+    // joining OS handles (spawning executor) and by waiting for the
+    // outstanding-jobs count to reach zero (pooled executor).
+    let (status, handles) = {
         let mut hub = shared.hub.lock();
         while hub.coord.status.is_none() {
             shared.done.wait(&mut hub);
         }
-        hub.coord.status.take().expect("status observed above")
-    };
-
-    // Shut down: poison parked threads, then wait for every vthread to be
-    // gone — by joining OS handles (spawning executor) and by waiting for
-    // the outstanding-jobs count to reach zero (pooled executor).
-    let handles: Vec<std::thread::JoinHandle<()>> = {
-        let mut hub = shared.hub.lock();
+        let status = hub.coord.status.take().expect("status observed above");
         hub.poisoned = true;
         // Every parked thread waits on its own condvar; poison them all.
         for s in hub.slots.iter() {
             s.cv.notify_one();
         }
-        hub.slots.iter_mut().filter_map(|s| s.os_handle.take()).collect()
+        let handles: Vec<std::thread::JoinHandle<()>> =
+            hub.slots.iter_mut().filter_map(|s| s.os_handle.take()).collect();
+        (status, handles)
     };
     for h in handles {
         let _ = h.join();
@@ -881,12 +930,15 @@ fn capture_snapshot(coord: &Coord, slots: &[Slot]) -> crate::snapshot::VmSnapsho
     )
 }
 
-/// Runs scheduling steps while the hub is quiescent (every slot Announced
-/// or Exited). Called — with the hub lock already held — by whichever
-/// virtual thread completed quiescence, right after its announce or exit.
-/// Returns once a grant is outstanding or the run's status is decided.
-/// `me` is the calling thread when it announced (a self-grant then skips
-/// the wakeup: the caller observes `Granted` on its way out).
+/// Runs scheduling steps for as long as every live thread's head op is
+/// known, applying exactly one head per pick. Called — with the hub lock
+/// already held — by every thread right after it announces or exits; all
+/// but the one that made the last missing head known return at once.
+/// Returns once some live thread has nothing queued (it is computing its
+/// next op, or was just granted a result, and will coordinate when it
+/// announces) or the run's status is decided. `me` is the calling thread
+/// when it announced (a grant to it then skips the wakeup: the caller
+/// observes `Granted` on its way out).
 fn coordinate(guard: &mut MutexGuard<'_, Hub>, shared: &Arc<Shared>, me: Option<ThreadId>) {
     let hub: &mut Hub = guard;
     let Hub {
@@ -901,9 +953,9 @@ fn coordinate(guard: &mut MutexGuard<'_, Hub>, shared: &Arc<Shared>, me: Option<
         if coord.status.is_some() {
             return;
         }
-        let busy = slots.iter().any(|s| {
-            matches!(s.phase, Phase::Starting | Phase::Granted | Phase::Running)
-        });
+        let busy = slots
+            .iter()
+            .any(|s| s.queue.is_empty() && !matches!(s.phase, Phase::Exited(_)));
         if busy {
             // Someone else still carries the baton; they will coordinate.
             return;
@@ -928,12 +980,12 @@ fn coordinate(guard: &mut MutexGuard<'_, Hub>, shared: &Arc<Shared>, me: Option<
             return;
         }
 
-        // Partition the announced ops into enabled / blocked (one op clone
+        // Partition the queue heads into enabled / blocked (one op clone
         // per candidate).
         coord.enabled.clear();
         coord.blocked.clear();
         for (i, s) in slots.iter().enumerate() {
-            let Phase::Announced(op) = &s.phase else {
+            let Some(op) = s.queue.front() else {
                 continue;
             };
             let tid = ThreadId(i as u32);
@@ -1048,27 +1100,18 @@ fn coordinate(guard: &mut MutexGuard<'_, Hub>, shared: &Arc<Shared>, me: Option<
         coord.clock.charge(tid, coord.cost_model.op_cost(&op));
         coord.stats.count(&op);
 
-        // Apply. `grant` marks whether the thread receives the event's
-        // result and resumes; the result itself is carried by the event and
-        // moved (not cloned) into the grant unless the trace retains it.
+        // Apply. `done` marks whether the head completed and leaves the
+        // queue; the result is carried by the event and moved (not cloned)
+        // into the grant unless the trace retains it.
         let mut fail: Option<Failure> = None;
-        let (grant, event_result) = match &op {
+        let (done, event_result) = match &op {
             Op::Spawn => {
                 let req = slots[tid.index()]
                     .spawn_req
                     .take()
                     .expect("Spawn announced without a spawn request");
                 let new_tid = ThreadId(slots.len() as u32);
-                slots.push(Slot {
-                    phase: Phase::Starting,
-                    result: None,
-                    fault: None,
-                    name: req.name.clone(),
-                    tseq: 0,
-                    spawn_req: None,
-                    os_handle: None,
-                    cv: Arc::new(Condvar::new()),
-                });
+                slots.push(Slot::new(req.name.clone()));
                 coord.known_exited.push(false);
                 let (handle, os_spawned) = launch(shared, new_tid, &req.name, req.body);
                 slots[new_tid.index()].os_handle = handle;
@@ -1088,20 +1131,20 @@ fn coordinate(guard: &mut MutexGuard<'_, Hub>, shared: &Arc<Shared>, me: Option<
             other => match coord.state.apply(tid, other, coord.clock.now(), coord.step) {
                 Applied::Done(res) => (true, res),
                 Applied::BlockedRewrite(new_op) => {
-                    slots[tid.index()].phase = Phase::Announced(new_op);
+                    *slots[tid.index()]
+                        .queue
+                        .front_mut()
+                        .expect("picked thread has a head") = new_op;
                     (false, OpResult::Unit)
                 }
                 Applied::Fault(msg) => {
-                    // Grant with a fault: the thread resumes and panics,
-                    // which the crash path picks up.
+                    // Rides on the grant below: the thread resumes and
+                    // panics, which the crash path picks up. No thread runs
+                    // ahead of a faultable op, so it is parked on this one.
                     let slot = &mut slots[tid.index()];
+                    debug_assert!(slot.queue.len() == 1 && matches!(slot.phase, Phase::Waiting));
                     slot.fault = Some(msg);
-                    slot.result = Some(OpResult::Unit);
-                    slot.phase = Phase::Granted;
-                    if me != Some(tid) {
-                        slot.cv.notify_one();
-                    }
-                    (false, OpResult::Unit)
+                    (true, OpResult::Unit)
                 }
             },
         };
@@ -1141,8 +1184,16 @@ fn coordinate(guard: &mut MutexGuard<'_, Hub>, shared: &Arc<Shared>, me: Option<
             // SAFETY: see `Coord` — hub mutex held, borrow outlives us.
             unsafe { &mut *coord.observer }.on_checkpoint(&snap);
         }
-        // Only a retained trace forces the grant result to be cloned; in
-        // Off/Feedback modes it is moved out of the event.
+        // The thread is waiting for this result iff it is parked and this
+        // was the last op it queued; a thread that ran ahead of the op
+        // already took `Unit` for it. Only a retained trace forces the
+        // grant result to be cloned; in Off/Feedback modes it is moved out
+        // of the event.
+        let grant = done && {
+            let slot = &slots[tid.index()];
+            slot.queue.len() == 1 && matches!(slot.phase, Phase::Waiting)
+        };
+        debug_assert!(grant || !done || event.result == OpResult::Unit);
         let granted = if coord.trace_mode == TraceMode::Full {
             let res = grant.then(|| event.result.clone());
             coord.trace.push(event);
@@ -1156,20 +1207,28 @@ fn coordinate(guard: &mut MutexGuard<'_, Hub>, shared: &Arc<Shared>, me: Option<
             return;
         }
 
-        // Grant the thread its result (unless it stays blocked/faulted).
-        // A grant to the calling thread needs no wakeup at all — it reads
-        // `Granted` immediately after this function returns.
-        if let Some(res) = granted {
+        if done {
             let slot = &mut slots[tid.index()];
-            slot.result = Some(res);
-            slot.phase = Phase::Granted;
-            if me != Some(tid) {
-                slot.cv.notify_one();
+            slot.queue.pop_front();
+            // A grant to the calling thread needs no wakeup at all — it
+            // reads `Granted` immediately after this function returns.
+            if let Some(res) = granted {
+                slot.result = Some(res);
+                slot.phase = Phase::Granted;
+                if me != Some(tid) {
+                    slot.cv.notify_one();
+                }
+                return;
             }
-            return;
+            if slot.queue.is_empty() {
+                if let Some(exit) = slot.exit_pending.take() {
+                    slot.phase = Phase::Exited(exit);
+                }
+            }
         }
-        // Blocked rewrite or fault: the hub may still be quiescent, so the
-        // baton stays with us — loop for the next step.
+        // Every head may still be known (the thread ran ahead, or its head
+        // was rewritten), so the baton stays with us — loop for the next
+        // step.
     }
 }
 
@@ -1446,13 +1505,16 @@ mod tests {
     fn lock_misuse_is_a_crash_not_a_hang() {
         let mut spec = ResourceSpec::new();
         let l = spec.lock("m");
+        let x = spec.var("x", 0);
         let out = run(
             quick_config(),
             spec,
             &mut RoundRobinScheduler::new(),
             &mut NullObserver,
             move |ctx| {
+                ctx.write(x, 1);
                 ctx.unlock(l);
+                ctx.write(x, 2);
             },
         );
         match out.status {
@@ -1461,6 +1523,356 @@ mod tests {
             }
             other => panic!("{other}"),
         }
+        // The thread crashed *at* the unlock: it had run ahead of the write
+        // before it, and never announced the one after.
+        let ops: Vec<&Op> = out.trace.events().iter().map(|e| &e.op).collect();
+        assert_eq!(
+            ops,
+            [&Op::ThreadStart, &Op::Write(x, 1), &Op::LockRelease(l)]
+        );
+    }
+
+    /// Two threads that queue several unit ops each; the worker then
+    /// panics in thread-local code with its last ops still unapplied.
+    fn crash_after_queued_ops() -> (ResourceSpec, impl FnOnce(&mut Ctx) + Send + 'static) {
+        let mut spec = ResourceSpec::new();
+        let x = spec.var("x", 0);
+        let y = spec.var("y", 0);
+        let l = spec.lock("m");
+        let body = move |ctx: &mut Ctx| {
+            let w = ctx.spawn("w", move |ctx| {
+                ctx.lock(l);
+                ctx.write(x, 1);
+                ctx.compute(5);
+                ctx.yield_now();
+                panic!("boom after queued ops");
+            });
+            ctx.write(y, 2);
+            ctx.func(7u32);
+            ctx.yield_now();
+            ctx.write(y, 3);
+            ctx.join(w);
+        };
+        (spec, body)
+    }
+
+    fn render(trace: &Trace) -> String {
+        let events: Vec<String> = trace
+            .events()
+            .iter()
+            .map(|e| format!("{}.{}:{}", e.tid.0, e.tseq, e.op))
+            .collect();
+        events.join(" ")
+    }
+
+    /// What the announce-and-park engine this protocol replaced produced
+    /// for [`crash_after_queued_ops`]: `RandomScheduler` seed, schedule,
+    /// rendered trace. Under seed 0 the crash surfaces while the root still
+    /// has ops queued behind its head.
+    const PARKED_ENGINE_RUNS: [(u64, &[u32], &str); 2] = [
+        (
+            0,
+            &[0, 0, 0, 1, 0, 1, 1, 1, 0, 1],
+            "0.0:start 0.1:spawn 0.2:wr v1=2 1.0:start 0.3:func fn7 1.1:lock m0 \
+             1.2:wr v0=1 1.3:compute 0.4:yield 1.4:yield",
+        ),
+        (
+            3,
+            &[0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1],
+            "0.0:start 0.1:spawn 0.2:wr v1=2 0.3:func fn7 1.0:start 1.1:lock m0 \
+             0.4:yield 1.2:wr v0=1 0.5:wr v1=3 1.3:compute 1.4:yield",
+        ),
+    ];
+
+    #[test]
+    fn crash_after_queued_unit_ops_matches_the_parked_engine() {
+        for (seed, schedule, trace) in PARKED_ENGINE_RUNS {
+            let schedule: Vec<ThreadId> = schedule.iter().map(|t| ThreadId(*t)).collect();
+            let (spec, body) = crash_after_queued_ops();
+            let random = run(
+                quick_config(),
+                spec,
+                &mut RandomScheduler::new(seed),
+                &mut NullObserver,
+                body,
+            );
+            assert_eq!(random.schedule, schedule, "seed {seed}");
+            assert_eq!(render(&random.trace), trace, "seed {seed}");
+
+            let (spec, body) = crash_after_queued_ops();
+            let scripted = run(
+                quick_config(),
+                spec,
+                &mut ScriptedScheduler::new(schedule),
+                &mut NullObserver,
+                body,
+            );
+            for out in [&random, &scripted] {
+                match &out.status {
+                    RunStatus::Failed(Failure::Crash { thread, message }) => {
+                        assert_eq!(*thread, ThreadId(1));
+                        assert_eq!(message, "boom after queued ops");
+                    }
+                    other => panic!("seed {seed}: expected crash, got {other}"),
+                }
+            }
+            assert_eq!(scripted.schedule, random.schedule, "seed {seed}");
+            assert_eq!(scripted.trace.events(), random.trace.events(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn deadlock_between_threads_that_ran_ahead_reports_both_locks() {
+        let mut spec = ResourceSpec::new();
+        let a = spec.lock("a");
+        let b = spec.lock("b");
+        // Neither thread parks before its second `lock`: start, lock, yield
+        // and lock all run ahead, so both queues hold the whole ABBA
+        // sequence before the first pick can be made.
+        let script = [0, 0, 0, 1, 2, 1, 2, 1, 2].map(ThreadId).to_vec();
+        let out = run(
+            quick_config(),
+            spec,
+            &mut ScriptedScheduler::new(script.clone()),
+            &mut NullObserver,
+            move |ctx| {
+                let t1 = ctx.spawn("t1", move |ctx| {
+                    ctx.lock(a);
+                    ctx.yield_now();
+                    ctx.lock(b); // will deadlock
+                    ctx.unlock(b);
+                    ctx.unlock(a);
+                });
+                let t2 = ctx.spawn("t2", move |ctx| {
+                    ctx.lock(b);
+                    ctx.yield_now();
+                    ctx.lock(a); // will deadlock
+                    ctx.unlock(a);
+                    ctx.unlock(b);
+                });
+                ctx.join(t1);
+                ctx.join(t2);
+            },
+        );
+        assert_eq!(out.schedule, script);
+        match out.status {
+            RunStatus::Failed(Failure::Deadlock { locks, threads, .. }) => {
+                assert!(locks.contains(&a) && locks.contains(&b));
+                assert!(threads.contains(&ThreadId(1)) && threads.contains(&ThreadId(2)));
+            }
+            other => panic!("expected deadlock, got {other}"),
+        }
+    }
+
+    /// Always runs the lowest enabled thread id.
+    struct LowestFirst;
+
+    impl Scheduler for LowestFirst {
+        fn pick(&mut self, view: &SchedView<'_>) -> Decision {
+            Decision::Run(view.enabled[0].tid)
+        }
+    }
+
+    #[test]
+    fn join_stays_blocked_while_the_targets_exit_is_still_queued() {
+        let mut spec = ResourceSpec::new();
+        let x = spec.var("x", 0);
+        let (body_done, wait_body_done) = std::sync::mpsc::channel::<()>();
+        let out = run(
+            quick_config(),
+            spec,
+            &mut LowestFirst,
+            &mut NullObserver,
+            move |ctx| {
+                let w = ctx.spawn("w", move |ctx| {
+                    ctx.write(x, 1);
+                    // Everything above ran ahead: the body is over while its
+                    // ops (and the `ThreadExit` that follows) are unapplied.
+                    body_done.send(()).expect("root is waiting");
+                });
+                wait_body_done.recv().expect("worker signals");
+                ctx.join(w);
+                let v = ctx.read(x);
+                ctx.check(v == 1, "join returned before the worker's write");
+            },
+        );
+        assert_eq!(out.status, RunStatus::Completed, "{}", out.status);
+        // The scheduler prefers the root whenever it is enabled, so the join
+        // is applied at the first pick at which the worker has exited.
+        let pos = |tid: u32, op: &Op| {
+            out.trace
+                .events()
+                .iter()
+                .position(|e| e.tid == ThreadId(tid) && e.op == *op)
+                .expect("event present")
+        };
+        assert_eq!(
+            pos(0, &Op::Join(ThreadId(1))),
+            pos(1, &Op::ThreadExit) + 1
+        );
+    }
+
+    #[test]
+    fn yield_loop_hits_the_step_limit_with_a_bounded_queue() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let returned = Arc::new(AtomicUsize::new(0));
+        let seen = returned.clone();
+        let mut config = quick_config();
+        config.max_steps = 500;
+        let out = run(
+            config,
+            ResourceSpec::new(),
+            &mut RoundRobinScheduler::new(),
+            &mut NullObserver,
+            move |ctx| {
+                ctx.spawn("spinner", move |ctx| loop {
+                    ctx.yield_now();
+                    returned.fetch_add(1, Ordering::SeqCst);
+                });
+                // The root announces nothing, so no pick can be made and
+                // the spinner's queue only grows: `ThreadStart` plus the
+                // yields that returned, plus the one it parks on at the cap.
+                let cap = MAX_AHEAD - 2;
+                while seen.load(Ordering::SeqCst) < cap {
+                    std::thread::yield_now();
+                }
+                for _ in 0..1000 {
+                    std::thread::yield_now();
+                    assert_eq!(seen.load(Ordering::SeqCst), cap, "ran past MAX_AHEAD");
+                }
+                loop {
+                    ctx.yield_now();
+                }
+            },
+        );
+        assert_eq!(out.status, RunStatus::StepLimit, "{}", out.status);
+        assert_eq!(out.stats.total_ops, 500);
+    }
+
+    #[test]
+    fn runs_ahead_is_false_for_every_op_that_can_fault_or_return_a_value() {
+        use crate::ids::{ConnId, FdId};
+        let mut spec = ResourceSpec::new();
+        let x = spec.var("x", 0);
+        let buf = spec.buf("buf");
+        let l = spec.lock("m");
+        let rw = spec.rwlock("rw");
+        let c = spec.cond("c");
+        let bar = spec.barrier("bar", 2);
+        let sem = spec.sem("s", 1);
+        let ch = spec.chan("ch");
+        let closed = spec.chan("closed");
+        let world = WorldConfig::default().with_session(Session::new(0, b"req".to_vec()));
+        let (t1, t2) = (ThreadId(1), ThreadId(2));
+        let (fd, conn) = (FdId(0), ConnId(0));
+        let sys = |s: SyscallOp| Op::Syscall(s);
+
+        // Each op with the ops applied first (by `t1` unless noted) that make
+        // it a legal use. Every op is applied twice by `t1`: after its
+        // set-up, and on a state where nothing is held or open.
+        let by_t1 = |ops: Vec<Op>| ops.into_iter().map(|o| (t1, o)).collect::<Vec<_>>();
+        let table: Vec<(Op, Vec<(ThreadId, Op)>)> = vec![
+            (Op::ThreadStart, vec![]),
+            (Op::Read(x), vec![]),
+            (Op::Write(x, 1), vec![]),
+            (Op::FetchAdd(x, 1), vec![]),
+            (Op::CompareSwap(x, 0, 1), vec![]),
+            (Op::Buf(buf, BufOp::Append(vec![1])), vec![]),
+            (Op::Buf(buf, BufOp::ReadAll), vec![]),
+            (Op::Buf(buf, BufOp::Len), vec![]),
+            (Op::Buf(buf, BufOp::Clear), vec![]),
+            (
+                Op::Buf(buf, BufOp::Set { index: 0, byte: 1 }),
+                by_t1(vec![Op::Buf(buf, BufOp::Append(vec![0]))]),
+            ),
+            (Op::LockAcquire(l), vec![]),
+            (Op::LockRelease(l), by_t1(vec![Op::LockAcquire(l)])),
+            (Op::RwAcquireRead(rw), vec![]),
+            (Op::RwAcquireWrite(rw), vec![]),
+            (Op::RwRelease(rw), by_t1(vec![Op::RwAcquireRead(rw)])),
+            (Op::CondWait(c, l), by_t1(vec![Op::LockAcquire(l)])),
+            (
+                Op::CondReacquire(c, l),
+                by_t1(vec![Op::LockAcquire(l), Op::CondWait(c, l), Op::CondNotifyOne(c)]),
+            ),
+            (Op::CondNotifyOne(c), vec![]),
+            (Op::CondNotifyAll(c), vec![]),
+            (Op::BarrierWait(bar), vec![]),
+            (
+                Op::BarrierResume(bar),
+                vec![(t1, Op::BarrierWait(bar)), (t2, Op::BarrierWait(bar))],
+            ),
+            (Op::SemAcquire(sem), vec![]),
+            (Op::SemRelease(sem), vec![]),
+            (Op::ChanSend(ch, 1), vec![]),
+            (Op::ChanSend(closed, 1), vec![]),
+            (Op::ChanRecv(ch), by_t1(vec![Op::ChanSend(ch, 1)])),
+            (Op::ChanClose(ch), vec![]),
+            (sys(SyscallOp::FileOpen { path: "f".into() }), vec![]),
+            (
+                sys(SyscallOp::FileRead { fd, len: 1 }),
+                by_t1(vec![sys(SyscallOp::FileOpen { path: "f".into() })]),
+            ),
+            (
+                sys(SyscallOp::FileWrite { fd, data: vec![1] }),
+                by_t1(vec![sys(SyscallOp::FileOpen { path: "f".into() })]),
+            ),
+            (
+                sys(SyscallOp::FileClose { fd }),
+                by_t1(vec![sys(SyscallOp::FileOpen { path: "f".into() })]),
+            ),
+            (sys(SyscallOp::NetAccept), vec![]),
+            (
+                sys(SyscallOp::NetRecv { conn, len: 1 }),
+                by_t1(vec![sys(SyscallOp::NetAccept)]),
+            ),
+            (
+                sys(SyscallOp::NetSend { conn, data: vec![1] }),
+                by_t1(vec![sys(SyscallOp::NetAccept)]),
+            ),
+            (
+                sys(SyscallOp::NetClose { conn }),
+                by_t1(vec![sys(SyscallOp::NetAccept)]),
+            ),
+            (sys(SyscallOp::ClockNow), vec![]),
+            (sys(SyscallOp::Random { bound: 4 }), vec![]),
+            (sys(SyscallOp::StdoutWrite { data: vec![1] }), vec![]),
+            (Op::Func(1u32.into()), vec![]),
+            (Op::BasicBlock(1u32.into()), vec![]),
+            (Op::Compute(1), vec![]),
+            (Op::Yield, vec![]),
+            (Op::ThreadExit, vec![]),
+        ];
+
+        let fresh = || {
+            let mut state = VmState::new(spec.clone(), world.clone());
+            state.apply(t2, &Op::ChanClose(closed), 0, 0);
+            state
+        };
+        let needs_the_caller = |applied: Applied| match applied {
+            Applied::Done(OpResult::Unit) | Applied::BlockedRewrite(_) => false,
+            Applied::Done(_) | Applied::Fault(_) => true,
+        };
+        for (op, setup) in &table {
+            let mut legal = fresh();
+            for (tid, prior) in setup {
+                legal.apply(*tid, prior, 0, 0);
+            }
+            let mut needs = needs_the_caller(legal.apply(t1, op, 0, 0));
+            // Only an enabled head is ever applied.
+            let mut bare = fresh();
+            if bare.enabled(t1, op, 0) {
+                needs |= needs_the_caller(bare.apply(t1, op, 0, 0));
+            }
+            if needs {
+                assert!(!op.runs_ahead(), "{op} can fault or return a value");
+            }
+        }
+        // The coordinator applies these itself: `Spawn` returns the new
+        // thread's id, `Fail` never returns, `Join` returns nothing.
+        assert!(!Op::Spawn.runs_ahead());
+        assert!(!Op::Fail("f".into()).runs_ahead());
+        assert!(Op::Join(t1).runs_ahead());
     }
 
     #[test]
