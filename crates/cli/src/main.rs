@@ -35,8 +35,8 @@ use args::{Args, UsageError};
 use pres_apps::registry::{all_apps, all_bugs, WorkloadScale};
 use pres_core::api::Pres;
 use pres_core::codec::{
-    checkpoint_segment_bytes, container_version, decode_sketch, encode_sketch, encode_sketch_v1,
-    v2_layout,
+    checkpoint_segment_bytes, container_version, decode_index, decode_sketch, encode_sketch,
+    encode_sketch_v1, v2_layout,
 };
 use pres_core::inspect::{failure_report, InspectOptions};
 use pres_core::stats::{ExploreStats, SketchStats};
@@ -408,6 +408,17 @@ fn cmd_sketch_info(args: &Args) -> Result<(), UsageError> {
         }
     );
     print!("{}", SketchStats::of(&sketch));
+    // What a daemon's decode cache holds — and charges — for this sketch.
+    let (_, index) = decode_index(&data).map_err(|e| UsageError(e.to_string()))?;
+    let resident = index.resident_bytes();
+    println!(
+        "index: {} entries, {} distinct ops, {}-bit ids, {} resident bytes ({:.1} B/entry)",
+        index.len(),
+        index.distinct_ops(),
+        index.id_bits(),
+        resident,
+        resident as f64 / index.len().max(1) as f64
+    );
     if let Some(cp) = &sketch.checkpoint {
         let segment = checkpoint_segment_bytes(&data)
             .map_err(|e| UsageError(e.to_string()))?

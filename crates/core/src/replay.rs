@@ -145,14 +145,15 @@ impl fmt::Display for Divergence {
 
 /// The sketch-constrained exploration scheduler.
 pub struct PiReplayScheduler {
-    /// The shared, immutable sketch index (normalized ops + per-thread
-    /// entry lists). Built once per reproduction and borrowed by every
+    /// The shared, immutable sketch index (per-thread recorded order +
+    /// op dictionary). Built once per reproduction and borrowed by every
     /// attempt on every worker; only the cursors below are per-attempt.
     index: Arc<SketchIndex>,
     filter: MechanismFilter,
     cursor: usize,
-    /// Per-thread positions into the index's per-thread entry lists —
-    /// `thread_pos[t]` entries of thread `t` have been consumed.
+    /// Per-slot progress through the index's thread columns —
+    /// `thread_pos[s]` entries of the thread in slot `s` have been
+    /// consumed. One slot per thread *present* in the sketch.
     thread_pos: Vec<usize>,
     constraints: Vec<OrderConstraint>,
     satisfied: Vec<bool>,
@@ -240,10 +241,12 @@ impl PiReplayScheduler {
         self.cursor >= self.index.len()
     }
 
-    /// The next unconsumed sketch entry of `tid`, if any.
-    fn thread_front(&self, tid: ThreadId) -> Option<usize> {
-        let pos = self.thread_pos.get(tid.index()).copied()?;
-        self.index.thread_indices(tid).get(pos).copied()
+    /// The next unconsumed sketch entry of `tid`, if any: its slot, its
+    /// global position, and its op.
+    fn thread_front(&self, tid: ThreadId) -> Option<(usize, usize, &SketchOp)> {
+        let slot = self.index.slot(tid)?;
+        let (position, op) = self.index.front(slot, self.thread_pos[slot])?;
+        Some((slot, position, op))
     }
 
     fn counter(&self, tid: ThreadId, obj: ActionObj) -> u32 {
@@ -277,7 +280,7 @@ impl PiReplayScheduler {
         let Some(normalized) = SketchOp::from_op(op) else {
             return CandidateClass::Free; // Fail op: always schedulable
         };
-        let Some(front) = self.thread_front(tid) else {
+        let Some((_, front, expected)) = self.thread_front(tid) else {
             // This thread has no recorded entries left. Production
             // recording stopped at the failure, so anything past a
             // thread's recorded prefix either blocked or never ran before
@@ -289,9 +292,9 @@ impl PiReplayScheduler {
                 CandidateClass::StalledBySketch
             };
         };
-        if *self.index.op(front) != normalized {
+        if *expected != normalized {
             return CandidateClass::Diverged {
-                expected: format!("{:?}", self.index.op(front)),
+                expected: format!("{expected:?}"),
                 announced: format!("{normalized:?}"),
             };
         }
@@ -371,9 +374,9 @@ impl Scheduler for PiReplayScheduler {
         let relevant = self.filter.would_record(tid, op) && SketchOp::from_op(op).is_some();
         self.filter.note_executed(tid, op);
         if relevant {
-            if let Some(front) = self.thread_front(tid) {
+            if let Some((slot, front, _)) = self.thread_front(tid) {
                 if front == self.cursor {
-                    self.thread_pos[tid.index()] += 1;
+                    self.thread_pos[slot] += 1;
                     self.cursor += 1;
                 }
                 // `front != cursor` can only mean the thread is past its
@@ -749,6 +752,41 @@ mod tests {
             RunStatus::Aborted(msg) => assert!(msg.contains("stuck"), "{msg}"),
             other => panic!("expected stuck abort, got {other}"),
         }
+    }
+
+    #[test]
+    fn thread_slots_are_keyed_by_the_tids_present() {
+        // One thread with the second-largest tid: indexing, decoding and
+        // replay setup must cost one slot, not one per tid value below it.
+        use crate::sketch::{SketchEntry, SyncKind};
+        let tid = ThreadId(0xFFFF_FFFE);
+        let mut sketch = Sketch::new(Mechanism::Sync);
+        let lock = SketchOp::Sync {
+            kind: SyncKind::Lock,
+            obj: 1,
+        };
+        sketch.entries = [SketchOp::Start, lock, SketchOp::Exit]
+            .into_iter()
+            .map(|op| SketchEntry {
+                tid,
+                op,
+                result: pres_tvm::op::OpResult::Unit,
+            })
+            .collect();
+        let built = SketchIndex::new(&sketch);
+        let (_, decoded) =
+            crate::codec::decode_index(&crate::codec::encode_sketch(&sketch)).expect("decodes");
+        assert_eq!(decoded, built);
+        assert_eq!(decoded.threads(), 1);
+        assert!(
+            decoded.resident_bytes() < 1024,
+            "{} resident bytes",
+            decoded.resident_bytes()
+        );
+        let sched = PiReplayScheduler::with_index(Arc::new(decoded), vec![], 0);
+        assert_eq!(sched.thread_pos.len(), 1);
+        assert_eq!(sched.thread_front(tid), Some((0, 0, &SketchOp::Start)));
+        assert_eq!(sched.thread_front(ThreadId(0)), None);
     }
 
     #[test]

@@ -70,6 +70,12 @@ pub struct Metrics {
     pub sketch_cache_misses: AtomicU64,
     /// Cache entries evicted to fit the byte budget.
     pub sketch_cache_evictions: AtomicU64,
+    /// Bytes the decode cache holds, as charged against its budget (a
+    /// gauge, refreshed after every insert).
+    pub sketch_cache_resident_bytes: AtomicU64,
+    /// Sketches the decode cache holds (a gauge, refreshed with the one
+    /// above).
+    pub sketch_cache_entries: AtomicU64,
     /// Node-to-node RPCs this node issued (puts, gets, stats, lists,
     /// steals, done reports — every peer round trip).
     pub peer_rpcs: AtomicU64,
@@ -132,6 +138,8 @@ impl Metrics {
             sketch_cache_hits: load(&self.sketch_cache_hits),
             sketch_cache_misses: load(&self.sketch_cache_misses),
             sketch_cache_evictions: load(&self.sketch_cache_evictions),
+            sketch_cache_resident_bytes: load(&self.sketch_cache_resident_bytes),
+            sketch_cache_entries: load(&self.sketch_cache_entries),
             peer_rpcs: load(&self.peer_rpcs),
             peer_bytes_out: load(&self.peer_bytes_out),
             peer_bytes_in: load(&self.peer_bytes_in),
@@ -169,6 +177,8 @@ pub struct Snapshot {
     pub sketch_cache_hits: u64,
     pub sketch_cache_misses: u64,
     pub sketch_cache_evictions: u64,
+    pub sketch_cache_resident_bytes: u64,
+    pub sketch_cache_entries: u64,
     pub peer_rpcs: u64,
     pub peer_bytes_out: u64,
     pub peer_bytes_in: u64,
@@ -244,7 +254,7 @@ impl Snapshot {
     /// The compact one-line form used by the periodic server log.
     pub fn log_line(&self) -> String {
         format!(
-            "svc: conns={} (live {} / refused {}) submits={} (dedup {}, streamed {}) done={} (ok {} / exhausted {} / timeout {} / failed {}) retries={} attempts={} ckpt-jobs={} stalls={} rejected-frames={} journal={}r/{}s (mean {:.1}, max {}, failures {}) cache={}h/{}m (evicted {}) peers={}rpc ({}B out / {}B in) steals={}/{} repair={}/{} p50={} p95={} p99={}",
+            "svc: conns={} (live {} / refused {}) submits={} (dedup {}, streamed {}) done={} (ok {} / exhausted {} / timeout {} / failed {}) retries={} attempts={} ckpt-jobs={} stalls={} rejected-frames={} journal={}r/{}s (mean {:.1}, max {}, failures {}) cache={}h/{}m (evicted {}, {} resident / {}B) peers={}rpc ({}B out / {}B in) steals={}/{} repair={}/{} p50={} p95={} p99={}",
             self.connections,
             self.connections_live,
             self.connections_refused,
@@ -269,6 +279,8 @@ impl Snapshot {
             self.sketch_cache_hits,
             self.sketch_cache_misses,
             self.sketch_cache_evictions,
+            self.sketch_cache_entries,
+            self.sketch_cache_resident_bytes,
             self.peer_rpcs,
             self.peer_bytes_out,
             self.peer_bytes_in,
@@ -309,6 +321,12 @@ impl std::fmt::Display for Snapshot {
         writeln!(f, "sketch_cache_hits  {}", self.sketch_cache_hits)?;
         writeln!(f, "sketch_cache_misses {}", self.sketch_cache_misses)?;
         writeln!(f, "sketch_cache_evictions {}", self.sketch_cache_evictions)?;
+        writeln!(
+            f,
+            "sketch_cache_resident_bytes {}",
+            self.sketch_cache_resident_bytes
+        )?;
+        writeln!(f, "sketch_cache_entries {}", self.sketch_cache_entries)?;
         writeln!(f, "peer_rpcs          {}", self.peer_rpcs)?;
         writeln!(f, "peer_bytes_out     {}", self.peer_bytes_out)?;
         writeln!(f, "peer_bytes_in      {}", self.peer_bytes_in)?;
@@ -379,8 +397,11 @@ mod tests {
         assert_eq!(snap.jobs_finished(), 2);
         assert!(snap.log_line().contains("submits=3 (dedup 1, streamed 0)"));
         assert!(snap.log_line().contains("p99=n/a"));
+        assert!(snap.log_line().contains("(evicted 0, 0 resident / 0B)"));
         let long = snap.to_string();
         assert!(long.contains("submits            3"));
+        assert!(long.contains("sketch_cache_resident_bytes 0"));
+        assert!(long.contains("sketch_cache_entries 0"));
         assert!(long.contains("connections_refused 0"));
         assert!(long.contains("window_stalls      0"));
         assert!(long.contains("latency_p99        n/a"));

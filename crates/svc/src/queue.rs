@@ -52,10 +52,10 @@ use crate::proto::PeerJob;
 use crate::store::Store;
 use crate::wire::{self, Reader};
 use pres_apps::registry::all_bugs;
-use pres_core::codec::decode_sketch;
+use pres_core::codec::decode_index;
 use pres_core::explore::{self, ExploreConfig, StopToken};
 use pres_core::oracle::StatusOracle;
-use pres_core::sketch::SketchIndex;
+use pres_core::sketch::Sketch;
 use pres_tvm::pool::VthreadPool;
 use pres_tvm::sync::{Condvar, Mutex};
 use pres_tvm::vm::VmConfig;
@@ -642,9 +642,9 @@ impl JobQueue {
         }
     }
 
-    /// Loads `digest`'s decoded sketch + replay index, from the cache
-    /// when resident, from the store (read + SHA-256 verify + decode +
-    /// index build) otherwise. The decode is a pure function of the
+    /// Loads `digest`'s sketch header + replay index, from the cache when
+    /// resident, from the store (read + SHA-256 verify + decode straight
+    /// into the index) otherwise. The decode is a pure function of the
     /// digest's immutable bytes, so a hit is observationally identical
     /// to a miss — that is the byte-identity pin `tests/svc_cache.rs`
     /// holds the daemon to.
@@ -667,20 +667,33 @@ impl JobQueue {
                 })
             }
         };
-        let sketch = match decode_sketch(&data) {
-            Ok(s) => s,
+        let (meta, index) = match decode_index(&data) {
+            Ok(decoded) => decoded,
             Err(e) => {
                 return Err(JobStatus::Failed {
                     message: format!("sketch {digest} does not decode: {e}"),
                 })
             }
         };
-        let index = Arc::new(SketchIndex::new(&sketch));
-        let cached = Arc::new(CachedSketch { sketch, index });
-        // Charged at the encoded length — known without a deep-size
-        // walk, and proportional to the decoded footprint.
-        let evicted = self.cache.insert(*digest, Arc::clone(&cached), data.len() as u64);
+        let sketch = Sketch {
+            meta,
+            ..Sketch::new(index.mechanism())
+        };
+        let cached = Arc::new(CachedSketch {
+            sketch,
+            index: Arc::new(index),
+        });
+        let evicted = self
+            .cache
+            .insert(*digest, Arc::clone(&cached), cached.resident_bytes());
         self.metrics.sketch_cache_evictions.fetch_add(evicted, Ordering::Relaxed);
+        let (bytes, entries) = self.cache.usage();
+        self.metrics
+            .sketch_cache_resident_bytes
+            .store(bytes, Ordering::Relaxed);
+        self.metrics
+            .sketch_cache_entries
+            .store(entries as u64, Ordering::Relaxed);
         Ok(cached)
     }
 
@@ -711,7 +724,7 @@ impl JobQueue {
                 message: "sketch records a clean run; nothing to reproduce".into(),
             };
         }
-        if sketch.checkpoint.is_some() {
+        if cached.index.checkpoint().is_some() {
             self.metrics
                 .jobs_from_checkpoint
                 .fetch_add(1, Ordering::Relaxed);
@@ -898,7 +911,7 @@ mod tests {
         let case = all_bugs().into_iter().find(|b| b.id == "pbzip-order").unwrap();
         let program = case.program();
         let pres = Pres::new(Mechanism::Sync);
-        let sketch = decode_sketch(&bytes).unwrap();
+        let sketch = pres_core::codec::decode_sketch(&bytes).unwrap();
         let mut recorded = pres.record(program.as_ref(), sketch.meta.seed);
         recorded.sketch = sketch;
         let repro = pres.reproduce(program.as_ref(), &recorded);

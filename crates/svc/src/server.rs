@@ -46,7 +46,7 @@
 //! `--journal-batch` / `--journal-batch-usecs`): concurrent submits from
 //! the connection workers land in one cohort and share a single
 //! `fdatasync`, with no record acknowledged before its cohort is on disk.
-//! Every execution needs a decoded sketch plus its replay index, but
+//! Every execution needs a sketch's metadata plus its replay index, but
 //! repeat executions of a digest are served from the queue's
 //! byte-budgeted decode cache ([`crate::cache::SketchCache`], tuned by
 //! `--sketch-cache-bytes`) instead of re-reading and re-indexing from the
