@@ -1,6 +1,6 @@
 //! E18: the many-connection front end — request latency under ~1000
 //! concurrent loopback clients, and the daemon's peak memory for large
-//! submits, streamed vs monolithic.
+//! streamed submits.
 //!
 //! Two phases, each against a daemon running in a **separate process**
 //! (this binary re-execs itself with `--daemon`), so the measuring
@@ -12,14 +12,12 @@
 //!    roundtrip latency lands in one merged distribution (p50/p95/p99 by
 //!    nearest rank). Full mode runs 1000 clients; `--reduced` runs 256,
 //!    sized for CI runners whose default fd limit is 1024.
-//! 2. **Peak RSS.** For each front end (the PR 5 legacy thread-per-
-//!    connection baseline, then the sharded workers), a fresh daemon
-//!    ingests one large distinct blob per client — monolithic v1 SUBMIT
-//!    frames on legacy, 256 KiB streamed chunks on sharded — and the
-//!    daemon's `VmHWM` (peak resident set, from `/proc/<pid>/status`) is
-//!    read before shutdown. The legacy front end must materialize every
-//!    in-flight submit in full; the streaming path holds one chunk per
-//!    connection.
+//! 2. **Peak RSS.** A fresh daemon ingests one large distinct blob per
+//!    client, streamed in 256 KiB chunks, and the daemon's `VmHWM` (peak
+//!    resident set, from `/proc/<pid>/status`) is read before shutdown.
+//!    The streaming path holds one chunk per connection, so the peak must
+//!    stay below `clients × blob bytes` — what a daemon that materialized
+//!    every in-flight submit whole would hold for the payloads alone.
 //!
 //! ```text
 //! fig_svc_frontend [--reduced] [--clients N] [--max-p99-ms N] [--out FILE]
@@ -30,7 +28,7 @@
 //! phase's p99 exceeds the bound — the CI regression tripwire.
 
 use pres_svc::queue::QueueConfig;
-use pres_svc::server::{FrontendKind, ServeOptions, Server};
+use pres_svc::server::{ServeOptions, Server};
 use pres_svc::Client;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -44,7 +42,7 @@ const STREAM_CHUNK: usize = 256 << 10;
 
 /// Child mode: start a daemon, print the bound address, serve until a
 /// SHUTDOWN frame drains us.
-fn run_daemon(frontend: FrontendKind, data_dir: String) -> ! {
+fn run_daemon(data_dir: String) -> ! {
     let server = Server::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         data_dir: data_dir.into(),
@@ -55,7 +53,6 @@ fn run_daemon(frontend: FrontendKind, data_dir: String) -> ! {
             ..QueueConfig::default()
         },
         log_interval: None,
-        frontend,
         // The latency phase holds every client connection open at once.
         max_connections: 8192,
         read_timeout: Duration::from_secs(120),
@@ -70,24 +67,19 @@ fn run_daemon(frontend: FrontendKind, data_dir: String) -> ! {
 struct Daemon {
     child: Child,
     addr: String,
-    frontend: FrontendKind,
     data_dir: std::path::PathBuf,
 }
 
 impl Daemon {
-    fn spawn(frontend: FrontendKind, tag: &str) -> Daemon {
+    fn spawn(tag: &str) -> Daemon {
         let data_dir = std::env::temp_dir().join(format!(
             "pres-fig-frontend-{tag}-{}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&data_dir);
         let exe = std::env::current_exe().expect("own path");
-        let kind = match frontend {
-            FrontendKind::Sharded => "sharded",
-            FrontendKind::Legacy => "legacy",
-        };
         let mut child = Command::new(exe)
-            .args(["--daemon", kind, data_dir.to_str().unwrap()])
+            .args(["--daemon", data_dir.to_str().unwrap()])
             .stdout(Stdio::piped())
             .spawn()
             .expect("spawn daemon child");
@@ -105,7 +97,6 @@ impl Daemon {
         Daemon {
             child,
             addr,
-            frontend,
             data_dir,
         }
     }
@@ -123,10 +114,6 @@ impl Daemon {
 
     fn shutdown(mut self) {
         if let Ok(mut c) = Client::connect(&self.addr) {
-            // The legacy front end only speaks v1.
-            if self.frontend == FrontendKind::Legacy {
-                c.use_v1();
-            }
             c.shutdown().expect("daemon acknowledges shutdown");
         }
         let _ = self.child.wait();
@@ -215,7 +202,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn latency_phase(clients: usize, ops_per_client: usize) -> LatencyResult {
-    let daemon = Daemon::spawn(FrontendKind::Sharded, "latency");
+    let daemon = Daemon::spawn("latency");
     let addr = daemon.addr.clone();
 
     let started = Instant::now();
@@ -278,22 +265,17 @@ fn latency_phase(clients: usize, ops_per_client: usize) -> LatencyResult {
 }
 
 // ---------------------------------------------------------------------------
-// Phase 2: daemon peak RSS, monolithic vs streamed large submits.
+// Phase 2: daemon peak RSS under large streamed submits.
 // ---------------------------------------------------------------------------
 
 struct RssResult {
-    frontend: &'static str,
     clients: usize,
     blob_bytes: usize,
     peak_rss_kb: u64,
 }
 
-fn rss_phase(frontend: FrontendKind, clients: usize, blob_bytes: usize) -> RssResult {
-    let (name, tag) = match frontend {
-        FrontendKind::Legacy => ("legacy-monolithic", "rss-legacy"),
-        FrontendKind::Sharded => ("sharded-streaming", "rss-sharded"),
-    };
-    let daemon = Daemon::spawn(frontend, tag);
+fn rss_phase(clients: usize, blob_bytes: usize) -> RssResult {
+    let daemon = Daemon::spawn("rss");
     let addr = daemon.addr.clone();
 
     let handles: Vec<_> = (0..clients)
@@ -304,16 +286,7 @@ fn rss_phase(frontend: FrontendKind, clients: usize, blob_bytes: usize) -> RssRe
                 .spawn(move || {
                     let mut client = connect_retrying(&addr);
                     let bytes = blob(0xAB00 + id as u64, blob_bytes);
-                    match frontend {
-                        // The baseline dialect: the whole blob in one
-                        // frame, which the daemon must materialize.
-                        FrontendKind::Legacy => {
-                            client.use_v1();
-                        }
-                        FrontendKind::Sharded => {
-                            client.set_chunk_bytes(STREAM_CHUNK);
-                        }
-                    }
+                    client.set_chunk_bytes(STREAM_CHUNK);
                     client.submit("pbzip-order", &bytes).expect("submit accepted");
                 })
                 .expect("spawn client thread")
@@ -327,7 +300,6 @@ fn rss_phase(frontend: FrontendKind, clients: usize, blob_bytes: usize) -> RssRe
     let peak_rss_kb = daemon.peak_rss_kb();
     daemon.shutdown();
     RssResult {
-        frontend: name,
         clients,
         blob_bytes,
         peak_rss_kb,
@@ -338,7 +310,7 @@ fn rss_phase(frontend: FrontendKind, clients: usize, blob_bytes: usize) -> RssRe
 // Output.
 // ---------------------------------------------------------------------------
 
-fn to_json(lat: &LatencyResult, rss: &[RssResult]) -> String {
+fn to_json(lat: &LatencyResult, rss: &RssResult) -> String {
     let mut out = String::from("{\n  \"experiment\": \"E18\",\n");
     out.push_str(&format!(
         "  \"latency\": {{\"clients\": {}, \"ops\": {}, \"streamed_submits\": {}, \"wall_ms\": {:.1}, \"ops_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"max_ms\": {:.3}}},\n",
@@ -352,18 +324,10 @@ fn to_json(lat: &LatencyResult, rss: &[RssResult]) -> String {
         lat.p99_ms,
         lat.max_ms,
     ));
-    out.push_str("  \"peak_rss\": [\n");
-    for (i, r) in rss.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"frontend\": \"{}\", \"clients\": {}, \"blob_bytes\": {}, \"peak_rss_kb\": {}}}{}\n",
-            r.frontend,
-            r.clients,
-            r.blob_bytes,
-            r.peak_rss_kb,
-            if i + 1 < rss.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str(&format!(
+        "  \"peak_rss\": {{\"frontend\": \"sharded-streaming\", \"clients\": {}, \"blob_bytes\": {}, \"peak_rss_kb\": {}}}\n}}\n",
+        rss.clients, rss.blob_bytes, rss.peak_rss_kb,
+    ));
     out
 }
 
@@ -375,15 +339,7 @@ fn main() {
     let mut out_path = String::from("BENCH_svc_frontend.json");
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--daemon" => {
-                let kind = match args.next().expect("--daemon needs a kind").as_str() {
-                    "sharded" => FrontendKind::Sharded,
-                    "legacy" => FrontendKind::Legacy,
-                    other => panic!("unknown front end '{other}'"),
-                };
-                let dir = args.next().expect("--daemon needs a data dir");
-                run_daemon(kind, dir);
-            }
+            "--daemon" => run_daemon(args.next().expect("--daemon needs a data dir")),
             "--reduced" => reduced = true,
             "--clients" => {
                 clients = Some(args.next().expect("--clients needs N").parse().unwrap())
@@ -433,24 +389,18 @@ fn main() {
         "\nE18: daemon peak RSS, {rss_clients} clients x {} MiB distinct blobs\n",
         blob_bytes >> 20
     );
-    let rss = vec![
-        rss_phase(FrontendKind::Legacy, rss_clients, blob_bytes),
-        rss_phase(FrontendKind::Sharded, rss_clients, blob_bytes),
-    ];
+    let rss = rss_phase(rss_clients, blob_bytes);
     println!(
-        "{:>18} | {:>7} | {:>9} | {:>11}",
-        "frontend", "clients", "blob MiB", "peak RSS MiB"
+        "{:>7} | {:>9} | {:>11}",
+        "clients", "blob MiB", "peak RSS MiB"
     );
-    println!("{}", "-".repeat(56));
-    for r in &rss {
-        println!(
-            "{:>18} | {:>7} | {:>9} | {:>11.1}",
-            r.frontend,
-            r.clients,
-            r.blob_bytes >> 20,
-            r.peak_rss_kb as f64 / 1024.0
-        );
-    }
+    println!("{}", "-".repeat(34));
+    println!(
+        "{:>7} | {:>9} | {:>11.1}",
+        rss.clients,
+        rss.blob_bytes >> 20,
+        rss.peak_rss_kb as f64 / 1024.0
+    );
 
     let json = to_json(&lat, &rss);
     std::fs::write(&out_path, &json).expect("write frontend JSON");
@@ -466,13 +416,18 @@ fn main() {
     }
 
     // The whole point of streaming: the daemon's peak memory must not
-    // scale with sketch size times connection count. Allow generous slack
-    // (allocator behavior, corpus tables) but fail loudly if the streamed
-    // run ever materializes what the monolithic one does.
-    let legacy = rss[0].peak_rss_kb as f64;
-    let sharded = rss[1].peak_rss_kb as f64;
+    // scale with sketch size times connection count. A daemon that
+    // materialized every in-flight submit would hold at least all the
+    // payloads at once; the streamed run must stay below that.
+    let materialized_kb = (rss_clients * blob_bytes) as u64 >> 10;
     assert!(
-        sharded < legacy,
-        "streaming front end used more memory ({sharded} kB) than the monolithic baseline ({legacy} kB)"
+        rss.peak_rss_kb < materialized_kb,
+        "streaming daemon peaked at {} kB, not below the {materialized_kb} kB of {rss_clients} \
+         whole {blob_bytes}-byte submits",
+        rss.peak_rss_kb
+    );
+    println!(
+        "peak RSS {} kB below the {materialized_kb} kB a materializing ingest holds",
+        rss.peak_rss_kb
     );
 }

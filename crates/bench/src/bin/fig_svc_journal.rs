@@ -40,7 +40,7 @@ use pres_apps::registry::all_bugs;
 use pres_core::api::Pres;
 use pres_core::codec::encode_sketch;
 use pres_core::sketch::Mechanism;
-use pres_svc::proto::{AnyFrame, Request, Response, DEFAULT_MAX_FRAME};
+use pres_svc::proto::{Frame, Request, Response, DEFAULT_MAX_FRAME};
 use pres_svc::queue::QueueConfig;
 use pres_svc::server::{ServeOptions, Server};
 use pres_svc::{Client, JobStatus};
@@ -246,10 +246,11 @@ fn journal_phase(
     let total = clients * ops_per_client;
     let pool = total.div_ceil(bugs.len());
 
-    // Pipelined v2 submits, well inside the daemon's default 128-frame
-    // inflight window: a recording host drains a backlog of sketches as
-    // fast as the daemon acks them, not one lock-step roundtrip at a
-    // time. Each response's latency is measured from its batch's send.
+    // Pipelined streamed submits (one BEGIN/CHUNK/END triple each, only
+    // END answered), well inside the daemon's default 128-frame inflight
+    // window: a recording host drains a backlog of sketches as fast as
+    // the daemon acks them, not one lock-step roundtrip at a time. Each
+    // response's latency is measured from its batch's send.
     const DEPTH: usize = 32;
     assert_eq!(ops_per_client % DEPTH, 0);
 
@@ -278,22 +279,28 @@ fn journal_phase(
                         for d in 0..DEPTH {
                             let k = id * ops_per_client + batch * DEPTH + d;
                             // Garbage payloads: the jobs fail fast in the
-                            // background once decode rejects them.
-                            let req = Request::Submit {
-                                bug: bugs[k / pool].to_string(),
-                                sketch: blob((k % pool) as u64, 512),
-                            };
-                            frames
-                                .extend(req.to_frame2(k as u32).unwrap().encode());
+                            // background once decode rejects them. Tags
+                            // start at 1: tag 0 addresses the connection.
+                            let tag = k as u32 + 1;
+                            for req in [
+                                Request::SubmitBegin {
+                                    bug: bugs[k / pool].to_string(),
+                                },
+                                Request::SubmitChunk {
+                                    data: blob((k % pool) as u64, 512),
+                                },
+                                Request::SubmitEnd,
+                            ] {
+                                frames.extend(req.to_frame(tag).unwrap().encode());
+                            }
                         }
                         let sent = Instant::now();
                         s.write_all(&frames).expect("submits written");
                         for _ in 0..DEPTH {
-                            let frame = AnyFrame::read_from(&mut rx, DEFAULT_MAX_FRAME)
+                            let frame = Frame::read_from(&mut rx, DEFAULT_MAX_FRAME)
                                 .expect("response read")
                                 .expect("connection open");
-                            match Response::from_any(&frame).expect("response decodes")
-                            {
+                            match Response::from_frame(&frame).expect("response decodes") {
                                 Response::Submitted { .. } => {
                                     lats.push(sent.elapsed().as_secs_f64() * 1e3)
                                 }

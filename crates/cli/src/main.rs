@@ -10,7 +10,7 @@
 //! pres overhead    --app <id> [--processors 8]
 //!
 //! pres serve       --addr 127.0.0.1:7557 --data-dir DIR [--job-workers N]
-//!                  [--frontend sharded|legacy] [--conn-workers N] [--max-connections N]
+//!                  [--conn-workers N] [--max-connections N]
 //!                  [--journal-batch N] [--journal-batch-usecs N] [--sketch-cache-bytes N]
 //! pres submit      --addr HOST:PORT --bug <id> --sketch sketch.pres [--wait-secs N]
 //!                  [--chunk-bytes N]
@@ -43,7 +43,7 @@ use pres_core::stats::{ExploreStats, SketchStats};
 use pres_core::program::Program;
 use pres_core::sketch::Mechanism;
 use pres_core::{Certificate, ExecutorKind, FeedbackMode, RingConfig, StopToken};
-use pres_svc::{Client, FrontendKind, QueueConfig, ServeOptions, Server};
+use pres_svc::{Client, QueueConfig, ServeOptions, Server};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -59,7 +59,7 @@ const USAGE: &str = "usage:
   pres overhead    --app <id> [--mechanism SYNC] [--processors N]
   pres serve       [--addr HOST:PORT] [--data-dir DIR] [--job-workers N]
                    [--max-attempts N] [--job-timeout-secs N] [--log-interval-secs N]
-                   [--frontend sharded|legacy] [--conn-workers N] [--max-connections N]
+                   [--conn-workers N] [--max-connections N]
                    [--journal-batch N] [--journal-batch-usecs N] [--sketch-cache-bytes N]
                    [--peer HOST:PORT]... [--advertise HOST:PORT] [--replicas N]
                    [--auth-token SECRET]
@@ -546,17 +546,6 @@ fn cmd_serve(args: &Args) -> Result<(), UsageError> {
     }
     if let Some(secs) = args.get_parsed::<u64>("log-interval-secs")? {
         opts.log_interval = (secs > 0).then(|| Duration::from_secs(secs));
-    }
-    if let Some(frontend) = args.get("frontend") {
-        opts.frontend = match frontend.as_str() {
-            "sharded" => FrontendKind::Sharded,
-            "legacy" => FrontendKind::Legacy,
-            other => {
-                return Err(UsageError(format!(
-                    "unknown front end '{other}' (sharded, legacy)"
-                )))
-            }
-        };
     }
     if let Some(n) = args.get_parsed::<usize>("conn-workers")? {
         opts.conn_workers = n.max(1);

@@ -2,17 +2,16 @@
 //! integration tests — both speak to the server through exactly this code,
 //! so the tests exercise what users run.
 //!
-//! By default the client speaks protocol v2: every request carries a tag,
-//! responses echo it, and submits stream chunk-by-chunk so neither end
-//! ever holds a whole sketch in a single frame. [`Client::use_v1`] drops
-//! back to the legacy one-frame-at-a-time v1 dialect (monolithic submits),
-//! which every front end still serves. The low-level [`Client::send`] /
-//! [`Client::recv`] pair is public so tests and benchmarks can pipeline
-//! many tagged requests on one connection before reading any response.
+//! Every request carries a tag, responses echo it, and submits stream
+//! chunk-by-chunk so neither end ever holds a whole sketch in a single
+//! frame. The low-level [`Client::send`] / [`Client::recv`] pair is public
+//! so tests and benchmarks can pipeline many tagged requests on one
+//! connection before reading any response.
 
 use crate::digest::Digest;
 use crate::proto::{
-    AnyFrame, PeerJob, ProtoError, Request, Response, DEFAULT_CHUNK_BYTES, DEFAULT_MAX_FRAME,
+    Frame, PeerJob, ProtoError, Request, Response, CONNECTION_TAG, DEFAULT_CHUNK_BYTES,
+    DEFAULT_MAX_FRAME,
 };
 use crate::queue::JobStatus;
 use std::io::{self, Read};
@@ -56,7 +55,6 @@ pub struct Client {
     max_frame: u32,
     chunk_bytes: usize,
     next_tag: u32,
-    v1: bool,
 }
 
 fn proto_io(e: ProtoError) -> io::Error {
@@ -68,7 +66,7 @@ fn server_error(message: String) -> io::Error {
 }
 
 impl Client {
-    /// Connects to a daemon (protocol v2, streaming submits).
+    /// Connects to a daemon.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -82,7 +80,6 @@ impl Client {
             max_frame: DEFAULT_MAX_FRAME,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
             next_tag: 0,
-            v1: false,
         })
     }
 
@@ -112,62 +109,52 @@ impl Client {
         Err(last_err.unwrap_or_else(|| io::Error::other("no connect attempts made")))
     }
 
-    /// Switches this connection to the legacy v1 dialect: untagged frames,
-    /// monolithic submits. What a pre-streaming client looks like on the
-    /// wire — and what the E18 benchmark's baseline runs.
-    pub fn use_v1(&mut self) -> &mut Self {
-        self.v1 = true;
-        self
-    }
-
     /// Sets the streamed-submit chunk size (bytes; clamped to >= 1).
     pub fn set_chunk_bytes(&mut self, chunk_bytes: usize) -> &mut Self {
         self.chunk_bytes = chunk_bytes.max(1);
         self
     }
 
+    /// The next request tag; never [`CONNECTION_TAG`].
     fn take_tag(&mut self) -> u32 {
         self.next_tag = self.next_tag.wrapping_add(1).max(1);
         self.next_tag
     }
 
     fn write_tagged(&mut self, tag: u32, request: &Request) -> io::Result<()> {
-        if self.v1 {
-            request.to_frame().map_err(proto_io)?.write_to(&mut self.stream)
-        } else {
-            request
-                .to_frame2(tag)
-                .map_err(proto_io)?
-                .write_to(&mut self.stream)
-        }
+        request
+            .to_frame(tag)
+            .map_err(proto_io)?
+            .write_to(&mut self.stream)
     }
 
     /// Writes one request without reading its response; returns the tag
-    /// the response will echo (0 in v1 mode, which has no tags and
-    /// answers strictly in order). Pair with [`Client::recv`] to pipeline.
+    /// the response will echo. Pair with [`Client::recv`] to pipeline.
     pub fn send(&mut self, request: &Request) -> io::Result<u32> {
-        let tag = if self.v1 { 0 } else { self.take_tag() };
+        let tag = self.take_tag();
         self.write_tagged(tag, request)?;
         Ok(tag)
     }
 
     /// Reads one response frame, returning `(tag, response)`.
     pub fn recv(&mut self) -> io::Result<(u32, Response)> {
-        let frame = AnyFrame::read_from(&mut self.stream, self.max_frame)?.map_err(proto_io)?;
-        let tag = frame.tag();
-        let response = Response::from_any(&frame).map_err(proto_io)?;
-        Ok((tag, response))
+        let frame = Frame::read_from(&mut self.stream, self.max_frame)?.map_err(proto_io)?;
+        let response = Response::from_frame(&frame).map_err(proto_io)?;
+        Ok((frame.tag, response))
     }
 
+    /// Reads the response to `expect_tag`. An ERROR on [`CONNECTION_TAG`]
+    /// answers every outstanding request: the daemon refused or dropped
+    /// the connection.
     fn recv_expect(&mut self, expect_tag: u32) -> io::Result<Response> {
-        let (tag, response) = self.recv()?;
-        if !self.v1 && tag != expect_tag {
-            return Err(io::Error::new(
+        match self.recv()? {
+            (CONNECTION_TAG, Response::Error { message }) => Err(server_error(message)),
+            (tag, _) if tag != expect_tag => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("response tag {tag} does not echo request tag {expect_tag}"),
-            ));
+            )),
+            (_, response) => Ok(response),
         }
-        Ok(response)
     }
 
     fn roundtrip(&mut self, request: &Request) -> io::Result<Response> {
@@ -196,39 +183,34 @@ impl Client {
         }
     }
 
-    /// Submits `sketch` (raw container bytes) for reproduction of `bug`.
-    /// In v2 mode the bytes go over the chunked streaming path; in v1
-    /// mode, as one monolithic SUBMIT frame.
+    /// Submits `sketch` (raw container bytes) for reproduction of `bug`,
+    /// over the chunked streaming path.
     pub fn submit(&mut self, bug: &str, sketch: &[u8]) -> io::Result<SubmitReceipt> {
-        if self.v1 {
-            let response = self.roundtrip(&Request::Submit {
-                bug: bug.to_string(),
-                sketch: sketch.to_vec(),
-            })?;
-            return Self::expect_submitted(response);
-        }
         let mut cursor = sketch;
         self.submit_stream(bug, &mut cursor)
     }
 
     /// Streams a sketch from any reader: BEGIN, then `chunk_bytes`-sized
     /// CHUNK frames as the reader yields them, then END — the one frame
-    /// the daemon answers. Peak memory on both ends is one chunk;
-    /// requires v2 (errors in v1 mode rather than silently buffering).
-    pub fn submit_stream(&mut self, bug: &str, reader: &mut impl Read) -> io::Result<SubmitReceipt> {
-        if self.v1 {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "streaming submit requires protocol v2 (this client is in v1 mode)",
-            ));
-        }
+    /// the daemon answers. Peak memory on both ends is one chunk.
+    pub fn submit_stream(
+        &mut self,
+        bug: &str,
+        reader: &mut impl Read,
+    ) -> io::Result<SubmitReceipt> {
+        let begin = Request::SubmitBegin {
+            bug: bug.to_string(),
+        };
+        let response = self.stream_object(&begin, reader)?;
+        Self::expect_submitted(response)
+    }
+
+    /// The stream shared by submits and peer puts: `begin` opens a fresh
+    /// tag, the reader's bytes follow as CHUNK frames, and END fetches
+    /// the one response.
+    fn stream_object(&mut self, begin: &Request, reader: &mut impl Read) -> io::Result<Response> {
         let tag = self.take_tag();
-        self.write_tagged(
-            tag,
-            &Request::SubmitBegin {
-                bug: bug.to_string(),
-            },
-        )?;
+        self.write_tagged(tag, begin)?;
         let mut buf = vec![0u8; self.chunk_bytes];
         loop {
             let n = match reader.read(&mut buf) {
@@ -245,8 +227,7 @@ impl Client {
             )?;
         }
         self.write_tagged(tag, &Request::SubmitEnd)?;
-        let response = self.recv_expect(tag)?;
-        Self::expect_submitted(response)
+        self.recv_expect(tag)
     }
 
     /// A job's status (`None` = the daemon does not know the id).
@@ -343,33 +324,9 @@ impl Client {
 
     /// Streams an object (which must hash to `digest`) to a peer's local
     /// store over the chunked path. Returns `fresh` (`false` = the peer
-    /// already held it). Requires v2.
+    /// already held it).
     pub fn peer_put(&mut self, digest: &Digest, reader: &mut impl Read) -> io::Result<bool> {
-        if self.v1 {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "peer object transfer requires protocol v2",
-            ));
-        }
-        let tag = self.take_tag();
-        self.write_tagged(tag, &Request::PeerPutBegin { digest: *digest })?;
-        let mut buf = vec![0u8; self.chunk_bytes];
-        loop {
-            let n = match reader.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            self.write_tagged(
-                tag,
-                &Request::SubmitChunk {
-                    data: buf[..n].to_vec(),
-                },
-            )?;
-        }
-        self.write_tagged(tag, &Request::SubmitEnd)?;
-        match self.recv_expect(tag)? {
+        match self.stream_object(&Request::PeerPutBegin { digest: *digest }, reader)? {
             Response::PeerPut {
                 digest: echoed,
                 fresh,

@@ -49,9 +49,11 @@
 //! Without it, a torn write that happens to leave a plausible length
 //! prefix would replay garbage fields as a real transition.
 //!
-//! Format-1 journals (no magic, no CRC) are still decodable: they are
-//! replayed with the legacy tolerant-tail walk and atomically rewritten
-//! in format 2 on open, so every append after the upgrade is checksummed.
+//! A file that does not start with the magic is not a journal, and open
+//! refuses it without writing a byte: pointing a daemon or `pres fsck` at
+//! the wrong directory must not destroy what is there. The one exception
+//! is a 1–3-byte prefix of the magic, the signature of a crash while the
+//! header was being stamped, which is completed to an empty journal.
 
 use crate::crc::crc32;
 use crate::digest::Digest;
@@ -150,10 +152,10 @@ struct Parsed {
     clean_len: u64,
 }
 
-/// Walks format-2 frames. Incomplete or checksum-mismatching data *at the
-/// end of the file* is a torn append; a bad checksum or undecodable
-/// payload with more bytes behind it is corruption.
-fn parse_v2(data: &[u8], path: &Path) -> io::Result<Parsed> {
+/// Walks the records after the header. Incomplete or checksum-mismatching
+/// data *at the end of the file* is a torn append; a bad checksum or
+/// undecodable payload with more bytes behind it is corruption.
+fn parse(data: &[u8], path: &Path) -> io::Result<Parsed> {
     let mut records = Vec::new();
     let mut offset = MAGIC.len();
     loop {
@@ -190,36 +192,6 @@ fn parse_v2(data: &[u8], path: &Path) -> io::Result<Parsed> {
     Ok(Parsed {
         records,
         clean_len: offset as u64,
-    })
-}
-
-/// Walks legacy format-1 frames (`u32 len | payload`, no checksum).
-fn parse_v1(data: &[u8], path: &Path) -> io::Result<Parsed> {
-    let mut records = Vec::new();
-    let mut cursor = data;
-    while !cursor.is_empty() {
-        let Some((head, rest)) = cursor.split_at_checked(4) else {
-            break; // partial length prefix at the tail
-        };
-        let len = u32::from_be_bytes(head.try_into().unwrap()) as usize;
-        let Some((payload, rest)) = rest.split_at_checked(len) else {
-            break; // partial payload at the tail
-        };
-        match Record::decode(payload) {
-            Some(record) => records.push(record),
-            None => {
-                return Err(corrupt(
-                    path,
-                    data.len() - cursor.len(),
-                    "undecodable record payload",
-                ))
-            }
-        }
-        cursor = rest;
-    }
-    Ok(Parsed {
-        records,
-        clean_len: (data.len() - cursor.len()) as u64,
     })
 }
 
@@ -317,8 +289,8 @@ impl Journal {
     /// complete record already present. A truncated or torn final record
     /// — the signature of a crash mid-append — is discarded and the file
     /// truncated back to its last clean record; a malformed record
-    /// *before* the tail means real corruption and is an error. Legacy
-    /// checksum-less journals are replayed and upgraded in place.
+    /// *before* the tail means real corruption and is an error, and so is
+    /// a file that is not a journal at all (left untouched).
     pub fn open(path: impl AsRef<Path>) -> io::Result<(Journal, Vec<Record>)> {
         Journal::open_with_faults(path, Faults::none())
     }
@@ -349,10 +321,11 @@ impl Journal {
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
 
-        if data.is_empty() {
-            // Fresh journal: stamp the format-2 header durably before any
-            // record relies on it.
-            file.write_all(&MAGIC)?;
+        if data.len() < MAGIC.len() && MAGIC.starts_with(&data) {
+            // Fresh journal, or one whose header stamping a crash cut
+            // short: complete the header durably before any record relies
+            // on it.
+            file.write_all(&MAGIC[data.len()..])?;
             file.sync_data()?;
             if let Some(dir) = path.parent() {
                 let _ = File::open(dir).and_then(|d| d.sync_all());
@@ -360,40 +333,26 @@ impl Journal {
             return Ok((Journal::assemble(file, faults, config, metrics), Vec::new()));
         }
 
-        if data.starts_with(&MAGIC) {
-            let parsed = parse_v2(&data, path)?;
-            if parsed.clean_len < data.len() as u64 {
-                // Drop the torn tail so future appends extend the clean
-                // prefix instead of hiding behind unreadable bytes.
-                file.set_len(parsed.clean_len)?;
-                file.sync_data()?;
-            }
-            return Ok((Journal::assemble(file, faults, config, metrics), parsed.records));
+        if !data.starts_with(&MAGIC) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} is not a job journal (no PSJ2 header); refusing to open it",
+                    path.display()
+                ),
+            ));
         }
-
-        // Legacy format 1: replay tolerantly, then upgrade the file to
-        // format 2 atomically (tmp + rename, both synced) so every record
-        // in front of future appends carries a checksum.
-        let parsed = parse_v1(&data, path)?;
-        drop(file);
-        let upgrade = path.with_extension("upgrade");
-        let mut out = Vec::with_capacity(data.len() + 4 + parsed.records.len() * 4);
-        out.extend_from_slice(&MAGIC);
-        for record in &parsed.records {
-            let payload = record.encode().map_err(io::Error::from)?;
-            frame_into(&mut out, &payload)?;
+        let parsed = parse(&data, path)?;
+        if parsed.clean_len < data.len() as u64 {
+            // Drop the torn tail so future appends extend the clean
+            // prefix instead of hiding behind unreadable bytes.
+            file.set_len(parsed.clean_len)?;
+            file.sync_data()?;
         }
-        {
-            let mut f = File::create(&upgrade)?;
-            f.write_all(&out)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&upgrade, path)?;
-        if let Some(dir) = path.parent() {
-            let _ = File::open(dir).and_then(|d| d.sync_all());
-        }
-        let file = OpenOptions::new().read(true).append(true).open(path)?;
-        Ok((Journal::assemble(file, faults, config, metrics), parsed.records))
+        Ok((
+            Journal::assemble(file, faults, config, metrics),
+            parsed.records,
+        ))
     }
 
     fn assemble(file: File, faults: Faults, config: GroupCommit, metrics: Arc<Metrics>) -> Journal {
@@ -664,17 +623,6 @@ mod tests {
         }
     }
 
-    /// A format-1 image of `records` (no magic, no checksums).
-    fn v1_image(records: &[Record]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for r in records {
-            let p = r.encode().unwrap();
-            wire::put_u32(&mut out, p.len() as u32);
-            out.extend_from_slice(&p);
-        }
-        out
-    }
-
     #[test]
     fn append_then_replay() {
         let path = scratch("replay");
@@ -763,41 +711,41 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_journal_is_replayed_and_upgraded() {
-        let path = scratch("v1-upgrade");
-        let records = sample_records();
-        std::fs::write(&path, v1_image(&records)).unwrap();
-        let (j, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(replayed, records);
-        // The file is now format 2 and keeps working across appends.
-        assert!(std::fs::read(&path).unwrap().starts_with(&MAGIC));
-        let extra = Record::Retry { job: 5, retries: 1 };
-        j.append(&extra).unwrap();
-        drop(j);
-        let (_, replayed) = Journal::open(&path).unwrap();
-        let mut expected = records;
-        expected.push(extra);
-        assert_eq!(replayed, expected);
+    fn a_file_without_the_magic_is_refused_and_left_untouched() {
+        let path = scratch("foreign");
+        // Text whose first four bytes read as a huge length prefix, and a
+        // headerless image of real records: neither is a journal, and
+        // neither may be rewritten.
+        let mut headerless = Vec::new();
+        for r in &sample_records() {
+            frame_into(&mut headerless, &r.encode().unwrap()).unwrap();
+        }
+        for foreign in [
+            b"not a journal, just notes\n".to_vec(),
+            headerless,
+            b"PSJ".repeat(3),
+        ] {
+            std::fs::write(&path, &foreign).unwrap();
+            let err = Journal::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("not a job journal"), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), foreign);
+        }
     }
 
     #[test]
-    fn legacy_v1_truncated_tail_is_tolerated() {
-        let path = scratch("v1-tail");
-        let records = sample_records();
-        let mut image = v1_image(&records);
-        image.truncate(image.len() - 5);
-        std::fs::write(&path, image).unwrap();
-        let (_, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(replayed, records[..records.len() - 1]);
-    }
-
-    #[test]
-    fn legacy_v1_mid_file_corruption_is_an_error() {
-        let path = scratch("v1-corrupt");
-        let mut image = v1_image(&sample_records());
-        image[4] = 0xee; // first record's kind byte
-        std::fs::write(&path, &image).unwrap();
-        assert!(Journal::open(&path).is_err());
+    fn a_torn_header_is_completed_to_an_empty_journal() {
+        let path = scratch("torn-header");
+        for cut in 1..MAGIC.len() {
+            std::fs::write(&path, &MAGIC[..cut]).unwrap();
+            let (j, replayed) = Journal::open(&path).unwrap();
+            assert!(replayed.is_empty(), "cut {cut}");
+            assert_eq!(std::fs::read(&path).unwrap(), MAGIC, "cut {cut}");
+            let extra = Record::Retry { job: 3, retries: 1 };
+            j.append(&extra).unwrap();
+            drop(j);
+            assert_eq!(Journal::open(&path).unwrap().1, [extra], "cut {cut}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | [`queue`] | FIFO job queue: dedup, retries with backoff, timeouts |
 //! | [`metrics`] | atomic counters + latency histogram |
 //! | [`wire`] | byte-level field encoding shared by journal and protocol |
-//! | [`proto`] | length-prefixed framed protocol (versioned, size-capped) |
+//! | [`proto`] | length-prefixed tagged frames (one version, size-capped) |
 //! | [`netpoll`] | std-only `poll(2)` shim for the connection workers |
 //! | [`server`] | the daemon: accept loop, connection workers, lifecycle |
 //! | [`cluster`] | rendezvous-hashed sharding, N-way replication, stealing |
@@ -61,7 +61,7 @@ pub use digest::{sha256, Digest, Sha256};
 pub use faultpoint::{FaultMode, FaultPoint, Faults};
 pub use journal::GroupCommit;
 pub use metrics::Metrics;
-pub use proto::{AnyFrame, Frame, Frame2, ProtoError, Request, Response, Severity};
+pub use proto::{Frame, ProtoError, Request, Response, Severity};
 pub use queue::{JobQueue, JobStatus, QueueConfig};
-pub use server::{FrontendKind, ServeOptions, Server};
+pub use server::{ServeOptions, Server};
 pub use store::{FsckReport, Store, StreamingPut};

@@ -1,16 +1,7 @@
 //! The daemon's length-prefixed binary protocol.
 //!
-//! One frame per message, either direction. Version 1 (the PR 5 wire
-//! format, still served):
-//!
-//! ```text
-//! +----+----+------+------+-------------+----------------+
-//! | 'P'| 'S'| 0x01 | kind | length: u32 | payload bytes  |
-//! +----+----+------+------+-------------+----------------+
-//! ```
-//!
-//! Version 2 adds a per-frame `tag` between the header and the payload.
-//! The daemon echoes the tag in the response so a client may pipeline many
+//! One frame per message, either direction, each carrying a `tag` the
+//! daemon echoes in its response, so a client may pipeline many
 //! outstanding requests on one connection and match responses out of
 //! order:
 //!
@@ -20,26 +11,35 @@
 //! +----+----+------+------+-------------+----------+----------------+
 //! ```
 //!
-//! The length covers the payload only (not the tag), so the v1 and v2
-//! header walks differ only in the 4 extra tag bytes. Magic and version
-//! are checked before the length is trusted; the length is checked against
-//! a receiver-chosen cap before anything is allocated, so an adversarial
+//! The version byte is always 2. Version 1, an untagged dialect of the
+//! same header, is no longer spoken: its header is a
+//! [`ProtoError::BadVersion`] like any other unknown version. The length
+//! covers the payload only (not the tag). Magic and version are checked
+//! before the length is trusted; the length is checked against a
+//! receiver-chosen cap before anything is allocated, so an adversarial
 //! 4 GiB length prefix costs the receiver nothing. Kinds `0x01..` are
 //! requests, `0x81..` responses, `0xFF` the error response. Unknown kinds
 //! fail at message decode, not at frame framing — a future version can add
 //! kinds without changing the frame walk.
 //!
-//! v2 also adds the streaming submit triple `SUBMIT_BEGIN` (bug id) /
-//! `SUBMIT_CHUNK` (raw sketch bytes, no inner length prefix) /
+//! A sketch is submitted as the streaming triple `SUBMIT_BEGIN` (bug id)
+//! / `SUBMIT_CHUNK` (raw sketch bytes, no inner length prefix) /
 //! `SUBMIT_END` (empty), all carrying the same tag. The server digests
 //! chunks incrementally and spills them to a store staging file as they
 //! arrive, so its peak memory per connection is one chunk, not one sketch;
 //! only `SUBMIT_END` is answered (with the usual `Submitted` response).
-//! A monolithic v1-style `SUBMIT` remains valid in a v2 frame.
+//!
+//! ## Tag 0: the connection
+//!
+//! Clients never send tag 0 ([`CONNECTION_TAG`]). The daemon uses it for
+//! an ERROR that answers no request but the connection itself: a framing
+//! error (after which it hangs up) and the refusal of a connection past
+//! its live-connection cap. A client waiting on any tag must treat a
+//! tag-0 ERROR as addressed to it.
 //!
 //! ## Cluster kinds
 //!
-//! The node-to-node layer ([`crate::cluster`]) speaks the same v2 frames.
+//! The node-to-node layer ([`crate::cluster`]) speaks the same frames.
 //! `HELLO` carries a shared-secret auth token and must be the first frame
 //! on a connection when the daemon was started with `--auth-token`
 //! (mandatory on peer links). Object transfer between peers routes the
@@ -66,8 +66,8 @@
 //!   connection.
 //! * **Payload** errors — [`ProtoError::UnknownKind`],
 //!   [`ProtoError::BadPayload`], [`ProtoError::TooLarge`] — are confined
-//!   to one well-framed message. The server answers a (tagged, on v2)
-//!   ERROR response and keeps the connection: with pipelining, other
+//!   to one well-framed message. The server answers an ERROR on that
+//!   message's tag and keeps the connection: with pipelining, other
 //!   requests in flight on the same connection are unaffected.
 //!
 //! Payload fields use [`crate::wire`]. Every decoder demands full
@@ -81,10 +81,11 @@ use std::io::{self, Read, Write};
 
 /// Frame magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"PS";
-/// The original one-request-at-a-time protocol version.
-pub const VERSION: u8 = 1;
-/// The tagged, pipelined, streaming-submit protocol version.
-pub const VERSION_V2: u8 = 2;
+/// The protocol version: tagged, pipelined, streaming submits.
+pub const VERSION: u8 = 2;
+/// The tag of an ERROR addressed to the whole connection (see the module
+/// docs); never issued to a request.
+pub const CONNECTION_TAG: u32 = 0;
 /// Default cap on accepted frame payloads (sketches are small; 64 MiB is
 /// generous headroom, not an invitation).
 pub const DEFAULT_MAX_FRAME: u32 = 64 << 20;
@@ -93,7 +94,8 @@ pub const DEFAULT_MAX_FRAME: u32 = 64 << 20;
 /// negligible next to a multi-MB sketch.
 pub const DEFAULT_CHUNK_BYTES: usize = 256 << 10;
 
-const REQ_SUBMIT: u8 = 0x01;
+// 0x01 was the untagged dialect's monolithic SUBMIT; it is now an
+// unknown kind.
 const REQ_STATUS: u8 = 0x02;
 const REQ_RESULT: u8 = 0x03;
 const REQ_STATS: u8 = 0x04;
@@ -191,9 +193,35 @@ impl ProtoError {
     }
 }
 
-/// A raw frame: kind plus opaque payload.
+/// Bytes every frame header starts with: magic, version, kind, length.
+const PREFIX: usize = 8;
+/// The whole header: the prefix plus the echo tag.
+const HEADER: usize = PREFIX + 4;
+
+/// Validates a frame's fixed prefix, returning `(kind, payload length)`.
+/// Magic and version are checked before the length is trusted, and the
+/// length against the receiver's cap before anything is allocated.
+fn check_prefix(prefix: &[u8], max_payload: u32) -> Result<(u8, u32), ProtoError> {
+    if prefix[..2] != MAGIC {
+        return Err(ProtoError::BadMagic([prefix[0], prefix[1]]));
+    }
+    if prefix[2] != VERSION {
+        return Err(ProtoError::BadVersion(prefix[2]));
+    }
+    let len = u32::from_be_bytes(prefix[4..8].try_into().unwrap());
+    if len > max_payload {
+        return Err(ProtoError::Oversized {
+            len,
+            max: max_payload,
+        });
+    }
+    Ok((prefix[3], len))
+}
+
+/// A raw frame: echo tag, kind, opaque payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
+    pub tag: u32,
     pub kind: u8,
     pub payload: Vec<u8>,
 }
@@ -205,71 +233,9 @@ impl Frame {
     pub fn encode(&self) -> Vec<u8> {
         let len = wire::check_len(self.payload.len())
             .expect("frame payload length checked at construction");
-        let mut out = Vec::with_capacity(8 + self.payload.len());
+        let mut out = Vec::with_capacity(HEADER + self.payload.len());
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
-        out.push(self.kind);
-        wire::put_u32(&mut out, len);
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Writes the frame to a stream, refusing (with `InvalidInput`, not
-    /// truncating) a payload the `u32` length prefix cannot describe.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        wire::check_len(self.payload.len()).map_err(io::Error::from)?;
-        w.write_all(&self.encode())?;
-        w.flush()
-    }
-
-    /// Reads one frame, enforcing `max_payload` before allocating.
-    /// `Err(io)` covers transport failures (including read timeouts);
-    /// protocol violations come back as `Ok(Err(proto))` so the caller can
-    /// answer with an ERROR frame before hanging up.
-    pub fn read_from(
-        r: &mut impl Read,
-        max_payload: u32,
-    ) -> io::Result<Result<Frame, ProtoError>> {
-        let mut head = [0u8; 8];
-        r.read_exact(&mut head)?;
-        if head[..2] != MAGIC {
-            return Ok(Err(ProtoError::BadMagic([head[0], head[1]])));
-        }
-        if head[2] != VERSION {
-            return Ok(Err(ProtoError::BadVersion(head[2])));
-        }
-        let kind = head[3];
-        let len = u32::from_be_bytes(head[4..8].try_into().unwrap());
-        if len > max_payload {
-            return Ok(Err(ProtoError::Oversized {
-                len,
-                max: max_payload,
-            }));
-        }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
-        Ok(Ok(Frame { kind, payload }))
-    }
-}
-
-/// A version-2 frame: kind, echo tag, opaque payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame2 {
-    pub tag: u32,
-    pub kind: u8,
-    pub payload: Vec<u8>,
-}
-
-impl Frame2 {
-    /// The full on-wire encoding. Panics on a payload beyond `u32::MAX`
-    /// bytes — use [`Frame2::write_to`] (which refuses with an error) on
-    /// any path where the payload size is not already checked.
-    pub fn encode(&self) -> Vec<u8> {
-        let len = wire::check_len(self.payload.len())
-            .expect("frame payload length checked at construction");
-        let mut out = Vec::with_capacity(12 + self.payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION_V2);
         out.push(self.kind);
         wire::put_u32(&mut out, len);
         wire::put_u32(&mut out, self.tag);
@@ -284,119 +250,50 @@ impl Frame2 {
         w.write_all(&self.encode())?;
         w.flush()
     }
-}
-
-/// A frame of either protocol version, as read off one connection. The
-/// sharded front end accepts both on the same port and mirrors the
-/// request's version in its response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AnyFrame {
-    V1(Frame),
-    V2(Frame2),
-}
-
-impl AnyFrame {
-    /// The request/response kind byte, independent of version.
-    pub fn kind(&self) -> u8 {
-        match self {
-            AnyFrame::V1(f) => f.kind,
-            AnyFrame::V2(f) => f.kind,
-        }
-    }
-
-    /// The echo tag: a v1 frame has none and decodes as tag 0.
-    pub fn tag(&self) -> u32 {
-        match self {
-            AnyFrame::V1(_) => 0,
-            AnyFrame::V2(f) => f.tag,
-        }
-    }
-
-    pub fn payload(&self) -> &[u8] {
-        match self {
-            AnyFrame::V1(f) => &f.payload,
-            AnyFrame::V2(f) => &f.payload,
-        }
-    }
 
     /// Incremental frame walk over a partially-received buffer.
     ///
     /// Returns `Ok(None)` when `buf` holds only a prefix of a frame (read
     /// more and retry), `Ok(Some((frame, consumed)))` when a complete frame
-    /// starts at `buf[0]`, and `Err` on a framing violation (whose
-    /// [`Severity`] says whether the stream is still walkable). The cap is
-    /// enforced from the length prefix alone — an adversarial length never
-    /// allocates.
-    pub fn parse(buf: &[u8], max_payload: u32) -> Result<Option<(AnyFrame, usize)>, ProtoError> {
-        if buf.len() < 8 {
+    /// starts at `buf[0]`, and `Err` on a framing violation — every error
+    /// this returns has [`Severity::Framing`]. The cap is enforced from the
+    /// length prefix alone — an adversarial length never allocates.
+    pub fn parse(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize)>, ProtoError> {
+        if buf.len() < PREFIX {
             return Ok(None);
         }
-        if buf[..2] != MAGIC {
-            return Err(ProtoError::BadMagic([buf[0], buf[1]]));
-        }
-        let version = buf[2];
-        if version != VERSION && version != VERSION_V2 {
-            return Err(ProtoError::BadVersion(version));
-        }
-        let kind = buf[3];
-        let len = u32::from_be_bytes(buf[4..8].try_into().unwrap());
-        if len > max_payload {
-            return Err(ProtoError::Oversized {
-                len,
-                max: max_payload,
-            });
-        }
-        let head = if version == VERSION { 8 } else { 12 };
-        let total = head + len as usize;
+        let (kind, len) = check_prefix(&buf[..PREFIX], max_payload)?;
+        let total = HEADER + len as usize;
         if buf.len() < total {
             return Ok(None);
         }
-        let payload = buf[head..total].to_vec();
-        let frame = if version == VERSION {
-            AnyFrame::V1(Frame { kind, payload })
-        } else {
-            let tag = u32::from_be_bytes(buf[8..12].try_into().unwrap());
-            AnyFrame::V2(Frame2 { tag, kind, payload })
+        let frame = Frame {
+            tag: u32::from_be_bytes(buf[PREFIX..HEADER].try_into().unwrap()),
+            kind,
+            payload: buf[HEADER..total].to_vec(),
         };
         Ok(Some((frame, total)))
     }
 
-    /// Blocking read of one frame of either version, mirroring
-    /// [`Frame::read_from`]'s error contract.
-    pub fn read_from(
-        r: &mut impl Read,
-        max_payload: u32,
-    ) -> io::Result<Result<AnyFrame, ProtoError>> {
-        let mut head = [0u8; 8];
-        r.read_exact(&mut head)?;
-        if head[..2] != MAGIC {
-            return Ok(Err(ProtoError::BadMagic([head[0], head[1]])));
-        }
-        let version = head[2];
-        if version != VERSION && version != VERSION_V2 {
-            return Ok(Err(ProtoError::BadVersion(version)));
-        }
-        let kind = head[3];
-        let len = u32::from_be_bytes(head[4..8].try_into().unwrap());
-        if len > max_payload {
-            return Ok(Err(ProtoError::Oversized {
-                len,
-                max: max_payload,
-            }));
-        }
-        let tag = if version == VERSION_V2 {
-            let mut t = [0u8; 4];
-            r.read_exact(&mut t)?;
-            u32::from_be_bytes(t)
-        } else {
-            0
+    /// Blocking read of one frame, enforcing `max_payload` before
+    /// allocating. `Err(io)` covers transport failures (including read
+    /// timeouts); protocol violations come back as `Ok(Err(proto))` so the
+    /// caller can answer with an ERROR frame before hanging up.
+    pub fn read_from(r: &mut impl Read, max_payload: u32) -> io::Result<Result<Frame, ProtoError>> {
+        let mut prefix = [0u8; PREFIX];
+        r.read_exact(&mut prefix)?;
+        let (kind, len) = match check_prefix(&prefix, max_payload) {
+            Ok(v) => v,
+            Err(e) => return Ok(Err(e)),
         };
+        let mut tag = [0u8; 4];
+        r.read_exact(&mut tag)?;
         let mut payload = vec![0u8; len as usize];
         r.read_exact(&mut payload)?;
-        Ok(Ok(if version == VERSION {
-            AnyFrame::V1(Frame { kind, payload })
-        } else {
-            AnyFrame::V2(Frame2 { tag, kind, payload })
+        Ok(Ok(Frame {
+            tag: u32::from_be_bytes(tag),
+            kind,
+            payload,
         }))
     }
 }
@@ -440,10 +337,8 @@ impl PeerJob {
 /// A client→daemon message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Ingest a sketch and enqueue reproduction of `bug` from it.
-    Submit { bug: String, sketch: Vec<u8> },
-    /// Opens a streaming submit for `bug` on this frame's tag (v2 only).
-    /// Not answered; the response arrives on [`Request::SubmitEnd`].
+    /// Opens a streaming submit for `bug` on this frame's tag. Not
+    /// answered; the response arrives on [`Request::SubmitEnd`].
     SubmitBegin { bug: String },
     /// One chunk of the sketch opened by the same tag's `SubmitBegin`.
     /// The payload is the raw chunk bytes, no inner length prefix.
@@ -478,15 +373,11 @@ pub enum Request {
 }
 
 impl Request {
-    /// The kind byte plus encoded payload shared by both frame versions.
-    fn encode_parts(&self) -> Result<(u8, Vec<u8>), ProtoError> {
+    /// Encodes into a frame carrying `tag`; a payload beyond what a `u32`
+    /// length prefix can carry is a [`ProtoError::TooLarge`], never a
+    /// truncated frame.
+    pub fn to_frame(&self, tag: u32) -> Result<Frame, ProtoError> {
         let (kind, payload) = match self {
-            Request::Submit { bug, sketch } => {
-                let mut p = Vec::new();
-                wire::put_str(&mut p, bug)?;
-                wire::put_bytes(&mut p, sketch)?;
-                (REQ_SUBMIT, p)
-            }
             Request::SubmitBegin { bug } => {
                 let mut p = Vec::new();
                 wire::put_str(&mut p, bug)?;
@@ -540,31 +431,14 @@ impl Request {
             }
         };
         wire::check_len(payload.len())?;
-        Ok((kind, payload))
+        Ok(Frame { tag, kind, payload })
     }
 
-    /// Encodes into a v1 frame; a payload beyond what a `u32` length prefix
-    /// can carry is a [`ProtoError::TooLarge`], never a truncated frame.
-    pub fn to_frame(&self) -> Result<Frame, ProtoError> {
-        let (kind, payload) = self.encode_parts()?;
-        Ok(Frame { kind, payload })
-    }
-
-    /// Encodes into a v2 frame carrying `tag`.
-    pub fn to_frame2(&self, tag: u32) -> Result<Frame2, ProtoError> {
-        let (kind, payload) = self.encode_parts()?;
-        Ok(Frame2 { tag, kind, payload })
-    }
-
-    /// The shared kind-dispatched payload decode.
-    fn decode_parts(kind: u8, payload: &[u8]) -> Result<Request, ProtoError> {
-        let mut r = Reader(payload);
+    /// Decodes a frame's kind and payload (the tag is the caller's).
+    pub fn from_frame(frame: &Frame) -> Result<Request, ProtoError> {
+        let mut r = Reader(&frame.payload);
         let bad = ProtoError::BadPayload;
-        let req = match kind {
-            REQ_SUBMIT => Request::Submit {
-                bug: r.str().ok_or(bad("submit bug id"))?.to_string(),
-                sketch: r.bytes().ok_or(bad("submit sketch bytes"))?.to_vec(),
-            },
+        let req = match frame.kind {
             REQ_SUBMIT_BEGIN => Request::SubmitBegin {
                 bug: r.str().ok_or(bad("submit-begin bug id"))?.to_string(),
             },
@@ -609,16 +483,6 @@ impl Request {
         }
         Ok(req)
     }
-
-    /// Decodes from a v1 frame.
-    pub fn from_frame(frame: &Frame) -> Result<Request, ProtoError> {
-        Request::decode_parts(frame.kind, &frame.payload)
-    }
-
-    /// Decodes from a frame of either version.
-    pub fn from_any(frame: &AnyFrame) -> Result<Request, ProtoError> {
-        Request::decode_parts(frame.kind(), frame.payload())
-    }
 }
 
 /// A daemon→client message.
@@ -662,8 +526,9 @@ pub enum Response {
 }
 
 impl Response {
-    /// The kind byte plus encoded payload shared by both frame versions.
-    fn encode_parts(&self) -> Result<(u8, Vec<u8>), ProtoError> {
+    /// Encodes into a frame echoing `tag`; a payload beyond what a `u32`
+    /// length prefix can carry is a [`ProtoError::TooLarge`].
+    pub fn to_frame(&self, tag: u32) -> Result<Frame, ProtoError> {
         let (kind, payload) = match self {
             Response::Submitted {
                 job,
@@ -749,27 +614,14 @@ impl Response {
             }
         };
         wire::check_len(payload.len())?;
-        Ok((kind, payload))
+        Ok(Frame { tag, kind, payload })
     }
 
-    /// Encodes into a v1 frame; a payload beyond what a `u32` length prefix
-    /// can carry is a [`ProtoError::TooLarge`], never a truncated frame.
-    pub fn to_frame(&self) -> Result<Frame, ProtoError> {
-        let (kind, payload) = self.encode_parts()?;
-        Ok(Frame { kind, payload })
-    }
-
-    /// Encodes into a v2 frame echoing `tag`.
-    pub fn to_frame2(&self, tag: u32) -> Result<Frame2, ProtoError> {
-        let (kind, payload) = self.encode_parts()?;
-        Ok(Frame2 { tag, kind, payload })
-    }
-
-    /// The shared kind-dispatched payload decode.
-    fn decode_parts(kind: u8, payload: &[u8]) -> Result<Response, ProtoError> {
-        let mut r = Reader(payload);
+    /// Decodes a frame's kind and payload (the tag is the caller's).
+    pub fn from_frame(frame: &Frame) -> Result<Response, ProtoError> {
+        let mut r = Reader(&frame.payload);
         let bad = ProtoError::BadPayload;
-        let resp = match kind {
+        let resp = match frame.kind {
             RESP_SUBMIT => Response::Submitted {
                 job: r.u64().ok_or(bad("submitted job id"))?,
                 sketch: r.digest().ok_or(bad("submitted digest"))?,
@@ -836,16 +688,6 @@ impl Response {
         }
         Ok(resp)
     }
-
-    /// Decodes from a v1 frame.
-    pub fn from_frame(frame: &Frame) -> Result<Response, ProtoError> {
-        Response::decode_parts(frame.kind, &frame.payload)
-    }
-
-    /// Decodes from a frame of either version.
-    pub fn from_any(frame: &AnyFrame) -> Result<Response, ProtoError> {
-        Response::decode_parts(frame.kind(), frame.payload())
-    }
 }
 
 #[cfg(test)]
@@ -853,64 +695,72 @@ mod tests {
     use super::*;
     use crate::digest::sha256;
 
+    fn frame(kind: u8, payload: &[u8]) -> Frame {
+        Frame {
+            tag: 0xdead_beef,
+            kind,
+            payload: payload.to_vec(),
+        }
+    }
+
     #[test]
-    fn frame_roundtrip() {
-        let frame = Frame {
-            kind: REQ_SUBMIT,
-            payload: b"hello".to_vec(),
-        };
+    fn frame_roundtrips_through_both_readers() {
+        let frame = frame(REQ_SUBMIT_CHUNK, b"chunk bytes");
         let bytes = frame.encode();
+        // Blocking reader.
         let mut cursor = &bytes[..];
-        let back = Frame::read_from(&mut cursor, DEFAULT_MAX_FRAME)
+        let got = Frame::read_from(&mut cursor, DEFAULT_MAX_FRAME)
             .unwrap()
             .unwrap();
-        assert_eq!(back, frame);
+        assert_eq!(got, frame);
         assert!(cursor.is_empty());
+        // Incremental parser.
+        let (got, used) = Frame::parse(&bytes, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert_eq!(got, frame);
+        assert_eq!(used, bytes.len());
     }
 
     #[test]
     fn oversized_frame_is_rejected_before_allocation() {
-        let mut bytes = Frame {
-            kind: REQ_STATS,
-            payload: vec![],
-        }
-        .encode();
+        let mut bytes = frame(REQ_STATS, b"").encode();
         bytes[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
-        let err = Frame::read_from(&mut &bytes[..], 1024).unwrap().unwrap_err();
+        let err = Frame::read_from(&mut &bytes[..], 1024)
+            .unwrap()
+            .unwrap_err();
         assert!(matches!(err, ProtoError::Oversized { .. }));
+        assert!(matches!(
+            Frame::parse(&bytes, 1024).unwrap_err(),
+            ProtoError::Oversized { .. }
+        ));
     }
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
-        let mut bytes = Frame {
-            kind: REQ_STATS,
-            payload: vec![],
-        }
-        .encode();
+        let mut bytes = frame(REQ_STATS, b"").encode();
         bytes[0] = b'X';
         assert!(matches!(
-            Frame::read_from(&mut &bytes[..], 1024).unwrap().unwrap_err(),
+            Frame::read_from(&mut &bytes[..], 1024)
+                .unwrap()
+                .unwrap_err(),
             ProtoError::BadMagic(_)
         ));
-        let mut bytes = Frame {
-            kind: REQ_STATS,
-            payload: vec![],
+        // Version 1 is gone: its header is a framing error like any other
+        // unknown version, decided from the 8-byte prefix alone.
+        for version in [1, 3, 9] {
+            let mut bytes = frame(REQ_STATS, b"").encode();
+            bytes[2] = version;
+            let err = Frame::read_from(&mut &bytes[..8], 1024)
+                .unwrap()
+                .unwrap_err();
+            assert_eq!(err, ProtoError::BadVersion(version));
+            assert_eq!(err.severity(), Severity::Framing);
+            assert_eq!(Frame::parse(&bytes[..8], 1024).unwrap_err(), err);
         }
-        .encode();
-        bytes[2] = 9;
-        assert!(matches!(
-            Frame::read_from(&mut &bytes[..], 1024).unwrap().unwrap_err(),
-            ProtoError::BadVersion(9)
-        ));
     }
 
     #[test]
     fn truncated_stream_is_an_io_error() {
-        let bytes = Frame {
-            kind: REQ_SUBMIT,
-            payload: b"payload".to_vec(),
-        }
-        .encode();
+        let bytes = frame(REQ_SUBMIT_CHUNK, b"payload").encode();
         for cut in 0..bytes.len() {
             assert!(
                 Frame::read_from(&mut &bytes[..cut], DEFAULT_MAX_FRAME).is_err(),
@@ -922,17 +772,13 @@ mod tests {
     #[test]
     fn request_and_response_roundtrip() {
         let requests = [
-            Request::Submit {
-                bug: "pbzip-order".into(),
-                sketch: vec![1, 2, 3],
-            },
             Request::Status { job: 7 },
             Request::Result { job: u64::MAX },
             Request::Stats,
             Request::Shutdown,
         ];
         for req in requests {
-            assert_eq!(Request::from_frame(&req.to_frame().unwrap()).unwrap(), req);
+            assert_eq!(Request::from_frame(&req.to_frame(3).unwrap()).unwrap(), req);
         }
         let responses = [
             Response::Submitted {
@@ -957,70 +803,46 @@ mod tests {
             },
         ];
         for resp in responses {
-            assert_eq!(Response::from_frame(&resp.to_frame().unwrap()).unwrap(), resp);
+            let frame = resp.to_frame(0xfeed).unwrap();
+            assert_eq!(frame.tag, 0xfeed);
+            assert_eq!(Response::from_frame(&frame).unwrap(), resp);
         }
-    }
-
-    #[test]
-    fn frame2_roundtrips_through_both_readers() {
-        let frame = Frame2 {
-            tag: 0xdead_beef,
-            kind: REQ_SUBMIT_CHUNK,
-            payload: b"chunk bytes".to_vec(),
-        };
-        let bytes = frame.encode();
-        // Blocking reader.
-        let got = AnyFrame::read_from(&mut &bytes[..], DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, AnyFrame::V2(frame.clone()));
-        assert_eq!(got.tag(), 0xdead_beef);
-        // Incremental parser.
-        let (got, used) = AnyFrame::parse(&bytes, DEFAULT_MAX_FRAME).unwrap().unwrap();
-        assert_eq!(got, AnyFrame::V2(frame));
-        assert_eq!(used, bytes.len());
     }
 
     #[test]
     fn incremental_parse_handles_partial_and_back_to_back_frames() {
-        let a = Frame2 {
-            tag: 1,
-            kind: REQ_STATS,
-            payload: vec![],
-        }
-        .encode();
-        let b = Frame {
-            kind: REQ_STATUS,
-            payload: Request::Status { job: 9 }.to_frame().unwrap().payload,
-        }
-        .encode();
+        let a = Request::Stats.to_frame(1).unwrap().encode();
+        let b = Request::Status { job: 9 }.to_frame(2).unwrap().encode();
         let mut stream = a.clone();
         stream.extend_from_slice(&b);
         // Every prefix short of frame A is "need more bytes".
         for cut in 0..a.len() {
             assert_eq!(
-                AnyFrame::parse(&stream[..cut], DEFAULT_MAX_FRAME).unwrap(),
+                Frame::parse(&stream[..cut], DEFAULT_MAX_FRAME).unwrap(),
                 None,
                 "cut at {cut}"
             );
         }
         // A complete first frame parses without touching the second.
-        let (first, used) = AnyFrame::parse(&stream, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        let (first, used) = Frame::parse(&stream, DEFAULT_MAX_FRAME).unwrap().unwrap();
         assert_eq!(used, a.len());
-        assert_eq!(first.tag(), 1);
-        let (second, used2) = AnyFrame::parse(&stream[used..], DEFAULT_MAX_FRAME)
+        assert_eq!(first.tag, 1);
+        let (second, used2) = Frame::parse(&stream[used..], DEFAULT_MAX_FRAME)
             .unwrap()
             .unwrap();
         assert_eq!(used2, b.len());
-        assert!(matches!(second, AnyFrame::V1(_)));
-        assert_eq!(second.tag(), 0);
+        assert_eq!(second.tag, 2);
+        assert_eq!(
+            Request::from_frame(&second).unwrap(),
+            Request::Status { job: 9 }
+        );
     }
 
     #[test]
     fn severity_splits_framing_from_payload_errors() {
         for (err, want) in [
             (ProtoError::BadMagic(*b"XX"), Severity::Framing),
-            (ProtoError::BadVersion(3), Severity::Framing),
+            (ProtoError::BadVersion(1), Severity::Framing),
             (ProtoError::Oversized { len: 9, max: 1 }, Severity::Framing),
             (ProtoError::UnknownKind(0x42), Severity::Payload),
             (ProtoError::BadPayload("x"), Severity::Payload),
@@ -1039,50 +861,16 @@ mod tests {
             Request::SubmitChunk {
                 data: vec![7; 1000],
             },
+            // An empty chunk is legal framing (the decoder consumes the
+            // rest, which may be nothing).
+            Request::SubmitChunk { data: vec![] },
             Request::SubmitEnd,
         ];
         for req in reqs {
-            let f2 = req.to_frame2(41).unwrap();
-            assert_eq!(f2.tag, 41);
-            let any = AnyFrame::V2(f2);
-            assert_eq!(Request::from_any(&any).unwrap(), req);
+            let frame = req.to_frame(41).unwrap();
+            assert_eq!(frame.tag, 41);
+            assert_eq!(Request::from_frame(&frame).unwrap(), req);
         }
-        // An empty chunk is legal framing (the decoder consumes the rest,
-        // which may be nothing).
-        let empty = Request::SubmitChunk { data: vec![] };
-        assert_eq!(
-            Request::from_any(&AnyFrame::V2(empty.to_frame2(0).unwrap())).unwrap(),
-            empty
-        );
-    }
-
-    #[test]
-    fn responses_echo_tags_in_v2_frames() {
-        let resp = Response::Status { status: None };
-        let f2 = resp.to_frame2(0xfeed).unwrap();
-        assert_eq!(f2.tag, 0xfeed);
-        assert_eq!(
-            Response::from_any(&AnyFrame::V2(f2.clone())).unwrap(),
-            resp
-        );
-        // Same payload bytes as the v1 encoding — only the header differs.
-        assert_eq!(f2.payload, resp.to_frame().unwrap().payload);
-    }
-
-    #[test]
-    fn v1_reader_still_rejects_version_2() {
-        // The legacy blocking front end speaks v1 only; a v2 frame at it
-        // is a framing error, not a crash.
-        let bytes = Frame2 {
-            tag: 5,
-            kind: REQ_STATS,
-            payload: vec![],
-        }
-        .encode();
-        assert!(matches!(
-            Frame::read_from(&mut &bytes[..], 1024).unwrap().unwrap_err(),
-            ProtoError::BadVersion(2)
-        ));
     }
 
     #[test]
@@ -1112,10 +900,9 @@ mod tests {
             },
         ];
         for req in requests {
-            assert_eq!(Request::from_frame(&req.to_frame().unwrap()).unwrap(), req);
-            let any = AnyFrame::V2(req.to_frame2(77).unwrap());
-            assert_eq!(any.tag(), 77);
-            assert_eq!(Request::from_any(&any).unwrap(), req);
+            let frame = req.to_frame(77).unwrap();
+            assert_eq!(frame.tag, 77);
+            assert_eq!(Request::from_frame(&frame).unwrap(), req);
         }
         let responses = [
             Response::HelloOk,
@@ -1144,7 +931,10 @@ mod tests {
             Response::PeerDoneOk { accepted: true },
         ];
         for resp in responses {
-            assert_eq!(Response::from_frame(&resp.to_frame().unwrap()).unwrap(), resp);
+            assert_eq!(
+                Response::from_frame(&resp.to_frame(77).unwrap()).unwrap(),
+                resp
+            );
         }
     }
 
@@ -1155,27 +945,22 @@ mod tests {
         let mut payload = Vec::new();
         crate::wire::put_u32(&mut payload, u32::MAX);
         crate::wire::put_digest(&mut payload, &sha256(b"only"));
-        let frame = Frame {
-            kind: RESP_PEER_LIST,
-            payload,
-        };
         assert!(matches!(
-            Response::from_frame(&frame).unwrap_err(),
+            Response::from_frame(&frame(RESP_PEER_LIST, &payload)).unwrap_err(),
             ProtoError::BadPayload(_)
         ));
     }
 
     #[test]
     fn unknown_kind_and_trailing_bytes_are_rejected() {
-        let frame = Frame {
-            kind: 0x42,
-            payload: vec![],
-        };
-        assert_eq!(
-            Request::from_frame(&frame).unwrap_err(),
-            ProtoError::UnknownKind(0x42)
-        );
-        let mut frame = Request::Stats.to_frame().unwrap();
+        // 0x01, the retired monolithic SUBMIT, is as unknown as any other.
+        for kind in [0x01, 0x42] {
+            assert_eq!(
+                Request::from_frame(&frame(kind, b"")).unwrap_err(),
+                ProtoError::UnknownKind(kind)
+            );
+        }
+        let mut frame = Request::Stats.to_frame(1).unwrap();
         frame.payload.push(0);
         assert!(matches!(
             Request::from_frame(&frame).unwrap_err(),

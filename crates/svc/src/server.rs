@@ -13,9 +13,9 @@
 //! connection worker multiplexes its share of non-blocking sockets with
 //! [`crate::netpoll`] (`poll(2)`): it reads whatever bytes are ready,
 //! walks complete frames out of a per-connection buffer with
-//! [`AnyFrame::parse`], dispatches them inline, and queues responses into
+//! [`Frame::parse`], dispatches them inline, and queues responses into
 //! a per-connection write buffer flushed as the socket accepts them. A
-//! connection may pipeline many tagged v2 requests; responses complete in
+//! connection may pipeline many tagged requests; responses complete in
 //! dispatch order, which is *not* arrival order for streaming submits —
 //! a STATUS poll is answered while a SUBMIT's chunks are still arriving.
 //! Two backpressure bounds protect the worker: a connection whose
@@ -27,16 +27,11 @@
 //!
 //! Connections are isolated per the [`crate::proto`] severity contract: a
 //! framing error (bad magic/version, oversized length) costs that one
-//! connection; a payload error (unknown kind, malformed fields) costs only
-//! that one request — the connection keeps serving, which pipelining
-//! requires. Both are counted in [`Metrics::frames_rejected`]; neither
-//! ever touches the accept loop.
-//!
-//! The PR 5 model — one OS thread per live connection, blocking
-//! one-frame-at-a-time request/response, v1 only — is retained as
-//! [`FrontendKind::Legacy`], both as the baseline the E18 front-end
-//! benchmark measures against and as the historically simplest reference
-//! implementation of the protocol.
+//! connection, answered by one ERROR on [`CONNECTION_TAG`]; a payload
+//! error (unknown kind, malformed fields) costs only that one request —
+//! the connection keeps serving, which pipelining requires. Both are
+//! counted in [`Metrics::frames_rejected`]; neither ever touches the
+//! accept loop.
 //!
 //! ## Hot-path economics
 //!
@@ -61,10 +56,10 @@ use crate::client::{DEFAULT_CONNECT_ATTEMPTS, DEFAULT_CONNECT_BACKOFF};
 use crate::cluster::{token_matches, Cluster, ClusterConfig};
 use crate::digest::Digest;
 use crate::metrics::Metrics;
-use crate::proto::{AnyFrame, Frame, Request, Response, Severity, DEFAULT_MAX_FRAME};
+use crate::netpoll;
+use crate::proto::{Frame, Request, Response, CONNECTION_TAG, DEFAULT_MAX_FRAME};
 use crate::queue::{JobQueue, JobStatus, QueueConfig};
 use crate::store::{Store, StreamingPut};
-use crate::{netpoll, proto};
 use pres_apps::registry::all_bugs;
 use pres_core::explore::ExploreConfig;
 use pres_tvm::pool::VthreadPool;
@@ -77,18 +72,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Which connection-handling model the daemon runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontendKind {
-    /// Sharded connection workers multiplexing non-blocking sockets:
-    /// pipelined tagged requests, streaming submits, bounded threads.
-    #[default]
-    Sharded,
-    /// The PR 5 model: one blocking OS thread per connection, v1 frames
-    /// only. Kept as the E18 baseline.
-    Legacy,
-}
 
 /// How many streaming submits one connection may hold open at once. A
 /// well-behaved client streams a handful concurrently; an adversarial one
@@ -129,13 +112,10 @@ pub struct ServeOptions {
     pub read_timeout: Duration,
     /// How often the metrics log line is emitted (`None` = never).
     pub log_interval: Option<Duration>,
-    /// Connection-handling model (sharded workers unless configured
-    /// otherwise).
-    pub frontend: FrontendKind,
-    /// Connection-worker threads for the sharded front end.
+    /// Connection-worker threads multiplexing the live connections.
     pub conn_workers: usize,
-    /// Live-connection cap for the sharded front end; connections past it
-    /// are answered with one ERROR frame and closed.
+    /// Live-connection cap; connections past it are answered with one
+    /// ERROR frame and closed.
     pub max_connections: usize,
     /// Per-connection pipelining window: once this many responses are
     /// queued unflushed, the connection is not read again until the
@@ -166,7 +146,6 @@ impl Default for ServeOptions {
             max_frame: DEFAULT_MAX_FRAME,
             read_timeout: Duration::from_secs(10),
             log_interval: Some(Duration::from_secs(10)),
-            frontend: FrontendKind::Sharded,
             conn_workers: 4,
             max_connections: 4096,
             inflight_window: 128,
@@ -289,88 +268,47 @@ impl Server {
             cluster: cluster.clone(),
         });
 
-        let (accept, conn_workers) = match opts.frontend {
-            FrontendKind::Sharded => {
-                let n = opts.conn_workers.max(1);
-                let mailboxes: Vec<Mailbox> =
-                    (0..n).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-                let conn_workers: Vec<JoinHandle<()>> = mailboxes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, mailbox)| {
-                        let frontend = Arc::clone(&frontend);
-                        let mailbox = Arc::clone(mailbox);
-                        thread::Builder::new()
-                            .name(format!("svc-conn-{i}"))
-                            .spawn(move || conn_worker(&frontend, &mailbox))
-                            .expect("spawn connection worker")
-                    })
-                    .collect();
-                let accept = {
-                    let frontend = Arc::clone(&frontend);
-                    let max_connections = opts.max_connections.max(1);
-                    thread::Builder::new()
-                        .name("svc-accept".into())
-                        .spawn(move || {
-                            let mut next = 0usize;
-                            for conn in listener.incoming() {
-                                if frontend.shutdown.load(Ordering::SeqCst) {
-                                    break;
-                                }
-                                let Ok(stream) = conn else { continue };
-                                let live = frontend
-                                    .metrics
-                                    .connections_live
-                                    .load(Ordering::Relaxed);
-                                if live >= max_connections as u64 {
-                                    refuse_connection(stream, &frontend.metrics, max_connections);
-                                    continue;
-                                }
-                                frontend.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                                frontend
-                                    .metrics
-                                    .connections_live
-                                    .fetch_add(1, Ordering::Relaxed);
-                                mailboxes[next].lock().push(stream);
-                                next = (next + 1) % mailboxes.len();
-                            }
-                        })
-                        .expect("spawn accept loop")
-                };
-                (accept, conn_workers)
-            }
-            FrontendKind::Legacy => {
-                let accept = {
-                    let frontend = Arc::clone(&frontend);
-                    thread::Builder::new()
-                        .name("svc-accept".into())
-                        .spawn(move || {
-                            for conn in listener.incoming() {
-                                if frontend.shutdown.load(Ordering::SeqCst) {
-                                    break;
-                                }
-                                let Ok(stream) = conn else { continue };
-                                frontend.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                                frontend
-                                    .metrics
-                                    .connections_live
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let frontend = Arc::clone(&frontend);
-                                let _ = thread::Builder::new().name("svc-conn".into()).spawn(
-                                    move || {
-                                        serve_connection(stream, &frontend);
-                                        frontend
-                                            .metrics
-                                            .connections_live
-                                            .fetch_sub(1, Ordering::Relaxed);
-                                    },
-                                );
-                            }
-                        })
-                        .expect("spawn accept loop")
-                };
-                (accept, Vec::new())
-            }
+        let n = opts.conn_workers.max(1);
+        let mailboxes: Vec<Mailbox> = (0..n).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+        let conn_workers: Vec<JoinHandle<()>> = mailboxes
+            .iter()
+            .enumerate()
+            .map(|(i, mailbox)| {
+                let frontend = Arc::clone(&frontend);
+                let mailbox = Arc::clone(mailbox);
+                thread::Builder::new()
+                    .name(format!("svc-conn-{i}"))
+                    .spawn(move || conn_worker(&frontend, &mailbox))
+                    .expect("spawn connection worker")
+            })
+            .collect();
+        let accept = {
+            let frontend = Arc::clone(&frontend);
+            let max_connections = opts.max_connections.max(1);
+            thread::Builder::new()
+                .name("svc-accept".into())
+                .spawn(move || {
+                    let mut next = 0usize;
+                    for conn in listener.incoming() {
+                        if frontend.shutdown.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let Ok(stream) = conn else { continue };
+                        let live = frontend.metrics.connections_live.load(Ordering::Relaxed);
+                        if live >= max_connections as u64 {
+                            refuse_connection(stream, &frontend.metrics, max_connections);
+                            continue;
+                        }
+                        frontend.metrics.connections.fetch_add(1, Ordering::Relaxed);
+                        frontend
+                            .metrics
+                            .connections_live
+                            .fetch_add(1, Ordering::Relaxed);
+                        mailboxes[next].lock().push(stream);
+                        next = (next + 1) % mailboxes.len();
+                    }
+                })
+                .expect("spawn accept loop")
         };
 
         let logger = opts.log_interval.map(|interval| {
@@ -540,16 +478,21 @@ impl Server {
 }
 
 /// Answers a connection refused at the cap with one best-effort ERROR
-/// frame, then drops it.
+/// on [`CONNECTION_TAG`], then drops it.
 fn refuse_connection(mut stream: TcpStream, metrics: &Metrics, max_connections: usize) {
     metrics.connections_refused.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let resp = Response::Error {
-        message: format!("connection limit reached ({max_connections} live); retry shortly"),
-    };
-    if let Ok(frame) = resp.to_frame() {
-        let _ = frame.write_to(&mut stream);
-    }
+    let _ = encode_response(
+        CONNECTION_TAG,
+        &error(format!(
+            "connection limit reached ({max_connections} live); retry shortly"
+        )),
+    )
+    .write_to(&mut stream);
+}
+
+fn error(message: String) -> Response {
+    Response::Error { message }
 }
 
 #[cfg(unix)]
@@ -643,13 +586,10 @@ impl<'a> Conn<'a> {
         !self.dead && self.write_pos < self.write_buf.len()
     }
 
-    /// Queues one response, encoded in the same frame version as the
-    /// request it answers (`tag` ignored for v1). A response too large for
-    /// the u32 frame length degrades to an ERROR frame rather than killing
-    /// the connection with nothing on the wire.
-    fn enqueue_response(&mut self, v2: bool, tag: u32, response: &Response) {
-        let bytes = encode_response(v2, tag, response);
-        self.write_buf.extend_from_slice(&bytes);
+    /// Queues one response on `tag`.
+    fn enqueue_response(&mut self, tag: u32, response: &Response) {
+        let frame = encode_response(tag, response);
+        self.write_buf.extend_from_slice(&frame.encode());
         self.pending_responses += 1;
     }
 
@@ -703,33 +643,19 @@ impl<'a> Conn<'a> {
     }
 }
 
-/// Encodes one response in the requested frame version, degrading
-/// oversized payloads to an ERROR frame.
-fn encode_response(v2: bool, tag: u32, response: &Response) -> Vec<u8> {
-    let fallback = |e: proto::ProtoError| Response::Error {
-        message: e.to_string(),
-    };
-    if v2 {
-        match response.to_frame2(tag) {
-            Ok(f) => f.encode(),
-            Err(e) => fallback(e)
-                .to_frame2(tag)
-                .expect("an error frame is always small enough to encode")
-                .encode(),
-        }
-    } else {
-        match response.to_frame() {
-            Ok(f) => f.encode(),
-            Err(e) => fallback(e)
-                .to_frame()
-                .expect("an error frame is always small enough to encode")
-                .encode(),
-        }
-    }
+/// Encodes one response on `tag`. A response too large for the u32 frame
+/// length (a pathological certificate) degrades to an ERROR frame rather
+/// than killing the connection with nothing on the wire.
+fn encode_response(tag: u32, response: &Response) -> Frame {
+    response.to_frame(tag).unwrap_or_else(|e| {
+        error(e.to_string())
+            .to_frame(tag)
+            .expect("an error frame is always small enough to encode")
+    })
 }
 
-/// The sharded front end's worker loop: adopt mailbox connections, poll,
-/// flush, read, parse, dispatch — until shutdown.
+/// A connection worker's loop: adopt mailbox connections, poll, flush,
+/// read, parse, dispatch — until shutdown.
 fn conn_worker(frontend: &Frontend, mailbox: &Mailbox) {
     let store: &Store = frontend.queue.store();
     let mut conns: Vec<Conn<'_>> = Vec::new();
@@ -852,27 +778,22 @@ fn drive_parse<'a>(frontend: &Frontend, store: &'a Store, conn: &mut Conn<'a>) {
             }
             break;
         }
-        match AnyFrame::parse(&conn.read_buf[consumed..], frontend.max_frame) {
+        match Frame::parse(&conn.read_buf[consumed..], frontend.max_frame) {
             Ok(None) => break,
             Ok(Some((frame, used))) => {
                 consumed += used;
                 dispatch(frontend, store, conn, frame);
             }
             Err(e) => {
-                // Framing is gone (parse never yields payload-severity
-                // errors, but route through the contract anyway).
+                // Framing is gone (parse yields only framing errors): no
+                // request tag can be trusted, so the one ERROR goes to the
+                // connection.
                 frontend
                     .metrics
                     .frames_rejected
                     .fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error {
-                    message: e.to_string(),
-                };
-                conn.enqueue_response(false, 0, &resp);
-                match e.severity() {
-                    Severity::Framing => conn.close_after_flush = true,
-                    Severity::Payload => {}
-                }
+                conn.enqueue_response(CONNECTION_TAG, &error(e.to_string()));
+                conn.close_after_flush = true;
                 break;
             }
         }
@@ -880,383 +801,185 @@ fn drive_parse<'a>(frontend: &Frontend, store: &'a Store, conn: &mut Conn<'a>) {
     conn.read_buf.drain(..consumed);
 }
 
-/// Dispatches one decoded frame on one connection.
-fn dispatch<'a>(frontend: &Frontend, store: &'a Store, conn: &mut Conn<'a>, frame: AnyFrame) {
-    let v2 = matches!(frame, AnyFrame::V2(_));
-    let tag = frame.tag();
-    let request = match Request::from_any(&frame) {
-        Ok(r) => r,
-        Err(e) => {
-            // Payload-severity by construction (framing errors never make
-            // it out of the parser): answer and keep the connection.
-            frontend
-                .metrics
-                .frames_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            let resp = Response::Error {
-                message: e.to_string(),
-            };
-            conn.enqueue_response(v2, tag, &resp);
-            if e.severity() == Severity::Framing {
-                conn.close_after_flush = true;
-            }
-            return;
-        }
-    };
-    let err = |message: String| Response::Error { message };
-    // HELLO is answered before the auth gate — it *is* the auth gate.
-    if let Request::Hello { token } = &request {
-        let ok = match &frontend.auth_token {
-            Some(secret) => token_matches(secret, token),
-            None => true,
-        };
-        if ok {
-            conn.authed = true;
-            conn.enqueue_response(v2, tag, &Response::HelloOk);
-        } else {
-            frontend
-                .metrics
-                .frames_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            conn.enqueue_response(v2, tag, &err("authentication failed".into()));
-            conn.close_after_flush = true;
-        }
-        return;
-    }
-    if frontend.auth_token.is_some() && !conn.authed {
+/// Dispatches one decoded frame on one connection, queueing its response
+/// (if it gets one) on the frame's tag.
+fn dispatch<'a>(frontend: &Frontend, store: &'a Store, conn: &mut Conn<'a>, frame: Frame) {
+    let reject = || {
         frontend
             .metrics
             .frames_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        conn.enqueue_response(v2, tag, &err("authentication required: send HELLO first".into()));
-        conn.close_after_flush = true;
-        return;
+            .fetch_add(1, Ordering::Relaxed)
+    };
+    let response = match Request::from_frame(&frame) {
+        // Payload severity by construction (framing errors never make it
+        // out of the parser): answer and keep the connection.
+        Err(e) => {
+            reject();
+            Some(error(e.to_string()))
+        }
+        // HELLO passes the auth gate — it *is* the auth gate.
+        Ok(request)
+            if frontend.auth_token.is_some()
+                && !conn.authed
+                && !matches!(request, Request::Hello { .. }) =>
+        {
+            reject();
+            conn.close_after_flush = true;
+            Some(error("authentication required: send HELLO first".into()))
+        }
+        Ok(request) => handle(request, frontend, store, conn, frame.tag),
+    };
+    if let Some(response) = response {
+        conn.enqueue_response(frame.tag, &response);
     }
-    match request {
-        Request::SubmitBegin { bug } if v2 => {
-            if conn.streams.contains_key(&tag) {
-                conn.enqueue_response(v2, tag, &err(format!("stream tag {tag} already open")));
-                return;
-            }
-            if conn.streams.len() >= MAX_STREAMS_PER_CONN {
-                // No tombstone here: tombstones live in the same map, so
-                // minting one would defeat the cap it enforces.
-                conn.enqueue_response(
-                    v2,
-                    tag,
-                    &err(format!(
-                        "too many open streams on this connection (max {MAX_STREAMS_PER_CONN})"
-                    )),
-                );
-                return;
-            }
-            if !all_bugs().iter().any(|b| b.id == bug) {
-                conn.enqueue_response(v2, tag, &err(format!("unknown bug '{bug}' — see `pres list`")));
-                conn.streams.insert(tag, StreamSlot::Poisoned);
-                return;
-            }
-            match store.put_streaming() {
-                Ok(put) => {
-                    conn.streams.insert(
-                        tag,
-                        StreamSlot::Open(InboundStream {
-                            kind: StreamKind::Submit { bug },
-                            put,
-                        }),
-                    );
-                    // BEGIN is not answered; the response rides SUBMIT_END.
-                }
-                Err(e) => {
-                    conn.enqueue_response(v2, tag, &err(format!("store ingest failed: {e}")));
-                    conn.streams.insert(tag, StreamSlot::Poisoned);
-                }
-            }
+}
+
+/// Opens an inbound stream on `tag`. BEGIN is answered only when it
+/// fails; a successful stream is answered on its END.
+fn open_stream<'a>(
+    store: &'a Store,
+    conn: &mut Conn<'a>,
+    tag: u32,
+    kind: StreamKind,
+) -> Option<Response> {
+    if conn.streams.contains_key(&tag) {
+        return Some(error(format!("stream tag {tag} already open")));
+    }
+    if conn.streams.len() >= MAX_STREAMS_PER_CONN {
+        // No tombstone here: tombstones live in the same map, so minting
+        // one would defeat the cap it enforces.
+        return Some(error(format!(
+            "too many open streams on this connection (max {MAX_STREAMS_PER_CONN})"
+        )));
+    }
+    let opened = match &kind {
+        StreamKind::Submit { bug } if !all_bugs().iter().any(|b| b.id == *bug) => {
+            Err(format!("unknown bug '{bug}' — see `pres list`"))
         }
-        Request::PeerPutBegin { digest } if v2 => {
-            if conn.streams.contains_key(&tag) {
-                conn.enqueue_response(v2, tag, &err(format!("stream tag {tag} already open")));
-                return;
-            }
-            if conn.streams.len() >= MAX_STREAMS_PER_CONN {
-                conn.enqueue_response(
-                    v2,
-                    tag,
-                    &err(format!(
-                        "too many open streams on this connection (max {MAX_STREAMS_PER_CONN})"
-                    )),
-                );
-                return;
-            }
-            match store.put_streaming() {
-                Ok(put) => {
-                    conn.streams.insert(
-                        tag,
-                        StreamSlot::Open(InboundStream {
-                            kind: StreamKind::PeerPut { expect: digest },
-                            put,
-                        }),
-                    );
-                    // BEGIN is not answered; the response rides the
-                    // shared SUBMIT_END on this tag.
-                }
-                Err(e) => {
-                    conn.enqueue_response(v2, tag, &err(format!("store ingest failed: {e}")));
-                    conn.streams.insert(tag, StreamSlot::Poisoned);
-                }
-            }
+        _ => store
+            .put_streaming()
+            .map_err(|e| format!("store ingest failed: {e}")),
+    };
+    match opened {
+        Ok(put) => {
+            conn.streams
+                .insert(tag, StreamSlot::Open(InboundStream { kind, put }));
+            None
         }
-        Request::SubmitChunk { data } if v2 => {
-            let Some(slot) = conn.streams.get_mut(&tag) else {
-                conn.enqueue_response(v2, tag, &err(format!("no open stream for tag {tag}")));
-                return;
-            };
-            let StreamSlot::Open(stream) = slot else {
-                // The error already went out when the stream failed; the
-                // client pipelined this chunk before seeing it.
-                return;
-            };
-            if stream.put.written() + data.len() as u64 > frontend.max_frame as u64 {
-                *slot = StreamSlot::Poisoned;
-                conn.enqueue_response(
-                    v2,
-                    tag,
-                    &err(format!(
-                        "streamed submit exceeds the {} byte cap",
-                        frontend.max_frame
-                    )),
-                );
-                return;
-            }
-            if let Err(e) = stream.put.write(&data) {
-                *slot = StreamSlot::Poisoned;
-                conn.enqueue_response(v2, tag, &err(format!("store ingest failed: {e}")));
-            }
-            // Chunks are not answered.
-        }
-        Request::SubmitEnd if v2 => {
-            let stream = match conn.streams.remove(&tag) {
-                Some(StreamSlot::Open(stream)) => stream,
-                // END of a failed stream: the tombstone absorbed it and
-                // its one error response is already on the wire.
-                Some(StreamSlot::Poisoned) => return,
-                None => {
-                    conn.enqueue_response(v2, tag, &err(format!("no open stream for tag {tag}")));
-                    return;
-                }
-            };
-            let resp = match stream.kind {
-                StreamKind::Submit { bug } => {
-                    frontend.metrics.submits.fetch_add(1, Ordering::Relaxed);
-                    frontend
-                        .metrics
-                        .streaming_submits
-                        .fetch_add(1, Ordering::Relaxed);
-                    match stream.put.finish() {
-                        Ok((digest, fresh_object)) => match frontend.queue.submit(&bug, digest) {
-                            Ok((job, fresh_job)) => Response::Submitted {
-                                job,
-                                sketch: digest,
-                                fresh_object,
-                                fresh_job,
-                            },
-                            Err(e) => err(e.to_string()),
-                        },
-                        Err(e) => err(format!("store ingest failed: {e}")),
-                    }
-                }
-                StreamKind::PeerPut { expect } => {
-                    let bytes = stream.put.written();
-                    // `finish_local`, never `finish`: the sender is the
-                    // object's origin and pushes to every owner itself;
-                    // fanning out again here would echo objects around
-                    // the ring.
-                    match stream.put.finish_local() {
-                        Ok((digest, fresh)) if digest == expect => {
-                            frontend
-                                .metrics
-                                .peer_bytes_in
-                                .fetch_add(bytes, Ordering::Relaxed);
-                            Response::PeerPut { digest, fresh }
-                        }
-                        Ok((digest, _)) => err(format!(
-                            "peer put advertised {expect} but the bytes hash to {digest}"
-                        )),
-                        Err(e) => err(format!("store ingest failed: {e}")),
-                    }
-                }
-            };
-            conn.enqueue_response(v2, tag, &resp);
-        }
-        request => {
-            let is_shutdown = matches!(request, Request::Shutdown);
-            let response = handle(request, frontend);
-            conn.enqueue_response(v2, tag, &response);
-            if is_shutdown {
-                conn.close_after_flush = true;
-                // Kick the accept loop out of `accept(2)` so it observes
-                // the flag.
-                let _ = TcpStream::connect(frontend.listen_addr);
-            }
+        Err(message) => {
+            conn.streams.insert(tag, StreamSlot::Poisoned);
+            Some(error(message))
         }
     }
 }
 
-/// The legacy front end's per-connection loop: blocking, v1 frames only,
-/// one request at a time. Framing errors close the connection after one
-/// ERROR frame; payload errors answer and keep serving (the severity
-/// contract in [`crate::proto`]).
-fn serve_connection(mut stream: TcpStream, frontend: &Frontend) {
-    let _ = stream.set_read_timeout(Some(frontend.read_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut authed = false;
-    loop {
-        let frame = match Frame::read_from(&mut stream, frontend.max_frame) {
-            // Transport gone or idle past the timeout: just close.
-            Err(_) => return,
-            Ok(Err(proto_err)) => {
-                frontend
-                    .metrics
-                    .frames_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                let sent = write_response(
-                    &mut stream,
-                    &Response::Error {
-                        message: proto_err.to_string(),
-                    },
-                );
-                match proto_err.severity() {
-                    Severity::Framing => return,
-                    Severity::Payload if sent.is_ok() => continue,
-                    Severity::Payload => return,
-                }
-            }
-            Ok(Ok(frame)) => frame,
-        };
-        let request = match Request::from_frame(&frame) {
-            Ok(r) => r,
-            Err(proto_err) => {
-                frontend
-                    .metrics
-                    .frames_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                let sent = write_response(
-                    &mut stream,
-                    &Response::Error {
-                        message: proto_err.to_string(),
-                    },
-                );
-                match proto_err.severity() {
-                    Severity::Framing => return,
-                    Severity::Payload if sent.is_ok() => continue,
-                    Severity::Payload => return,
-                }
-            }
-        };
-        // HELLO is answered before the auth gate — it *is* the auth gate
-        // (same contract as the sharded front end).
-        if let Request::Hello { token } = &request {
-            let ok = match &frontend.auth_token {
-                Some(secret) => token_matches(secret, token),
-                None => true,
-            };
-            let response = if ok {
-                authed = true;
-                Response::HelloOk
-            } else {
-                frontend
-                    .metrics
-                    .frames_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::Error {
-                    message: "authentication failed".into(),
-                }
-            };
-            if write_response(&mut stream, &response).is_err() || !ok {
-                return;
-            }
-            continue;
+/// Spills one chunk into the stream open on `tag`. Chunks are answered
+/// only when they fail.
+fn write_chunk(max_frame: u32, conn: &mut Conn<'_>, tag: u32, data: &[u8]) -> Option<Response> {
+    let Some(slot) = conn.streams.get_mut(&tag) else {
+        return Some(error(format!("no open stream for tag {tag}")));
+    };
+    let StreamSlot::Open(stream) = slot else {
+        // The error already went out when the stream failed; the client
+        // pipelined this chunk before seeing it.
+        return None;
+    };
+    let failure = if stream.put.written() + data.len() as u64 > max_frame as u64 {
+        format!("streamed submit exceeds the {max_frame} byte cap")
+    } else {
+        match stream.put.write(data) {
+            Ok(()) => return None,
+            Err(e) => format!("store ingest failed: {e}"),
         }
-        if frontend.auth_token.is_some() && !authed {
+    };
+    *slot = StreamSlot::Poisoned;
+    Some(error(failure))
+}
+
+/// Closes the stream on `tag`: publishes its object and, for a submit,
+/// enqueues the job.
+fn close_stream(frontend: &Frontend, conn: &mut Conn<'_>, tag: u32) -> Option<Response> {
+    let stream = match conn.streams.remove(&tag) {
+        Some(StreamSlot::Open(stream)) => stream,
+        // END of a failed stream: the tombstone absorbed it and its one
+        // error response is already on the wire.
+        Some(StreamSlot::Poisoned) => return None,
+        None => return Some(error(format!("no open stream for tag {tag}"))),
+    };
+    Some(match stream.kind {
+        StreamKind::Submit { bug } => {
+            frontend.metrics.submits.fetch_add(1, Ordering::Relaxed);
             frontend
                 .metrics
-                .frames_rejected
+                .streaming_submits
                 .fetch_add(1, Ordering::Relaxed);
-            let _ = write_response(
-                &mut stream,
-                &Response::Error {
-                    message: "authentication required: send HELLO first".into(),
+            match stream.put.finish() {
+                Ok((digest, fresh_object)) => match frontend.queue.submit(&bug, digest) {
+                    Ok((job, fresh_job)) => Response::Submitted {
+                        job,
+                        sketch: digest,
+                        fresh_object,
+                        fresh_job,
+                    },
+                    Err(e) => error(e.to_string()),
                 },
-            );
-            return;
+                Err(e) => error(format!("store ingest failed: {e}")),
+            }
         }
-        let is_shutdown = matches!(request, Request::Shutdown);
-        let response = handle(request, frontend);
-        if write_response(&mut stream, &response).is_err() {
-            return;
+        StreamKind::PeerPut { expect } => {
+            let bytes = stream.put.written();
+            // `finish_local`, never `finish`: the sender is the object's
+            // origin and pushes to every owner itself; fanning out again
+            // here would echo objects around the ring.
+            match stream.put.finish_local() {
+                Ok((digest, fresh)) if digest == expect => {
+                    frontend
+                        .metrics
+                        .peer_bytes_in
+                        .fetch_add(bytes, Ordering::Relaxed);
+                    Response::PeerPut { digest, fresh }
+                }
+                Ok((digest, _)) => error(format!(
+                    "peer put advertised {expect} but the bytes hash to {digest}"
+                )),
+                Err(e) => error(format!("store ingest failed: {e}")),
+            }
         }
-        if is_shutdown {
-            // Kick the accept loop out of `accept(2)` so it observes the
-            // flag; our local address *is* the server's listen address.
-            let _ = TcpStream::connect(frontend.listen_addr);
-            return;
-        }
-    }
+    })
 }
 
-/// Encodes and writes one response. A response too large for the u32
-/// frame length (a pathological certificate) degrades to an ERROR frame
-/// rather than killing the connection with nothing on the wire.
-fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    match response.to_frame() {
-        Ok(frame) => frame.write_to(stream),
-        Err(e) => Response::Error {
-            message: e.to_string(),
-        }
-        .to_frame()
-        .expect("an error frame is always small enough to encode")
-        .write_to(stream),
-    }
-}
-
-fn handle(request: Request, frontend: &Frontend) -> Response {
+/// Serves one authorized request; `None` means it is not answered (a
+/// stream's BEGIN or CHUNK that succeeded).
+fn handle<'a>(
+    request: Request,
+    frontend: &Frontend,
+    store: &'a Store,
+    conn: &mut Conn<'a>,
+    tag: u32,
+) -> Option<Response> {
     let queue = &frontend.queue;
     let metrics = &frontend.metrics;
-    let shutdown = &frontend.shutdown;
-    match request {
-        Request::Submit { bug, sketch } => {
-            metrics.submits.fetch_add(1, Ordering::Relaxed);
-            if !all_bugs().iter().any(|b| b.id == bug) {
-                return Response::Error {
-                    message: format!("unknown bug '{bug}' — see `pres list`"),
-                };
-            }
-            let (digest, fresh_object) = match queue.store().put(&sketch) {
-                Ok(r) => r,
-                Err(e) => {
-                    return Response::Error {
-                        message: format!("store ingest failed: {e}"),
-                    }
-                }
-            };
-            match queue.submit(&bug, digest) {
-                Ok((job, fresh_job)) => Response::Submitted {
-                    job,
-                    sketch: digest,
-                    fresh_object,
-                    fresh_job,
-                },
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            }
+    Some(match request {
+        Request::SubmitBegin { bug } => {
+            return open_stream(store, conn, tag, StreamKind::Submit { bug })
         }
-        // The streaming triple needs per-connection state (the open
-        // stream); it is only meaningful on the sharded front end, and
-        // only in v2 frames, where `dispatch` intercepts it first.
-        Request::SubmitBegin { .. } | Request::SubmitChunk { .. } | Request::SubmitEnd => {
-            Response::Error {
-                message: "streaming submit requires a protocol v2 frame".into(),
+        Request::PeerPutBegin { digest } => {
+            return open_stream(store, conn, tag, StreamKind::PeerPut { expect: digest })
+        }
+        Request::SubmitChunk { data } => return write_chunk(frontend.max_frame, conn, tag, &data),
+        Request::SubmitEnd => return close_stream(frontend, conn, tag),
+        Request::Hello { token } => {
+            let ok = match &frontend.auth_token {
+                Some(secret) => token_matches(secret, &token),
+                None => true,
+            };
+            if !ok {
+                metrics.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                conn.close_after_flush = true;
+                return Some(error("authentication failed".into()));
             }
+            conn.authed = true;
+            Response::HelloOk
         }
         Request::Status { job } => Response::Status {
             status: queue.status(job),
@@ -1297,18 +1020,14 @@ fn handle(request: Request, frontend: &Frontend) -> Response {
             Response::Stats { text }
         }
         Request::Shutdown => {
-            shutdown.store(true, Ordering::SeqCst);
+            frontend.shutdown.store(true, Ordering::SeqCst);
             queue.drain();
+            conn.close_after_flush = true;
+            // Kick the accept loop out of `accept(2)` so it observes the
+            // flag.
+            let _ = TcpStream::connect(frontend.listen_addr);
             Response::ShuttingDown
         }
-        // Both front ends intercept HELLO before dispatching (it is the
-        // auth gate); reaching here means the daemon runs open — ack.
-        Request::Hello { .. } => Response::HelloOk,
-        // The peer-put stream needs per-connection state, exactly like
-        // the streaming submit it shares chunk frames with.
-        Request::PeerPutBegin { .. } => Response::Error {
-            message: "peer put requires a protocol v2 frame".into(),
-        },
         // Peer reads serve *local* objects only: routing a miss onward
         // would let two nodes chase each other for an object neither
         // has. The cluster layer's fetch already asks every candidate.
@@ -1338,9 +1057,7 @@ fn handle(request: Request, frontend: &Frontend) -> Response {
         // reaps would strand the job), so a standalone daemon refuses.
         Request::PeerSteal { max } => {
             if frontend.cluster.is_none() {
-                return Response::Error {
-                    message: "this daemon is not a cluster member".into(),
-                };
+                return Some(error("this daemon is not a cluster member".into()));
             }
             Response::PeerJobs {
                 jobs: queue.steal_jobs(max),
@@ -1348,13 +1065,11 @@ fn handle(request: Request, frontend: &Frontend) -> Response {
         }
         Request::PeerDone { job, status } => {
             if frontend.cluster.is_none() {
-                return Response::Error {
-                    message: "this daemon is not a cluster member".into(),
-                };
+                return Some(error("this daemon is not a cluster member".into()));
             }
             Response::PeerDoneOk {
                 accepted: queue.complete_stolen(job, status),
             }
         }
-    }
+    })
 }

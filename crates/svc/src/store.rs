@@ -105,13 +105,22 @@ impl StreamingPut<'_> {
             .file
             .take()
             .expect("finish called twice on a StreamingPut");
+        let digest = self.hasher.clone().finalize();
+        if self.store.contains(&digest) {
+            // The dedup probe `put_local` makes before staging, made as
+            // soon as the digest is known: the staged copy is discarded
+            // without paying for its durability (a crash before the unlink
+            // leaves an orphan the next open sweeps).
+            drop(file);
+            let _ = std::fs::remove_file(&self.tmp);
+            return Ok((digest, false));
+        }
         self.store.faults.check(FaultPoint::StoreTmpSyncCrash)?;
         // The staged bytes must be durable BEFORE the rename: a rename of
         // an unsynced file can publish a name whose content is lost by
         // power failure.
         file.sync_all()?;
         drop(file);
-        let digest = self.hasher.clone().finalize();
         let fresh = self.store.publish(&self.tmp, &digest)?;
         Ok((digest, fresh))
     }
@@ -639,6 +648,16 @@ mod tests {
             assert!(res.is_err(), "{point:?} did not fire");
             assert_eq!(store.len().unwrap(), 0, "{point:?} published anyway");
         }
+        // A streamed duplicate stops at the dedup probe: it never reaches
+        // the staging fsync, exactly like a one-shot `put` of known bytes.
+        let faults = Faults::new();
+        let (store, _) = Store::open_with_faults(scratch("stream-dup"), faults.clone()).unwrap();
+        let (digest, _) = store.put(b"known bytes").unwrap();
+        faults.arm(FaultPoint::StoreTmpSyncCrash, FaultMode::Crash, 1);
+        let mut put = store.put_streaming().unwrap();
+        put.write(b"known bytes").unwrap();
+        assert_eq!(put.finish().unwrap(), (digest, false));
+        assert!(!faults.fired());
         // Torn chunk write: fails the stream; nothing is ever published
         // and the in-process drop (unlike a real crash) clears the stage.
         let faults = Faults::new();

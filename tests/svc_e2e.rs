@@ -130,25 +130,23 @@ fn daemon_survives_malformed_frames_and_mid_submit_disconnects() {
     // 2. A valid header announcing an absurd payload length.
     {
         let mut s = TcpStream::connect(server.addr()).unwrap();
-        let mut frame = Frame {
-            kind: 0x01,
-            payload: vec![],
-        }
-        .encode();
+        let mut frame = Request::Stats.to_frame(1).unwrap().encode();
         frame[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
         s.write_all(&frame).unwrap();
     }
-    // 3. A submit whose connection dies mid-payload.
+    // 3. A submit whose connection dies mid-stream: BEGIN, then half a
+    //    CHUNK frame.
     {
         let mut s = TcpStream::connect(server.addr()).unwrap();
-        let full = Request::Submit {
-            bug: BUG.into(),
-            sketch: vec![0xab; 10_000],
+        let begin = Request::SubmitBegin { bug: BUG.into() };
+        s.write_all(&begin.to_frame(1).unwrap().encode()).unwrap();
+        let chunk = Request::SubmitChunk {
+            data: vec![0xab; 10_000],
         }
-        .to_frame()
+        .to_frame(1)
         .unwrap()
         .encode();
-        s.write_all(&full[..full.len() / 2]).unwrap();
+        s.write_all(&chunk[..chunk.len() / 2]).unwrap();
         drop(s); // hang up mid-frame
     }
     // 4. An unknown message kind.
@@ -156,6 +154,7 @@ fn daemon_survives_malformed_frames_and_mid_submit_disconnects() {
         let mut s = TcpStream::connect(server.addr()).unwrap();
         s.write_all(
             &Frame {
+                tag: 1,
                 kind: 0x6e,
                 payload: vec![],
             }

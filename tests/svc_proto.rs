@@ -6,7 +6,9 @@
 //! reproducible by construction and the suite builds offline.
 
 use pres_suite::svc::digest::{sha256, Digest};
-use pres_suite::svc::proto::{Frame, PeerJob, ProtoError, Request, Response, DEFAULT_MAX_FRAME, VERSION};
+use pres_suite::svc::proto::{
+    Frame, PeerJob, ProtoError, Request, Response, Severity, DEFAULT_MAX_FRAME, VERSION,
+};
 use pres_suite::svc::queue::JobStatus;
 use pres_tvm::rng::ChaCha8Rng;
 
@@ -53,18 +55,41 @@ fn gen_status(rng: &mut ChaCha8Rng) -> JobStatus {
 }
 
 fn gen_request(rng: &mut ChaCha8Rng) -> Request {
-    match rng.gen_range(0..5usize) {
-        0 => Request::Submit {
+    match rng.gen_range(0..14usize) {
+        0 => Request::SubmitBegin {
             bug: gen_string(rng, 40),
-            sketch: gen_bytes(rng, 2048),
         },
-        1 => Request::Status {
+        1 => Request::SubmitChunk {
+            data: gen_bytes(rng, 2048),
+        },
+        2 => Request::SubmitEnd,
+        3 => Request::Status {
             job: rng.next_u64(),
         },
-        2 => Request::Result {
+        4 => Request::Result {
             job: rng.next_u64(),
         },
-        3 => Request::Stats,
+        5 => Request::Stats,
+        6 => Request::Hello {
+            token: gen_bytes(rng, 64),
+        },
+        7 => Request::PeerPutBegin {
+            digest: gen_digest(rng),
+        },
+        8 => Request::PeerGet {
+            digest: gen_digest(rng),
+        },
+        9 => Request::PeerStat {
+            digest: gen_digest(rng),
+        },
+        10 => Request::PeerList,
+        11 => Request::PeerSteal {
+            max: rng.gen_range(0..=64u32),
+        },
+        12 => Request::PeerDone {
+            job: rng.next_u64(),
+            status: gen_status(rng),
+        },
         _ => Request::Shutdown,
     }
 }
@@ -131,7 +156,7 @@ fn requests_roundtrip_through_frames_and_bytes() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5c_70);
     for case in 0..300 {
         let req = gen_request(&mut rng);
-        let bytes = req.to_frame().unwrap().encode();
+        let bytes = req.to_frame(rng.next_u32()).unwrap().encode();
         let mut cursor = &bytes[..];
         let frame = Frame::read_from(&mut cursor, DEFAULT_MAX_FRAME)
             .unwrap()
@@ -146,7 +171,7 @@ fn responses_roundtrip_through_frames_and_bytes() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5c_71);
     for case in 0..300 {
         let resp = gen_response(&mut rng);
-        let bytes = resp.to_frame().unwrap().encode();
+        let bytes = resp.to_frame(rng.next_u32()).unwrap().encode();
         let frame = Frame::read_from(&mut &bytes[..], DEFAULT_MAX_FRAME)
             .unwrap()
             .unwrap();
@@ -157,16 +182,122 @@ fn responses_roundtrip_through_frames_and_bytes() {
 #[test]
 fn back_to_back_frames_parse_from_one_stream() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5c_72);
-    let reqs: Vec<Request> = (0..20).map(|_| gen_request(&mut rng)).collect();
-    let stream: Vec<u8> = reqs.iter().flat_map(|r| r.to_frame().unwrap().encode()).collect();
+    let expect: Vec<(u32, Request)> = (0..20)
+        .map(|_| (rng.next_u32(), gen_request(&mut rng)))
+        .collect();
+    let stream: Vec<u8> = expect
+        .iter()
+        .flat_map(|(tag, req)| req.to_frame(*tag).unwrap().encode())
+        .collect();
+    // The blocking reader walks the stream frame by frame...
     let mut cursor = &stream[..];
-    for req in &reqs {
+    for (tag, req) in &expect {
         let frame = Frame::read_from(&mut cursor, DEFAULT_MAX_FRAME)
             .unwrap()
             .unwrap();
+        assert_eq!(frame.tag, *tag);
         assert_eq!(&Request::from_frame(&frame).unwrap(), req);
     }
     assert!(cursor.is_empty());
+    // ...and the incremental parser walks it however the transport
+    // fragments it, fed random-sized slices exactly as the connection
+    // workers are.
+    for _ in 0..20 {
+        let mut buf: Vec<u8> = Vec::new();
+        let mut fed = 0usize;
+        let mut got = Vec::new();
+        while got.len() < expect.len() {
+            match Frame::parse(&buf, DEFAULT_MAX_FRAME).unwrap() {
+                Some((frame, used)) => {
+                    buf.drain(..used);
+                    got.push((frame.tag, Request::from_frame(&frame).unwrap()));
+                }
+                None => {
+                    assert!(fed < stream.len(), "parser starved with input left");
+                    let step = (rng.gen_range(1..=64u32) as usize).min(stream.len() - fed);
+                    buf.extend_from_slice(&stream[fed..fed + step]);
+                    fed += step;
+                }
+            }
+        }
+        assert_eq!(got, expect);
+        assert!(Frame::parse(&buf, DEFAULT_MAX_FRAME).unwrap().is_none());
+    }
+}
+
+#[test]
+fn tagged_requests_roundtrip_and_echo_their_tag() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_78);
+    for case in 0..300 {
+        let req = gen_request(&mut rng);
+        let tag = rng.next_u32();
+        let bytes = req.to_frame(tag).unwrap().encode();
+        // Through the blocking reader...
+        let mut cursor = &bytes[..];
+        let frame = Frame::read_from(&mut cursor, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert!(cursor.is_empty(), "case {case}: frame consumed exactly");
+        assert_eq!(frame.tag, tag, "case {case}");
+        assert_eq!(Request::from_frame(&frame).unwrap(), req, "case {case}");
+        // ...and through the incremental parser, byte identical.
+        let (parsed, used) = Frame::parse(&bytes, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert_eq!(used, bytes.len(), "case {case}");
+        assert_eq!(parsed, frame, "case {case}");
+    }
+}
+
+#[test]
+fn responses_carry_tags_without_touching_payload_bytes() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_79);
+    for case in 0..300 {
+        let resp = gen_response(&mut rng);
+        let tag = rng.next_u32();
+        let frame = resp.to_frame(tag).unwrap();
+        // The payload encoding is tag-independent: the tag lives in the
+        // header, nothing else moves.
+        assert_eq!(
+            frame.payload,
+            resp.to_frame(!tag).unwrap().payload,
+            "case {case}"
+        );
+        let read = Frame::read_from(&mut &frame.encode()[..], DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(read.tag, tag);
+        assert_eq!(Response::from_frame(&read).unwrap(), resp, "case {case}");
+    }
+}
+
+#[test]
+fn the_wire_bytes_of_a_tagged_status_exchange_are_pinned() {
+    // One request and its response as literal bytes: the frame layout,
+    // version byte, kinds and field encodings may not move.
+    let request = Request::Status { job: 7 }.to_frame(0x0102_0304).unwrap();
+    assert_eq!(
+        request.encode(),
+        [
+            b'P', b'S', 0x02, 0x02, // magic, version, STATUS
+            0, 0, 0, 8, // payload length
+            1, 2, 3, 4, // tag
+            0, 0, 0, 0, 0, 0, 0, 7, // job id
+        ]
+    );
+    let response = Response::Status {
+        status: Some(JobStatus::Queued { retries: 3 }),
+    }
+    .to_frame(0x0102_0304)
+    .unwrap();
+    assert_eq!(
+        response.encode(),
+        [
+            b'P', b'S', 0x02, 0x82, // magic, version, STATUS response
+            0, 0, 0, 6, // payload length
+            1, 2, 3, 4, // echoed tag
+            1, // status present
+            0, 0, 0, 0, 3, // Queued, retries 3
+        ]
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -177,7 +308,10 @@ fn back_to_back_frames_parse_from_one_stream() {
 fn every_truncation_of_a_valid_frame_is_rejected_cleanly() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5c_73);
     for _ in 0..50 {
-        let bytes = gen_request(&mut rng).to_frame().unwrap().encode();
+        let bytes = gen_request(&mut rng)
+            .to_frame(rng.next_u32())
+            .unwrap()
+            .encode();
         for cut in 0..bytes.len() {
             // Truncation is a transport error (connection died mid-frame),
             // never a successful parse and never a panic.
@@ -191,10 +325,35 @@ fn every_truncation_of_a_valid_frame_is_rejected_cleanly() {
 }
 
 #[test]
+fn truncated_v2_frames_are_incomplete_never_garbage() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_7b);
+    for _ in 0..50 {
+        let bytes = gen_request(&mut rng)
+            .to_frame(rng.next_u32())
+            .unwrap()
+            .encode();
+        for cut in 0..bytes.len() {
+            // Every proper prefix of a valid frame is "read more", never a
+            // parse and never a framing error.
+            assert!(
+                Frame::parse(&bytes[..cut], DEFAULT_MAX_FRAME)
+                    .unwrap()
+                    .is_none(),
+                "cut at {cut}/{}",
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
 fn corrupted_headers_are_rejected_with_the_right_error() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5c_74);
     for _ in 0..100 {
-        let good = gen_request(&mut rng).to_frame().unwrap().encode();
+        let good = gen_request(&mut rng)
+            .to_frame(rng.next_u32())
+            .unwrap()
+            .encode();
 
         let mut bad_magic = good.clone();
         bad_magic[rng.gen_range(0..2usize)] ^= 1 << rng.gen_range(0..8usize);
@@ -217,10 +376,65 @@ fn corrupted_headers_are_rejected_with_the_right_error() {
 }
 
 #[test]
+fn corrupted_v2_headers_fail_with_framing_severity() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_7c);
+    for _ in 0..100 {
+        let good = gen_request(&mut rng)
+            .to_frame(rng.next_u32())
+            .unwrap()
+            .encode();
+
+        let mut bad_magic = good.clone();
+        bad_magic[rng.gen_range(0..2usize)] ^= 1 << rng.gen_range(0..8usize);
+        let err = Frame::parse(&bad_magic, DEFAULT_MAX_FRAME).unwrap_err();
+        assert!(matches!(err, ProtoError::BadMagic(_)));
+        assert_eq!(err.severity(), Severity::Framing);
+
+        let mut bad_version = good.clone();
+        bad_version[2] = VERSION.wrapping_add(rng.gen_range(1..=255u32) as u8);
+        let err = Frame::parse(&bad_version, DEFAULT_MAX_FRAME).unwrap_err();
+        assert!(matches!(err, ProtoError::BadVersion(_)));
+        assert_eq!(err.severity(), Severity::Framing);
+
+        let mut oversize = good.clone();
+        let cap = rng.gen_range(0..=1024u32);
+        let len = cap.saturating_add(rng.gen_range(1..=u32::MAX - 1024));
+        oversize[4..8].copy_from_slice(&len.to_be_bytes());
+        let err = Frame::parse(&oversize, cap).unwrap_err();
+        assert!(matches!(err, ProtoError::Oversized { .. }));
+        assert_eq!(err.severity(), Severity::Framing);
+    }
+}
+
+#[test]
+fn a_v1_header_is_a_framing_version_error() {
+    // Version 1 framed the same kinds without a tag. Both readers refuse
+    // it from its 8-byte prefix alone — before a tag or payload is read —
+    // as a connection-fatal version error, never a misparse.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_7e);
+    for _ in 0..50 {
+        let frame = gen_request(&mut rng).to_frame(rng.next_u32()).unwrap();
+        let mut v1 = b"PS\x01".to_vec();
+        v1.push(frame.kind);
+        v1.extend_from_slice(&(frame.payload.len() as u32).to_be_bytes());
+        v1.extend_from_slice(&frame.payload);
+        let err = Frame::read_from(&mut &v1[..8], DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap_err();
+        assert_eq!(err, ProtoError::BadVersion(1));
+        assert_eq!(err.severity(), Severity::Framing);
+        assert_eq!(Frame::parse(&v1, DEFAULT_MAX_FRAME).unwrap_err(), err);
+    }
+}
+
+#[test]
 fn oversized_length_prefixes_are_rejected_before_allocation() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5c_75);
     for _ in 0..100 {
-        let mut bytes = gen_request(&mut rng).to_frame().unwrap().encode();
+        let mut bytes = gen_request(&mut rng)
+            .to_frame(rng.next_u32())
+            .unwrap()
+            .encode();
         let cap = rng.gen_range(0..=1024u32);
         let oversize = cap.saturating_add(rng.gen_range(1..=u32::MAX - 1024));
         bytes[4..8].copy_from_slice(&oversize.to_be_bytes());
@@ -234,28 +448,32 @@ fn oversized_length_prefixes_are_rejected_before_allocation() {
     }
 }
 
+/// Mutates a frame's kind, one payload bit, or the payload length.
+fn mutate(rng: &mut ChaCha8Rng, frame: &mut Frame) {
+    match rng.gen_range(0..3usize) {
+        0 => frame.kind = rng.next_u32() as u8,
+        1 if !frame.payload.is_empty() => {
+            let i = rng.gen_range(0..frame.payload.len());
+            frame.payload[i] ^= 1 << rng.gen_range(0..8usize);
+        }
+        _ => {
+            let new_len = rng.gen_range(0..frame.payload.len() + 9);
+            frame.payload.resize(new_len, rng.next_u32() as u8);
+        }
+    }
+}
+
 #[test]
 fn random_payload_mutations_never_panic_the_decoder() {
+    // The response decoder, which every client runs on daemon bytes.
     let mut rng = ChaCha8Rng::seed_from_u64(0x5c_76);
     let mut survivors = 0u32;
     for _ in 0..500 {
-        let req = gen_request(&mut rng);
-        let mut frame = req.to_frame().unwrap();
-        // Mutate kind, payload bytes, or chop/extend the payload.
-        match rng.gen_range(0..3usize) {
-            0 => frame.kind = rng.next_u32() as u8,
-            1 if !frame.payload.is_empty() => {
-                let i = rng.gen_range(0..frame.payload.len());
-                frame.payload[i] ^= 1 << rng.gen_range(0..8usize);
-            }
-            _ => {
-                let new_len = rng.gen_range(0..frame.payload.len() + 9);
-                frame.payload.resize(new_len, rng.next_u32() as u8);
-            }
-        }
+        let mut frame = gen_response(&mut rng).to_frame(rng.next_u32()).unwrap();
+        mutate(&mut rng, &mut frame);
         // Must not panic; decoding to a *different but valid* message is
         // acceptable (a flipped bit inside a string stays a string).
-        if Request::from_frame(&frame).is_ok() {
+        if Response::from_frame(&frame).is_ok() {
             survivors += 1;
         }
     }
@@ -264,247 +482,14 @@ fn random_payload_mutations_never_panic_the_decoder() {
 }
 
 #[test]
-fn pure_garbage_streams_never_panic_the_frame_reader() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_77);
-    for _ in 0..300 {
-        let junk = gen_bytes(&mut rng, 64);
-        // Any outcome except a panic is fine; almost all junk fails magic.
-        let _ = Frame::read_from(&mut &junk[..], 4096);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Protocol v2: tagged frames, streaming submits, incremental parsing.
-// ---------------------------------------------------------------------------
-
-use pres_suite::svc::proto::{AnyFrame, Frame2, VERSION_V2};
-
-fn gen_request_v2(rng: &mut ChaCha8Rng) -> Request {
-    match rng.gen_range(0..15usize) {
-        0 => Request::Submit {
-            bug: gen_string(rng, 40),
-            sketch: gen_bytes(rng, 2048),
-        },
-        1 => Request::SubmitBegin {
-            bug: gen_string(rng, 40),
-        },
-        2 => Request::SubmitChunk {
-            data: gen_bytes(rng, 2048),
-        },
-        3 => Request::SubmitEnd,
-        4 => Request::Status {
-            job: rng.next_u64(),
-        },
-        5 => Request::Result {
-            job: rng.next_u64(),
-        },
-        6 => Request::Stats,
-        7 => Request::Hello {
-            token: gen_bytes(rng, 64),
-        },
-        8 => Request::PeerPutBegin {
-            digest: gen_digest(rng),
-        },
-        9 => Request::PeerGet {
-            digest: gen_digest(rng),
-        },
-        10 => Request::PeerStat {
-            digest: gen_digest(rng),
-        },
-        11 => Request::PeerList,
-        12 => Request::PeerSteal {
-            max: rng.gen_range(0..=64u32),
-        },
-        13 => Request::PeerDone {
-            job: rng.next_u64(),
-            status: gen_status(rng),
-        },
-        _ => Request::Shutdown,
-    }
-}
-
-/// A version byte that is neither 1 nor 2 (both are live on the wire now).
-fn gen_bad_version(rng: &mut ChaCha8Rng) -> u8 {
-    loop {
-        let v = rng.next_u32() as u8;
-        if v != 1 && v != 2 {
-            return v;
-        }
-    }
-}
-
-#[test]
-fn tagged_requests_roundtrip_and_echo_their_tag() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_78);
-    for case in 0..300 {
-        let req = gen_request_v2(&mut rng);
-        let tag = rng.next_u32();
-        let bytes = req.to_frame2(tag).unwrap().encode();
-        // Through the blocking reader...
-        let mut cursor = &bytes[..];
-        let frame = AnyFrame::read_from(&mut cursor, DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        assert!(cursor.is_empty(), "case {case}: frame consumed exactly");
-        assert_eq!(frame.tag(), tag, "case {case}");
-        assert_eq!(Request::from_any(&frame).unwrap(), req, "case {case}");
-        // ...and through the incremental parser, byte identical.
-        let (parsed, used) = AnyFrame::parse(&bytes, DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        assert_eq!(used, bytes.len(), "case {case}");
-        assert_eq!(parsed.tag(), tag, "case {case}");
-        assert_eq!(Request::from_any(&parsed).unwrap(), req, "case {case}");
-    }
-}
-
-#[test]
-fn responses_carry_tags_without_touching_payload_bytes() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_79);
-    for case in 0..300 {
-        let resp = gen_response(&mut rng);
-        let tag = rng.next_u32();
-        let v1 = resp.to_frame().unwrap();
-        let v2 = resp.to_frame2(tag).unwrap();
-        // The payload encoding is version-independent: v2 adds a tag to
-        // the header, nothing else.
-        assert_eq!(v1.payload, v2.payload, "case {case}");
-        let frame = AnyFrame::read_from(&mut &v2.encode()[..], DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        assert_eq!(frame.tag(), tag);
-        assert_eq!(Response::from_any(&frame).unwrap(), resp, "case {case}");
-    }
-}
-
-#[test]
-fn mixed_version_streams_parse_incrementally_at_every_split() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_7a);
-    // A pipelined client may interleave v1 and v2 frames on one
-    // connection; the incremental parser must walk the mix regardless of
-    // how the transport fragments it.
-    let mut stream = Vec::new();
-    let mut expect: Vec<(u32, Request)> = Vec::new();
-    for _ in 0..12 {
-        let req = gen_request_v2(&mut rng);
-        // v1 cannot carry the streaming triple, and the server only
-        // honours PEER_PUT_BEGIN on a tagged v2 frame (the chunk stream
-        // that follows needs the tag to multiplex).
-        let forced_v2 = matches!(
-            req,
-            Request::SubmitBegin { .. }
-                | Request::SubmitChunk { .. }
-                | Request::SubmitEnd
-                | Request::PeerPutBegin { .. }
-        );
-        if forced_v2 || rng.next_u32() & 1 == 0 {
-            let tag = rng.next_u32();
-            stream.extend_from_slice(&req.to_frame2(tag).unwrap().encode());
-            expect.push((tag, req));
-        } else {
-            stream.extend_from_slice(&req.to_frame().unwrap().encode());
-            expect.push((0, req));
-        }
-    }
-    // Feed the stream in random-sized slices, collecting complete frames
-    // exactly as the connection workers do.
-    for _ in 0..20 {
-        let mut buf: Vec<u8> = Vec::new();
-        let mut fed = 0usize;
-        let mut got = Vec::new();
-        while got.len() < expect.len() {
-            match AnyFrame::parse(&buf, DEFAULT_MAX_FRAME).unwrap() {
-                Some((frame, used)) => {
-                    buf.drain(..used);
-                    got.push((frame.tag(), Request::from_any(&frame).unwrap()));
-                }
-                None => {
-                    assert!(fed < stream.len(), "parser starved with input left");
-                    let step = (rng.gen_range(1..=64u32) as usize).min(stream.len() - fed);
-                    buf.extend_from_slice(&stream[fed..fed + step]);
-                    fed += step;
-                }
-            }
-        }
-        assert_eq!(got, expect);
-        assert!(AnyFrame::parse(&buf, DEFAULT_MAX_FRAME).unwrap().is_none());
-    }
-}
-
-#[test]
-fn truncated_v2_frames_are_incomplete_never_garbage() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_7b);
-    for _ in 0..50 {
-        let bytes = gen_request_v2(&mut rng)
-            .to_frame2(rng.next_u32())
-            .unwrap()
-            .encode();
-        for cut in 0..bytes.len() {
-            // Every proper prefix of a valid frame is "read more", never a
-            // parse and never a framing error.
-            assert!(
-                AnyFrame::parse(&bytes[..cut], DEFAULT_MAX_FRAME)
-                    .unwrap()
-                    .is_none(),
-                "cut at {cut}/{}",
-                bytes.len()
-            );
-        }
-    }
-}
-
-#[test]
-fn corrupted_v2_headers_fail_with_framing_severity() {
-    use pres_suite::svc::proto::Severity;
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_7c);
-    for _ in 0..100 {
-        let good = gen_request_v2(&mut rng)
-            .to_frame2(rng.next_u32())
-            .unwrap()
-            .encode();
-
-        let mut bad_magic = good.clone();
-        bad_magic[rng.gen_range(0..2usize)] ^= 1 << rng.gen_range(0..8usize);
-        let err = AnyFrame::parse(&bad_magic, DEFAULT_MAX_FRAME).unwrap_err();
-        assert!(matches!(err, ProtoError::BadMagic(_)));
-        assert_eq!(err.severity(), Severity::Framing);
-
-        let mut bad_version = good.clone();
-        bad_version[2] = gen_bad_version(&mut rng);
-        let err = AnyFrame::parse(&bad_version, DEFAULT_MAX_FRAME).unwrap_err();
-        assert!(matches!(err, ProtoError::BadVersion(_)));
-        assert_eq!(err.severity(), Severity::Framing);
-
-        let mut oversize = good.clone();
-        let cap = rng.gen_range(0..=1024u32);
-        let len = cap.saturating_add(rng.gen_range(1..=u32::MAX - 1024));
-        oversize[4..8].copy_from_slice(&len.to_be_bytes());
-        let err = AnyFrame::parse(&oversize, cap).unwrap_err();
-        assert!(matches!(err, ProtoError::Oversized { .. }));
-        assert_eq!(err.severity(), Severity::Framing);
-    }
-}
-
-#[test]
 fn v2_payload_mutations_fail_with_payload_severity_not_panics() {
-    use pres_suite::svc::proto::Severity;
+    // The request decoder, which the daemon runs on client bytes.
     let mut rng = ChaCha8Rng::seed_from_u64(0x5c_7d);
     let mut survivors = 0u32;
     for _ in 0..500 {
-        let req = gen_request_v2(&mut rng);
-        let mut frame = req.to_frame2(rng.next_u32()).unwrap();
-        match rng.gen_range(0..3usize) {
-            0 => frame.kind = rng.next_u32() as u8,
-            1 if !frame.payload.is_empty() => {
-                let i = rng.gen_range(0..frame.payload.len());
-                frame.payload[i] ^= 1 << rng.gen_range(0..8usize);
-            }
-            _ => {
-                let new_len = rng.gen_range(0..frame.payload.len() + 9);
-                frame.payload.resize(new_len, rng.next_u32() as u8);
-            }
-        }
-        match Request::from_any(&AnyFrame::V2(frame)) {
+        let mut frame = gen_request(&mut rng).to_frame(rng.next_u32()).unwrap();
+        mutate(&mut rng, &mut frame);
+        match Request::from_frame(&frame) {
             Ok(_) => survivors += 1,
             // Whatever the decode error, it costs one request, not the
             // connection: pipelined peers depend on that.
@@ -515,35 +500,26 @@ fn v2_payload_mutations_fail_with_payload_severity_not_panics() {
 }
 
 #[test]
-fn v2_frames_reach_the_legacy_reader_as_a_version_error() {
-    // The legacy front end reads with `Frame::read_from`, which must
-    // refuse a v2 frame cleanly (BadVersion) rather than misparse the tag
-    // as payload.
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_7e);
-    for _ in 0..50 {
-        let bytes = gen_request_v2(&mut rng)
-            .to_frame2(rng.next_u32())
-            .unwrap()
-            .encode();
-        assert!(matches!(
-            Frame::read_from(&mut &bytes[..], DEFAULT_MAX_FRAME)
-                .unwrap()
-                .unwrap_err(),
-            ProtoError::BadVersion(VERSION_V2)
-        ));
+fn pure_garbage_streams_never_panic_the_frame_reader() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5c_77);
+    for _ in 0..300 {
+        let junk = gen_bytes(&mut rng, 64);
+        // Any outcome except a panic is fine; almost all junk fails magic.
+        let _ = Frame::read_from(&mut &junk[..], 4096);
+        let _ = Frame::parse(&junk, 4096);
     }
 }
 
 #[test]
 fn empty_chunks_and_empty_streams_are_legal_frames() {
     let chunk = Request::SubmitChunk { data: Vec::new() };
-    let bytes = chunk.to_frame2(7).unwrap().encode();
-    let (frame, used) = AnyFrame::parse(&bytes, DEFAULT_MAX_FRAME).unwrap().unwrap();
+    let bytes = chunk.to_frame(7).unwrap().encode();
+    let (frame, used) = Frame::parse(&bytes, DEFAULT_MAX_FRAME).unwrap().unwrap();
     assert_eq!(used, bytes.len());
-    assert_eq!(Request::from_any(&frame).unwrap(), chunk);
-    // Frame2 with an empty payload is exactly the 12-byte header.
+    assert_eq!(Request::from_frame(&frame).unwrap(), chunk);
+    // A frame with an empty payload is exactly the 12-byte header.
     assert_eq!(
-        Frame2 {
+        Frame {
             tag: 7,
             kind: 0x08,
             payload: Vec::new()

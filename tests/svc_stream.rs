@@ -1,20 +1,19 @@
-//! End-to-end tests of the v2 front end over real loopback TCP: chunked
-//! streaming submits, pipelined tagged requests, v1/v2 coexistence on one
-//! daemon, the payload-vs-framing error severity contract, and the
-//! connection cap — the properties the sharded connection workers add on
-//! top of the PR 5 request/response pipeline.
+//! End-to-end tests of the daemon's front end over real loopback TCP:
+//! chunked streaming submits, pipelined tagged requests, the
+//! payload-vs-framing error severity contract with its connection-level
+//! tag-0 ERROR, and the connection cap.
 
 use pres_suite::apps::registry::all_bugs;
 use pres_suite::core::api::Pres;
 use pres_suite::core::codec::encode_sketch;
 use pres_suite::core::sketch::Mechanism;
 use pres_suite::svc::digest::sha256;
-use pres_suite::svc::proto::{AnyFrame, Frame, Frame2, Request, Response, DEFAULT_MAX_FRAME};
+use pres_suite::svc::proto::{Frame, Request, Response, CONNECTION_TAG, DEFAULT_MAX_FRAME};
 use pres_suite::svc::queue::QueueConfig;
-use pres_suite::svc::server::{FrontendKind, ServeOptions, Server};
+use pres_suite::svc::server::{ServeOptions, Server};
 use pres_suite::svc::{Client, JobStatus};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -64,51 +63,67 @@ fn recorded_sketch_bytes(bug: &str) -> Vec<u8> {
 }
 
 /// Raw-socket helpers for tests that need frame-level control.
-fn send_v2(s: &mut TcpStream, tag: u32, req: &Request) {
-    req.to_frame2(tag).unwrap().write_to(s).unwrap();
+fn send(s: &mut TcpStream, tag: u32, req: &Request) {
+    req.to_frame(tag).unwrap().write_to(s).unwrap();
 }
 
-fn recv_v2(s: &mut TcpStream) -> (u32, Response) {
-    let frame = AnyFrame::read_from(s, DEFAULT_MAX_FRAME).unwrap().unwrap();
-    (frame.tag(), Response::from_any(&frame).unwrap())
+fn recv(s: &mut TcpStream) -> (u32, Response) {
+    let frame = Frame::read_from(s, DEFAULT_MAX_FRAME).unwrap().unwrap();
+    (frame.tag, Response::from_frame(&frame).unwrap())
+}
+
+/// Reads the one connection-level ERROR a refused or broken connection
+/// gets, asserts the daemon hangs up behind it, and returns its message.
+fn recv_connection_error_then_eof(s: &mut TcpStream) -> String {
+    let (tag, response) = recv(s);
+    assert_eq!(tag, CONNECTION_TAG, "connection errors ride tag 0");
+    let Response::Error { message } = response else {
+        panic!("expected an error frame, got {response:?}");
+    };
+    let mut rest = Vec::new();
+    s.read_to_end(&mut rest).unwrap();
+    assert!(
+        rest.is_empty(),
+        "nothing may follow the connection error: {rest:?}"
+    );
+    message
 }
 
 #[test]
-fn streamed_submit_matches_monolithic_digest_and_certificate() {
+fn two_chunk_sizes_give_one_digest_one_job_and_one_certificate() {
     let dir = scratch("digest");
     let server = start(&dir);
     let sketch_bytes = recorded_sketch_bytes(BUG);
 
     // Stream at an adversarially small chunk size: the digest must land on
     // the content hash of the whole message regardless of the split.
-    let mut v2 = Client::connect(server.addr()).unwrap();
-    v2.set_chunk_bytes(1024);
-    let streamed = v2.submit(BUG, &sketch_bytes).unwrap();
-    assert_eq!(streamed.sketch, sha256(&sketch_bytes));
-    assert!(streamed.fresh_object);
-    assert!(streamed.fresh_job);
+    let mut small = Client::connect(server.addr()).unwrap();
+    small.set_chunk_bytes(1024);
+    let first = small.submit(BUG, &sketch_bytes).unwrap();
+    assert_eq!(first.sketch, sha256(&sketch_bytes));
+    assert!(first.fresh_object);
+    assert!(first.fresh_job);
 
-    // A legacy monolithic submit of the same bytes dedups onto the same
-    // object and job: both paths computed the same content address.
-    let mut v1 = Client::connect(server.addr()).unwrap();
-    v1.use_v1();
-    let mono = v1.submit(BUG, &sketch_bytes).unwrap();
-    assert_eq!(mono.sketch, streamed.sketch);
-    assert_eq!(mono.job, streamed.job);
-    assert!(!mono.fresh_object);
-    assert!(!mono.fresh_job);
+    // The same bytes split differently dedup onto the same object and
+    // job: the incremental digest does not see chunk boundaries.
+    let mut large = Client::connect(server.addr()).unwrap();
+    large.set_chunk_bytes(7 * 1024 + 3);
+    let second = large.submit(BUG, &sketch_bytes).unwrap();
+    assert_eq!(second.sketch, first.sketch);
+    assert_eq!(second.job, first.job);
+    assert!(!second.fresh_object);
+    assert!(!second.fresh_job);
 
-    // The certificate minted from a streamed sketch is the same bytes
-    // either client fetches.
-    let status = v2.wait(streamed.job, Duration::from_secs(120)).unwrap();
+    // One certificate, the same bytes whichever client fetches it.
+    let status = small.wait(first.job, Duration::from_secs(120)).unwrap();
     assert!(matches!(status, JobStatus::Succeeded { .. }), "{status:?}");
-    let cert_v2 = v2.fetch_certificate(streamed.job).unwrap();
-    let cert_v1 = v1.fetch_certificate(mono.job).unwrap();
-    assert!(!cert_v2.is_empty());
-    assert_eq!(cert_v2, cert_v1);
+    let cert_small = small.fetch_certificate(first.job).unwrap();
+    let cert_large = large.fetch_certificate(second.job).unwrap();
+    assert!(!cert_small.is_empty());
+    assert_eq!(cert_small, cert_large);
 
-    let stats = v2.stats().unwrap();
-    assert!(stats.contains("streaming_submits  1"), "stats:\n{stats}");
+    let stats = small.stats().unwrap();
+    assert!(stats.contains("streaming_submits  2"), "stats:\n{stats}");
 
     server.shutdown();
     server.join();
@@ -129,8 +144,8 @@ fn status_is_answered_while_a_submit_is_still_streaming() {
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
     // Open a stream and push one chunk, but do NOT close it...
-    send_v2(&mut s, 1, &Request::SubmitBegin { bug: BUG.into() });
-    send_v2(
+    send(&mut s, 1, &Request::SubmitBegin { bug: BUG.into() });
+    send(
         &mut s,
         1,
         &Request::SubmitChunk {
@@ -138,21 +153,21 @@ fn status_is_answered_while_a_submit_is_still_streaming() {
         },
     );
     // ...then ask an unrelated question on the same connection.
-    send_v2(&mut s, 2, &Request::Status { job: 999 });
-    let (tag, response) = recv_v2(&mut s);
+    send(&mut s, 2, &Request::Status { job: 999 });
+    let (tag, response) = recv(&mut s);
     assert_eq!(tag, 2, "the status answer must not wait for the stream");
     assert_eq!(response, Response::Status { status: None });
 
     // Now finish the stream; its receipt arrives on the stream's tag.
-    send_v2(
+    send(
         &mut s,
         1,
         &Request::SubmitChunk {
             data: vec![0xbb; 4096],
         },
     );
-    send_v2(&mut s, 1, &Request::SubmitEnd);
-    let (tag, response) = recv_v2(&mut s);
+    send(&mut s, 1, &Request::SubmitEnd);
+    let (tag, response) = recv(&mut s);
     assert_eq!(tag, 1);
     let Response::Submitted { sketch, .. } = response else {
         panic!("expected a receipt, got {response:?}");
@@ -184,27 +199,27 @@ fn two_streams_interleave_on_one_connection() {
 
     // Two submits in flight at once, chunks strictly alternating: the
     // server must key stream state by tag, not by connection.
-    send_v2(&mut s, 10, &Request::SubmitBegin { bug: BUG.into() });
-    send_v2(&mut s, 20, &Request::SubmitBegin { bug: BUG.into() });
+    send(&mut s, 10, &Request::SubmitBegin { bug: BUG.into() });
+    send(&mut s, 20, &Request::SubmitBegin { bug: BUG.into() });
     let (mut ca, mut cb) = (body_a.chunks(1000), body_b.chunks(1000));
     loop {
         let (a, b) = (ca.next(), cb.next());
         if let Some(a) = a {
-            send_v2(&mut s, 10, &Request::SubmitChunk { data: a.to_vec() });
+            send(&mut s, 10, &Request::SubmitChunk { data: a.to_vec() });
         }
         if let Some(b) = b {
-            send_v2(&mut s, 20, &Request::SubmitChunk { data: b.to_vec() });
+            send(&mut s, 20, &Request::SubmitChunk { data: b.to_vec() });
         }
         if a.is_none() && b.is_none() {
             break;
         }
     }
-    send_v2(&mut s, 20, &Request::SubmitEnd);
-    send_v2(&mut s, 10, &Request::SubmitEnd);
+    send(&mut s, 20, &Request::SubmitEnd);
+    send(&mut s, 10, &Request::SubmitEnd);
 
     // Both receipts arrive, tagged, in completion order (B closed first).
-    let (tag_first, resp_first) = recv_v2(&mut s);
-    let (tag_second, resp_second) = recv_v2(&mut s);
+    let (tag_first, resp_first) = recv(&mut s);
+    let (tag_second, resp_second) = recv(&mut s);
     assert_eq!((tag_first, tag_second), (20, 10));
     let Response::Submitted { sketch: got_b, .. } = resp_first else {
         panic!("expected a receipt, got {resp_first:?}");
@@ -228,8 +243,8 @@ fn mid_stream_disconnect_leaves_the_store_clean() {
 
     {
         let mut s = TcpStream::connect(server.addr()).unwrap();
-        send_v2(&mut s, 1, &Request::SubmitBegin { bug: BUG.into() });
-        send_v2(
+        send(&mut s, 1, &Request::SubmitBegin { bug: BUG.into() });
+        send(
             &mut s,
             1,
             &Request::SubmitChunk {
@@ -272,115 +287,90 @@ fn payload_errors_keep_the_connection_framing_errors_drop_it() {
     let dir = scratch("severity");
     let server = start(&dir);
 
-    // Payload severity on the sharded front end: an unknown kind costs
-    // one tagged ERROR, then the same connection keeps serving.
+    // Payload severity: an unknown kind costs one tagged ERROR, then the
+    // same connection keeps serving.
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    Frame2 {
+    Frame {
         tag: 7,
         kind: 0x6e,
         payload: vec![],
     }
     .write_to(&mut s)
     .unwrap();
-    let (tag, response) = recv_v2(&mut s);
+    let (tag, response) = recv(&mut s);
     assert_eq!(tag, 7);
     assert!(matches!(response, Response::Error { .. }));
-    send_v2(&mut s, 8, &Request::Status { job: 1 });
-    let (tag, response) = recv_v2(&mut s);
+    send(&mut s, 8, &Request::Status { job: 1 });
+    let (tag, response) = recv(&mut s);
     assert_eq!(tag, 8, "connection must survive a payload error");
     assert_eq!(response, Response::Status { status: None });
 
     // Chunks without a BEGIN are payload errors too, and named as such.
-    send_v2(&mut s, 9, &Request::SubmitEnd);
-    let (tag, response) = recv_v2(&mut s);
+    send(&mut s, 9, &Request::SubmitEnd);
+    let (tag, response) = recv(&mut s);
     assert_eq!(tag, 9);
     let Response::Error { message } = response else {
         panic!("expected an error, got {response:?}");
     };
     assert!(message.contains("no open stream"), "{message}");
 
-    // Framing severity: garbage magic gets one ERROR frame, then EOF.
+    // Framing severity: garbage magic gets one tag-0 ERROR, then EOF.
     let mut bad = TcpStream::connect(server.addr()).unwrap();
     bad.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     bad.write_all(b"XXXXXXXXXXXX").unwrap();
-    let frame = Frame::read_from(&mut bad, DEFAULT_MAX_FRAME).unwrap().unwrap();
-    assert!(matches!(
-        Response::from_frame(&frame),
-        Ok(Response::Error { .. })
-    ));
-    let mut rest = Vec::new();
-    bad.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "framing error must close the connection");
+    let message = recv_connection_error_then_eof(&mut bad);
+    assert!(message.contains("magic"), "{message}");
 
     server.shutdown();
     server.join();
 }
 
 #[test]
-fn legacy_frontend_applies_the_same_severity_contract() {
-    let dir = scratch("legacy");
-    let server = start_with(
-        &dir,
-        ServeOptions {
-            frontend: FrontendKind::Legacy,
-            ..ServeOptions::default()
-        },
-    );
+fn framing_errors_get_one_tag_zero_error_naming_the_cause() {
+    let dir = scratch("tag-zero");
+    let server = start(&dir);
 
-    // Unknown kind over v1: one ERROR, connection kept (this was a drop
-    // before the severity split).
-    let mut s = TcpStream::connect(server.addr()).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    Frame {
-        kind: 0x6e,
-        payload: vec![],
+    // A version-1 header (the untagged dialect's STATUS, job 5) and
+    // garbage magic: each is answered by exactly one ERROR on the
+    // connection tag, naming what was wrong, and then the connection
+    // closes.
+    let mut v1_status = b"PS\x01\x02\x00\x00\x00\x08".to_vec();
+    v1_status.extend_from_slice(&5u64.to_be_bytes());
+    for (bytes, cause) in [
+        (v1_status, "unsupported protocol version 1"),
+        (b"GET / HTTP/1.1\r\n\r\n".to_vec(), "bad frame magic"),
+    ] {
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        s.write_all(&bytes).unwrap();
+        let message = recv_connection_error_then_eof(&mut s);
+        assert!(message.contains(cause), "{message}");
     }
-    .write_to(&mut s)
-    .unwrap();
-    let frame = Frame::read_from(&mut s, DEFAULT_MAX_FRAME).unwrap().unwrap();
-    assert!(matches!(
-        Response::from_frame(&frame),
-        Ok(Response::Error { .. })
-    ));
-    Request::Status { job: 5 }
-        .to_frame()
-        .unwrap()
-        .write_to(&mut s)
-        .unwrap();
-    let frame = Frame::read_from(&mut s, DEFAULT_MAX_FRAME).unwrap().unwrap();
-    assert_eq!(
-        Response::from_frame(&frame).unwrap(),
-        Response::Status { status: None },
-        "legacy connection must survive a payload error"
-    );
-
-    // Bad magic over v1: one ERROR, then EOF.
-    let mut bad = TcpStream::connect(server.addr()).unwrap();
-    bad.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    bad.write_all(b"XXXXXXXX").unwrap();
-    let frame = Frame::read_from(&mut bad, DEFAULT_MAX_FRAME).unwrap().unwrap();
-    assert!(matches!(
-        Response::from_frame(&frame),
-        Ok(Response::Error { .. })
-    ));
-    let mut rest = Vec::new();
-    bad.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty());
-
-    // A v2 client degrades loudly, not silently: the legacy front end
-    // rejects the versioned frame as a framing error.
-    let mut v2 = TcpStream::connect(server.addr()).unwrap();
-    v2.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    send_v2(&mut v2, 1, &Request::Stats);
-    let frame = Frame::read_from(&mut v2, DEFAULT_MAX_FRAME).unwrap().unwrap();
-    let Ok(Response::Error { message }) = Response::from_frame(&frame) else {
-        panic!("expected an error frame");
-    };
-    assert!(message.contains("version"), "{message}");
 
     server.shutdown();
     server.join();
+
+    // A client waiting on its own tag takes a tag-0 ERROR as the daemon's
+    // answer, not as a response that fails to echo its tag.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let daemon = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        Frame::read_from(&mut s, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        Response::Error {
+            message: "going away".into(),
+        }
+        .to_frame(CONNECTION_TAG)
+        .unwrap()
+        .write_to(&mut s)
+        .unwrap();
+    });
+    let err = Client::connect(addr).unwrap().status(0).unwrap_err();
+    assert_eq!(err.to_string(), "daemon: going away");
+    daemon.join().unwrap();
 }
 
 #[test]
@@ -400,17 +390,11 @@ fn connection_cap_refuses_with_an_error_frame() {
     assert!(a.status(0).unwrap().is_none());
     assert!(b.status(0).unwrap().is_none());
 
-    // The third is answered with one ERROR frame and closed.
+    // The third is answered with one connection-level ERROR and closed.
     let mut c = TcpStream::connect(server.addr()).unwrap();
     c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let frame = Frame::read_from(&mut c, DEFAULT_MAX_FRAME).unwrap().unwrap();
-    let Ok(Response::Error { message }) = Response::from_frame(&frame) else {
-        panic!("expected a refusal frame");
-    };
+    let message = recv_connection_error_then_eof(&mut c);
     assert!(message.contains("connection limit"), "{message}");
-    let mut rest = Vec::new();
-    c.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty());
 
     let stats = a.stats().unwrap();
     assert!(stats.contains("connections_refused 1"), "stats:\n{stats}");
