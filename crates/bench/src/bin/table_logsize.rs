@@ -1,5 +1,5 @@
-//! E3: sketch log sizes per app per mechanism, with the v1-vs-v2 codec
-//! container comparison.
+//! E3: sketch log sizes per app per mechanism, with the actual v2 container
+//! bytes of each sketch.
 //!
 //! ```text
 //! table_logsize [--reduced] [--out FILE]
@@ -8,8 +8,10 @@
 //! Prints the tables and writes the measurements as JSON (for the CI
 //! artifact) to `BENCH_logsize.json` unless `--out` overrides it.
 //! `--reduced` runs the small workloads (CI smoke).
+use pres_apps::registry::all_apps;
 use pres_apps::WorkloadScale;
 use pres_bench::experiments::{RecordingMatrix, OVERHEAD_PROCESSORS};
+use pres_core::sketch::Mechanism;
 
 fn json_escape(s: &str) -> String {
     s.chars()
@@ -24,19 +26,14 @@ fn json_escape(s: &str) -> String {
 }
 
 fn to_json(m: &RecordingMatrix) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"experiment\": \"E3\",\n  \"codec_geomean_shrink_pct\": {:.2},\n  \"rows\": [\n",
-        m.codec_geomean_shrink()
-    ));
+    let mut out = String::from("{\n  \"experiment\": \"E3\",\n  \"rows\": [\n");
     for (i, r) in m.reports.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"mechanism\": \"{}\", \"entries\": {}, \"log_bytes\": {}, \"encoded_v1\": {}, \"encoded_v2\": {}, \"total_ops\": {}, \"bytes_per_kop\": {:.2}}}{}\n",
+            "    {{\"app\": \"{}\", \"mechanism\": \"{}\", \"entries\": {}, \"log_bytes\": {}, \"encoded_v2\": {}, \"total_ops\": {}, \"bytes_per_kop\": {:.2}}}{}\n",
             json_escape(&r.program),
             json_escape(&r.mechanism.name()),
             r.entries,
             r.log_bytes,
-            r.encoded_v1,
             r.encoded_v2,
             r.total_ops,
             r.bytes_per_kop(),
@@ -66,27 +63,14 @@ fn main() {
 
     let m = RecordingMatrix::run(OVERHEAD_PROCESSORS, scale);
     print!("{}", m.render_logsize());
-    print!("{}", m.render_codec());
 
-    // Sanity: v2 never grows a non-trivial log, and the matrix-wide
-    // geomean shrink is substantial.
-    for r in &m.reports {
-        if r.entries >= 16 {
-            assert!(
-                r.encoded_v2 < r.encoded_v1,
-                "{} {}: v2 {} not smaller than v1 {}",
-                r.program,
-                r.mechanism,
-                r.encoded_v2,
-                r.encoded_v1
-            );
-        }
+    // Sanity: a SYNC sketch never logs more than the RW baseline of the
+    // same run (the paper's log-size ordering).
+    for app in all_apps() {
+        let log = |mech| m.cell(app.id, mech).expect("full matrix").log_bytes;
+        let (rw, sync) = (log(Mechanism::Rw), log(Mechanism::Sync));
+        assert!(sync <= rw, "{}: SYNC log {sync} exceeds RW log {rw}", app.id);
     }
-    let shrink = m.codec_geomean_shrink();
-    assert!(
-        shrink >= 15.0,
-        "codec v2 geomean shrink {shrink:.1}% below the 15% floor"
-    );
 
     let json = to_json(&m);
     std::fs::write(&out_path, &json).expect("write logsize JSON");

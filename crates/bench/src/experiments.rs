@@ -7,13 +7,12 @@
 
 use crate::render::{bytes, pct, table};
 use pres_apps::registry::{all_apps, all_bugs, BugCase, WorkloadScale};
-use pres_core::explore::{ExecutorKind, ExploreConfig, FeedbackMode, Strategy};
+use pres_core::explore::{ExploreConfig, Strategy};
 use pres_core::program::Program;
-use pres_core::recorder::{record, record_legacy, RecordingReport};
+use pres_core::recorder::{record, RecordingReport};
 use pres_core::sketch::Mechanism;
 use pres_core::{explore, Certificate};
 use pres_tvm::error::RunStatus;
-use pres_tvm::pool::VthreadPool;
 use pres_tvm::sched::RandomScheduler;
 use pres_tvm::trace::{NullObserver, TraceMode};
 use pres_tvm::vm::{self, VmConfig};
@@ -126,10 +125,7 @@ pub struct RecordingMatrix {
 }
 
 impl RecordingMatrix {
-    /// Runs the matrix. Each cell is recorded twice — with the sharded
-    /// recorder and with the pre-sharding (fully serialized) one — so E2
-    /// reports a before/after overhead comparison; the two must record
-    /// identical sketches.
+    /// Runs the matrix.
     pub fn run(processors: u32, scale: WorkloadScale) -> Self {
         let mut reports = Vec::new();
         let config = std_vm(processors);
@@ -142,19 +138,14 @@ impl RecordingMatrix {
                     "bug-free workload {} failed during overhead measurement",
                     app.id
                 );
-                let legacy = record_legacy(prog.as_ref(), mech, &config, 7);
-                assert_eq!(
-                    run.sketch, legacy.sketch,
-                    "sharded and legacy recorders diverged on {} under {mech}",
-                    app.id
-                );
-                reports.push(RecordingReport::from_run(&run).with_legacy(&legacy));
+                reports.push(RecordingReport::from_run(&run));
             }
         }
         RecordingMatrix { reports }
     }
 
-    fn cell(&self, program: &str, mech: Mechanism) -> Option<&RecordingReport> {
+    /// The report of one (app, mechanism) cell.
+    pub fn cell(&self, program: &str, mech: Mechanism) -> Option<&RecordingReport> {
         self.reports
             .iter()
             .find(|r| r.program == program && r.mechanism == mech)
@@ -202,92 +193,6 @@ impl RecordingMatrix {
         let (app, ratio) = self.max_rw_over_sync();
         out.push_str(&format!(
             "\nheadline: SYNC sketching lowers recording overhead vs. the RW baseline by up to {ratio:.0}x (on {app})\n",
-        ));
-        out.push_str(&self.render_sharding_delta());
-        out
-    }
-
-    /// Renders the sharded-vs-legacy recorder comparison for the
-    /// thread-local mechanisms (the classes the sharding restructure
-    /// speeds up; SYNC/SYS charges are identical by construction).
-    pub fn render_sharding_delta(&self) -> String {
-        let mechs = [Mechanism::Func, Mechanism::Bb, Mechanism::BbN(4)];
-        let mut rows = Vec::new();
-        for app in all_apps() {
-            let mut row = vec![app.id.to_string()];
-            for m in &mechs {
-                row.push(
-                    self.cell(app.id, *m)
-                        .and_then(|r| {
-                            r.legacy_overhead_pct
-                                .map(|l| format!("{} -> {}", pct(l), pct(r.overhead_pct)))
-                        })
-                        .unwrap_or_else(|| "-".into()),
-                );
-            }
-            rows.push(row);
-        }
-        let mut headers = vec!["app"];
-        let names: Vec<String> = mechs.iter().map(|m| m.name().into_owned()).collect();
-        headers.extend(names.iter().map(|s| s.as_str()));
-        let mut out = String::from(
-            "\nsharded recording, before -> after (pre-sharding recorder vs per-thread shards)\n\n",
-        );
-        out.push_str(&table(&headers, &rows));
-        out
-    }
-
-    /// Geometric-mean shrink of the v2 container vs v1 across all cells
-    /// with a non-empty log, as a percentage (positive = v2 smaller).
-    pub fn codec_geomean_shrink(&self) -> f64 {
-        let ratios: Vec<f64> = self
-            .reports
-            .iter()
-            .filter(|r| r.entries > 0 && r.encoded_v1 > 0)
-            .map(|r| r.encoded_v2 as f64 / r.encoded_v1 as f64)
-            .collect();
-        if ratios.is_empty() {
-            return 0.0;
-        }
-        let gm = (ratios.iter().map(|x| x.ln()).sum::<f64>() / ratios.len() as f64).exp();
-        (1.0 - gm) * 100.0
-    }
-
-    /// Renders the codec v1-vs-v2 container-size comparison.
-    pub fn render_codec(&self) -> String {
-        let mechs = standard_mechanisms();
-        let mut rows = Vec::new();
-        for app in all_apps() {
-            let mut row = vec![app.id.to_string()];
-            for m in &mechs {
-                row.push(
-                    self.cell(app.id, *m)
-                        .map(|r| {
-                            if r.encoded_v1 == 0 {
-                                "-".into()
-                            } else {
-                                format!(
-                                    "{} -> {} (-{:.0}%)",
-                                    bytes(r.encoded_v1),
-                                    bytes(r.encoded_v2),
-                                    (1.0 - r.encoded_v2 as f64 / r.encoded_v1 as f64) * 100.0
-                                )
-                            }
-                        })
-                        .unwrap_or_else(|| "-".into()),
-                );
-            }
-            rows.push(row);
-        }
-        let mut headers = vec!["app"];
-        let names: Vec<String> = mechs.iter().map(|m| m.name().into_owned()).collect();
-        headers.extend(names.iter().map(|s| s.as_str()));
-        let mut out =
-            String::from("\ncodec container size, v1 (flat) -> v2 (columnar), actual bytes\n\n");
-        out.push_str(&table(&headers, &rows));
-        out.push_str(&format!(
-            "\nheadline: the v2 columnar container shrinks sketch logs by {:.0}% geomean across the matrix\n",
-            self.codec_geomean_shrink()
         ));
         out
     }
@@ -1174,370 +1079,5 @@ pub fn render_distribution(rows: &[DistributionRow], cap: u32) -> String {
         "\nheadline: median attempts below 10 for {} — reproduction effort is robust to which production run failed\n",
         if all_small { "every bug" } else { "most bugs" }
     ));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E12 — attempt throughput: streaming vs. buffered feedback, by workers.
-// ---------------------------------------------------------------------------
-
-/// One measured point of the throughput experiment: a feedback mode at a
-/// worker count.
-#[derive(Debug, Clone)]
-pub struct ThroughputPoint {
-    /// Feedback mode the explorer ran under.
-    pub mode: FeedbackMode,
-    /// Worker threads.
-    pub workers: usize,
-    /// Attempts executed (always the cap: the target is unmatchable).
-    pub attempts: u32,
-    /// Wall clock for the whole reproduction.
-    pub wall_clock: std::time::Duration,
-}
-
-impl ThroughputPoint {
-    /// Replay attempts per wall-clock second.
-    pub fn attempts_per_sec(&self) -> f64 {
-        let secs = self.wall_clock.as_secs_f64();
-        if secs > 0.0 {
-            f64::from(self.attempts) / secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// One bug's throughput measurements.
-#[derive(Debug, Clone)]
-pub struct ThroughputRow {
-    /// Bug id.
-    pub bug: String,
-    /// All measured (mode × workers) points.
-    pub points: Vec<ThroughputPoint>,
-}
-
-impl ThroughputRow {
-    /// The point for a mode at a worker count, if measured.
-    pub fn point(&self, mode: FeedbackMode, workers: usize) -> Option<&ThroughputPoint> {
-        self.points
-            .iter()
-            .find(|p| p.mode == mode && p.workers == workers)
-    }
-
-    /// Streaming-over-buffered throughput ratio at a worker count.
-    pub fn speedup_at(&self, workers: usize) -> Option<f64> {
-        let streaming = self.point(FeedbackMode::Streaming, workers)?.attempts_per_sec();
-        let buffered = self.point(FeedbackMode::Buffered, workers)?.attempts_per_sec();
-        (buffered > 0.0).then(|| streaming / buffered)
-    }
-}
-
-/// Measures pure attempt throughput for each bug in `bugs`: an unmatchable
-/// target signature forces the explorer to spend exactly `cap` attempts
-/// (every one a failed feedback attempt — the worst case the streaming
-/// path optimizes), so attempts-per-second is `cap / wall-clock`. Each bug
-/// is measured under both feedback modes at every worker count; the
-/// buffered mode *is* the pre-streaming pipeline, so the ratio is a true
-/// before/after comparison inside one binary.
-pub fn e12_attempt_throughput(
-    bugs: &[BugCase],
-    mechanism: Mechanism,
-    worker_counts: &[usize],
-    cap: u32,
-) -> Vec<ThroughputRow> {
-    let config = std_vm(REPRO_PROCESSORS);
-    let mut rows = Vec::new();
-    for bug in bugs {
-        let prog = bug.program();
-        let Some(seed) = find_failing_seed(prog.as_ref(), &config) else {
-            continue;
-        };
-        let run = record(prog.as_ref(), mechanism, &config, seed);
-        let mut points = Vec::new();
-        for &workers in worker_counts {
-            for mode in [FeedbackMode::Buffered, FeedbackMode::Streaming] {
-                let start = std::time::Instant::now();
-                let rep = explore::reproduce(
-                    prog.as_ref(),
-                    &run.sketch,
-                    "assert:__throughput_probe__",
-                    &config,
-                    &ExploreConfig {
-                        max_attempts: cap,
-                        workers,
-                        feedback_mode: mode,
-                        ..ExploreConfig::default()
-                    },
-                );
-                assert!(!rep.reproduced, "probe target must be unmatchable");
-                points.push(ThroughputPoint {
-                    mode,
-                    workers,
-                    attempts: rep.attempts,
-                    wall_clock: start.elapsed(),
-                });
-            }
-        }
-        rows.push(ThroughputRow {
-            bug: bug.id.to_string(),
-            points,
-        });
-    }
-    rows
-}
-
-/// Renders the throughput table: per bug, buffered and streaming
-/// attempts-per-second at each worker count plus the streaming speedup.
-pub fn render_throughput(
-    rows: &[ThroughputRow],
-    worker_counts: &[usize],
-    mechanism: Mechanism,
-    cap: u32,
-) -> String {
-    let mut header: Vec<String> = vec!["bug".into()];
-    for &w in worker_counts {
-        header.push(format!("{w}w buf a/s"));
-        header.push(format!("{w}w str a/s"));
-        header.push(format!("{w}w spd"));
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut trows = Vec::new();
-    for r in rows {
-        let mut row = vec![r.bug.clone()];
-        for &w in worker_counts {
-            for mode in [FeedbackMode::Buffered, FeedbackMode::Streaming] {
-                match r.point(mode, w) {
-                    Some(p) => row.push(format!("{:.0}", p.attempts_per_sec())),
-                    None => row.push("-".into()),
-                }
-            }
-            match r.speedup_at(w) {
-                Some(s) => row.push(format!("{s:.2}x")),
-                None => row.push("-".into()),
-            }
-        }
-        trows.push(row);
-    }
-    let mut out = format!(
-        "E12. Attempt throughput: streaming vs. buffered feedback ({} sketch, cap {cap})\n\n",
-        mechanism.name()
-    );
-    out.push_str(&table(&header_refs, &trows));
-    for &w in worker_counts {
-        let spds: Vec<f64> = rows.iter().filter_map(|r| r.speedup_at(w)).collect();
-        if !spds.is_empty() {
-            let mean = spds.iter().sum::<f64>() / spds.len() as f64;
-            out.push_str(&format!(
-                "\nheadline: mean {mean:.2}x streaming throughput at {w} workers over {} bugs",
-                spds.len()
-            ));
-        }
-    }
-    out.push('\n');
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E15 — executor pool: pooled vs. spawning attempt throughput.
-// ---------------------------------------------------------------------------
-
-/// One measured point of the pool experiment: an executor at a worker count.
-#[derive(Debug, Clone)]
-pub struct PoolPoint {
-    /// Execution engine the attempts ran on.
-    pub executor: ExecutorKind,
-    /// Worker threads.
-    pub workers: usize,
-    /// Attempts executed (always the cap: the target is unmatchable).
-    pub attempts: u32,
-    /// Wall clock for the whole reproduction.
-    pub wall_clock: std::time::Duration,
-}
-
-impl PoolPoint {
-    /// Replay attempts per wall-clock second.
-    pub fn attempts_per_sec(&self) -> f64 {
-        let secs = self.wall_clock.as_secs_f64();
-        if secs > 0.0 {
-            f64::from(self.attempts) / secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// One bug's pooled-vs-spawning measurements, plus the steady-state spawn
-/// hygiene probe.
-#[derive(Debug, Clone)]
-pub struct PoolRow {
-    /// Bug id.
-    pub bug: String,
-    /// All measured (executor × workers) points.
-    pub points: Vec<PoolPoint>,
-    /// `RunStats::os_spawns` of the first (cold) run on a fresh pool: the
-    /// pool warming to the program's peak concurrent vthread count.
-    pub cold_os_spawns: u64,
-    /// `RunStats::os_spawns` of the second (warm) run on the same pool —
-    /// **must be zero**: the steady-state invariant CI asserts.
-    pub warm_os_spawns: u64,
-}
-
-impl PoolRow {
-    /// The point for an executor at a worker count, if measured.
-    pub fn point(&self, executor: ExecutorKind, workers: usize) -> Option<&PoolPoint> {
-        self.points
-            .iter()
-            .find(|p| p.executor == executor && p.workers == workers)
-    }
-
-    /// Pooled-over-spawning throughput ratio at a worker count.
-    pub fn speedup_at(&self, workers: usize) -> Option<f64> {
-        let pooled = self.point(ExecutorKind::Pooled, workers)?.attempts_per_sec();
-        let spawning = self
-            .point(ExecutorKind::Spawning, workers)?
-            .attempts_per_sec();
-        (spawning > 0.0).then(|| pooled / spawning)
-    }
-}
-
-/// Geometric mean of the pooled-over-spawning speedups at a worker count.
-pub fn pool_speedup_geomean(rows: &[PoolRow], workers: usize) -> Option<f64> {
-    let spds: Vec<f64> = rows.iter().filter_map(|r| r.speedup_at(workers)).collect();
-    if spds.is_empty() {
-        return None;
-    }
-    let log_sum: f64 = spds.iter().map(|s| s.ln()).sum();
-    Some((log_sum / spds.len() as f64).exp())
-}
-
-/// Measures attempt throughput of the pooled executor against the spawning
-/// engine, the same way E12 measures feedback modes: an unmatchable target
-/// signature forces the explorer to spend exactly `cap` attempts, so
-/// attempts-per-second is `cap / wall-clock`. Spawn cost is per *vthread*
-/// per attempt, so the win scales with the bug's thread count and shrinks
-/// with its attempt length — largest on the short-attempt bugs.
-///
-/// Each row also carries a direct two-run hygiene probe on a fresh pool:
-/// the first run warms it (`cold_os_spawns` = peak concurrent vthreads),
-/// the second must report **zero** OS spawns.
-pub fn e15_pool_throughput(
-    bugs: &[BugCase],
-    mechanism: Mechanism,
-    worker_counts: &[usize],
-    cap: u32,
-) -> Vec<PoolRow> {
-    let config = std_vm(REPRO_PROCESSORS);
-    let mut rows = Vec::new();
-    for bug in bugs {
-        let prog = bug.program();
-        let Some(seed) = find_failing_seed(prog.as_ref(), &config) else {
-            continue;
-        };
-        let run = record(prog.as_ref(), mechanism, &config, seed);
-        let mut points = Vec::new();
-        for &workers in worker_counts {
-            for executor in [ExecutorKind::Spawning, ExecutorKind::Pooled] {
-                let start = std::time::Instant::now();
-                let rep = explore::reproduce(
-                    prog.as_ref(),
-                    &run.sketch,
-                    "assert:__throughput_probe__",
-                    &config,
-                    &ExploreConfig {
-                        max_attempts: cap,
-                        workers,
-                        executor,
-                        ..ExploreConfig::default()
-                    },
-                );
-                assert!(!rep.reproduced, "probe target must be unmatchable");
-                points.push(PoolPoint {
-                    executor,
-                    workers,
-                    attempts: rep.attempts,
-                    wall_clock: start.elapsed(),
-                });
-            }
-        }
-        // Steady-state spawn hygiene: two identical runs on one pool; the
-        // second must create no OS threads.
-        let pool = VthreadPool::new(8);
-        let probe = |pool: &VthreadPool| {
-            let body = prog.root();
-            let out = vm::run_with_pool(
-                VmConfig {
-                    world: prog.world(),
-                    ..config.clone()
-                },
-                prog.resources(),
-                &mut RandomScheduler::new(seed),
-                &mut NullObserver,
-                pool,
-                move |ctx| body(ctx),
-            );
-            out.stats.os_spawns
-        };
-        let cold_os_spawns = probe(&pool);
-        let warm_os_spawns = probe(&pool);
-        rows.push(PoolRow {
-            bug: bug.id.to_string(),
-            points,
-            cold_os_spawns,
-            warm_os_spawns,
-        });
-    }
-    rows
-}
-
-/// Renders the pool table: per bug, spawning and pooled attempts-per-second
-/// at each worker count, the pooled speedup, and the spawn hygiene columns.
-pub fn render_pool(
-    rows: &[PoolRow],
-    worker_counts: &[usize],
-    mechanism: Mechanism,
-    cap: u32,
-) -> String {
-    let mut header: Vec<String> = vec!["bug".into()];
-    for &w in worker_counts {
-        header.push(format!("{w}w spawn a/s"));
-        header.push(format!("{w}w pool a/s"));
-        header.push(format!("{w}w spd"));
-    }
-    header.push("cold os-spawns".into());
-    header.push("warm os-spawns".into());
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut trows = Vec::new();
-    for r in rows {
-        let mut row = vec![r.bug.clone()];
-        for &w in worker_counts {
-            for executor in [ExecutorKind::Spawning, ExecutorKind::Pooled] {
-                match r.point(executor, w) {
-                    Some(p) => row.push(format!("{:.0}", p.attempts_per_sec())),
-                    None => row.push("-".into()),
-                }
-            }
-            match r.speedup_at(w) {
-                Some(s) => row.push(format!("{s:.2}x")),
-                None => row.push("-".into()),
-            }
-        }
-        row.push(r.cold_os_spawns.to_string());
-        row.push(r.warm_os_spawns.to_string());
-        trows.push(row);
-    }
-    let mut out = format!(
-        "E15. Attempt throughput: pooled vs. spawning executors ({} sketch, cap {cap})\n\n",
-        mechanism.name()
-    );
-    out.push_str(&table(&header_refs, &trows));
-    for &w in worker_counts {
-        if let Some(geomean) = pool_speedup_geomean(rows, w) {
-            out.push_str(&format!(
-                "\nheadline: geomean {geomean:.2}x pooled throughput at {w} worker(s) over {} bugs",
-                rows.iter().filter(|r| r.speedup_at(w).is_some()).count()
-            ));
-        }
-    }
-    out.push('\n');
     out
 }

@@ -12,7 +12,6 @@
 //! | `fig_scalability` | E5 overhead/attempts vs. processor count |
 //! | `fig_feedback` | E6 feedback vs. random ablation |
 //! | `fig_bbn_sweep` | E8 BB-N granularity sweep |
-//! | `fig_throughput` | E12 attempt throughput: streaming vs. buffered feedback |
 //! | `run_all` | everything, in EXPERIMENTS.md order (incl. E7) |
 //!
 //! The wall-clock benches (`cargo bench`, driven by [`harness`]) measure

@@ -36,13 +36,13 @@ use pres_apps::registry::{all_apps, all_bugs, WorkloadScale};
 use pres_core::api::Pres;
 use pres_core::codec::{
     checkpoint_segment_bytes, container_version, decode_index, decode_sketch, encode_sketch,
-    encode_sketch_v1, v2_layout,
+    v2_layout,
 };
 use pres_core::inspect::{failure_report, InspectOptions};
 use pres_core::stats::{ExploreStats, SketchStats};
 use pres_core::program::Program;
 use pres_core::sketch::Mechanism;
-use pres_core::{Certificate, ExecutorKind, FeedbackMode, RingConfig, StopToken};
+use pres_core::{Certificate, RingConfig, StopToken};
 use pres_svc::{Client, QueueConfig, ServeOptions, Server};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -50,10 +50,9 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "usage:
   pres list
   pres record      --bug <id> [--mechanism RW|BB|BB-N|FUNC|SYS|SYNC] [--seed N] [--out FILE]
-                   [--codec v1|v2] [--ring-epochs N] [--epoch-entries N] [--epoch-cost N]
+                   [--ring-epochs N] [--epoch-entries N] [--epoch-cost N]
   pres reproduce   --bug <id> --sketch FILE [--max-attempts N] [--workers N]
-                   [--pool N] [--executor pooled|spawning]
-                   [--feedback streaming|buffered] [--timeout-secs N] [--cert FILE]
+                   [--timeout-secs N] [--cert FILE]
   pres replay      --bug <id> --cert FILE [--report]
   pres sketch-info --sketch FILE
   pres overhead    --app <id> [--mechanism SYNC] [--processors N]
@@ -161,7 +160,6 @@ fn cmd_record(args: &Args) -> Result<(), UsageError> {
     let mechanism = parse_mechanism(&args.get("mechanism").unwrap_or_else(|| "SYNC".into()))?;
     let seed: Option<u64> = args.get_parsed("seed")?;
     let out = args.get("out").unwrap_or_else(|| format!("{bug}.sketch"));
-    let codec = args.get("codec");
     let ring_epochs: Option<usize> = args.get_parsed("ring-epochs")?;
     let epoch_entries: Option<u64> = args.get_parsed("epoch-entries")?;
     let epoch_cost: Option<u64> = args.get_parsed("epoch-cost")?;
@@ -184,24 +182,6 @@ fn cmd_record(args: &Args) -> Result<(), UsageError> {
             ring
         },
     );
-    // A ring flush is a v3 container by construction (the checkpoint has
-    // nowhere to live in v1/v2), so --codec only applies to classic mode.
-    let codec = match (&ring, codec.as_deref()) {
-        (Some(_), None) | (Some(_), Some("v3")) => "v3".to_string(),
-        (Some(_), Some(other)) => {
-            return Err(UsageError(format!(
-                "--codec {other} cannot carry a ring checkpoint (ring mode writes v3)"
-            )))
-        }
-        (None, None) => "v2".to_string(),
-        (None, Some(c @ ("v1" | "v2"))) => c.to_string(),
-        (None, Some(other)) => {
-            return Err(UsageError(format!(
-                "bad --codec '{other}' (expected v1 or v2)"
-            )));
-        }
-    };
-
     let prog = bug_program(&bug)?;
     let mut pres = Pres::new(mechanism);
     if let Some(ring) = ring.clone() {
@@ -238,11 +218,9 @@ fn cmd_record(args: &Args) -> Result<(), UsageError> {
             cp.dropped_entries,
         );
     }
-    let bytes = if codec == "v1" {
-        encode_sketch_v1(&recorded.sketch)
-    } else {
-        encode_sketch(&recorded.sketch)
-    };
+    // A ring flush is a v3 container (v2 body plus checkpoint); a classic
+    // sketch is v2.
+    let bytes = encode_sketch(&recorded.sketch);
     if ring.is_some() {
         // The flush file is the failure's only evidence: write it with
         // the daemon store's durability chain (stage → fsync → rename →
@@ -253,7 +231,8 @@ fn cmd_record(args: &Args) -> Result<(), UsageError> {
         std::fs::write(&out, &bytes)
             .map_err(|e| UsageError(format!("cannot write {out}: {e}")))?;
     }
-    println!("wrote {} ({} bytes, codec {})", out, bytes.len(), codec);
+    let version = container_version(&bytes).map_err(|e| UsageError(e.to_string()))?;
+    println!("wrote {} ({} bytes, codec v{})", out, bytes.len(), version);
     Ok(())
 }
 
@@ -264,25 +243,6 @@ fn cmd_reproduce(args: &Args) -> Result<(), UsageError> {
     // `with_workers` clamps to >= 1; clamp here too so the summary line
     // reports the worker count actually used.
     let workers: usize = args.get_parsed("workers")?.unwrap_or(1).max(1);
-    let pool_width: Option<usize> = args.get_parsed("pool")?;
-    let executor = match args.get("executor").as_deref() {
-        None | Some("pooled") => ExecutorKind::Pooled,
-        Some("spawning") => ExecutorKind::Spawning,
-        Some(other) => {
-            return Err(UsageError(format!(
-                "bad --executor '{other}' (expected pooled or spawning)"
-            )))
-        }
-    };
-    let feedback_mode = match args.get("feedback").as_deref() {
-        None | Some("streaming") => FeedbackMode::Streaming,
-        Some("buffered") => FeedbackMode::Buffered,
-        Some(other) => {
-            return Err(UsageError(format!(
-                "bad --feedback '{other}' (expected streaming or buffered)"
-            )))
-        }
-    };
     let timeout_secs: Option<u64> = args.get_parsed("timeout-secs")?;
     let cert_path = args.get("cert").unwrap_or_else(|| format!("{bug}.cert"));
     args.finish()?;
@@ -300,14 +260,9 @@ fn cmd_reproduce(args: &Args) -> Result<(), UsageError> {
     }
     let mut pres = Pres::new(sketch.mechanism)
         .with_max_attempts(max_attempts)
-        .with_workers(workers)
-        .with_feedback_mode(feedback_mode)
-        .with_executor(executor);
-    if let Some(width) = pool_width {
-        pres = pres.with_pool_width(width);
-    }
-    // Clamp workers x pool width against the host. The library reports
-    // the decision; the CLI decides it is worth a stderr warning.
+        .with_workers(workers);
+    // Clamp workers against the host. The library reports the decision;
+    // the CLI decides it is worth a stderr warning.
     let outcome = pres.explore.validate();
     if let Some(clamp) = &outcome.clamp {
         eprintln!("pres: {}", clamp.warning());
@@ -335,12 +290,10 @@ fn cmd_reproduce(args: &Args) -> Result<(), UsageError> {
     let secs = elapsed.as_secs_f64();
     if secs > 0.0 {
         println!(
-            "throughput: {:.1} attempts/s ({} attempts in {:.3}s, {} feedback, {} executor)",
+            "throughput: {:.1} attempts/s ({} attempts in {:.3}s)",
             f64::from(repro.attempts) / secs,
             repro.attempts,
             secs,
-            feedback_mode.name(),
-            pres.explore.executor.name()
         );
     }
     if !repro.reproduced {

@@ -40,7 +40,7 @@
 //! cert.replay(&prog).expect("reproduces every time");
 //! ```
 
-use crate::explore::{self, ExecutorKind, ExploreConfig, FeedbackMode, Reproduction, Strategy};
+use crate::explore::{self, ExploreConfig, Reproduction, Strategy};
 use crate::recorder::{self, RecordedRun, RecordingReport, RingConfig};
 use crate::sketch::Mechanism;
 use crate::program::Program;
@@ -102,29 +102,6 @@ impl Pres {
     /// `1` (the default) keeps the classic serial exploration loop.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.explore.workers = workers.max(1);
-        self
-    }
-
-    /// Sets how failed attempts feed candidate extraction: streaming (the
-    /// default; no per-attempt trace buffering) or buffered post-hoc
-    /// analysis. Both produce identical search behavior.
-    pub fn with_feedback_mode(mut self, mode: FeedbackMode) -> Self {
-        self.explore.feedback_mode = mode;
-        self
-    }
-
-    /// Sets which execution engine hosts attempt vthreads: pooled (the
-    /// default; zero steady-state spawns) or spawning (one OS thread per
-    /// vthread per attempt). Both produce identical results.
-    pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
-        self.explore.executor = executor;
-        self
-    }
-
-    /// Sets the per-worker executor pool's sizing hint (see
-    /// [`ExploreConfig::validate`]; the pool grows on demand regardless).
-    pub fn with_pool_width(mut self, width: usize) -> Self {
-        self.explore.pool_width = width.max(1);
         self
     }
 
@@ -246,17 +223,11 @@ mod tests {
             .with_processors(16)
             .with_strategy(Strategy::Random)
             .with_max_attempts(50)
-            .with_workers(4)
-            .with_feedback_mode(FeedbackMode::Buffered)
-            .with_executor(ExecutorKind::Spawning)
-            .with_pool_width(2);
+            .with_workers(4);
         assert_eq!(pres.vm.processors, 16);
         assert_eq!(pres.explore.strategy, Strategy::Random);
         assert_eq!(pres.explore.max_attempts, 50);
         assert_eq!(pres.explore.workers, 4);
-        assert_eq!(pres.explore.feedback_mode, FeedbackMode::Buffered);
-        assert_eq!(pres.explore.executor, ExecutorKind::Spawning);
-        assert_eq!(pres.explore.pool_width, 2);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Compact binary encoding of sketches — the on-disk log format.
 //!
 //! The paper reports recording overhead *and* log growth; both depend on a
-//! realistic log encoding. Two container versions share a common header
+//! realistic log encoding. The container versions share a common header
 //! (magic, version byte, mechanism, run metadata):
 //!
 //! * **v1** — a flat entry stream: single-byte tags and LEB128 varints,
 //!   one `(tid, tag, operand, result?)` record per entry in sketch order.
+//!   No longer written; still decoded, pinned by
+//!   `tests/data/fixture_v1.sketch`.
 //! * **v2** (default) — a columnar layout: a thread directory
 //!   (delta-encoded tids + per-thread entry counts), an interleave stream
 //!   capturing the cross-thread order (plain or run-length encoded,
@@ -14,8 +16,10 @@
 //!   delta against the previous operand of the same kind group on that
 //!   thread. Same-thread runs and locally clustered ids — the common case
 //!   for marker-dense sketches — collapse to a byte or two per entry.
+//! * **v3** — a v2 body prefixed by a checkpoint segment, written for
+//!   ring-flushed sketches.
 //!
-//! [`decode_sketch`] accepts both versions via the version byte, so logs
+//! [`decode_sketch`] accepts every version via the version byte, so logs
 //! written by older recorders keep decoding.
 //!
 //! The same codec serializes reproduction certificates.
@@ -520,19 +524,6 @@ pub fn encode_sketch(sketch: &Sketch) -> Vec<u8> {
     } else {
         encode_sketch_v2(sketch)
     }
-}
-
-/// Serializes a sketch in the legacy v1 flat-stream container. Kept for
-/// fixtures and codec-size comparisons; [`decode_sketch`] still accepts
-/// its output.
-pub fn encode_sketch_v1(sketch: &Sketch) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    encode_header(&mut w, sketch, VERSION_V1);
-    w.varint(sketch.entries.len() as u64);
-    for e in &sketch.entries {
-        encode_entry(&mut w, e);
-    }
-    w.finish()
 }
 
 // --- v2 columnar container --------------------------------------------------
@@ -1370,6 +1361,18 @@ mod tests {
         }
     }
 
+    /// Hand-built v1 container bytes — header, entry count, flat entry
+    /// stream — for the decoder's v1 path.
+    fn v1_bytes(sketch: &Sketch) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_header(&mut w, sketch, VERSION_V1);
+        w.varint(sketch.entries.len() as u64);
+        for e in &sketch.entries {
+            encode_entry(&mut w, e);
+        }
+        w.finish()
+    }
+
     fn sample_sketch() -> Sketch {
         Sketch {
             mechanism: Mechanism::BbN(8),
@@ -1592,7 +1595,7 @@ mod tests {
     #[test]
     fn v1_container_still_decodes() {
         let s = sample_sketch();
-        let encoded = encode_sketch_v1(&s);
+        let encoded = v1_bytes(&s);
         assert_eq!(container_version(&encoded).unwrap(), 1);
         assert_eq!(decode_sketch(&encoded).unwrap(), s);
     }
@@ -1612,7 +1615,7 @@ mod tests {
             meta: SketchMeta::default(),
             checkpoint: None,
         };
-        assert_eq!(decode_sketch(&encode_sketch_v1(&s)).unwrap(), s);
+        assert_eq!(decode_sketch(&v1_bytes(&s)).unwrap(), s);
         assert_eq!(decode_sketch(&encode_sketch_v2(&s)).unwrap(), s);
     }
 
@@ -1650,7 +1653,7 @@ mod tests {
             meta: SketchMeta::default(),
             checkpoint: None,
         };
-        let v1 = encode_sketch_v1(&s);
+        let v1 = v1_bytes(&s);
         let v2 = encode_sketch_v2(&s);
         assert_eq!(decode_sketch(&v2).unwrap(), s);
         assert!(
@@ -1785,7 +1788,7 @@ mod tests {
         let seg = checkpoint_segment_bytes(&v3).unwrap().expect("v3 has a segment");
         assert!(seg > 0 && seg < v3.len() as u64);
         assert_eq!(checkpoint_segment_bytes(&encode_sketch_v2(&sample_sketch())).unwrap(), None);
-        assert_eq!(checkpoint_segment_bytes(&encode_sketch_v1(&sample_sketch())).unwrap(), None);
+        assert_eq!(checkpoint_segment_bytes(&v1_bytes(&sample_sketch())).unwrap(), None);
     }
 
     #[test]
@@ -1862,7 +1865,7 @@ mod tests {
     #[test]
     fn v2_layout_is_absent_for_v1_containers() {
         let sketch = sample_sketch();
-        let encoded = encode_sketch_v1(&sketch);
+        let encoded = v1_bytes(&sketch);
         assert_eq!(v2_layout(&encoded).expect("valid container"), None);
         assert!(v2_layout(b"garbage").is_err());
     }

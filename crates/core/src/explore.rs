@@ -3,9 +3,9 @@
 //! PRES relaxes "reproduce on the first attempt" to "reproduce within a few
 //! attempts". The explorer drives that loop:
 //!
-//! 1. run a sketch-constrained replay attempt (streaming the events through
-//!    a [`feedback::StreamingExtractor`] rather than buffering a trace —
-//!    see [`FeedbackMode`]);
+//! 1. run a sketch-constrained replay attempt on a [`VthreadPool`],
+//!    streaming its events through a [`feedback::StreamingExtractor`]
+//!    rather than buffering a trace;
 //! 2. if the target failure manifested — done; mint a certificate from the
 //!    attempt's scheduling decisions;
 //! 3. otherwise generate feedback: rank the flip candidates the extractor
@@ -52,7 +52,7 @@ use crate::sketch::{Sketch, SketchIndex};
 use pres_tvm::error::RunStatus;
 use pres_tvm::pool::VthreadPool;
 use pres_tvm::sync::{Condvar, Mutex};
-use pres_tvm::trace::{Event, NullObserver, Observer, ObserverCharge, Trace, TraceMode};
+use pres_tvm::trace::{Event, NullObserver, Observer, ObserverCharge, TraceMode};
 use pres_tvm::vm::{self, RunOutcome, VmConfig};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -101,17 +101,13 @@ pub struct ExploreConfig {
     /// single flip before any composed set; depth-first commits to a
     /// subtree.
     pub search: SearchOrder,
-    /// How failed attempts feed candidate extraction: streaming (no trace
-    /// buffering, the default) or buffered post-hoc analysis.
-    pub feedback_mode: FeedbackMode,
     /// Worker threads draining the shared frontier concurrently. `1` (the
     /// default) runs the classic serial loop; higher values race attempts
     /// on OS threads and the lowest-numbered success wins.
     pub workers: usize,
-    /// Which execution engine hosts attempt vthreads (pooled by default).
-    pub executor: ExecutorKind,
-    /// Sizing hint for each worker's [`VthreadPool`] (see
-    /// [`ExploreConfig::validate`]; the pool grows on demand regardless).
+    /// Sizing hint for the [`VthreadPool`] each exploration worker creates
+    /// when the caller supplies none. The pool grows on demand, so the
+    /// hint never changes results.
     pub pool_width: usize,
     /// Cooperative stop token: checked between attempts, so a reproduction
     /// can be cut short by a wall-clock budget (`pres reproduce
@@ -169,56 +165,6 @@ impl StopToken {
     }
 }
 
-/// Which execution engine hosts the vthreads of replay attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// A reusable [`VthreadPool`] per exploration worker, checked out
-    /// attempt after attempt: steady-state attempts perform **zero** OS
-    /// thread spawns. The default.
-    Pooled,
-    /// One fresh OS thread per vthread per attempt — the pre-pool engine,
-    /// kept as the fallback (e.g. when attempts must not share any OS
-    /// threads) and as the equivalence/throughput baseline. Both executors
-    /// produce byte-identical sketches, certificates, and attempt counts;
-    /// `tests/pool_equivalence.rs` pins this across the corpus.
-    Spawning,
-}
-
-impl ExecutorKind {
-    /// Display name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutorKind::Pooled => "pooled",
-            ExecutorKind::Spawning => "spawning",
-        }
-    }
-}
-
-/// How a failed feedback-strategy attempt is turned into flip candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeedbackMode {
-    /// Stream events through a [`feedback::StreamingExtractor`] installed
-    /// as the run's observer ([`TraceMode::Feedback`]): the attempt's full
-    /// event vector is never buffered, only the extractor's bounded
-    /// analysis state. The default.
-    Streaming,
-    /// Buffer the full trace ([`TraceMode::Full`]) and analyse it after the
-    /// run — the pre-streaming behavior, kept for the A/B throughput
-    /// measurement (experiment E12) and the equivalence suite. Both modes
-    /// produce identical candidates, attempt counts, and certificates.
-    Buffered,
-}
-
-impl FeedbackMode {
-    /// Display name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FeedbackMode::Streaming => "streaming",
-            FeedbackMode::Buffered => "buffered",
-        }
-    }
-}
-
 /// Frontier discipline for the feedback strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchOrder {
@@ -248,19 +194,13 @@ impl Default for ExploreConfig {
             restart_period: 10,
             ranking: feedback::Ranking::LocksetThenRecency,
             search: SearchOrder::Bfs,
-            feedback_mode: FeedbackMode::Streaming,
             workers: 1,
-            executor: ExecutorKind::Pooled,
-            pool_width: DEFAULT_POOL_WIDTH,
+            // Peak concurrent vthreads over the evaluation corpus.
+            pool_width: 8,
             stop: None,
         }
     }
 }
-
-/// Default [`ExploreConfig::pool_width`] hint: covers every bug in the
-/// evaluation corpus (peak concurrent vthreads ≤ 8) without oversubscribing
-/// typical hosts at the default single worker.
-pub const DEFAULT_POOL_WIDTH: usize = 8;
 
 /// The result of [`ExploreConfig::validate`]: the (possibly adjusted)
 /// configuration plus the clamp decision, if one was made. Callers that
@@ -271,67 +211,57 @@ pub const DEFAULT_POOL_WIDTH: usize = 8;
 pub struct ValidationOutcome {
     /// The configuration after clamping.
     pub config: ExploreConfig,
-    /// `Some` iff the requested knobs oversubscribed the host.
+    /// `Some` iff the requested workers oversubscribed the host.
     pub clamp: Option<ClampDecision>,
 }
 
-/// A recorded `workers × pool_width` clamp.
+/// A recorded `workers` clamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClampDecision {
-    /// `(workers, pool_width)` as requested (after the ≥1 floor).
-    pub requested: (usize, usize),
-    /// `(workers, pool_width)` actually applied.
-    pub applied: (usize, usize),
-    /// The host parallelism the knobs were clamped against.
+    /// `workers` as requested (after the ≥1 floor).
+    pub requested: usize,
+    /// `workers` actually applied.
+    pub applied: usize,
+    /// The host parallelism the knob was clamped against.
     pub host: usize,
 }
 
 impl ClampDecision {
-    /// The human-readable warning line (the text `validate()` itself used
-    /// to print to stderr).
+    /// The human-readable warning line.
     pub fn warning(&self) -> String {
         format!(
-            "workers x pool width {}x{} oversubscribes {} available core(s); \
-             clamped to {}x{}",
-            self.requested.0, self.requested.1, self.host, self.applied.0, self.applied.1
+            "{} workers oversubscribe {} available core(s); clamped to {}",
+            self.requested, self.host, self.applied
         )
     }
 }
 
 impl ExploreConfig {
-    /// Clamps `workers × pool_width` against the host's available
-    /// parallelism, returning the (possibly adjusted) configuration and
-    /// the clamp decision. Nothing is printed — the caller owns the
-    /// terminal (the CLI and daemon surface [`ClampDecision::warning`];
-    /// library callers typically don't).
+    /// Clamps `workers` to the host's available parallelism, returning the
+    /// (possibly adjusted) configuration and the clamp decision. Nothing is
+    /// printed — the caller owns the terminal (the CLI surfaces
+    /// [`ClampDecision::warning`]; library callers typically don't).
     ///
-    /// `workers` and `pool_width` are independent knobs — each exploration
-    /// worker owns a pool — so their product is the OS-thread appetite of a
-    /// reproduction. The clamp never changes *results* (worker count and
-    /// pool width are both schedule-invisible; the pool grows past its hint
-    /// on demand), only resource pressure.
+    /// The clamp never changes *results* (the worker count is
+    /// schedule-invisible), only resource pressure. Each worker's pool
+    /// starts empty and grows on demand, so the pool hint needs no clamp.
     pub fn validate(mut self) -> ValidationOutcome {
         let host = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         self.workers = self.workers.max(1);
-        self.pool_width = self.pool_width.max(1);
-        if self.workers * self.pool_width <= host {
+        if self.workers <= host {
             return ValidationOutcome {
                 config: self,
                 clamp: None,
             };
         }
-        let requested = (self.workers, self.pool_width);
-        if self.workers > host {
-            self.workers = host;
-        }
-        self.pool_width = (host / self.workers).max(1);
         let clamp = ClampDecision {
-            requested,
-            applied: (self.workers, self.pool_width),
+            requested: self.workers,
+            applied: host,
             host,
         };
+        self.workers = host;
         ValidationOutcome {
             config: self,
             clamp: Some(clamp),
@@ -548,29 +478,14 @@ impl SearchState {
     }
 }
 
-/// Ranks and truncates a failed attempt's flip candidates. In streaming
-/// mode the extractor already did the happens-before analysis during the
-/// run; in buffered mode it is done here over the retained trace. Either
-/// way, callers finish the work *outside* any shared lock.
-///
-/// `boundary` is the sketch's checkpoint boundary (0 for classic
-/// sketches): fast-forwarded prefix events are production history, not
-/// attempt behavior, so buffered analysis starts at the boundary — the
-/// same window the streaming path sees through [`WindowObserver`].
+/// Ranks and truncates a failed attempt's flip candidates. The extractor
+/// already did the happens-before analysis during the run; callers finish
+/// the ranking *outside* any shared lock.
 fn extract_candidates(
     explore: &ExploreConfig,
-    trace: &Trace,
-    extractor: Option<feedback::StreamingExtractor>,
-    boundary: u64,
+    extractor: feedback::StreamingExtractor,
 ) -> Vec<feedback::FlipCandidate> {
-    let ranked = match extractor {
-        Some(ext) => ext.finish_ranked(explore.ranking),
-        None => {
-            let events = trace.events();
-            let start = events.partition_point(|e| e.gseq < boundary);
-            feedback::candidates_ranked_in(&events[start..], explore.ranking)
-        }
-    };
+    let ranked = extractor.finish_ranked(explore.ranking);
     ranked.into_iter().take(explore.fanout).collect()
 }
 
@@ -593,71 +508,50 @@ impl Observer for WindowObserver<'_> {
     }
 }
 
-/// Runs one replay attempt for a plan against the shared sketch index.
+/// Runs one replay attempt for a plan against the shared sketch index, on
+/// `pool`'s workers.
 ///
-/// The trace mode is the cheapest one the strategy allows: feedback
-/// attempts in streaming mode deliver events to a
-/// [`feedback::StreamingExtractor`] and buffer nothing; buffered mode
-/// retains the full trace for post-hoc analysis; random attempts need
-/// neither (the oracle judges status and schedule only).
+/// Feedback attempts deliver their post-boundary events to a
+/// [`feedback::StreamingExtractor`] and buffer no trace; random attempts
+/// need no events at all (the oracle judges status and schedule only), so
+/// they return no extractor.
 fn run_attempt(
     program: &dyn Program,
     index: &Arc<SketchIndex>,
     vm_config: &VmConfig,
     explore: &ExploreConfig,
     plan: &Plan,
-    pool: Option<&VthreadPool>,
+    pool: &VthreadPool,
 ) -> (RunOutcome, Option<feedback::StreamingExtractor>) {
     let mut sched =
         FastForwardScheduler::with_index(Arc::clone(index), plan.constraints.clone(), plan.seed);
     let boundary = sched.boundary();
     let mut cfg = vm_config.clone();
     cfg.world = program.world();
-    // Hosting a vthread on a pooled worker vs. a fresh OS thread is
-    // schedule-invisible, so the executor choice cannot perturb outcomes.
-    let run_vm = |cfg: VmConfig,
-                  sched: &mut FastForwardScheduler,
-                  observer: &mut dyn pres_tvm::trace::Observer| {
-        let body = program.root();
-        match pool {
-            Some(pool) => vm::run_with_pool(
-                cfg,
-                program.resources(),
-                sched,
-                observer,
-                pool,
-                move |ctx| body(ctx),
-            ),
-            None => vm::run(cfg, program.resources(), sched, observer, move |ctx| {
-                body(ctx)
-            }),
+    let mut extractor =
+        (explore.strategy == Strategy::Feedback).then(feedback::StreamingExtractor::new);
+    let mut window;
+    let observer: &mut dyn Observer = match extractor.as_mut() {
+        Some(inner) => {
+            cfg.trace_mode = TraceMode::Feedback;
+            window = WindowObserver { boundary, inner };
+            &mut window
+        }
+        None => {
+            cfg.trace_mode = TraceMode::Off;
+            &mut NullObserver
         }
     };
-    match (explore.strategy, explore.feedback_mode) {
-        (Strategy::Feedback, FeedbackMode::Streaming) => {
-            cfg.trace_mode = TraceMode::Feedback;
-            let mut ext = feedback::StreamingExtractor::new();
-            let out = run_vm(
-                cfg,
-                &mut sched,
-                &mut WindowObserver {
-                    boundary,
-                    inner: &mut ext,
-                },
-            );
-            (out, Some(ext))
-        }
-        (Strategy::Feedback, FeedbackMode::Buffered) => {
-            cfg.trace_mode = TraceMode::Full;
-            let out = run_vm(cfg, &mut sched, &mut NullObserver);
-            (out, None)
-        }
-        (Strategy::Random, _) => {
-            cfg.trace_mode = TraceMode::Off;
-            let out = run_vm(cfg, &mut sched, &mut NullObserver);
-            (out, None)
-        }
-    }
+    let body = program.root();
+    let out = vm::run_with_pool(
+        cfg,
+        program.resources(),
+        &mut sched,
+        observer,
+        pool,
+        move |ctx| body(ctx),
+    );
+    (out, extractor)
 }
 
 fn attempt_record(attempt: u32, plan: &Plan, out: &RunOutcome, reproduced: bool) -> AttemptRecord {
@@ -717,8 +611,8 @@ pub fn reproduce_with_oracle(
 /// keeps one warm pool per worker, so steady-state *jobs* — not just
 /// steady-state attempts — perform zero OS thread spawns. Ignored when
 /// `explore.workers > 1` (each parallel exploration worker owns its own
-/// pool) or when the executor is [`ExecutorKind::Spawning`]. Pool identity
-/// is schedule-invisible, so results are byte-identical either way.
+/// pool). Pool identity is schedule-invisible, so results are
+/// byte-identical either way.
 pub fn reproduce_with_oracle_and_pool(
     program: &dyn Program,
     sketch: &Sketch,
@@ -801,13 +695,14 @@ fn reproduce_serial(
     // One pool serves every attempt of the loop: attempt 1 warms it to the
     // program's peak vthread count, every later attempt is spawn-free. A
     // caller-owned pool extends that reuse across reproductions.
-    let owned_pool = (explore.executor == ExecutorKind::Pooled && external_pool.is_none())
-        .then(|| VthreadPool::new(explore.pool_width));
-    let pool = match explore.executor {
-        ExecutorKind::Pooled => external_pool.or(owned_pool.as_ref()),
-        ExecutorKind::Spawning => None,
+    let owned_pool;
+    let pool = match external_pool {
+        Some(pool) => pool,
+        None => {
+            owned_pool = VthreadPool::new(explore.pool_width);
+            &owned_pool
+        }
     };
-    let boundary = index.checkpoint().map_or(0, |cp| cp.boundary);
 
     for attempt in 1..=explore.max_attempts {
         if explore.stop.as_ref().is_some_and(StopToken::is_stopped) {
@@ -844,9 +739,8 @@ fn reproduce_serial(
             };
         }
 
-        if explore.strategy == Strategy::Feedback {
-            let cands = extract_candidates(explore, &out.trace, extractor, boundary);
-            search.merge_candidates(explore, &plan, cands);
+        if let Some(extractor) = extractor {
+            search.merge_candidates(explore, &plan, extract_candidates(explore, extractor));
         }
     }
 
@@ -893,8 +787,7 @@ fn parallel_worker(
 ) {
     // One pool per worker (not shared): checkout never contends across
     // workers, and a worker's attempts reuse its own warm workers.
-    let pool = (shared.explore.executor == ExecutorKind::Pooled)
-        .then(|| VthreadPool::new(shared.explore.pool_width));
+    let pool = VthreadPool::new(shared.explore.pool_width);
     let stop = shared.explore.stop.as_ref();
     loop {
         // Claim a global attempt index; budget, cancellation, and the stop
@@ -936,7 +829,7 @@ fn parallel_worker(
         };
 
         let (out, extractor) =
-            run_attempt(program, index, vm_config, shared.explore, &plan, pool.as_ref());
+            run_attempt(program, index, vm_config, shared.explore, &plan, &pool);
         let verdict = oracle.judge(&out);
         let reproduced = verdict.is_some();
         let record = attempt_record(attempt, &plan, &out, reproduced);
@@ -966,9 +859,9 @@ fn parallel_worker(
         // Finishing the candidate ranking is the expensive half of
         // feedback; do it before taking the search lock so workers'
         // analyses overlap.
-        let boundary = index.checkpoint().map_or(0, |cp| cp.boundary);
-        let cands = (!reproduced && shared.explore.strategy == Strategy::Feedback)
-            .then(|| extract_candidates(shared.explore, &out.trace, extractor, boundary));
+        let cands = extractor
+            .filter(|_| !reproduced)
+            .map(|extractor| extract_candidates(shared.explore, extractor));
         {
             let mut s = shared.search.lock();
             s.in_flight -= 1;
@@ -1353,38 +1246,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_buffered_feedback_explore_identically() {
-        let prog = atomicity_program();
-        let config = VmConfig::default();
-        let run = record_until_failure(&prog, Mechanism::Sync, &config, 0..2000).unwrap();
-        // An unmatchable target forces the full budget, so the two modes'
-        // entire frontier evolutions are compared plan by plan.
-        let explore_with = |mode| ExploreConfig {
-            feedback_mode: mode,
-            max_attempts: 30,
-            ..ExploreConfig::default()
-        };
-        let streaming = reproduce(
-            &prog,
-            &run.sketch,
-            "assert:never",
-            &config,
-            &explore_with(FeedbackMode::Streaming),
-        );
-        let buffered = reproduce(
-            &prog,
-            &run.sketch,
-            "assert:never",
-            &config,
-            &explore_with(FeedbackMode::Buffered),
-        );
-        let plans = |rep: &Reproduction| -> Vec<String> {
-            rep.history.iter().map(|h| h.plan.clone()).collect()
-        };
-        assert_eq!(plans(&streaming), plans(&buffered));
-    }
-
-    #[test]
     fn parallel_history_never_repeats_a_plan() {
         let prog = atomicity_program();
         let config = VmConfig::default();
@@ -1416,69 +1277,50 @@ mod tests {
     // validate() assertions must hold on any host, so they are phrased
     // against the live available_parallelism value, not a fixed core count.
     #[test]
-    fn validate_clamps_zero_knobs_to_one() {
+    fn validate_clamps_zero_workers_to_one() {
         let cfg = ExploreConfig {
             workers: 0,
-            pool_width: 0,
             ..ExploreConfig::default()
         }
         .validate()
         .config;
-        assert!(cfg.workers >= 1);
-        assert!(cfg.pool_width >= 1);
+        assert_eq!(cfg.workers, 1);
     }
 
     #[test]
-    fn validate_keeps_a_serial_minimal_config_untouched() {
-        let outcome = ExploreConfig {
-            workers: 1,
-            pool_width: 1,
-            ..ExploreConfig::default()
-        }
-        .validate();
-        assert_eq!((outcome.config.workers, outcome.config.pool_width), (1, 1));
+    fn validate_keeps_a_serial_config_untouched() {
+        let outcome = ExploreConfig::default().validate();
+        assert_eq!(outcome.config.workers, 1);
+        assert_eq!(outcome.config.pool_width, ExploreConfig::default().pool_width);
         assert!(outcome.clamp.is_none());
     }
 
     #[test]
-    fn validate_bounds_the_thread_appetite_by_the_host() {
+    fn validate_bounds_workers_by_the_host() {
         let host = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         let outcome = ExploreConfig {
             workers: host * 64,
-            pool_width: host * 64,
             ..ExploreConfig::default()
         }
         .validate();
-        let cfg = &outcome.config;
-        // After clamping, workers never exceed the host and the product
-        // only exceeds it when pool_width bottomed out at its floor of 1.
-        assert!(cfg.workers <= host);
-        assert!(cfg.pool_width >= 1);
-        assert!(cfg.workers * cfg.pool_width <= host.max(cfg.workers));
+        assert_eq!(outcome.config.workers, host);
         // An oversubscribing request always yields a recorded decision,
         // and the warning text carries the numbers.
         let clamp = outcome.clamp.expect("oversubscription records a clamp");
-        assert_eq!(clamp.requested, (host * 64, host * 64));
-        assert_eq!(clamp.applied, (cfg.workers, cfg.pool_width));
+        assert_eq!(clamp.requested, host * 64);
+        assert_eq!(clamp.applied, host);
         assert_eq!(clamp.host, host);
-        assert!(clamp.warning().contains("oversubscribes"));
-    }
-
-    #[test]
-    fn validate_leaves_an_undersubscribed_config_untouched() {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let outcome = ExploreConfig {
-            workers: 1,
-            pool_width: host,
+        assert!(clamp.warning().contains("oversubscribe"));
+        // Exactly the host's parallelism is not oversubscription.
+        let fits = ExploreConfig {
+            workers: host,
             ..ExploreConfig::default()
         }
         .validate();
-        assert_eq!((outcome.config.workers, outcome.config.pool_width), (1, host));
-        assert!(outcome.clamp.is_none());
+        assert_eq!(fits.config.workers, host);
+        assert!(fits.clamp.is_none());
     }
 
     #[test]

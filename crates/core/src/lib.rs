@@ -51,14 +51,13 @@ pub mod stats;
 pub use api::Pres;
 pub use certificate::{Certificate, CertificateError};
 pub use explore::{
-    ClampDecision, ExecutorKind, ExploreConfig, FeedbackMode, Reproduction, SearchOrder,
-    StopToken, Strategy, ValidationOutcome,
+    ClampDecision, ExploreConfig, Reproduction, SearchOrder, StopToken, Strategy,
+    ValidationOutcome,
 };
 pub use oracle::{AnyOracle, FailureOracle, OutputOracle, StatusOracle};
 pub use program::{ClosureProgram, Program};
 pub use recorder::{
-    LegacySketchRecorder, RecordedRun, RecordingObserver, RecordingReport, RingConfig,
-    SketchRecorder,
+    RecordedRun, RecordingObserver, RecordingReport, RingConfig, SketchRecorder,
 };
 pub use replay::{ActionKey, ActionObj, OrderConstraint, PiReplayScheduler};
 pub use sketch::{Mechanism, Sketch, SketchEntry, SketchIndex, SketchMeta, SketchOp};

@@ -15,10 +15,6 @@
 //! Overhead is measured exactly the way the paper does: run the same
 //! workload natively and recorded (the observer does not influence
 //! scheduling, so the interleaving is identical) and compare makespans.
-//! [`LegacySketchRecorder`] — the pre-sharding single-log recorder that
-//! serialized every append — is retained as the equivalence baseline: it
-//! must produce byte-identical canonical sketches, and the overhead gap
-//! between the two recorders is the measured win of sharding (E2).
 
 use crate::codec;
 use crate::sketch::{
@@ -32,9 +28,8 @@ use pres_tvm::trace::{Event, NullObserver, Observer, ObserverCharge, TraceMode};
 use pres_tvm::vm::{self, RunOutcome, VmConfig};
 
 /// A recording observer that can account for and finish into a sketch —
-/// implemented by the sharded [`SketchRecorder`] and the reference
-/// [`LegacySketchRecorder`] so [`record`]/[`record_legacy`] share one
-/// pipeline.
+/// implemented by the sharded [`SketchRecorder`] and the epoch
+/// [`RingRecorder`] so [`record`]/[`record_ring`] share one pipeline.
 pub trait RecordingObserver: Observer + Sized {
     /// Encoded log bytes accumulated so far (explicit + implicit stream).
     fn bytes(&self) -> u64;
@@ -450,111 +445,6 @@ impl Observer for RingRecorder {
     }
 }
 
-/// The pre-sharding reference recorder: one global log in arrival order,
-/// every append paying the serialized slot-claim charge (and the implicit
-/// stream paying its serialized portion under every marker mechanism).
-///
-/// Retained for two jobs:
-///
-/// * **equivalence baseline** — its `finish()` derives bucket stamps by an
-///   independent walk of the arrival-order log and canonicalizes with a
-///   stable sort, so sharded-vs-legacy tests compare two genuinely
-///   different code paths that must agree byte-for-byte;
-/// * **before/after measurement** — the overhead gap between this recorder
-///   and [`SketchRecorder`] on the same run is the measured win of sharded
-///   recording (E2's before/after table).
-#[derive(Debug)]
-pub struct LegacySketchRecorder {
-    filter: MechanismFilter,
-    cost: CostModel,
-    /// The single global log, in arrival (VM global) order.
-    log: Vec<SketchEntry>,
-    bytes: u64,
-    implicit_events: u64,
-}
-
-impl LegacySketchRecorder {
-    /// A legacy recorder for `mechanism` charging per the given cost model.
-    pub fn new(mechanism: Mechanism, cost: CostModel) -> Self {
-        LegacySketchRecorder {
-            filter: MechanismFilter::new(mechanism),
-            cost,
-            log: Vec::new(),
-            bytes: 0,
-            implicit_events: 0,
-        }
-    }
-}
-
-impl RecordingObserver for LegacySketchRecorder {
-    fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    fn implicit_events(&self) -> u64 {
-        self.implicit_events
-    }
-
-    /// Canonicalizes the arrival-order log: walk it once, stamping each
-    /// entry with the serialized-slot count (slot-claiming entries then
-    /// increment it), and stable-sort into canonical order.
-    fn finish(self, meta: SketchMeta) -> Sketch {
-        let mut slots = 0u64;
-        let mut stamped = Vec::with_capacity(self.log.len());
-        for entry in self.log {
-            let serial = entry.op.claims_global_slot();
-            let bucket = slots;
-            if serial {
-                slots += 1;
-            }
-            stamped.push(StampedEntry {
-                bucket,
-                serial,
-                entry,
-            });
-        }
-        Sketch {
-            mechanism: self.filter.mechanism(),
-            entries: canonical_order(stamped),
-            meta,
-            checkpoint: None,
-        }
-    }
-}
-
-impl Observer for LegacySketchRecorder {
-    fn on_event(&mut self, event: &Event) -> ObserverCharge {
-        if let pres_tvm::op::Op::Compute(units) = event.op {
-            let n = implicit_count(self.filter.mechanism(), &self.cost, units);
-            if n == 0 {
-                return ObserverCharge::FREE;
-            }
-            self.implicit_events += n;
-            self.bytes += n * self.cost.implicit_bytes;
-            // Legacy behavior: the implicit stream always funnels through
-            // the global order.
-            return self.cost.implicit_cost(n, true);
-        }
-        if !self.filter.record_and_note(event.tid, &event.op) {
-            return ObserverCharge::FREE;
-        }
-        let Some(op) = SketchOp::from_op(&event.op) else {
-            return ObserverCharge::FREE;
-        };
-        let entry = SketchEntry::for_event(op, event);
-        let payload = codec::entry_size(&entry);
-        self.bytes += payload;
-        self.log.push(entry);
-        // Legacy behavior: every append claims a slot in the single global
-        // order, markers included.
-        let (thread_cost, serial_cost) = self.cost.record_cost(payload, true);
-        ObserverCharge {
-            thread_cost,
-            serial_cost,
-        }
-    }
-}
-
 /// Everything a recorded production run yields.
 #[derive(Debug)]
 pub struct RecordedRun {
@@ -610,13 +500,8 @@ pub struct RecordingReport {
     /// Total operations the production run executed (normalizes log bytes
     /// to bytes per 1k ops).
     pub total_ops: u64,
-    /// Actual v1 (flat-stream) container bytes for this sketch.
-    pub encoded_v1: u64,
     /// Actual v2 (columnar) container bytes for this sketch.
     pub encoded_v2: u64,
-    /// Overhead of the pre-sharding recorder (every entry serialized) on
-    /// the same run, when measured — the before/after column for E2.
-    pub legacy_overhead_pct: Option<f64>,
 }
 
 impl RecordingReport {
@@ -632,22 +517,8 @@ impl RecordingReport {
             log_bytes: run.log_bytes,
             native_makespan: run.native.time.makespan,
             total_ops: run.sketch.meta.total_ops,
-            encoded_v1: codec::encode_sketch_v1(&run.sketch).len() as u64,
             encoded_v2: codec::encode_sketch_v2(&run.sketch).len() as u64,
-            legacy_overhead_pct: None,
         }
-    }
-
-    /// Attaches the legacy recorder's overhead measured on the same
-    /// (program, seed); panics if the two runs recorded different sketches
-    /// — the sharded recorder must never change *what* is recorded.
-    pub fn with_legacy(mut self, legacy: &RecordedRun) -> Self {
-        assert_eq!(
-            legacy.sketch.meta.program, self.program,
-            "legacy run is for a different program"
-        );
-        self.legacy_overhead_pct = Some(legacy.overhead_pct());
-        self
     }
 
     /// Encoded v2 bytes per thousand executed operations.
@@ -698,24 +569,6 @@ pub fn record_pooled(
         seed,
         SketchRecorder::new(mechanism, config.cost_model.clone()),
         Some(pool),
-    )
-}
-
-/// Records one production run with the pre-sharding
-/// [`LegacySketchRecorder`] — same canonical sketch, old (fully
-/// serialized) overhead charges. The before/after baseline for E2.
-pub fn record_legacy(
-    program: &dyn Program,
-    mechanism: Mechanism,
-    config: &VmConfig,
-    seed: u64,
-) -> RecordedRun {
-    record_with(
-        program,
-        config,
-        seed,
-        LegacySketchRecorder::new(mechanism, config.cost_model.clone()),
-        None,
     )
 }
 
@@ -1045,8 +898,8 @@ mod tests {
     }
 
     /// Many threads, marker-dense loops: the profile where claiming a
-    /// global slot per marker makes the serialized section the makespan
-    /// floor, so the sharded/legacy split is visible in the overhead.
+    /// global slot per marker would make the serialized section the
+    /// makespan floor.
     fn marker_heavy_program() -> impl Program {
         let mut spec = ResourceSpec::new();
         let x = spec.var("x", 0);
@@ -1108,24 +961,42 @@ mod tests {
         assert_eq!(rw.sketch.meta.program, "compute-heavy");
     }
 
+    /// What the sharded charge model bills one recorded run, beyond its
+    /// native twin: `(slot-claiming entries, thread-local work, serialized
+    /// work, log bytes)`, derived from the sketch alone.
+    fn model_charges(run: &RecordedRun, cost: &CostModel) -> (u64, u64, u64, u64) {
+        let entries = &run.sketch.entries;
+        let slots = entries.iter().filter(|e| e.op.claims_global_slot()).count() as u64;
+        let payload: u64 = entries.iter().map(codec::entry_size).sum();
+        let implicit = run.implicit_events;
+        let implicit_serial = if run.sketch.mechanism == Mechanism::Rw {
+            implicit * cost.implicit_serial
+        } else {
+            0
+        };
+        let local = entries.len() as u64 * cost.record_event
+            + payload * cost.record_per_byte
+            + implicit * cost.implicit_record;
+        let serial = slots * cost.record_serial + implicit_serial;
+        (slots, local, serial, payload + implicit * cost.implicit_bytes)
+    }
+
     #[test]
-    fn sharded_and_legacy_recorders_agree_exactly() {
+    fn recorded_charges_and_bytes_follow_the_sharded_model() {
+        // Every unit of work and serialized time the recorded run adds over
+        // the native run, and every log byte, is accounted for by the
+        // sketch's own entries and implicit stream.
         let prog = compute_heavy_program();
         let config = VmConfig::default();
         for m in Mechanism::all() {
-            let sharded = record(&prog, m, &config, 7);
-            let legacy = record_legacy(&prog, m, &config, 7);
-            assert_eq!(
-                sharded.sketch, legacy.sketch,
-                "canonical sketches must be identical under {m}"
-            );
-            assert_eq!(
-                crate::codec::encode_sketch(&sharded.sketch),
-                crate::codec::encode_sketch(&legacy.sketch),
-                "encoded logs must be byte-identical under {m}"
-            );
-            assert_eq!(sharded.log_bytes, legacy.log_bytes);
-            assert_eq!(sharded.implicit_events, legacy.implicit_events);
+            let run = record(&prog, m, &config, 7);
+            let (_, local, serial, bytes) = model_charges(&run, &config.cost_model);
+            let (rec, nat) = (&run.outcome.time, &run.native.time);
+            assert_eq!(rec.serial - nat.serial, serial, "{m}: serialized charge");
+            assert_eq!(rec.work - nat.work, local + serial, "{m}: total charge");
+            assert_eq!(run.log_bytes, bytes, "{m}: log bytes");
+            let encoded = crate::codec::encode_sketch(&run.sketch);
+            assert_eq!(crate::codec::decode_sketch(&encoded).unwrap(), run.sketch, "{m}");
         }
     }
 
@@ -1136,25 +1007,36 @@ mod tests {
             processors: 8,
             ..VmConfig::default()
         };
+        let cost = &config.cost_model;
+        // Marker mechanisms: thread-local markers add no serialized charge,
+        // so the serialized section is well below a log that serializes
+        // every append.
         for m in [Mechanism::Func, Mechanism::Bb, Mechanism::BbN(4)] {
-            let sharded = record(&prog, m, &config, 7).overhead_pct();
-            let legacy = record_legacy(&prog, m, &config, 7).overhead_pct();
-            assert!(
-                sharded < legacy,
-                "{m}: sharded {sharded} must undercut legacy {legacy} at 8 cores"
-            );
+            let run = record(&prog, m, &config, 7);
+            let (slots, _, serial, _) = model_charges(&run, cost);
+            let entries = run.sketch.entries.len() as u64;
+            assert!(entries > slots, "{m}: the sketch must hold markers");
+            assert_eq!(run.outcome.time.serial - run.native.time.serial, serial, "{m}");
+            assert!(serial < entries * cost.record_serial, "{m}");
         }
-        // SYNC and SYS record nothing thread-local, so the split changes
-        // nothing: charges are identical, not merely close.
+        // SYNC and SYS record nothing thread-local: every entry claims a
+        // slot, and the recorded makespan is the native run plus exactly the
+        // model's slot charges.
         for m in [Mechanism::Sync, Mechanism::Sys] {
-            let sharded = record(&prog, m, &config, 7);
-            let legacy = record_legacy(&prog, m, &config, 7);
-            assert_eq!(sharded.outcome.time.makespan, legacy.outcome.time.makespan, "{m}");
+            let run = record(&prog, m, &config, 7);
+            let (slots, local, serial, _) = model_charges(&run, cost);
+            assert_eq!(slots, run.sketch.entries.len() as u64, "{m}");
+            let (rec, nat) = (&run.outcome.time, &run.native.time);
+            assert_eq!(rec.serial, nat.serial + serial, "{m}");
+            assert_eq!(rec.work, nat.work + local + serial, "{m}");
+            let area = rec.work.div_ceil(u64::from(config.processors));
+            assert_eq!(rec.makespan, area.max(rec.span).max(rec.serial), "{m}");
         }
-        // RW still serializes everything (implicit accesses included).
-        let rw_sharded = record(&prog, Mechanism::Rw, &config, 7);
-        let rw_legacy = record_legacy(&prog, Mechanism::Rw, &config, 7);
-        assert_eq!(rw_sharded.outcome.time.makespan, rw_legacy.outcome.time.makespan);
+        // RW still serializes its implicit accesses.
+        let rw = record(&prog, Mechanism::Rw, &config, 7);
+        let (slots, _, serial, _) = model_charges(&rw, cost);
+        assert!(serial > slots * cost.record_serial);
+        assert_eq!(rw.outcome.time.serial - rw.native.time.serial, serial);
     }
 
     #[test]

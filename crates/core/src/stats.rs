@@ -192,7 +192,7 @@ pub struct ExploreStats {
     pub distinct_plans: u64,
     /// Deepest constraint set executed.
     pub max_constraints: u64,
-    /// Whether the run's `workers × pool_width` knobs were clamped by
+    /// Whether the run's `workers` knob was clamped by
     /// [`crate::explore::ExploreConfig::validate`] (see
     /// [`ExploreStats::with_clamp`]); `of()` alone cannot know, so it
     /// defaults to `false`.

@@ -137,11 +137,10 @@ pub(crate) struct PoolHandle {
 }
 
 impl VthreadPool {
-    /// A new, empty pool. `width` is the *sizing hint* used by capacity
-    /// validation (e.g. `ExploreConfig::validate` clamps
-    /// `workers × pool_width` against the host); the pool itself grows on
-    /// demand past the hint if a program runs more concurrent vthreads,
-    /// and retains every worker for reuse.
+    /// A new, empty pool. `width` is a *sizing hint* reported by
+    /// [`VthreadPool::width`]; the pool itself grows on demand past the
+    /// hint if a program runs more concurrent vthreads, and retains every
+    /// worker for reuse.
     pub fn new(width: usize) -> Self {
         VthreadPool {
             inner: Arc::new(PoolInner {

@@ -1,10 +1,9 @@
 //! On-disk format compatibility: committed containers must keep decoding
 //! byte-for-byte forever, whatever the current default version — the v1
-//! legacy format and the v3 checkpoint-bearing ring-flush format alike.
+//! legacy format (no longer written) and the v3 checkpoint-bearing
+//! ring-flush format alike.
 
-use pres_core::codec::{
-    checkpoint_segment_bytes, container_version, decode_sketch, encode_sketch, encode_sketch_v1,
-};
+use pres_core::codec::{checkpoint_segment_bytes, container_version, decode_sketch, encode_sketch};
 use pres_core::sketch::{Mechanism, Sketch, SketchEntry, SketchMeta, SketchOp, SyncKind, SysKind};
 use pres_suite::tvm::prelude::*;
 use pres_tvm::op::{MemLoc, OpResult};
@@ -75,8 +74,6 @@ fn committed_v1_fixture_still_decodes() {
     assert_eq!(container_version(FIXTURE).unwrap(), 1);
     let decoded = decode_sketch(FIXTURE).expect("v1 fixture decodes");
     assert_eq!(decoded, fixture_sketch());
-    // And the v1 encoder still produces those exact bytes.
-    assert_eq!(encode_sketch_v1(&fixture_sketch()), FIXTURE);
 }
 
 /// The committed v3 fixture: a real rotated-ring flush of
@@ -107,18 +104,6 @@ fn committed_v3_ring_fixture_still_decodes() {
     );
     // And the current encoder still produces those exact bytes.
     assert_eq!(encode_sketch(&decoded), FIXTURE_V3);
-}
-
-/// Regenerates the fixture after an *intentional* v1 format change (none
-/// should ever be needed): `cargo test --test codec_compat -- --ignored`.
-#[test]
-#[ignore]
-fn regenerate_v1_fixture() {
-    std::fs::write(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/fixture_v1.sketch"),
-        encode_sketch_v1(&fixture_sketch()),
-    )
-    .unwrap();
 }
 
 /// Regenerates the v3 fixture after an *intentional* format change:

@@ -7,9 +7,7 @@
 //! over a fixed-seed stream of generated cases, which keeps failures
 //! reproducible by construction.
 
-use pres_core::codec::{
-    container_version, decode_sketch, encode_sketch, encode_sketch_v1, ByteReader, ByteWriter,
-};
+use pres_core::codec::{container_version, decode_sketch, encode_sketch, ByteReader, ByteWriter};
 use pres_core::sketch::{Mechanism, Sketch, SketchEntry, SketchMeta, SketchOp, SyncKind, SysKind};
 use pres_race::vclock::VectorClock;
 use pres_suite::tvm::prelude::*;
@@ -152,15 +150,15 @@ fn codec_round_trips_any_sketch() {
 #[test]
 fn both_container_versions_round_trip_any_sketch() {
     // The v2 columnar container must reproduce *arbitrary* interleavings
-    // and id sequences exactly, and the legacy v1 path must keep decoding.
+    // and id sequences exactly. v1 is no longer written, but the committed
+    // v1 fixture must keep decoding into a sketch that round-trips via v2.
+    let v1 = include_bytes!("data/fixture_v1.sketch");
+    assert_eq!(container_version(v1).unwrap(), 1);
+    let legacy = decode_sketch(v1).expect("v1 fixture decodes");
     let mut rng = ChaCha8Rng::seed_from_u64(0xc0dec2);
-    for _ in 0..64 {
-        let sketch = gen_sketch(&mut rng);
-        let v1 = encode_sketch_v1(&sketch);
+    for sketch in std::iter::once(legacy).chain((0..64).map(|_| gen_sketch(&mut rng))) {
         let v2 = encode_sketch(&sketch);
-        assert_eq!(container_version(&v1).unwrap(), 1);
         assert_eq!(container_version(&v2).unwrap(), 2);
-        assert_eq!(decode_sketch(&v1).unwrap(), sketch);
         assert_eq!(decode_sketch(&v2).unwrap(), sketch);
     }
 }

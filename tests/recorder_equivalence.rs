@@ -1,42 +1,86 @@
-//! Sharded-vs-legacy recorder equivalence over the whole bug corpus.
+//! The sharded recorder against an independent trace oracle, over the
+//! whole bug corpus.
 //!
-//! The sharded recorder (per-thread segment buffers, global slots only for
-//! order-requiring classes, k-way canonical merge) is a performance
-//! restructuring: it must change *what is charged*, never *what is
-//! recorded*. These tests pin that contract on all 13 corpus bugs for
-//! every mechanism, and check that downstream reproduction mints the
-//! identical certificate from either recorder's output.
+//! The recorder filters events online into per-thread shards, claims
+//! global slots only for order-requiring classes and k-way merges the
+//! shards at the end. The oracle here shares none of that: it takes the
+//! full trace of the same run (`run_traced` at the same seed), walks it in
+//! arrival order through a fresh [`MechanismFilter`], stamps each entry
+//! with the count of slot-claiming entries before it, and sorts with
+//! [`canonical_order`]. The two must agree on every corpus bug under every
+//! mechanism, sketch for sketch and byte for byte, and downstream
+//! reproduction must mint the identical certificate from either.
 
-use pres_core::api::Pres;
 use pres_core::codec::encode_sketch;
-use pres_core::recorder::{record, record_legacy, record_until_failure};
-use pres_core::sketch::Mechanism;
+use pres_core::explore::{reproduce, ExploreConfig};
+use pres_core::program::Program;
+use pres_core::recorder::{record, record_until_failure, run_traced};
+use pres_core::sketch::{
+    canonical_order, Mechanism, MechanismFilter, Sketch, SketchEntry, SketchMeta, SketchOp,
+    StampedEntry,
+};
 use pres_suite::apps::all_bugs;
 use pres_suite::tvm::vm::VmConfig;
 
+/// The sketch of `program`'s run at `seed`, derived from its full trace
+/// rather than by the recorder.
+fn trace_oracle(program: &dyn Program, mechanism: Mechanism, config: &VmConfig, seed: u64) -> Sketch {
+    let run = run_traced(program, config, seed);
+    let mut filter = MechanismFilter::new(mechanism);
+    let mut slots = 0u64;
+    let mut stamped = Vec::new();
+    for event in run.trace.events() {
+        if !filter.record_and_note(event.tid, &event.op) {
+            continue;
+        }
+        let Some(op) = SketchOp::from_op(&event.op) else {
+            continue;
+        };
+        let serial = op.claims_global_slot();
+        stamped.push(StampedEntry {
+            bucket: slots,
+            serial,
+            entry: SketchEntry::for_event(op, event),
+        });
+        if serial {
+            slots += 1;
+        }
+    }
+    Sketch {
+        mechanism,
+        entries: canonical_order(stamped),
+        meta: SketchMeta {
+            program: program.name(),
+            seed,
+            processors: config.processors,
+            total_ops: run.stats.total_ops,
+            failure_signature: run
+                .status
+                .failure()
+                .map(|f| f.signature())
+                .unwrap_or_default(),
+        },
+        checkpoint: None,
+    }
+}
+
 #[test]
-fn sharded_and_legacy_sketches_are_byte_identical_on_the_corpus() {
+fn recorded_sketches_equal_the_trace_oracle_on_the_corpus() {
     let config = VmConfig::default();
     for bug in all_bugs() {
         let prog = bug.program();
         for m in Mechanism::all() {
-            let sharded = record(prog.as_ref(), m, &config, 7);
-            let legacy = record_legacy(prog.as_ref(), m, &config, 7);
+            let recorded = record(prog.as_ref(), m, &config, 7);
+            let oracle = trace_oracle(prog.as_ref(), m, &config, 7);
             assert_eq!(
-                sharded.sketch, legacy.sketch,
-                "{}: canonical sketches diverge under {m}",
+                recorded.sketch, oracle,
+                "{}: recorder and trace oracle diverge under {m}",
                 bug.id
             );
             assert_eq!(
-                encode_sketch(&sharded.sketch),
-                encode_sketch(&legacy.sketch),
+                encode_sketch(&recorded.sketch),
+                encode_sketch(&oracle),
                 "{}: encoded logs diverge under {m}",
-                bug.id
-            );
-            assert_eq!(sharded.log_bytes, legacy.log_bytes, "{} {m}", bug.id);
-            assert_eq!(
-                sharded.implicit_events, legacy.implicit_events,
-                "{} {m}",
                 bug.id
             );
         }
@@ -49,22 +93,23 @@ fn reproduction_mints_identical_certificates_from_either_recorder() {
     // identical sketches must yield byte-identical certificates. SYNC is
     // the paper's headline mechanism; RW is the deterministic baseline.
     let config = VmConfig::default();
+    let explore = ExploreConfig {
+        max_attempts: 300,
+        ..ExploreConfig::default()
+    };
     for m in [Mechanism::Sync, Mechanism::Rw] {
         for bug in all_bugs() {
             let prog = bug.program();
-            let Some(sharded) =
-                record_until_failure(prog.as_ref(), m, &config, 0..5000)
-            else {
+            let Some(recorded) = record_until_failure(prog.as_ref(), m, &config, 0..5000) else {
                 panic!("{}: no failing production run under {m}", bug.id);
             };
-            let seed = sharded.sketch.meta.seed;
-            let legacy = record_legacy(prog.as_ref(), m, &config, seed);
-            assert!(legacy.failed(), "{}: legacy run must fail too", bug.id);
-            assert_eq!(sharded.sketch, legacy.sketch, "{} {m}", bug.id);
+            let sketch = &recorded.sketch;
+            let oracle = trace_oracle(prog.as_ref(), m, &config, sketch.meta.seed);
+            assert_eq!(*sketch, oracle, "{} {m}", bug.id);
 
-            let pres = Pres::new(m).with_max_attempts(300);
-            let a = pres.reproduce(prog.as_ref(), &sharded);
-            let b = pres.reproduce(prog.as_ref(), &legacy);
+            let target = &sketch.meta.failure_signature;
+            let a = reproduce(prog.as_ref(), sketch, target, &config, &explore);
+            let b = reproduce(prog.as_ref(), &oracle, target, &config, &explore);
             assert!(a.reproduced, "{}: not reproduced under {m}", bug.id);
             assert_eq!(a.attempts, b.attempts, "{} {m}", bug.id);
             let ca = a.certificate.expect("certificate minted").encode();
