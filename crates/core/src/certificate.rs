@@ -136,16 +136,26 @@ impl Certificate {
         w.finish()
     }
 
-    /// Deserializes a certificate.
+    /// Deserializes a certificate. The schedule count is bounded by the
+    /// bytes that remain before anything is sized by it, an id that does
+    /// not fit a `u32` is refused rather than truncated, and nothing may
+    /// follow the schedule.
     pub fn decode(data: &[u8]) -> Result<Certificate, DecodeError> {
+        fn u32_varint(r: &mut ByteReader<'_>, what: &str) -> Result<u32, DecodeError> {
+            let v = r.varint()?;
+            u32::try_from(v).map_err(|_| r.err(&format!("{what} out of range")))
+        }
         let mut r = ByteReader::new(data);
         let program = r.string()?;
         let expected_signature = r.string()?;
-        let processors = r.varint()? as u32;
-        let n = r.varint()? as usize;
-        let mut schedule = Vec::with_capacity(n.min(1 << 22));
+        let processors = u32_varint(&mut r, "processor count")?;
+        let n = r.count(1, "schedule")?;
+        let mut schedule = Vec::with_capacity(n);
         for _ in 0..n {
-            schedule.push(ThreadId(r.varint()? as u32));
+            schedule.push(ThreadId(u32_varint(&mut r, "thread id")?));
+        }
+        if !r.at_end() {
+            return Err(r.err("trailing bytes"));
         }
         Ok(Certificate {
             program,
@@ -257,8 +267,71 @@ mod tests {
             expected_signature: "deadlock:1,3".into(),
             processors: 8,
         };
-        let decoded = Certificate::decode(&cert.encode()).unwrap();
+        let bytes = cert.encode();
+        let decoded = Certificate::decode(&bytes).unwrap();
         assert_eq!(cert, decoded);
+        assert_eq!(decoded.encode(), bytes);
+        // The widest ids a certificate can carry survive the trip.
+        let wide = Certificate {
+            schedule: vec![ThreadId(u32::MAX)],
+            processors: u32::MAX,
+            ..cert
+        };
+        assert_eq!(Certificate::decode(&wide.encode()).unwrap(), wide);
+    }
+
+    /// A certificate's bytes with the given processor varint, schedule
+    /// count and tid varints, followed by `trailer`.
+    fn raw(processors: u64, count: u64, tids: &[u64], trailer: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.string("p");
+        w.string("s");
+        w.varint(processors);
+        w.varint(count);
+        for &t in tids {
+            w.varint(t);
+        }
+        let mut bytes = w.finish();
+        bytes.extend_from_slice(trailer);
+        bytes
+    }
+
+    fn decode_error(bytes: &[u8]) -> String {
+        Certificate::decode(bytes).unwrap_err().message
+    }
+
+    #[test]
+    fn a_schedule_count_past_the_input_is_refused_before_allocating() {
+        assert!(Certificate::decode(&raw(1, 2, &[0, 1], &[])).is_ok());
+        // Ten bytes that claim 2^32 - 1 schedule slots.
+        let hostile = raw(1, u64::from(u32::MAX), &[], &[]);
+        assert_eq!(hostile.len(), 10);
+        assert!(decode_error(&hostile).contains("schedule count past eof"));
+        assert!(decode_error(&raw(1, u64::MAX, &[], &[])).contains("schedule count"));
+        assert!(decode_error(&raw(1, 3, &[0, 1], &[])).contains("schedule count"));
+    }
+
+    #[test]
+    fn ids_above_u32_are_refused_not_truncated() {
+        // `1 << 32` would alias 0 under `as u32`: two byte strings, one
+        // certificate.
+        assert!(decode_error(&raw(1, 1, &[1 << 32], &[])).contains("thread id out of range"));
+        assert!(decode_error(&raw(1 << 32, 0, &[], &[])).contains("processor count out of range"));
+        assert!(Certificate::decode(&raw(1, 1, &[u64::from(u32::MAX)], &[])).is_ok());
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused() {
+        assert!(decode_error(&raw(1, 1, &[0], &[0])).contains("trailing bytes"));
+        let mut bytes = Certificate {
+            program: "p".into(),
+            schedule: vec![ThreadId(1)],
+            expected_signature: "s".into(),
+            processors: 2,
+        }
+        .encode();
+        bytes.push(7);
+        assert!(decode_error(&bytes).contains("trailing bytes"));
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl<'a> ByteReader<'a> {
     }
 
     #[cold]
-    fn err(&self, message: &str) -> DecodeError {
+    pub(crate) fn err(&self, message: &str) -> DecodeError {
         DecodeError {
             offset: self.pos,
             message: message.to_string(),
@@ -173,7 +173,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads an element count, rejecting one the remaining bytes cannot
     /// hold at `min_bytes` per element — before anything is sized by it.
-    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, DecodeError> {
+    pub(crate) fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, DecodeError> {
         let n = self.varint()?;
         if n > (self.remaining() / min_bytes) as u64 {
             return Err(self.err(&format!("{what} count past eof")));
@@ -463,12 +463,6 @@ fn decode_entry(r: &mut ByteReader<'_>) -> Result<SketchEntry, DecodeError> {
         other => return Err(r.err(&format!("unknown entry tag {other}"))),
     };
     Ok(SketchEntry { tid, op, result })
-}
-
-impl ByteReader<'_> {
-    fn err_pub(&self, message: &str) -> DecodeError {
-        self.err(message)
-    }
 }
 
 const MAGIC: &[u8; 4] = b"PRES";
@@ -1169,13 +1163,13 @@ fn decode_header(
         *m = r.u8()?;
     }
     if &magic != MAGIC {
-        return Err(r.err_pub("bad magic"));
+        return Err(r.err("bad magic"));
     }
     let version = r.u8()?;
     let code = r.u8()?;
     let arg = r.varint()? as u32;
     let mechanism =
-        mechanism_from(code, arg).ok_or_else(|| r.err_pub(&format!("bad mechanism {code}")))?;
+        mechanism_from(code, arg).ok_or_else(|| r.err(&format!("bad mechanism {code}")))?;
     let meta = SketchMeta {
         program: r.string()?,
         seed: r.varint()?,
@@ -1199,10 +1193,10 @@ pub fn decode_sketch(data: &[u8]) -> Result<Sketch, DecodeError> {
             let (_, EntrySink(entries)) = walk_body(&mut r, EntrySink::new)?;
             entries
         }
-        other => return Err(r.err_pub(&format!("unsupported version {other}"))),
+        other => return Err(r.err(&format!("unsupported version {other}"))),
     };
     if !r.at_end() {
-        return Err(r.err_pub("trailing bytes"));
+        return Err(r.err("trailing bytes"));
     }
     Ok(Sketch {
         mechanism,
@@ -1230,11 +1224,11 @@ pub fn decode_index(data: &[u8]) -> Result<(SketchMeta, SketchIndex), DecodeErro
         }
         VERSION_V2 => None,
         VERSION_V3 => Some(Box::new(decode_checkpoint(&mut r)?)),
-        other => return Err(r.err_pub(&format!("unsupported version {other}"))),
+        other => return Err(r.err(&format!("unsupported version {other}"))),
     };
     let (body, IndexSink { dict, ids }) = walk_body(&mut r, IndexSink::new)?;
     if !r.at_end() {
-        return Err(r.err_pub("trailing bytes"));
+        return Err(r.err("trailing bytes"));
     }
     let index = dict.index(
         mechanism,
@@ -1262,11 +1256,11 @@ pub fn v2_layout(data: &[u8]) -> Result<Option<V2Layout>, DecodeError> {
             }
             let (body, ()) = walk_body(&mut r, |_| ())?;
             if !r.at_end() {
-                return Err(r.err_pub("trailing bytes"));
+                return Err(r.err("trailing bytes"));
             }
             Ok(Some(body.layout))
         }
-        other => Err(r.err_pub(&format!("unsupported version {other}"))),
+        other => Err(r.err(&format!("unsupported version {other}"))),
     }
 }
 
@@ -1292,7 +1286,7 @@ pub fn container_version(data: &[u8]) -> Result<u8, DecodeError> {
         *m = r.u8()?;
     }
     if &magic != MAGIC {
-        return Err(r.err_pub("bad magic"));
+        return Err(r.err("bad magic"));
     }
     r.u8()
 }

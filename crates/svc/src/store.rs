@@ -693,4 +693,22 @@ mod tests {
         let report = store.fsck().unwrap();
         assert_eq!(report, FsckReport { verified: 3, quarantined: 0 });
     }
+
+    #[test]
+    fn an_uppercase_object_name_is_not_an_object() {
+        // A stray file named by a digest spelled in uppercase: no `get`
+        // can reach it, because object paths are lowercase, so neither
+        // the open count, the peer LIST nor fsck may count it.
+        let root = scratch("uppercase");
+        let hex = sha256(b"stray").to_hex().to_uppercase();
+        assert_ne!(hex, hex.to_lowercase());
+        let fan = root.join("objects").join(&hex[..2]);
+        std::fs::create_dir_all(&fan).unwrap();
+        std::fs::write(fan.join(&hex[2..]), b"stray").unwrap();
+        let (store, count) = Store::open(&root).unwrap();
+        assert_eq!(count, 0);
+        assert_eq!(store.local_digests().unwrap(), Vec::<Digest>::new());
+        let report = store.fsck().unwrap();
+        assert_eq!(report, FsckReport { verified: 0, quarantined: 0 });
+    }
 }

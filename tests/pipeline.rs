@@ -35,6 +35,16 @@ fn every_bug_reproduces_under_sync_sketching() {
         );
         // Reproduce once => reproduce every time.
         let cert = repro.certificate.expect("certificate minted");
+        let bytes = cert.encode();
+        let decoded = pres_core::Certificate::decode(&bytes)
+            .unwrap_or_else(|e| panic!("{}: certificate does not decode: {e}", bug.id));
+        assert_eq!(decoded, cert, "{}", bug.id);
+        assert_eq!(
+            decoded.encode(),
+            bytes,
+            "{}: re-encoding changed bytes",
+            bug.id
+        );
         for trial in 0..5 {
             cert.replay(prog.as_ref())
                 .unwrap_or_else(|e| panic!("{} trial {trial}: {e}", bug.id));
