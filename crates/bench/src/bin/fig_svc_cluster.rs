@@ -274,7 +274,6 @@ struct Row {
     p50_ms: f64,
     max_ms: f64,
     peer_rpcs: u64,
-    steals: u64,
     replica_copies: usize,
 }
 
@@ -362,11 +361,8 @@ fn measure(nodes: usize, items: &[WorkItem], references: &[(String, Vec<u8>)]) -
     }
 
     let mut peer_rpcs = 0;
-    let mut steals = 0;
     for peer in peers.iter_mut() {
-        let stats = peer.stats().expect("node STATS");
-        peer_rpcs += stat(&stats, "peer_rpcs");
-        steals += stat(&stats, "steals");
+        peer_rpcs += stat(&peer.stats().expect("node STATS"), "peer_rpcs");
     }
     drop(peers);
     shutdown_cluster(daemons);
@@ -381,7 +377,6 @@ fn measure(nodes: usize, items: &[WorkItem], references: &[(String, Vec<u8>)]) -
         p50_ms: percentile(&lats, 50.0),
         max_ms: lats.last().copied().unwrap_or(0.0),
         peer_rpcs,
-        steals,
         replica_copies,
     }
 }
@@ -396,7 +391,7 @@ fn to_json(rows: &[Row], speedup_3v1: Option<f64>, cpus: usize) -> String {
     );
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"nodes\": {}, \"jobs\": {}, \"wall_ms\": {:.1}, \"jobs_per_sec\": {:.2}, \"p50_ms\": {:.1}, \"max_ms\": {:.1}, \"peer_rpcs\": {}, \"steals\": {}, \"replica_copies\": {}}}{}\n",
+            "    {{\"nodes\": {}, \"jobs\": {}, \"wall_ms\": {:.1}, \"jobs_per_sec\": {:.2}, \"p50_ms\": {:.1}, \"max_ms\": {:.1}, \"peer_rpcs\": {}, \"replica_copies\": {}}}{}\n",
             r.nodes,
             r.jobs,
             r.wall_ms,
@@ -404,7 +399,6 @@ fn to_json(rows: &[Row], speedup_3v1: Option<f64>, cpus: usize) -> String {
             r.p50_ms,
             r.max_ms,
             r.peer_rpcs,
-            r.steals,
             r.replica_copies,
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -471,13 +465,13 @@ fn main() {
         .collect();
 
     println!(
-        "{:>5} | {:>5} | {:>8} | {:>8} | {:>8} | {:>8} | {:>9} | {:>6} | {:>8}",
-        "nodes", "jobs", "wall ms", "jobs/s", "p50 ms", "max ms", "peer_rpcs", "steals", "replicas"
+        "{:>5} | {:>5} | {:>8} | {:>8} | {:>8} | {:>8} | {:>9} | {:>8}",
+        "nodes", "jobs", "wall ms", "jobs/s", "p50 ms", "max ms", "peer_rpcs", "replicas"
     );
-    println!("{}", "-".repeat(86));
+    println!("{}", "-".repeat(77));
     for r in &rows {
         println!(
-            "{:>5} | {:>5} | {:>8.0} | {:>8.2} | {:>8.1} | {:>8.1} | {:>9} | {:>6} | {:>8}",
+            "{:>5} | {:>5} | {:>8.0} | {:>8.2} | {:>8.1} | {:>8.1} | {:>9} | {:>8}",
             r.nodes,
             r.jobs,
             r.wall_ms,
@@ -485,7 +479,6 @@ fn main() {
             r.p50_ms,
             r.max_ms,
             r.peer_rpcs,
-            r.steals,
             r.replica_copies,
         );
     }

@@ -35,12 +35,15 @@
 //! shared frontier. The shared state (frontier + the set of plan signatures
 //! ever tried) lives behind a mutex; a worker that finds the frontier empty
 //! while other attempts are still in flight waits on a condvar for their
-//! feedback rather than burning budget on restart rounds. Every attempt is
-//! numbered by a global atomic counter, and the first success publishes its
-//! attempt index as a cancellation flag: workers stop claiming new attempts
-//! numbered above it. When several attempts succeed concurrently the
-//! **lowest-numbered** success supplies the certificate and the reported
-//! attempt count, so the minted artifact does not depend on thread timing.
+//! feedback rather than burning budget on restart rounds. An attempt's
+//! global index is claimed in the same critical section that pops its plan,
+//! so index `k` always runs the `k`-th plan handed out, and the first
+//! success publishes its attempt index as a cancellation flag: workers stop
+//! claiming new attempts numbered above it. When several attempts succeed
+//! concurrently the **lowest-numbered** success supplies the certificate
+//! and the reported attempt count. Feedback merges into the frontier in
+//! completion order, so the minted artifact is timing-independent for a
+//! search decided within its first wave of plans.
 
 use crate::certificate::Certificate;
 use crate::feedback;
@@ -365,6 +368,10 @@ struct SearchState {
     /// empty frontier may still be refilled by in-flight feedback, so idle
     /// workers wait instead of burning restart rounds.
     in_flight: usize,
+    /// The next global attempt index to claim (1-based, parallel mode).
+    /// Bumped only when [`SearchState::next_plan`] hands out a plan, under
+    /// the same lock, so an index and its plan are claimed together.
+    next_attempt: u32,
 }
 
 impl SearchState {
@@ -380,6 +387,7 @@ impl SearchState {
             round: 0,
             random_cursor: 0,
             in_flight: 0,
+            next_attempt: 1,
         }
     }
 
@@ -761,8 +769,6 @@ struct ParallelShared<'a> {
     /// Signalled whenever an attempt finishes: waiting workers recheck the
     /// frontier and the cancellation flag.
     work_ready: Condvar,
-    /// The next global attempt index to claim (1-based).
-    next_attempt: AtomicU32,
     /// Lowest successful attempt index so far; `u32::MAX` means none. This
     /// is both the first-success cancellation flag and the determinism
     /// rule: no attempt numbered above it can change the outcome.
@@ -790,32 +796,26 @@ fn parallel_worker(
     let pool = VthreadPool::new(shared.explore.pool_width);
     let stop = shared.explore.stop.as_ref();
     loop {
-        // Claim a global attempt index; budget, cancellation, and the stop
-        // token are all judged before any work is done for the claim.
-        if stop.is_some_and(StopToken::is_stopped) {
-            return;
-        }
-        let attempt = shared.next_attempt.fetch_add(1, Ordering::SeqCst);
-        if attempt > shared.explore.max_attempts || shared.cancelled_for(attempt) {
-            return;
-        }
-
-        // Obtain a plan under the search lock, waiting while the frontier
-        // is empty but in-flight attempts may still refill it. With a stop
-        // token present the wait is bounded: a deadline can trip without
-        // anyone calling notify.
-        let plan = {
+        // Claim the next global attempt index and its plan in one critical
+        // section, waiting while the frontier is empty but in-flight
+        // attempts may still refill it. Budget, cancellation, and the stop
+        // token are judged before any work is done for the claim. With a
+        // stop token present the wait is bounded: a deadline can trip
+        // without anyone calling notify.
+        let (attempt, plan) = {
             let mut s = shared.search.lock();
             loop {
-                if shared.cancelled_for(attempt) {
-                    return;
-                }
                 if stop.is_some_and(StopToken::is_stopped) {
                     return;
                 }
+                let attempt = s.next_attempt;
+                if attempt > shared.explore.max_attempts || shared.cancelled_for(attempt) {
+                    return;
+                }
                 if let Some(plan) = s.next_plan(shared.explore, attempt) {
+                    s.next_attempt += 1;
                     s.in_flight += 1;
-                    break plan;
+                    break (attempt, plan);
                 }
                 match stop {
                     Some(_) => {
@@ -887,7 +887,6 @@ fn reproduce_parallel(
         explore,
         search: Mutex::new(SearchState::new(explore)),
         work_ready: Condvar::new(),
-        next_attempt: AtomicU32::new(1),
         winner: AtomicU32::new(u32::MAX),
         results: Mutex::new(Vec::new()),
     };

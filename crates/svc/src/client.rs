@@ -10,7 +10,7 @@
 
 use crate::digest::Digest;
 use crate::proto::{
-    Frame, PeerJob, ProtoError, Request, Response, CONNECTION_TAG, DEFAULT_CHUNK_BYTES,
+    Frame, ProtoError, Request, Response, CONNECTION_TAG, DEFAULT_CHUNK_BYTES,
     DEFAULT_MAX_FRAME,
 };
 use crate::queue::JobStatus;
@@ -379,32 +379,6 @@ impl Client {
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unexpected response to peer-list: {other:?}"),
-            )),
-        }
-    }
-
-    /// Asks a peer for up to `max` of its queued jobs.
-    pub fn peer_steal(&mut self, max: u32) -> io::Result<Vec<PeerJob>> {
-        match self.roundtrip(&Request::PeerSteal { max })? {
-            Response::PeerJobs { jobs } => Ok(jobs),
-            Response::Error { message } => Err(server_error(message)),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected response to peer-steal: {other:?}"),
-            )),
-        }
-    }
-
-    /// Reports a stolen job's terminal status back to its origin.
-    /// Returns whether the origin accepted it (a `false` means the lease
-    /// expired and the origin re-queued the job — not an error).
-    pub fn peer_done(&mut self, job: u64, status: JobStatus) -> io::Result<bool> {
-        match self.roundtrip(&Request::PeerDone { job, status })? {
-            Response::PeerDoneOk { accepted } => Ok(accepted),
-            Response::Error { message } => Err(server_error(message)),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected response to peer-done: {other:?}"),
             )),
         }
     }

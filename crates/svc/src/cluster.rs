@@ -1,5 +1,8 @@
 //! The node-to-node layer: a static, gossip-free cluster of `pres serve`
-//! daemons acting as one sharded, replicated store and one job pool.
+//! daemons acting as one sharded, replicated store. Jobs never cross
+//! nodes: each runs on the node whose queue journaled it, and since a
+//! certificate is a pure function of the sketch, any node that accepts a
+//! job mints the same bytes.
 //!
 //! ## Membership and the ring
 //!
@@ -30,19 +33,6 @@
 //! can serve any surviving object; a remote hit is re-published locally
 //! when this node is an owner, which makes reads self-repairing too.
 //!
-//! ## Work stealing
-//!
-//! An idle node polls each peer with `PEER_STEAL`; the origin pops
-//! queued jobs, parks them under a lease, and hands over `(job, bug,
-//! sketch digest, retries)`. The thief fetches the sketch through the
-//! routed store, executes with the origin's retry counter (which
-//! perturbs the exploration seed — so the thief runs bit-for-bit the
-//! attempt the origin would have), and reports the terminal status via
-//! `PEER_DONE`. The origin journals the result and runs its normal
-//! retry ladder; if the thief dies instead, the lease expires and the
-//! job re-queues at the origin. Certificates are therefore byte-identical
-//! regardless of which node executed.
-//!
 //! Peer links authenticate with the shared `--auth-token` secret when
 //! one is configured (mandatory: a cluster mixing token and no-token
 //! nodes will refuse each other's links rather than silently split).
@@ -50,8 +40,6 @@
 use crate::client::Client;
 use crate::digest::{sha256, Digest};
 use crate::metrics::Metrics;
-use crate::proto::PeerJob;
-use crate::queue::JobStatus;
 use crate::store::Store;
 use pres_tvm::sync::Mutex;
 use std::io;
@@ -135,7 +123,7 @@ struct Peer {
 }
 
 /// One node's view of the cluster. Shared by the store (object
-/// routing), the server (peer frames, stealer thread, STATS), and
+/// routing), the server (peer frames, STATS), and
 /// `pres fsck` (offline repair).
 pub struct Cluster {
     self_id: String,
@@ -345,22 +333,6 @@ impl Cluster {
             }
         }
         None
-    }
-
-    /// Asks one peer for up to `max` queued jobs.
-    pub fn steal_from(&self, peer_id: &str, max: u32) -> io::Result<Vec<PeerJob>> {
-        let peer = self
-            .peer(peer_id)
-            .ok_or_else(|| io::Error::other(format!("unknown peer {peer_id}")))?;
-        self.with_peer(peer, |c| c.peer_steal(max))
-    }
-
-    /// Reports a stolen job's terminal status back to its origin.
-    pub fn report_done(&self, peer_id: &str, job: u64, status: JobStatus) -> io::Result<bool> {
-        let peer = self
-            .peer(peer_id)
-            .ok_or_else(|| io::Error::other(format!("unknown peer {peer_id}")))?;
-        self.with_peer(peer, |c| c.peer_done(job, status))
     }
 
     /// The repair pass: restores the replication invariant as far as

@@ -21,7 +21,7 @@
 //! | [`proto`] | length-prefixed tagged frames (one version, size-capped) |
 //! | [`netpoll`] | std-only `poll(2)` shim for the connection workers |
 //! | [`server`] | the daemon: accept loop, connection workers, lifecycle |
-//! | [`cluster`] | rendezvous-hashed sharding, N-way replication, stealing |
+//! | [`cluster`] | rendezvous-hashed sharding, N-way replication, repair |
 //! | [`client`] | the client the CLI and the tests both use |
 //! | [`faultpoint`] | deterministic crash injection for durability tests |
 //! | [`flush`] | durable flush-on-failure writer for ring-mode sketches |

@@ -76,17 +76,13 @@ pub struct Metrics {
     /// Sketches the decode cache holds (a gauge, refreshed with the one
     /// above).
     pub sketch_cache_entries: AtomicU64,
-    /// Node-to-node RPCs this node issued (puts, gets, stats, lists,
-    /// steals, done reports — every peer round trip).
+    /// Node-to-node RPCs this node issued (puts, gets, stats, lists —
+    /// every peer round trip).
     pub peer_rpcs: AtomicU64,
     /// Object payload bytes this node pushed to peers.
     pub peer_bytes_out: AtomicU64,
     /// Object payload bytes this node pulled from peers.
     pub peer_bytes_in: AtomicU64,
-    /// Jobs this node stole from peers and executed.
-    pub steals: AtomicU64,
-    /// Queued jobs this node handed to stealing peers.
-    pub stolen_served: AtomicU64,
     /// Objects fetched from peers by the repair pass (self is an owner
     /// but had no local copy).
     pub repair_pulled: AtomicU64,
@@ -143,8 +139,6 @@ impl Metrics {
             peer_rpcs: load(&self.peer_rpcs),
             peer_bytes_out: load(&self.peer_bytes_out),
             peer_bytes_in: load(&self.peer_bytes_in),
-            steals: load(&self.steals),
-            stolen_served: load(&self.stolen_served),
             repair_pulled: load(&self.repair_pulled),
             repair_pushed: load(&self.repair_pushed),
             latency: std::array::from_fn(|i| load(&self.latency[i])),
@@ -182,8 +176,6 @@ pub struct Snapshot {
     pub peer_rpcs: u64,
     pub peer_bytes_out: u64,
     pub peer_bytes_in: u64,
-    pub steals: u64,
-    pub stolen_served: u64,
     pub repair_pulled: u64,
     pub repair_pushed: u64,
     pub latency: [u64; LATENCY_BOUNDS_MS.len() + 1],
@@ -254,7 +246,7 @@ impl Snapshot {
     /// The compact one-line form used by the periodic server log.
     pub fn log_line(&self) -> String {
         format!(
-            "svc: conns={} (live {} / refused {}) submits={} (dedup {}, streamed {}) done={} (ok {} / exhausted {} / timeout {} / failed {}) retries={} attempts={} ckpt-jobs={} stalls={} rejected-frames={} journal={}r/{}s (mean {:.1}, max {}, failures {}) cache={}h/{}m (evicted {}, {} resident / {}B) peers={}rpc ({}B out / {}B in) steals={}/{} repair={}/{} p50={} p95={} p99={}",
+            "svc: conns={} (live {} / refused {}) submits={} (dedup {}, streamed {}) done={} (ok {} / exhausted {} / timeout {} / failed {}) retries={} attempts={} ckpt-jobs={} stalls={} rejected-frames={} journal={}r/{}s (mean {:.1}, max {}, failures {}) cache={}h/{}m (evicted {}, {} resident / {}B) peers={}rpc ({}B out / {}B in) repair={}/{} p50={} p95={} p99={}",
             self.connections,
             self.connections_live,
             self.connections_refused,
@@ -284,8 +276,6 @@ impl Snapshot {
             self.peer_rpcs,
             self.peer_bytes_out,
             self.peer_bytes_in,
-            self.steals,
-            self.stolen_served,
             self.repair_pulled,
             self.repair_pushed,
             self.latency_percentile(50.0),
@@ -330,8 +320,6 @@ impl std::fmt::Display for Snapshot {
         writeln!(f, "peer_rpcs          {}", self.peer_rpcs)?;
         writeln!(f, "peer_bytes_out     {}", self.peer_bytes_out)?;
         writeln!(f, "peer_bytes_in      {}", self.peer_bytes_in)?;
-        writeln!(f, "steals             {}", self.steals)?;
-        writeln!(f, "stolen_served      {}", self.stolen_served)?;
         writeln!(f, "repair_pulled      {}", self.repair_pulled)?;
         writeln!(f, "repair_pushed      {}", self.repair_pushed)?;
         writeln!(f, "latency_p50        {}", self.latency_percentile(50.0))?;
@@ -413,18 +401,14 @@ mod tests {
         let m = Metrics::new();
         m.peer_rpcs.fetch_add(5, Ordering::Relaxed);
         m.peer_bytes_out.fetch_add(1024, Ordering::Relaxed);
-        m.steals.fetch_add(2, Ordering::Relaxed);
-        m.stolen_served.fetch_add(3, Ordering::Relaxed);
         m.repair_pulled.fetch_add(1, Ordering::Relaxed);
         let snap = m.snapshot();
         assert!(snap
             .log_line()
-            .contains("peers=5rpc (1024B out / 0B in) steals=2/3 repair=1/0"));
+            .contains("peers=5rpc (1024B out / 0B in) repair=1/0"));
         let long = snap.to_string();
         assert!(long.contains("peer_rpcs          5"));
         assert!(long.contains("peer_bytes_out     1024"));
-        assert!(long.contains("steals             2"));
-        assert!(long.contains("stolen_served      3"));
         assert!(long.contains("repair_pulled      1"));
         assert!(long.contains("repair_pushed      0"));
     }

@@ -48,10 +48,7 @@
 //! same incremental-digest spill — so a multi-MB sketch never
 //! materializes whole on the receiving node; `PEER_GET` / `PEER_STAT` /
 //! `PEER_LIST` read a peer's **local** objects only (never re-routed, so
-//! lookups cannot cycle). Work stealing uses `PEER_STEAL` (an idle node
-//! asks a busy one for queued jobs) and `PEER_DONE` (the stolen job's
-//! terminal status flows back to the origin, which owns the journal
-//! record and the retry ladder).
+//! lookups cannot cycle).
 //!
 //! ## Error severity
 //!
@@ -108,8 +105,8 @@ const REQ_PEER_PUT_BEGIN: u8 = 0x0A;
 const REQ_PEER_GET: u8 = 0x0B;
 const REQ_PEER_STAT: u8 = 0x0C;
 const REQ_PEER_LIST: u8 = 0x0D;
-const REQ_PEER_STEAL: u8 = 0x0E;
-const REQ_PEER_DONE: u8 = 0x0F;
+// 0x0E and 0x0F were PEER_STEAL and PEER_DONE (idle-node job migration,
+// removed); they are now unknown kinds.
 const RESP_SUBMIT: u8 = 0x81;
 const RESP_STATUS: u8 = 0x82;
 const RESP_RESULT: u8 = 0x83;
@@ -120,8 +117,8 @@ const RESP_PEER_PUT: u8 = 0x87;
 const RESP_PEER_OBJECT: u8 = 0x88;
 const RESP_PEER_STAT: u8 = 0x89;
 const RESP_PEER_LIST: u8 = 0x8A;
-const RESP_PEER_JOBS: u8 = 0x8B;
-const RESP_PEER_DONE: u8 = 0x8C;
+// 0x8B and 0x8C were the PEER_JOBS and PEER_DONE answers; they are now
+// unknown kinds.
 const RESP_ERROR: u8 = 0xFF;
 
 /// Why a frame or message failed to decode.
@@ -298,42 +295,6 @@ impl Frame {
     }
 }
 
-/// One queued job offered to a stealing peer: everything the thief needs
-/// to run [`crate::queue::JobQueue::execute_stolen`] and nothing more.
-/// `retries` rides along because the retry counter perturbs the
-/// exploration seed — the thief must run the *same* attempt the origin
-/// would have, or certificates stop being byte-identical across nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerJob {
-    /// The job id in the *origin's* queue (echoed in `PEER_DONE`).
-    pub job: u64,
-    /// Bug id to reproduce.
-    pub bug: String,
-    /// Digest of the sketch object (fetched through the routed store).
-    pub sketch: Digest,
-    /// The origin-side retry counter at steal time.
-    pub retries: u32,
-}
-
-impl PeerJob {
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), ProtoError> {
-        wire::put_u64(out, self.job);
-        wire::put_str(out, &self.bug)?;
-        wire::put_digest(out, &self.sketch);
-        wire::put_u32(out, self.retries);
-        Ok(())
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<PeerJob> {
-        Some(PeerJob {
-            job: r.u64()?,
-            bug: r.str()?.to_string(),
-            sketch: r.digest()?,
-            retries: r.u32()?,
-        })
-    }
-}
-
 /// A client→daemon message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -366,10 +327,6 @@ pub enum Request {
     PeerStat { digest: Digest },
     /// Every digest in the peer's local store (the repair pull phase).
     PeerList,
-    /// Offer up to `max` queued jobs to this (idle) caller.
-    PeerSteal { max: u32 },
-    /// A stolen job's terminal status, reported back to its origin.
-    PeerDone { job: u64, status: JobStatus },
 }
 
 impl Request {
@@ -418,17 +375,6 @@ impl Request {
                 (REQ_PEER_STAT, p)
             }
             Request::PeerList => (REQ_PEER_LIST, Vec::new()),
-            Request::PeerSteal { max } => {
-                let mut p = Vec::new();
-                wire::put_u32(&mut p, *max);
-                (REQ_PEER_STEAL, p)
-            }
-            Request::PeerDone { job, status } => {
-                let mut p = Vec::new();
-                wire::put_u64(&mut p, *job);
-                status.encode(&mut p)?;
-                (REQ_PEER_DONE, p)
-            }
         };
         wire::check_len(payload.len())?;
         Ok(Frame { tag, kind, payload })
@@ -469,13 +415,6 @@ impl Request {
                 digest: r.digest().ok_or(bad("peer-stat digest"))?,
             },
             REQ_PEER_LIST => Request::PeerList,
-            REQ_PEER_STEAL => Request::PeerSteal {
-                max: r.u32().ok_or(bad("peer-steal max"))?,
-            },
-            REQ_PEER_DONE => Request::PeerDone {
-                job: r.u64().ok_or(bad("peer-done job id"))?,
-                status: JobStatus::decode(&mut r).ok_or(bad("peer-done status"))?,
-            },
             k => return Err(ProtoError::UnknownKind(k)),
         };
         if !r.is_done() {
@@ -516,11 +455,6 @@ pub enum Response {
     PeerStatIs { present: bool },
     /// Every digest in the peer's local store.
     PeerDigests { digests: Vec<Digest> },
-    /// Queued jobs handed to a stealing peer (possibly empty).
-    PeerJobs { jobs: Vec<PeerJob> },
-    /// Whether the origin accepted a stolen job's result (`false` =
-    /// unknown job or expired lease; the origin re-ran or will re-run it).
-    PeerDoneOk { accepted: bool },
     /// The request could not be served.
     Error { message: String },
 }
@@ -595,18 +529,6 @@ impl Response {
                 }
                 (RESP_PEER_LIST, p)
             }
-            Response::PeerJobs { jobs } => {
-                let mut p = Vec::new();
-                wire::put_u32(
-                    &mut p,
-                    u32::try_from(jobs.len()).map_err(|_| ProtoError::TooLarge(jobs.len()))?,
-                );
-                for job in jobs {
-                    job.encode(&mut p)?;
-                }
-                (RESP_PEER_JOBS, p)
-            }
-            Response::PeerDoneOk { accepted } => (RESP_PEER_DONE, vec![u8::from(*accepted)]),
             Response::Error { message } => {
                 let mut p = Vec::new();
                 wire::put_str(&mut p, message)?;
@@ -667,17 +589,6 @@ impl Response {
                 }
                 Response::PeerDigests { digests }
             }
-            RESP_PEER_JOBS => {
-                let count = r.u32().ok_or(bad("peer-jobs count"))?;
-                let mut jobs = Vec::new();
-                for _ in 0..count {
-                    jobs.push(PeerJob::decode(&mut r).ok_or(bad("peer-jobs entry"))?);
-                }
-                Response::PeerJobs { jobs }
-            }
-            RESP_PEER_DONE => Response::PeerDoneOk {
-                accepted: r.u8().ok_or(bad("peer-done accepted byte"))? != 0,
-            },
             RESP_ERROR => Response::Error {
                 message: r.str().ok_or(bad("error message"))?.to_string(),
             },
@@ -890,14 +801,6 @@ mod tests {
                 digest: sha256(b"obj"),
             },
             Request::PeerList,
-            Request::PeerSteal { max: 4 },
-            Request::PeerDone {
-                job: 9,
-                status: JobStatus::Succeeded {
-                    attempts: 3,
-                    certificate: sha256(b"cert"),
-                },
-            },
         ];
         for req in requests {
             let frame = req.to_frame(77).unwrap();
@@ -919,16 +822,6 @@ mod tests {
             Response::PeerDigests {
                 digests: vec![sha256(b"a"), sha256(b"b")],
             },
-            Response::PeerJobs {
-                jobs: vec![PeerJob {
-                    job: 12,
-                    bug: "pbzip-order".into(),
-                    sketch: sha256(b"s"),
-                    retries: 2,
-                }],
-            },
-            Response::PeerJobs { jobs: vec![] },
-            Response::PeerDoneOk { accepted: true },
         ];
         for resp in responses {
             assert_eq!(
@@ -953,12 +846,18 @@ mod tests {
 
     #[test]
     fn unknown_kind_and_trailing_bytes_are_rejected() {
-        // 0x01, the retired monolithic SUBMIT, is as unknown as any other.
-        for kind in [0x01, 0x42] {
-            assert_eq!(
-                Request::from_frame(&frame(kind, b"")).unwrap_err(),
-                ProtoError::UnknownKind(kind)
-            );
+        // 0x01 (the monolithic SUBMIT) and 0x0E/0x0F (PEER_STEAL,
+        // PEER_DONE) are retired: as unknown as any other kind.
+        for kind in [0x01, 0x0E, 0x0F, 0x42] {
+            let err = Request::from_frame(&frame(kind, b"")).unwrap_err();
+            assert_eq!(err, ProtoError::UnknownKind(kind));
+            assert_eq!(err.severity(), Severity::Payload);
+        }
+        // 0x8B/0x8C (PEER_JOBS, PEER_DONE answers) likewise.
+        for kind in [0x8B, 0x8C] {
+            let err = Response::from_frame(&frame(kind, b"")).unwrap_err();
+            assert_eq!(err, ProtoError::UnknownKind(kind));
+            assert_eq!(err.severity(), Severity::Payload);
         }
         let mut frame = Request::Stats.to_frame(1).unwrap();
         frame.payload.push(0);

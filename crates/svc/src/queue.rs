@@ -27,28 +27,12 @@
 //! [`StopToken`] and marked terminal. Shutdown is a drain: workers finish
 //! the jobs they are running, queued jobs stay journaled for the next
 //! start.
-//!
-//! ## Work stealing (cluster mode)
-//!
-//! An idle peer may drain this queue's backlog: [`JobQueue::steal_jobs`]
-//! pops ready jobs and parks them under a *lease*; the thief executes
-//! ([`JobQueue::execute_stolen`], the same `execute` path workers run,
-//! seeded by the origin's retry counter so the search — and any minted
-//! certificate — is byte-identical to a local run) and reports the
-//! terminal status back through [`JobQueue::complete_stolen`], which
-//! journals it and runs the normal retry ladder. A thief that dies
-//! simply lets the lease expire ([`JobQueue::reap_stolen`]) and the job
-//! re-queues locally — stealing can duplicate work, never lose it.
-//! Nodes in one cluster must share exploration settings
-//! (`max_attempts`, `job_timeout`), or a stolen run may not be the run
-//! the origin would have performed.
 
 use crate::cache::{CachedSketch, SketchCache};
 use crate::digest::Digest;
 use crate::faultpoint::Faults;
 use crate::journal::{GroupCommit, Journal, Record};
 use crate::metrics::Metrics;
-use crate::proto::PeerJob;
 use crate::store::Store;
 use crate::wire::{self, Reader};
 use pres_apps::registry::all_bugs;
@@ -224,14 +208,9 @@ struct Shared {
     ready: VecDeque<u64>,
     /// Backoff parking lot: `(eligible_at, job id)`, unordered (scanned).
     parked: Vec<(Instant, u64)>,
-    /// Jobs handed to a stealing peer, by id: the lease deadline and the
-    /// retry counter the thief was given. Counted in `busy` until the
-    /// thief reports back or the lease is reaped.
-    stolen: BTreeMap<u64, (Instant, u32)>,
     next_id: u64,
     draining: bool,
-    /// Workers (local or remote, via a steal lease) currently executing
-    /// a job (drain waits for zero).
+    /// Workers currently executing a job (drain waits for zero).
     busy: usize,
 }
 
@@ -287,7 +266,6 @@ impl JobQueue {
             submit_inflight: BTreeSet::new(),
             ready: VecDeque::new(),
             parked: Vec::new(),
-            stolen: BTreeMap::new(),
             next_id: 1,
             draining: false,
             busy: 0,
@@ -427,154 +405,11 @@ impl JobQueue {
         self.shared.lock().jobs.get(&job).map(|j| j.status.clone())
     }
 
-    /// Jobs ready to run right now (excludes running, parked, stolen).
-    pub fn backlog(&self) -> usize {
-        self.shared.lock().ready.len()
-    }
-
-    /// Whether this node is strictly idle — nothing ready, nothing
-    /// running — and accepting work. The server's stealer thread only
-    /// raids peers while this holds.
-    pub fn wants_work(&self) -> bool {
-        let s = self.shared.lock();
-        !s.draining && s.ready.is_empty() && s.parked.is_empty() && s.busy == 0
-    }
-
-    /// How long a thief may sit on a stolen job before the origin takes
-    /// it back: two full exploration budgets plus scheduling headroom.
-    fn steal_lease(&self) -> Duration {
-        self.config
-            .job_timeout
-            .saturating_mul(2)
-            .saturating_add(Duration::from_secs(2))
-    }
-
-    /// Hands up to `max` ready jobs to a stealing peer. Each job leaves
-    /// the ready queue, shows `Running`, counts as busy (so a drain
-    /// waits for its result), and is parked under a lease; if the thief
-    /// never reports back, [`JobQueue::reap_stolen`] re-queues it.
-    /// Returns nothing while draining — a drain's queued jobs belong to
-    /// the journal, not to peers.
-    pub fn steal_jobs(&self, max: u32) -> Vec<PeerJob> {
-        let mut handed = Vec::new();
-        let mut s = self.shared.lock();
-        if s.draining {
-            return handed;
-        }
-        let deadline = Instant::now() + self.steal_lease();
-        while handed.len() < max as usize {
-            let Some(id) = s.ready.pop_front() else { break };
-            let job = s.jobs.get_mut(&id).expect("ready id has a job");
-            let retries = match job.status {
-                JobStatus::Queued { retries } => retries,
-                _ => continue,
-            };
-            job.status = JobStatus::Running;
-            let (bug, sketch) = (job.bug.clone(), job.sketch);
-            s.busy += 1;
-            s.stolen.insert(id, (deadline, retries));
-            handed.push(PeerJob {
-                job: id,
-                bug,
-                sketch,
-                retries,
-            });
-        }
-        drop(s);
-        self.metrics
-            .stolen_served
-            .fetch_add(handed.len() as u64, Ordering::Relaxed);
-        handed
-    }
-
-    /// Lands a stolen job's terminal status: journals it and runs the
-    /// normal retry ladder, exactly as if a local worker had produced
-    /// it. Returns `false` (thief's work discarded) when the lease
-    /// already expired — the job re-queued and will run again; a stray
-    /// certificate the thief stored is harmless, it is content-addressed.
-    pub fn complete_stolen(&self, id: u64, outcome: JobStatus) -> bool {
-        if !outcome.is_terminal() {
-            return false;
-        }
-        let mut s = self.shared.lock();
-        let Some((_, retries)) = s.stolen.remove(&id) else {
-            return false;
-        };
-        let job = s.jobs.get(&id).expect("leased id has a job").clone();
-        drop(s);
-        self.resolve(id, &job, retries, outcome);
-        true
-    }
-
-    /// Re-queues every stolen job whose lease expired (thief died or
-    /// hung). Driven periodically by the server's stealer thread.
-    pub fn reap_stolen(&self) {
-        let now = Instant::now();
-        let mut s = self.shared.lock();
-        let expired: Vec<u64> = s
-            .stolen
-            .iter()
-            .filter(|(_, &(deadline, _))| deadline <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        if expired.is_empty() {
-            return;
-        }
-        for id in expired {
-            let (_, retries) = s.stolen.remove(&id).expect("collected above");
-            s.jobs.get_mut(&id).expect("leased id has a job").status =
-                JobStatus::Queued { retries };
-            s.ready.push_back(id);
-            s.busy -= 1;
-        }
-        drop(s);
-        self.work_ready.notify_all();
-        self.idle.notify_all();
-    }
-
-    /// Executes someone else's job with their retry counter — the
-    /// thief's half of work stealing. Identical to the worker path
-    /// (same cache, same seed-offset rule), so the outcome is the one
-    /// the origin would have computed.
-    pub fn execute_stolen(
-        &self,
-        bug: &str,
-        sketch: Digest,
-        retries: u32,
-        pool: &VthreadPool,
-    ) -> JobStatus {
-        let job = Job {
-            bug: bug.to_string(),
-            sketch,
-            status: JobStatus::Running,
-            submitted: Instant::now(),
-        };
-        self.metrics.steals.fetch_add(1, Ordering::Relaxed);
-        self.execute(&job, retries, pool)
-    }
-
     /// Begins the drain: no new submissions, queued jobs stay journaled,
     /// and `await_drained` unblocks once running jobs finish.
-    ///
-    /// Stolen leases are reclaimed here rather than waited on: a
-    /// draining front end no longer serves PEER_DONE, so a thief's
-    /// report can never land and the lease would pin `busy` forever.
-    /// The reclaimed jobs stay journaled as queued and re-run on the
-    /// next start (the thief's stray certificate, if any, is harmless —
-    /// it is content-addressed).
     pub fn drain(&self) {
-        let mut s = self.shared.lock();
-        s.draining = true;
-        let leased: Vec<u64> = s.stolen.keys().copied().collect();
-        for id in leased {
-            let (_, retries) = s.stolen.remove(&id).expect("collected above");
-            s.jobs.get_mut(&id).expect("leased id has a job").status =
-                JobStatus::Queued { retries };
-            s.busy -= 1;
-        }
-        drop(s);
+        self.shared.lock().draining = true;
         self.work_ready.notify_all();
-        self.idle.notify_all();
     }
 
     /// Blocks until the drain completes (every worker idle).
@@ -974,132 +809,6 @@ mod tests {
         assert!(
             matches!(q.status(id).unwrap(), JobStatus::Exhausted { .. }),
             "got {:?}",
-            q.status(id)
-        );
-    }
-
-    #[test]
-    fn stolen_execution_is_byte_identical_and_resolves_at_the_origin() {
-        let local_dir = scratch("steal-local");
-        let origin_dir = scratch("steal-origin");
-        let thief_dir = scratch("steal-thief");
-        let bytes = recorded_sketch_bytes("pbzip-order");
-
-        // Baseline: the certificate a local worker produces.
-        let local = queue(&local_dir, QueueConfig::default());
-        let (digest, _) = local.store().put(&bytes).unwrap();
-        let (local_id, _) = local.submit("pbzip-order", digest).unwrap();
-        drive(&local);
-        let JobStatus::Succeeded {
-            certificate: local_cert,
-            ..
-        } = local.status(local_id).unwrap()
-        else {
-            panic!("local run failed: {:?}", local.status(local_id));
-        };
-
-        // The same job stolen: origin leases it out, a thief with its
-        // own store/cache/pool executes with the origin's retry
-        // counter, and the terminal status lands through the origin's
-        // normal resolve path.
-        let origin = queue(&origin_dir, QueueConfig::default());
-        let (digest, _) = origin.store().put(&bytes).unwrap();
-        let (id, _) = origin.submit("pbzip-order", digest).unwrap();
-        let handed = origin.steal_jobs(4);
-        assert_eq!(handed.len(), 1);
-        assert_eq!(handed[0].job, id);
-        assert_eq!(handed[0].retries, 0);
-        assert!(matches!(origin.status(id), Some(JobStatus::Running)));
-
-        let thief = queue(&thief_dir, QueueConfig::default());
-        thief.store().put(&bytes).unwrap();
-        let pool = VthreadPool::new(8);
-        let outcome = thief.execute_stolen(
-            &handed[0].bug,
-            handed[0].sketch,
-            handed[0].retries,
-            &pool,
-        );
-        let JobStatus::Succeeded {
-            certificate: stolen_cert,
-            ..
-        } = outcome.clone()
-        else {
-            panic!("stolen run failed: {outcome:?}");
-        };
-        assert_eq!(
-            stolen_cert, local_cert,
-            "a thief must compute the certificate the origin would have"
-        );
-
-        assert!(origin.complete_stolen(id, outcome));
-        assert!(matches!(
-            origin.status(id),
-            Some(JobStatus::Succeeded { .. })
-        ));
-        // A second report for the same job is a stale thief — rejected.
-        assert!(!origin.complete_stolen(
-            id,
-            JobStatus::Failed {
-                message: "stale".into()
-            }
-        ));
-        // The lease released `busy`, so the drain completes immediately.
-        origin.drain();
-        origin.await_drained();
-    }
-
-    #[test]
-    fn drain_reclaims_outstanding_steal_leases() {
-        let dir = scratch("steal-drain");
-        let q = queue(&dir, QueueConfig::default());
-        let bytes = recorded_sketch_bytes("pbzip-order");
-        let (digest, _) = q.store().put(&bytes).unwrap();
-        let (id, _) = q.submit("pbzip-order", digest).unwrap();
-        assert_eq!(q.steal_jobs(1).len(), 1);
-        // The thief never reports. A drain must not wait on it: the
-        // lease is reclaimed, the job re-queued (journaled for the next
-        // start), and the late report rejected.
-        q.drain();
-        q.await_drained();
-        assert!(matches!(
-            q.status(id),
-            Some(JobStatus::Queued { retries: 0 })
-        ));
-        assert!(!q.complete_stolen(
-            id,
-            JobStatus::Failed {
-                message: "late".into()
-            }
-        ));
-        // And a draining queue hands out nothing.
-        assert!(q.steal_jobs(1).is_empty());
-    }
-
-    #[test]
-    fn expired_steal_lease_is_reaped_back_into_the_ready_queue() {
-        let dir = scratch("steal-reap");
-        let config = QueueConfig {
-            // lease = 2 * job_timeout + 2s headroom; zero timeout makes
-            // the test's wait the 2s floor.
-            job_timeout: Duration::ZERO,
-            ..QueueConfig::default()
-        };
-        let q = queue(&dir, config);
-        let bytes = recorded_sketch_bytes("pbzip-order");
-        let (digest, _) = q.store().put(&bytes).unwrap();
-        let (id, _) = q.submit("pbzip-order", digest).unwrap();
-        assert_eq!(q.steal_jobs(1).len(), 1);
-        q.reap_stolen();
-        assert!(
-            matches!(q.status(id), Some(JobStatus::Running)),
-            "a live lease must not be reaped"
-        );
-        std::thread::sleep(Duration::from_millis(2100));
-        q.reap_stolen();
-        assert!(
-            matches!(q.status(id), Some(JobStatus::Queued { retries: 0 })),
-            "an expired lease re-queues the job, got {:?}",
             q.status(id)
         );
     }

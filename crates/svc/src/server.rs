@@ -91,10 +91,6 @@ const POLL_TICK: Duration = Duration::from_millis(5);
 /// dropping its connections.
 const DRAIN_FLUSH_DEADLINE: Duration = Duration::from_secs(2);
 
-/// How long the stealer thread sleeps between raids while every peer's
-/// ready queue is empty (or this node has local work of its own).
-const STEAL_IDLE_TICK: Duration = Duration::from_millis(50);
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -188,7 +184,6 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     logger: Option<JoinHandle<()>>,
     cluster: Option<Arc<Cluster>>,
-    stealer: Option<JoinHandle<()>>,
     repairer: Option<JoinHandle<()>>,
 }
 
@@ -331,56 +326,6 @@ impl Server {
                 .expect("spawn metrics logger")
         });
 
-        // The stealer: while this node is strictly idle, raid peers'
-        // ready queues one job at a time, execute with the origin's
-        // retry counter (same seed-offset rule ⇒ same certificate), and
-        // report the terminal status back. Also the reaper driving
-        // expired steal leases back into our own ready queue.
-        let stealer = cluster.as_ref().map(|cluster| {
-            let cluster = Arc::clone(cluster);
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
-            thread::Builder::new()
-                .name("svc-steal".into())
-                .spawn(move || {
-                    let pool = VthreadPool::new(ExploreConfig::default().pool_width);
-                    let mut next_peer = 0usize;
-                    while !shutdown.load(Ordering::SeqCst) {
-                        queue.reap_stolen();
-                        let mut stole = false;
-                        if queue.wants_work() {
-                            let peers = cluster.peer_ids();
-                            for i in 0..peers.len() {
-                                let peer = &peers[(next_peer + i) % peers.len()];
-                                let Ok(jobs) = cluster.steal_from(peer, 1) else {
-                                    continue;
-                                };
-                                if jobs.is_empty() {
-                                    continue;
-                                }
-                                // Rotate the raid order so a hot peer
-                                // does not monopolize the thief.
-                                next_peer = (next_peer + i + 1) % peers.len();
-                                stole = true;
-                                for pj in jobs {
-                                    let status = queue.execute_stolen(
-                                        &pj.bug, pj.sketch, pj.retries, &pool,
-                                    );
-                                    // A failed report is fine: the
-                                    // origin's lease re-queues the job.
-                                    let _ = cluster.report_done(peer, pj.job, status);
-                                }
-                                break;
-                            }
-                        }
-                        if !stole {
-                            thread::sleep(STEAL_IDLE_TICK);
-                        }
-                    }
-                })
-                .expect("spawn stealer")
-        });
-
         // Startup repair: restore the replication invariant in the
         // background — pull objects this node owns but lacks, push local
         // objects to remote owners that lack them. One pass; `pres fsck
@@ -418,7 +363,6 @@ impl Server {
             workers,
             logger,
             cluster,
-            stealer,
             repairer,
         })
     }
@@ -465,9 +409,6 @@ impl Server {
             let _ = h.join();
         }
         if let Some(h) = self.logger.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.stealer.take() {
             let _ = h.join();
         }
         if let Some(h) = self.repairer.take() {
@@ -1053,23 +994,5 @@ fn handle<'a>(
                 message: format!("peer list failed: {e}"),
             },
         },
-        // Stealing needs the cluster's reaper running (a lease nobody
-        // reaps would strand the job), so a standalone daemon refuses.
-        Request::PeerSteal { max } => {
-            if frontend.cluster.is_none() {
-                return Some(error("this daemon is not a cluster member".into()));
-            }
-            Response::PeerJobs {
-                jobs: queue.steal_jobs(max),
-            }
-        }
-        Request::PeerDone { job, status } => {
-            if frontend.cluster.is_none() {
-                return Some(error("this daemon is not a cluster member".into()));
-            }
-            Response::PeerDoneOk {
-                accepted: queue.complete_stolen(job, status),
-            }
-        }
     })
 }

@@ -11,7 +11,8 @@ use pres_core::oracle::StatusOracle;
 use pres_core::sketch::Mechanism;
 use pres_core::stats::ExploreStats;
 use pres_suite::apps::all_bugs;
-use std::collections::BTreeSet;
+use pres_suite::svc::{sha256, Digest};
+use std::collections::{BTreeMap, BTreeSet};
 
 #[test]
 fn parallel_and_serial_agree_across_the_corpus() {
@@ -105,5 +106,50 @@ fn worker_count_does_not_change_an_unreproducible_verdict() {
         assert!(!rep.reproduced, "{workers} workers");
         assert_eq!(rep.attempts, 24, "{workers} workers");
         assert_eq!(rep.history.len(), 24, "{workers} workers");
+    }
+}
+
+/// The parallel search is deterministic: claiming an attempt index and
+/// popping its plan happen in one critical section, so index `k` always
+/// runs the `k`-th plan handed out and "lowest index wins" crowns the
+/// same schedule on every run. Forty `workers = 4` searches per corpus bug
+/// must mint one certificate digest per bug.
+#[test]
+fn repeated_parallel_searches_mint_one_certificate_per_bug() {
+    const RUNS: usize = 40;
+    for bug in all_bugs() {
+        let prog = bug.program();
+        let pres = Pres::new(Mechanism::Sync)
+            .with_max_attempts(300)
+            .with_workers(4);
+        let recorded = pres
+            .record_until_failure(prog.as_ref(), 0..5000)
+            .unwrap_or_else(|| panic!("{}: no failing production run", bug.id));
+        // digest -> (attempts, winning plan, how many runs minted it)
+        let mut outcomes: BTreeMap<Digest, (u32, String, usize)> = BTreeMap::new();
+        for _ in 0..RUNS {
+            let rep = pres.reproduce(prog.as_ref(), &recorded);
+            let cert = rep
+                .certificate
+                .unwrap_or_else(|| panic!("{}: no parallel certificate", bug.id));
+            let plan = rep
+                .history
+                .iter()
+                .find(|h| h.index == rep.attempts)
+                .map(|h| h.plan.clone())
+                .unwrap_or_default();
+            outcomes
+                .entry(sha256(&cert.encode()))
+                .or_insert((rep.attempts, plan, 0))
+                .2 += 1;
+        }
+        assert_eq!(
+            outcomes.len(),
+            1,
+            "{}: {RUNS} workers-4 searches minted {} certificates: {:#?}",
+            bug.id,
+            outcomes.len(),
+            outcomes
+        );
     }
 }

@@ -7,7 +7,7 @@
 
 use pres_suite::svc::digest::{sha256, Digest};
 use pres_suite::svc::proto::{
-    Frame, PeerJob, ProtoError, Request, Response, Severity, DEFAULT_MAX_FRAME, VERSION,
+    Frame, ProtoError, Request, Response, Severity, DEFAULT_MAX_FRAME, VERSION,
 };
 use pres_suite::svc::queue::JobStatus;
 use pres_tvm::rng::ChaCha8Rng;
@@ -55,7 +55,7 @@ fn gen_status(rng: &mut ChaCha8Rng) -> JobStatus {
 }
 
 fn gen_request(rng: &mut ChaCha8Rng) -> Request {
-    match rng.gen_range(0..14usize) {
+    match rng.gen_range(0..12usize) {
         0 => Request::SubmitBegin {
             bug: gen_string(rng, 40),
         },
@@ -83,28 +83,12 @@ fn gen_request(rng: &mut ChaCha8Rng) -> Request {
             digest: gen_digest(rng),
         },
         10 => Request::PeerList,
-        11 => Request::PeerSteal {
-            max: rng.gen_range(0..=64u32),
-        },
-        12 => Request::PeerDone {
-            job: rng.next_u64(),
-            status: gen_status(rng),
-        },
         _ => Request::Shutdown,
     }
 }
 
-fn gen_peer_job(rng: &mut ChaCha8Rng) -> PeerJob {
-    PeerJob {
-        job: rng.next_u64(),
-        bug: gen_string(rng, 40),
-        sketch: gen_digest(rng),
-        retries: rng.gen_range(0..=9u32),
-    }
-}
-
 fn gen_response(rng: &mut ChaCha8Rng) -> Response {
-    match rng.gen_range(0..13usize) {
+    match rng.gen_range(0..11usize) {
         0 => Response::Submitted {
             job: rng.next_u64(),
             sketch: gen_digest(rng),
@@ -134,12 +118,6 @@ fn gen_response(rng: &mut ChaCha8Rng) -> Response {
         },
         9 => Response::PeerDigests {
             digests: (0..rng.gen_range(0..8usize)).map(|_| gen_digest(rng)).collect(),
-        },
-        10 => Response::PeerJobs {
-            jobs: (0..rng.gen_range(0..5usize)).map(|_| gen_peer_job(rng)).collect(),
-        },
-        11 => Response::PeerDoneOk {
-            accepted: rng.next_u32() & 1 == 0,
         },
         _ => Response::Error {
             message: gen_string(rng, 120),

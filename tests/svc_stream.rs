@@ -288,28 +288,31 @@ fn payload_errors_keep_the_connection_framing_errors_drop_it() {
     let server = start(&dir);
 
     // Payload severity: an unknown kind costs one tagged ERROR, then the
-    // same connection keeps serving.
+    // same connection keeps serving. 0x0E, the retired PEER_STEAL, is as
+    // unknown as any never-assigned kind.
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    Frame {
-        tag: 7,
-        kind: 0x6e,
-        payload: vec![],
+    for (tag, kind) in [(7, 0x6e), (9, 0x0E)] {
+        Frame {
+            tag,
+            kind,
+            payload: vec![],
+        }
+        .write_to(&mut s)
+        .unwrap();
+        let (got, response) = recv(&mut s);
+        assert_eq!(got, tag);
+        assert!(matches!(response, Response::Error { .. }));
+        send(&mut s, tag + 1, &Request::Status { job: 1 });
+        let (got, response) = recv(&mut s);
+        assert_eq!(got, tag + 1, "connection must survive a payload error");
+        assert_eq!(response, Response::Status { status: None });
     }
-    .write_to(&mut s)
-    .unwrap();
-    let (tag, response) = recv(&mut s);
-    assert_eq!(tag, 7);
-    assert!(matches!(response, Response::Error { .. }));
-    send(&mut s, 8, &Request::Status { job: 1 });
-    let (tag, response) = recv(&mut s);
-    assert_eq!(tag, 8, "connection must survive a payload error");
-    assert_eq!(response, Response::Status { status: None });
 
     // Chunks without a BEGIN are payload errors too, and named as such.
-    send(&mut s, 9, &Request::SubmitEnd);
+    send(&mut s, 11, &Request::SubmitEnd);
     let (tag, response) = recv(&mut s);
-    assert_eq!(tag, 9);
+    assert_eq!(tag, 11);
     let Response::Error { message } = response else {
         panic!("expected an error, got {response:?}");
     };
