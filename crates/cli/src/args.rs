@@ -3,8 +3,7 @@
 //! Flags are `--name value` pairs (or bare `--name` for booleans); the
 //! first non-flag token is the subcommand. Unknown flags are errors —
 //! silent typo-tolerance is how reproduction scripts rot. A flag given
-//! twice is an error unless the caller declared it repeatable (e.g.
-//! `--peer`), in which case every occurrence is kept in order.
+//! twice is an error.
 
 use std::collections::BTreeMap;
 
@@ -13,7 +12,7 @@ use std::collections::BTreeMap;
 pub struct Args {
     /// The subcommand (first positional token).
     pub command: Option<String>,
-    flags: BTreeMap<String, Vec<String>>,
+    flags: BTreeMap<String, String>,
     consumed: std::cell::RefCell<Vec<String>>,
 }
 
@@ -30,18 +29,8 @@ impl std::fmt::Display for UsageError {
 impl std::error::Error for UsageError {}
 
 impl Args {
-    /// Parses `argv[1..]` with no repeatable flags.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Parses `argv[1..]`.
     pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, UsageError> {
-        Args::parse_with_repeats(argv, &[])
-    }
-
-    /// Parses `argv[1..]`; flags named in `repeatable` may appear more
-    /// than once (read them back with [`Args::get_all`]).
-    pub fn parse_with_repeats(
-        argv: impl IntoIterator<Item = String>,
-        repeatable: &[&str],
-    ) -> Result<Args, UsageError> {
         let mut args = Args::default();
         let mut it = argv.into_iter().peekable();
         while let Some(tok) = it.next() {
@@ -50,11 +39,9 @@ impl Args {
                     Some(next) if !next.starts_with("--") => it.next().unwrap_or_default(),
                     _ => "true".to_string(),
                 };
-                let values = args.flags.entry(name.to_string()).or_default();
-                if !values.is_empty() && !repeatable.contains(&name) {
+                if args.flags.insert(name.to_string(), value).is_some() {
                     return Err(UsageError(format!("flag --{name} given twice")));
                 }
-                values.push(value);
             } else if args.command.is_none() {
                 args.command = Some(tok);
             } else {
@@ -70,19 +57,10 @@ impl Args {
             .ok_or_else(|| UsageError(format!("missing required flag --{name}")))
     }
 
-    /// An optional string flag (the first occurrence, for repeatables).
+    /// An optional string flag.
     pub fn get(&self, name: &str) -> Option<String> {
-        let v = self.flags.get(name).and_then(|v| v.first().cloned());
+        let v = self.flags.get(name).cloned();
         if v.is_some() {
-            self.consumed.borrow_mut().push(name.to_string());
-        }
-        v
-    }
-
-    /// Every occurrence of a repeatable flag, in command-line order.
-    pub fn get_all(&self, name: &str) -> Vec<String> {
-        let v = self.flags.get(name).cloned().unwrap_or_default();
-        if !v.is_empty() {
             self.consumed.borrow_mut().push(name.to_string());
         }
         v
@@ -156,33 +134,6 @@ mod tests {
     fn duplicate_flag_errors() {
         let err = Args::parse(["--x", "1", "--x", "2"].iter().map(|s| s.to_string()));
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn repeatable_flag_collects_in_order() {
-        let a = Args::parse_with_repeats(
-            ["serve", "--peer", "a:1", "--peer", "b:2", "--addr", "c:3"]
-                .iter()
-                .map(|s| s.to_string()),
-            &["peer"],
-        )
-        .unwrap();
-        assert_eq!(a.get_all("peer"), vec!["a:1".to_string(), "b:2".to_string()]);
-        assert_eq!(a.get("addr").as_deref(), Some("c:3"));
-        a.finish().unwrap();
-        // Non-repeatable flags still error when doubled.
-        let err = Args::parse_with_repeats(
-            ["--addr", "x", "--addr", "y"].iter().map(|s| s.to_string()),
-            &["peer"],
-        );
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn get_all_on_absent_flag_is_empty_and_unconsumed() {
-        let a = parse(&["serve"]);
-        assert!(a.get_all("peer").is_empty());
-        a.finish().unwrap();
     }
 
     #[test]

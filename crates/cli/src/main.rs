@@ -60,7 +60,6 @@ const USAGE: &str = "usage:
                    [--max-attempts N] [--job-timeout-secs N] [--log-interval-secs N]
                    [--conn-workers N] [--max-connections N]
                    [--journal-batch N] [--journal-batch-usecs N] [--sketch-cache-bytes N]
-                   [--peer HOST:PORT]... [--advertise HOST:PORT] [--replicas N]
                    [--auth-token SECRET]
   pres submit      --addr HOST:PORT --bug <id> --sketch FILE [--wait-secs N]
                    [--chunk-bytes N] [--auth-token SECRET] [--connect-attempts N]
@@ -68,13 +67,10 @@ const USAGE: &str = "usage:
   pres fetch-cert  --addr HOST:PORT --job N [--out FILE] [--auth-token SECRET]
   pres stats       --addr HOST:PORT [--auth-token SECRET]
   pres shutdown    --addr HOST:PORT [--auth-token SECRET]
-  pres fsck        --data-dir DIR [--self HOST:PORT --peer HOST:PORT...
-                   [--replicas N] [--auth-token SECRET]]";
+  pres fsck        --data-dir DIR";
 
 fn main() -> ExitCode {
-    // `--peer` repeats (one occurrence per cluster peer); everything else
-    // keeps the duplicate-flag typo check.
-    let args = match Args::parse_with_repeats(std::env::args().skip(1), &["peer"]) {
+    let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => return fail(&e.to_string()),
     };
@@ -506,18 +502,12 @@ fn cmd_serve(args: &Args) -> Result<(), UsageError> {
     if let Some(n) = args.get_parsed::<usize>("max-connections")? {
         opts.max_connections = n.max(1);
     }
-    opts.peers = args.get_all("peer");
-    opts.advertise = args.get("advertise");
     opts.auth_token = args.get("auth-token");
-    if let Some(n) = args.get_parsed::<usize>("replicas")? {
-        opts.replicas = n.max(1);
-    }
     opts.queue = queue;
     args.finish()?;
 
     let data_dir = opts.data_dir.clone();
     let workers = opts.queue.workers;
-    let peer_count = opts.peers.len();
     let server = Server::start(opts).map_err(|e| io_err("cannot start daemon", e))?;
     println!(
         "pres-svc listening on {} (data dir {}, {} job worker(s))",
@@ -525,14 +515,6 @@ fn cmd_serve(args: &Args) -> Result<(), UsageError> {
         data_dir.display(),
         workers
     );
-    if let Some(cluster) = server.cluster() {
-        println!(
-            "cluster member {} ({} node(s), {} replica(s) per object)",
-            cluster.self_id(),
-            1 + peer_count,
-            cluster.replicas()
-        );
-    }
     // Runs until a SHUTDOWN frame arrives; `pres shutdown --addr ...` is
     // the remote off switch.
     server.join();
@@ -628,16 +610,7 @@ fn cmd_shutdown(args: &Args) -> Result<(), UsageError> {
 
 fn cmd_fsck(args: &Args) -> Result<(), UsageError> {
     let data_dir: std::path::PathBuf = args.required("data-dir")?.into();
-    let peers = args.get_all("peer");
-    let self_id = args.get("self");
-    let auth_token = args.get("auth-token");
-    let replicas: Option<usize> = args.get_parsed("replicas")?;
     args.finish()?;
-    if !peers.is_empty() && self_id.is_none() {
-        return Err(UsageError(
-            "--peer requires --self HOST:PORT (this data dir's ring identity)".into(),
-        ));
-    }
     // Offline check: run it against a *stopped* daemon's data directory
     // (a live daemon quarantines on read and fscks at startup anyway).
     let (store, objects) = pres_svc::Store::open(data_dir.join("store"))
@@ -647,37 +620,6 @@ fn cmd_fsck(args: &Args) -> Result<(), UsageError> {
         "store: {objects} object(s), {} verified, {} quarantined",
         report.verified, report.quarantined
     );
-    // Cluster mode: repair replication against live peers, then report
-    // this node's share of the ring. Under-replication the pass could
-    // not cure (an owner offline) is an error — operators script on the
-    // exit code.
-    let mut unhealthy = None;
-    if let Some(self_id) = self_id {
-        let mut config = pres_svc::ClusterConfig::new(self_id, peers);
-        config.auth_token = auth_token;
-        if let Some(n) = replicas {
-            config.replicas = n.max(1);
-        }
-        let cluster = pres_svc::Cluster::new(config, std::sync::Arc::new(pres_svc::Metrics::new()));
-        let repair = cluster
-            .repair(&store)
-            .map_err(|e| io_err("cluster repair failed", e))?;
-        let (primary, replica, foreign) = cluster
-            .census(&store)
-            .map_err(|e| io_err("cluster census failed", e))?;
-        println!(
-            "cluster: {} owned as primary, {replica} as replica, {foreign} foreign (N={})",
-            primary,
-            cluster.replicas()
-        );
-        println!(
-            "repair: {} pulled, {} pushed, {} under-replicated, {} peer(s) unreachable",
-            repair.pulled, repair.pushed, repair.under_replicated, repair.peers_unreachable
-        );
-        if !repair.healthy() {
-            unhealthy = Some(repair);
-        }
-    }
     let journal_path = data_dir.join("journal.log");
     if journal_path.exists() {
         let (_, records) = pres_svc::journal::Journal::open(&journal_path)
@@ -702,12 +644,6 @@ fn cmd_fsck(args: &Args) -> Result<(), UsageError> {
             "{} corrupt object(s) moved to {}",
             report.quarantined,
             store.quarantine_dir().display()
-        )));
-    }
-    if let Some(repair) = unhealthy {
-        return Err(UsageError(format!(
-            "replication invariant not restored: {} under-replicated object(s), {} peer(s) unreachable",
-            repair.under_replicated, repair.peers_unreachable
         )));
     }
     println!("fsck clean");

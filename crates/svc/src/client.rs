@@ -86,8 +86,8 @@ impl Client {
     /// [`Client::connect`], retried with bounded exponential backoff: up
     /// to `attempts` tries, sleeping `base_backoff * 2^i` (capped at 2 s)
     /// between them. A refused connection during a daemon restart is the
-    /// expected case — peers reconnecting and CLI commands racing a
-    /// `serve` both land here; only a persistently dead address errors.
+    /// expected case — CLI commands racing a `serve` land here; only a
+    /// persistently dead address errors.
     pub fn connect_with_retry(
         addr: impl ToSocketAddrs,
         attempts: u32,
@@ -205,7 +205,7 @@ impl Client {
         Self::expect_submitted(response)
     }
 
-    /// The stream shared by submits and peer puts: `begin` opens a fresh
+    /// The stream shared by submits and object puts: `begin` opens a fresh
     /// tag, the reader's bytes follow as CHUNK frames, and END fetches
     /// the one response.
     fn stream_object(&mut self, begin: &Request, reader: &mut impl Read) -> io::Result<Response> {
@@ -322,8 +322,8 @@ impl Client {
         }
     }
 
-    /// Streams an object (which must hash to `digest`) to a peer's local
-    /// store over the chunked path. Returns `fresh` (`false` = the peer
+    /// Streams an object (which must hash to `digest`) into the daemon's
+    /// store over the chunked path. Returns `fresh` (`false` = the store
     /// already held it).
     pub fn peer_put(&mut self, digest: &Digest, reader: &mut impl Read) -> io::Result<bool> {
         match self.stream_object(&Request::PeerPutBegin { digest: *digest }, reader)? {
@@ -347,7 +347,7 @@ impl Client {
         }
     }
 
-    /// Fetches a peer's local copy of an object (`None` = it has none).
+    /// Fetches an object from the daemon's store (`None` = it has none).
     pub fn peer_get(&mut self, digest: &Digest) -> io::Result<Option<Vec<u8>>> {
         match self.roundtrip(&Request::PeerGet { digest: *digest })? {
             Response::PeerObject { body } => Ok(body),
@@ -359,7 +359,7 @@ impl Client {
         }
     }
 
-    /// Whether a peer holds a local copy of `digest`.
+    /// Whether the daemon's store holds `digest`.
     pub fn peer_stat(&mut self, digest: &Digest) -> io::Result<bool> {
         match self.roundtrip(&Request::PeerStat { digest: *digest })? {
             Response::PeerStatIs { present } => Ok(present),
@@ -367,18 +367,6 @@ impl Client {
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unexpected response to peer-stat: {other:?}"),
-            )),
-        }
-    }
-
-    /// Every digest in a peer's local store.
-    pub fn peer_list(&mut self) -> io::Result<Vec<Digest>> {
-        match self.roundtrip(&Request::PeerList)? {
-            Response::PeerDigests { digests } => Ok(digests),
-            Response::Error { message } => Err(server_error(message)),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected response to peer-list: {other:?}"),
             )),
         }
     }

@@ -21,7 +21,6 @@
 //! | [`proto`] | length-prefixed tagged frames (one version, size-capped) |
 //! | [`netpoll`] | std-only `poll(2)` shim for the connection workers |
 //! | [`server`] | the daemon: accept loop, connection workers, lifecycle |
-//! | [`cluster`] | rendezvous-hashed sharding, N-way replication, repair |
 //! | [`client`] | the client the CLI and the tests both use |
 //! | [`faultpoint`] | deterministic crash injection for durability tests |
 //! | [`flush`] | durable flush-on-failure writer for ring-mode sketches |
@@ -40,7 +39,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod cluster;
 pub mod crc;
 pub mod digest;
 pub mod faultpoint;
@@ -55,7 +53,6 @@ pub mod store;
 pub mod wire;
 
 pub use cache::{CachedSketch, SketchCache};
-pub use cluster::{Cluster, ClusterConfig, ObjectRole, RepairReport};
 pub use client::{Client, SubmitReceipt};
 pub use digest::{sha256, Digest, Sha256};
 pub use faultpoint::{FaultMode, FaultPoint, Faults};

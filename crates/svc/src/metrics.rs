@@ -76,18 +76,6 @@ pub struct Metrics {
     /// Sketches the decode cache holds (a gauge, refreshed with the one
     /// above).
     pub sketch_cache_entries: AtomicU64,
-    /// Node-to-node RPCs this node issued (puts, gets, stats, lists —
-    /// every peer round trip).
-    pub peer_rpcs: AtomicU64,
-    /// Object payload bytes this node pushed to peers.
-    pub peer_bytes_out: AtomicU64,
-    /// Object payload bytes this node pulled from peers.
-    pub peer_bytes_in: AtomicU64,
-    /// Objects fetched from peers by the repair pass (self is an owner
-    /// but had no local copy).
-    pub repair_pulled: AtomicU64,
-    /// Objects pushed to under-replicated owners by the repair pass.
-    pub repair_pushed: AtomicU64,
     /// Submit→terminal-status latency histogram.
     latency: [AtomicU64; LATENCY_BOUNDS_MS.len() + 1],
 }
@@ -136,11 +124,6 @@ impl Metrics {
             sketch_cache_evictions: load(&self.sketch_cache_evictions),
             sketch_cache_resident_bytes: load(&self.sketch_cache_resident_bytes),
             sketch_cache_entries: load(&self.sketch_cache_entries),
-            peer_rpcs: load(&self.peer_rpcs),
-            peer_bytes_out: load(&self.peer_bytes_out),
-            peer_bytes_in: load(&self.peer_bytes_in),
-            repair_pulled: load(&self.repair_pulled),
-            repair_pushed: load(&self.repair_pushed),
             latency: std::array::from_fn(|i| load(&self.latency[i])),
         }
     }
@@ -173,11 +156,6 @@ pub struct Snapshot {
     pub sketch_cache_evictions: u64,
     pub sketch_cache_resident_bytes: u64,
     pub sketch_cache_entries: u64,
-    pub peer_rpcs: u64,
-    pub peer_bytes_out: u64,
-    pub peer_bytes_in: u64,
-    pub repair_pulled: u64,
-    pub repair_pushed: u64,
     pub latency: [u64; LATENCY_BOUNDS_MS.len() + 1],
 }
 
@@ -246,7 +224,7 @@ impl Snapshot {
     /// The compact one-line form used by the periodic server log.
     pub fn log_line(&self) -> String {
         format!(
-            "svc: conns={} (live {} / refused {}) submits={} (dedup {}, streamed {}) done={} (ok {} / exhausted {} / timeout {} / failed {}) retries={} attempts={} ckpt-jobs={} stalls={} rejected-frames={} journal={}r/{}s (mean {:.1}, max {}, failures {}) cache={}h/{}m (evicted {}, {} resident / {}B) peers={}rpc ({}B out / {}B in) repair={}/{} p50={} p95={} p99={}",
+            "svc: conns={} (live {} / refused {}) submits={} (dedup {}, streamed {}) done={} (ok {} / exhausted {} / timeout {} / failed {}) retries={} attempts={} ckpt-jobs={} stalls={} rejected-frames={} journal={}r/{}s (mean {:.1}, max {}, failures {}) cache={}h/{}m (evicted {}, {} resident / {}B) p50={} p95={} p99={}",
             self.connections,
             self.connections_live,
             self.connections_refused,
@@ -273,11 +251,6 @@ impl Snapshot {
             self.sketch_cache_evictions,
             self.sketch_cache_entries,
             self.sketch_cache_resident_bytes,
-            self.peer_rpcs,
-            self.peer_bytes_out,
-            self.peer_bytes_in,
-            self.repair_pulled,
-            self.repair_pushed,
             self.latency_percentile(50.0),
             self.latency_percentile(95.0),
             self.latency_percentile(99.0),
@@ -317,11 +290,6 @@ impl std::fmt::Display for Snapshot {
             self.sketch_cache_resident_bytes
         )?;
         writeln!(f, "sketch_cache_entries {}", self.sketch_cache_entries)?;
-        writeln!(f, "peer_rpcs          {}", self.peer_rpcs)?;
-        writeln!(f, "peer_bytes_out     {}", self.peer_bytes_out)?;
-        writeln!(f, "peer_bytes_in      {}", self.peer_bytes_in)?;
-        writeln!(f, "repair_pulled      {}", self.repair_pulled)?;
-        writeln!(f, "repair_pushed      {}", self.repair_pushed)?;
         writeln!(f, "latency_p50        {}", self.latency_percentile(50.0))?;
         writeln!(f, "latency_p95        {}", self.latency_percentile(95.0))?;
         writeln!(f, "latency_p99        {}", self.latency_percentile(99.0))?;
@@ -394,22 +362,5 @@ mod tests {
         assert!(long.contains("window_stalls      0"));
         assert!(long.contains("latency_p99        n/a"));
         assert!(long.contains("latency_ms"));
-    }
-
-    #[test]
-    fn cluster_counters_render_in_both_forms() {
-        let m = Metrics::new();
-        m.peer_rpcs.fetch_add(5, Ordering::Relaxed);
-        m.peer_bytes_out.fetch_add(1024, Ordering::Relaxed);
-        m.repair_pulled.fetch_add(1, Ordering::Relaxed);
-        let snap = m.snapshot();
-        assert!(snap
-            .log_line()
-            .contains("peers=5rpc (1024B out / 0B in) repair=1/0"));
-        let long = snap.to_string();
-        assert!(long.contains("peer_rpcs          5"));
-        assert!(long.contains("peer_bytes_out     1024"));
-        assert!(long.contains("repair_pulled      1"));
-        assert!(long.contains("repair_pushed      0"));
     }
 }

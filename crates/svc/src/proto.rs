@@ -37,18 +37,16 @@
 //! its live-connection cap. A client waiting on any tag must treat a
 //! tag-0 ERROR as addressed to it.
 //!
-//! ## Cluster kinds
+//! ## Auth and object kinds
 //!
-//! The node-to-node layer ([`crate::cluster`]) speaks the same frames.
 //! `HELLO` carries a shared-secret auth token and must be the first frame
-//! on a connection when the daemon was started with `--auth-token`
-//! (mandatory on peer links). Object transfer between peers routes the
-//! content-addressed store: `PEER_PUT_BEGIN` (expected digest) opens a
-//! stream that reuses the `SUBMIT_CHUNK`/`SUBMIT_END` path — same tag,
-//! same incremental-digest spill — so a multi-MB sketch never
-//! materializes whole on the receiving node; `PEER_GET` / `PEER_STAT` /
-//! `PEER_LIST` read a peer's **local** objects only (never re-routed, so
-//! lookups cannot cycle).
+//! on a connection when the daemon was started with `--auth-token`.
+//! Three kinds read and write the daemon's content-addressed store
+//! directly: `PEER_PUT_BEGIN` (expected digest) opens a stream that
+//! reuses the `SUBMIT_CHUNK`/`SUBMIT_END` path — same tag, same
+//! incremental-digest spill — so a multi-MB object never materializes
+//! whole on the daemon; `PEER_GET` fetches an object and `PEER_STAT`
+//! asks whether one is present.
 //!
 //! ## Error severity
 //!
@@ -104,7 +102,8 @@ const REQ_HELLO: u8 = 0x09;
 const REQ_PEER_PUT_BEGIN: u8 = 0x0A;
 const REQ_PEER_GET: u8 = 0x0B;
 const REQ_PEER_STAT: u8 = 0x0C;
-const REQ_PEER_LIST: u8 = 0x0D;
+// 0x0D was PEER_LIST (the cluster repair walk, removed); it is now an
+// unknown kind.
 // 0x0E and 0x0F were PEER_STEAL and PEER_DONE (idle-node job migration,
 // removed); they are now unknown kinds.
 const RESP_SUBMIT: u8 = 0x81;
@@ -116,7 +115,7 @@ const RESP_HELLO: u8 = 0x86;
 const RESP_PEER_PUT: u8 = 0x87;
 const RESP_PEER_OBJECT: u8 = 0x88;
 const RESP_PEER_STAT: u8 = 0x89;
-const RESP_PEER_LIST: u8 = 0x8A;
+// 0x8A was the PEER_LIST answer; it is now an unknown kind.
 // 0x8B and 0x8C were the PEER_JOBS and PEER_DONE answers; they are now
 // unknown kinds.
 const RESP_ERROR: u8 = 0xFF;
@@ -317,16 +316,14 @@ pub enum Request {
     /// Authenticate the connection with a shared-secret token. Must be
     /// the first frame when the daemon enforces `--auth-token`.
     Hello { token: Vec<u8> },
-    /// Opens a streaming peer object transfer on this frame's tag: the
-    /// chunks arrive as [`Request::SubmitChunk`] / [`Request::SubmitEnd`]
-    /// and must hash to `digest` or the object is refused.
+    /// Opens a streaming object put on this frame's tag: the chunks
+    /// arrive as [`Request::SubmitChunk`] / [`Request::SubmitEnd`] and
+    /// must hash to `digest` or the put is refused.
     PeerPutBegin { digest: Digest },
-    /// Fetch a peer's *local* copy of an object (never re-routed).
+    /// Fetch an object from the daemon's store.
     PeerGet { digest: Digest },
-    /// Does the peer hold a local copy of `digest`?
+    /// Does the daemon's store hold `digest`?
     PeerStat { digest: Digest },
-    /// Every digest in the peer's local store (the repair pull phase).
-    PeerList,
 }
 
 impl Request {
@@ -374,7 +371,6 @@ impl Request {
                 wire::put_digest(&mut p, digest);
                 (REQ_PEER_STAT, p)
             }
-            Request::PeerList => (REQ_PEER_LIST, Vec::new()),
         };
         wire::check_len(payload.len())?;
         Ok(Frame { tag, kind, payload })
@@ -414,7 +410,6 @@ impl Request {
             REQ_PEER_STAT => Request::PeerStat {
                 digest: r.digest().ok_or(bad("peer-stat digest"))?,
             },
-            REQ_PEER_LIST => Request::PeerList,
             k => return Err(ProtoError::UnknownKind(k)),
         };
         if !r.is_done() {
@@ -446,15 +441,13 @@ pub enum Response {
     ShuttingDown,
     /// The connection is authenticated (or the daemon runs open).
     HelloOk,
-    /// A peer object transfer landed. `fresh` is `false` when the store
-    /// already held the object (dedup, not an error).
+    /// An object put landed. `fresh` is `false` when the store already
+    /// held the object (dedup, not an error).
     PeerPut { digest: Digest, fresh: bool },
-    /// A peer's local copy of an object, or `None` if it has none.
+    /// An object's bytes, or `None` if the store has none.
     PeerObject { body: Option<Vec<u8>> },
-    /// Whether the peer holds a local copy.
+    /// Whether the store holds the object.
     PeerStatIs { present: bool },
-    /// Every digest in the peer's local store.
-    PeerDigests { digests: Vec<Digest> },
     /// The request could not be served.
     Error { message: String },
 }
@@ -518,17 +511,6 @@ impl Response {
                 (RESP_PEER_OBJECT, p)
             }
             Response::PeerStatIs { present } => (RESP_PEER_STAT, vec![u8::from(*present)]),
-            Response::PeerDigests { digests } => {
-                let mut p = Vec::new();
-                wire::put_u32(
-                    &mut p,
-                    u32::try_from(digests.len()).map_err(|_| ProtoError::TooLarge(digests.len()))?,
-                );
-                for d in digests {
-                    wire::put_digest(&mut p, d);
-                }
-                (RESP_PEER_LIST, p)
-            }
             Response::Error { message } => {
                 let mut p = Vec::new();
                 wire::put_str(&mut p, message)?;
@@ -579,16 +561,6 @@ impl Response {
             RESP_PEER_STAT => Response::PeerStatIs {
                 present: r.u8().ok_or(bad("peer-stat presence byte"))? != 0,
             },
-            RESP_PEER_LIST => {
-                let count = r.u32().ok_or(bad("peer-list count"))?;
-                // No up-front reservation: an adversarial count fails on
-                // the first missing digest, having allocated nothing.
-                let mut digests = Vec::new();
-                for _ in 0..count {
-                    digests.push(r.digest().ok_or(bad("peer-list digest"))?);
-                }
-                Response::PeerDigests { digests }
-            }
             RESP_ERROR => Response::Error {
                 message: r.str().ok_or(bad("error message"))?.to_string(),
             },
@@ -785,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_requests_and_responses_roundtrip() {
+    fn auth_and_object_requests_and_responses_roundtrip() {
         let requests = [
             Request::Hello {
                 token: b"sesame".to_vec(),
@@ -800,7 +772,6 @@ mod tests {
             Request::PeerStat {
                 digest: sha256(b"obj"),
             },
-            Request::PeerList,
         ];
         for req in requests {
             let frame = req.to_frame(77).unwrap();
@@ -818,10 +789,6 @@ mod tests {
                 body: Some(vec![7; 100]),
             },
             Response::PeerStatIs { present: false },
-            Response::PeerDigests { digests: vec![] },
-            Response::PeerDigests {
-                digests: vec![sha256(b"a"), sha256(b"b")],
-            },
         ];
         for resp in responses {
             assert_eq!(
@@ -832,29 +799,18 @@ mod tests {
     }
 
     #[test]
-    fn peer_list_with_lying_count_is_rejected_without_allocation() {
-        // count says 2^32-1 digests, body holds one: decode must fail on
-        // the missing second digest, not allocate count * 32 bytes.
-        let mut payload = Vec::new();
-        crate::wire::put_u32(&mut payload, u32::MAX);
-        crate::wire::put_digest(&mut payload, &sha256(b"only"));
-        assert!(matches!(
-            Response::from_frame(&frame(RESP_PEER_LIST, &payload)).unwrap_err(),
-            ProtoError::BadPayload(_)
-        ));
-    }
-
-    #[test]
     fn unknown_kind_and_trailing_bytes_are_rejected() {
-        // 0x01 (the monolithic SUBMIT) and 0x0E/0x0F (PEER_STEAL,
-        // PEER_DONE) are retired: as unknown as any other kind.
-        for kind in [0x01, 0x0E, 0x0F, 0x42] {
+        // 0x01 (the monolithic SUBMIT), 0x0D (PEER_LIST) and 0x0E/0x0F
+        // (PEER_STEAL, PEER_DONE) are retired: as unknown as any other
+        // kind.
+        for kind in [0x01, 0x0D, 0x0E, 0x0F, 0x42] {
             let err = Request::from_frame(&frame(kind, b"")).unwrap_err();
             assert_eq!(err, ProtoError::UnknownKind(kind));
             assert_eq!(err.severity(), Severity::Payload);
         }
-        // 0x8B/0x8C (PEER_JOBS, PEER_DONE answers) likewise.
-        for kind in [0x8B, 0x8C] {
+        // 0x8A (the PEER_LIST answer) and 0x8B/0x8C (PEER_JOBS, PEER_DONE
+        // answers) likewise.
+        for kind in [0x8A, 0x8B, 0x8C] {
             let err = Response::from_frame(&frame(kind, b"")).unwrap_err();
             assert_eq!(err, ProtoError::UnknownKind(kind));
             assert_eq!(err.severity(), Severity::Payload);

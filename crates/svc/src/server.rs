@@ -52,9 +52,7 @@
 //! journaled for the next start, and [`Server::join`] returns once every
 //! worker is idle.
 
-use crate::client::{DEFAULT_CONNECT_ATTEMPTS, DEFAULT_CONNECT_BACKOFF};
-use crate::cluster::{token_matches, Cluster, ClusterConfig};
-use crate::digest::Digest;
+use crate::digest::{sha256, Digest};
 use crate::metrics::Metrics;
 use crate::netpoll;
 use crate::proto::{Frame, Request, Response, CONNECTION_TAG, DEFAULT_MAX_FRAME};
@@ -117,20 +115,9 @@ pub struct ServeOptions {
     /// queued unflushed, the connection is not read again until the
     /// client drains them.
     pub inflight_window: usize,
-    /// The other cluster nodes' advertised addresses (`--peer`, repeat
-    /// per node). Empty = standalone daemon, no cluster layer at all.
-    pub peers: Vec<String>,
-    /// The address peers dial *this* node at — its ring identity. Must
-    /// match what the peers pass as `--peer` byte-for-byte. Defaults to
-    /// the bound address, which is only right when every node binds a
-    /// routable address (loopback clusters in tests do).
-    pub advertise: Option<String>,
-    /// Shared secret: when set, every connection (client or peer) must
-    /// open with a HELLO carrying it.
+    /// Shared secret: when set, every connection must open with a HELLO
+    /// carrying it.
     pub auth_token: Option<String>,
-    /// Owners per object (clamped to the node count). 2 survives one
-    /// node loss.
-    pub replicas: usize,
 }
 
 impl Default for ServeOptions {
@@ -145,12 +132,26 @@ impl Default for ServeOptions {
             conn_workers: 4,
             max_connections: 4096,
             inflight_window: 128,
-            peers: Vec::new(),
-            advertise: None,
             auth_token: None,
-            replicas: 2,
         }
     }
+}
+
+/// Constant-time 32-byte comparison: the XOR-accumulate loop touches
+/// every byte regardless of where the first mismatch is, so a token
+/// check leaks no prefix-length timing.
+fn constant_time_eq(a: &[u8; 32], b: &[u8; 32]) -> bool {
+    a.iter()
+        .zip(b.iter())
+        .fold(0u8, |acc, (x, y)| acc | (x ^ y))
+        == 0
+}
+
+/// Whether a presented token matches the configured secret. Both sides
+/// are hashed first so the comparison is fixed-width and constant-time
+/// even though tokens are variable-length.
+fn token_matches(secret: &[u8], presented: &[u8]) -> bool {
+    constant_time_eq(&sha256(secret).0, &sha256(presented).0)
 }
 
 /// Everything a connection worker needs, shared across the front end.
@@ -167,8 +168,6 @@ struct Frontend {
     /// The configured shared secret, raw. `Some` ⇒ every connection must
     /// HELLO before anything else.
     auth_token: Option<Vec<u8>>,
-    /// The cluster view, when this daemon was started with `--peer`.
-    cluster: Option<Arc<Cluster>>,
 }
 
 type Mailbox = Arc<Mutex<Vec<TcpStream>>>;
@@ -183,8 +182,6 @@ pub struct Server {
     conn_workers: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     logger: Option<JoinHandle<()>>,
-    cluster: Option<Arc<Cluster>>,
-    repairer: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -192,35 +189,12 @@ impl Server {
     /// jobs, binds the listener, and starts accepting.
     pub fn start(opts: ServeOptions) -> io::Result<Server> {
         let metrics = Arc::new(Metrics::new());
-        // Bind before opening the store: the resolved address (port 0
-        // becomes concrete here) is this node's default ring identity.
         let listener = TcpListener::bind(&opts.addr)?;
         let addr = listener.local_addr()?;
         let (store, _) = Store::open(opts.data_dir.join("store"))?;
-        let cluster = if opts.peers.is_empty() {
-            None
-        } else {
-            let self_id = opts.advertise.clone().unwrap_or_else(|| addr.to_string());
-            Some(Arc::new(Cluster::new(
-                ClusterConfig {
-                    self_id,
-                    peers: opts.peers.clone(),
-                    replicas: opts.replicas,
-                    auth_token: opts.auth_token.clone(),
-                    connect_attempts: DEFAULT_CONNECT_ATTEMPTS,
-                    connect_backoff: DEFAULT_CONNECT_BACKOFF,
-                },
-                Arc::clone(&metrics),
-            )))
-        };
-        if let Some(cluster) = &cluster {
-            store.attach_cluster(Arc::clone(cluster));
-        }
         // Self-verify the whole store before serving: any object that
         // rotted on disk is quarantined now, so every post-start read
-        // either verifies or is a clean miss (a resubmission — or, in a
-        // cluster, the startup repair pass — repairs it). fsck reads are
-        // strictly local, so this never routes to peers.
+        // either verifies or is a clean miss (a resubmission repairs it).
         let fsck = store.fsck()?;
         if fsck.quarantined > 0 {
             eprintln!(
@@ -260,7 +234,6 @@ impl Server {
             read_timeout: opts.read_timeout,
             inflight_window: opts.inflight_window.max(1),
             auth_token: opts.auth_token.as_ref().map(|t| t.as_bytes().to_vec()),
-            cluster: cluster.clone(),
         });
 
         let n = opts.conn_workers.max(1);
@@ -326,33 +299,6 @@ impl Server {
                 .expect("spawn metrics logger")
         });
 
-        // Startup repair: restore the replication invariant in the
-        // background — pull objects this node owns but lacks, push local
-        // objects to remote owners that lack them. One pass; `pres fsck
-        // --peer` is the operator's on-demand rerun.
-        let repairer = cluster.as_ref().map(|cluster| {
-            let cluster = Arc::clone(cluster);
-            let queue = Arc::clone(&queue);
-            thread::Builder::new()
-                .name("svc-repair".into())
-                .spawn(move || match cluster.repair(queue.store()) {
-                    Ok(report) => {
-                        if report.pulled + report.pushed > 0 || !report.healthy() {
-                            eprintln!(
-                                "pres-svc: startup repair pulled {} pushed {} \
-                                 ({} under-replicated, {} peer(s) unreachable)",
-                                report.pulled,
-                                report.pushed,
-                                report.under_replicated,
-                                report.peers_unreachable
-                            );
-                        }
-                    }
-                    Err(e) => eprintln!("pres-svc: startup repair failed: {e}"),
-                })
-                .expect("spawn repairer")
-        });
-
         Ok(Server {
             addr,
             queue,
@@ -362,8 +308,6 @@ impl Server {
             conn_workers,
             workers,
             logger,
-            cluster,
-            repairer,
         })
     }
 
@@ -380,11 +324,6 @@ impl Server {
     /// The queue (for in-process inspection in tests and benches).
     pub fn queue(&self) -> &Arc<JobQueue> {
         &self.queue
-    }
-
-    /// The cluster view (`None` for a standalone daemon).
-    pub fn cluster(&self) -> Option<&Arc<Cluster>> {
-        self.cluster.as_ref()
     }
 
     /// Initiates the drain-and-exit sequence (idempotent).
@@ -409,9 +348,6 @@ impl Server {
             let _ = h.join();
         }
         if let Some(h) = self.logger.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.repairer.take() {
             let _ = h.join();
         }
         self.queue.await_drained();
@@ -451,12 +387,11 @@ fn raw_fd(_stream: &TcpStream) -> i32 {
 enum StreamKind {
     /// A client's streaming submit: verify the bug id, enqueue a job.
     Submit { bug: String },
-    /// A peer's replication push: verify the advertised digest, publish
-    /// locally only — a replica write must never fan out again.
+    /// A plain object put: verify the advertised digest, publish.
     PeerPut { expect: Digest },
 }
 
-/// One in-progress inbound stream (streaming submit or peer put), keyed
+/// One in-progress inbound stream (streaming submit or object put), keyed
 /// by its tag on the connection.
 struct InboundStream<'a> {
     kind: StreamKind,
@@ -867,25 +802,13 @@ fn close_stream(frontend: &Frontend, conn: &mut Conn<'_>, tag: u32) -> Option<Re
                 Err(e) => error(format!("store ingest failed: {e}")),
             }
         }
-        StreamKind::PeerPut { expect } => {
-            let bytes = stream.put.written();
-            // `finish_local`, never `finish`: the sender is the object's
-            // origin and pushes to every owner itself; fanning out again
-            // here would echo objects around the ring.
-            match stream.put.finish_local() {
-                Ok((digest, fresh)) if digest == expect => {
-                    frontend
-                        .metrics
-                        .peer_bytes_in
-                        .fetch_add(bytes, Ordering::Relaxed);
-                    Response::PeerPut { digest, fresh }
-                }
-                Ok((digest, _)) => error(format!(
-                    "peer put advertised {expect} but the bytes hash to {digest}"
-                )),
-                Err(e) => error(format!("store ingest failed: {e}")),
-            }
-        }
+        StreamKind::PeerPut { expect } => match stream.put.finish() {
+            Ok((digest, fresh)) if digest == expect => Response::PeerPut { digest, fresh },
+            Ok((digest, _)) => error(format!(
+                "peer put advertised {expect} but the bytes hash to {digest}"
+            )),
+            Err(e) => error(format!("store ingest failed: {e}")),
+        },
     })
 }
 
@@ -944,22 +867,9 @@ fn handle<'a>(
                 message: format!("unknown job {job}"),
             },
         },
-        Request::Stats => {
-            let mut text = metrics.snapshot().to_string();
-            if let Some(cluster) = &frontend.cluster {
-                let (primary, replica, foreign) =
-                    cluster.census(queue.store()).unwrap_or((0, 0, 0));
-                text.push_str(&format!(
-                    "\ncluster_self       {}\ncluster_nodes      {}\ncluster_replicas   {}\n\
-                     objects_primary    {primary}\nobjects_replica    {replica}\n\
-                     objects_foreign    {foreign}",
-                    cluster.self_id(),
-                    1 + cluster.peer_ids().len(),
-                    cluster.replicas(),
-                ));
-            }
-            Response::Stats { text }
-        }
+        Request::Stats => Response::Stats {
+            text: metrics.snapshot().to_string(),
+        },
         Request::Shutdown => {
             frontend.shutdown.store(true, Ordering::SeqCst);
             queue.drain();
@@ -969,18 +879,8 @@ fn handle<'a>(
             let _ = TcpStream::connect(frontend.listen_addr);
             Response::ShuttingDown
         }
-        // Peer reads serve *local* objects only: routing a miss onward
-        // would let two nodes chase each other for an object neither
-        // has. The cluster layer's fetch already asks every candidate.
-        Request::PeerGet { digest } => match queue.store().get_local(&digest) {
-            Ok(body) => {
-                if let Some(b) = &body {
-                    metrics
-                        .peer_bytes_out
-                        .fetch_add(b.len() as u64, Ordering::Relaxed);
-                }
-                Response::PeerObject { body }
-            }
+        Request::PeerGet { digest } => match queue.store().get(&digest) {
+            Ok(body) => Response::PeerObject { body },
             Err(e) => Response::Error {
                 message: format!("peer get failed: {e}"),
             },
@@ -988,11 +888,22 @@ fn handle<'a>(
         Request::PeerStat { digest } => Response::PeerStatIs {
             present: queue.store().contains(&digest),
         },
-        Request::PeerList => match queue.store().local_digests() {
-            Ok(digests) => Response::PeerDigests { digests },
-            Err(e) => Response::Error {
-                message: format!("peer list failed: {e}"),
-            },
-        },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn token_comparison_accepts_equal_rejects_unequal() {
+        assert!(token_matches(b"sesame", b"sesame"));
+        assert!(!token_matches(b"sesame", b"sesame "));
+        assert!(!token_matches(b"sesame", b""));
+        assert!(token_matches(b"", b""));
+        assert!(constant_time_eq(&[7; 32], &[7; 32]));
+        let mut other = [7u8; 32];
+        other[31] ^= 1;
+        assert!(!constant_time_eq(&[7; 32], &other));
+    }
 }

@@ -31,14 +31,12 @@
 //! so a hot sketch skips [`Store::get`] — and the read + hash-verify +
 //! decode behind it — entirely, with no invalidation protocol needed.
 
-use crate::cluster::Cluster;
 use crate::digest::{sha256, Digest, Sha256};
 use crate::faultpoint::{FaultPoint, Faults};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// An in-progress streaming ingest: chunks are digested incrementally and
 /// spilled straight into a staging file, so ingesting a multi-MB blob
@@ -85,29 +83,15 @@ impl StreamingPut<'_> {
     /// Syncs the staged bytes, then publishes them under their digest.
     /// Returns the digest and whether a new object was written (`false` =
     /// identical content was already published; the staging file is
-    /// discarded). A fresh object replicates to its remote owners when
-    /// the store is clustered, exactly like [`Store::put`].
-    pub fn finish(self) -> io::Result<(Digest, bool)> {
-        let store = self.store;
-        let (digest, fresh) = self.finish_local()?;
-        if fresh {
-            if let Some(cluster) = store.cluster() {
-                cluster.replicate(&digest, store);
-            }
-        }
-        Ok((digest, fresh))
-    }
-
-    /// [`StreamingPut::finish`] without the replication push — the
-    /// receiving half of a peer transfer, which must not fan out again.
-    pub fn finish_local(mut self) -> io::Result<(Digest, bool)> {
+    /// discarded).
+    pub fn finish(mut self) -> io::Result<(Digest, bool)> {
         let file = self
             .file
             .take()
             .expect("finish called twice on a StreamingPut");
         let digest = self.hasher.clone().finalize();
         if self.store.contains(&digest) {
-            // The dedup probe `put_local` makes before staging, made as
+            // The dedup probe `put` makes before staging, made as
             // soon as the digest is known: the staged copy is discarded
             // without paying for its durability (a crash before the unlink
             // leaves an orphan the next open sweeps).
@@ -148,15 +132,6 @@ pub struct FsckReport {
 }
 
 /// A content-addressed blob store rooted at one directory.
-///
-/// With a [`Cluster`] attached ([`Store::attach_cluster`]) the store
-/// becomes one shard of a replicated cluster store: `put` publishes
-/// locally first (the durability ack is always backed by a local,
-/// fsynced copy) and then pushes the fresh object to its remote owners;
-/// `get` falls back to fetching a local miss from the cluster,
-/// re-publishing it locally when this node is an owner. The `*_local`
-/// variants never touch the network — peer-facing server handlers use
-/// them, which is what makes routed lookups cycle-free.
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
@@ -164,8 +139,6 @@ pub struct Store {
     /// this process (cross-process staging races are resolved by rename).
     tmp_seq: AtomicU64,
     faults: Faults,
-    /// Set once at server startup when this node joins a cluster.
-    cluster: OnceLock<Arc<Cluster>>,
 }
 
 /// Opens `dir` and fsyncs it, making recently created/renamed/unlinked
@@ -207,22 +180,9 @@ impl Store {
             root,
             tmp_seq: AtomicU64::new(0),
             faults,
-            cluster: OnceLock::new(),
         };
         let count = store.walk_count()?;
         Ok((store, count))
-    }
-
-    /// Joins this store to a cluster: subsequent `put`s replicate fresh
-    /// objects to their remote owners and `get`s route local misses.
-    /// Call once, before serving traffic; a second call is ignored.
-    pub fn attach_cluster(&self, cluster: Arc<Cluster>) {
-        let _ = self.cluster.set(cluster);
-    }
-
-    /// The attached cluster, if any.
-    pub fn cluster(&self) -> Option<&Arc<Cluster>> {
-        self.cluster.get()
     }
 
     /// Every digest currently published (directory-walk order).
@@ -252,21 +212,9 @@ impl Store {
         Ok(self.walk()?.len())
     }
 
-    /// Every locally published digest — the peer LIST response and the
-    /// repair/census walks read exactly this.
-    pub fn local_digests(&self) -> io::Result<Vec<Digest>> {
-        self.walk()
-    }
-
     fn object_path(&self, digest: &Digest) -> PathBuf {
         let hex = digest.to_hex();
         self.root.join("objects").join(&hex[..2]).join(&hex[2..])
-    }
-
-    /// The on-disk path a local copy of `digest` would live at (the
-    /// cluster layer streams peer pushes straight off this file).
-    pub fn local_object_path(&self, digest: &Digest) -> PathBuf {
-        self.object_path(digest)
     }
 
     /// The store's root directory.
@@ -329,24 +277,8 @@ impl Store {
     /// Ingests a blob. Returns its digest and whether a new object was
     /// written (`false` = content already present, nothing touched disk
     /// beyond the existence probe). On success the object *and* the
-    /// directory entries publishing it are fsynced. With a cluster
-    /// attached, a fresh object is then pushed to its remote owners
-    /// (best-effort — the local fsynced copy already backs the ack;
-    /// repair fills any gap an unreachable owner leaves).
+    /// directory entries publishing it are fsynced.
     pub fn put(&self, data: &[u8]) -> io::Result<(Digest, bool)> {
-        let (digest, fresh) = self.put_local(data)?;
-        if fresh {
-            if let Some(cluster) = self.cluster.get() {
-                cluster.replicate(&digest, self);
-            }
-        }
-        Ok((digest, fresh))
-    }
-
-    /// [`Store::put`] without the replication push: peer-facing handlers
-    /// and the repair pull phase land objects with this, so a replica
-    /// write never fans out again.
-    pub fn put_local(&self, data: &[u8]) -> io::Result<(Digest, bool)> {
         let digest = sha256(data);
         if self.object_path(&digest).exists() {
             return Ok((digest, false));
@@ -395,37 +327,12 @@ impl Store {
         self.object_path(digest).exists()
     }
 
-    /// Reads an object, routing a local miss through the cluster when one
-    /// is attached: owners are asked first, then every remaining peer. A
-    /// remote hit is verified against its digest and — when this node is
-    /// an owner — re-published locally, so routed reads repair replication
-    /// gaps as a side effect. Corruption semantics on the local path match
-    /// [`Store::get_local`].
+    /// Reads an object back, verifying its content still matches its name
+    /// (silent disk corruption surfaces here, not in a replay). A
+    /// mismatching object is *quarantined*: moved out of its digest path
+    /// so it is never served again and a fresh `put` of the true bytes can
+    /// repair the store, then reported as an error for this read.
     pub fn get(&self, digest: &Digest) -> io::Result<Option<Vec<u8>>> {
-        if let Some(data) = self.get_local(digest)? {
-            return Ok(Some(data));
-        }
-        let Some(cluster) = self.cluster.get() else {
-            return Ok(None);
-        };
-        let Some(bytes) = cluster.fetch(digest) else {
-            return Ok(None);
-        };
-        if cluster.is_owner(digest) {
-            // An owner that had to route is a replication gap: close it.
-            self.put_local(&bytes)?;
-        }
-        Ok(Some(bytes))
-    }
-
-    /// Reads a *local* object back, verifying its content still matches
-    /// its name (silent disk corruption surfaces here, not in a replay).
-    /// A mismatching object is *quarantined*: moved out of its digest
-    /// path so it is never served again and a fresh `put` of the true
-    /// bytes can repair the store, then reported as an error for this
-    /// read. Never touches the network — the peer GET handler serves
-    /// exactly this.
-    pub fn get_local(&self, digest: &Digest) -> io::Result<Option<Vec<u8>>> {
         let path = self.object_path(digest);
         let data = match std::fs::read(&path) {
             Ok(d) => d,
@@ -464,7 +371,7 @@ impl Store {
     pub fn fsck(&self) -> io::Result<FsckReport> {
         let mut report = FsckReport::default();
         for digest in self.walk()? {
-            match self.get_local(&digest) {
+            match self.get(&digest) {
                 Ok(Some(_)) => report.verified += 1,
                 Ok(None) => {} // raced with a concurrent quarantine
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -698,7 +605,7 @@ mod tests {
     fn an_uppercase_object_name_is_not_an_object() {
         // A stray file named by a digest spelled in uppercase: no `get`
         // can reach it, because object paths are lowercase, so neither
-        // the open count, the peer LIST nor fsck may count it.
+        // the open count, `len` nor fsck may count it.
         let root = scratch("uppercase");
         let hex = sha256(b"stray").to_hex().to_uppercase();
         assert_ne!(hex, hex.to_lowercase());
@@ -707,7 +614,7 @@ mod tests {
         std::fs::write(fan.join(&hex[2..]), b"stray").unwrap();
         let (store, count) = Store::open(&root).unwrap();
         assert_eq!(count, 0);
-        assert_eq!(store.local_digests().unwrap(), Vec::<Digest>::new());
+        assert_eq!(store.len().unwrap(), 0);
         let report = store.fsck().unwrap();
         assert_eq!(report, FsckReport { verified: 0, quarantined: 0 });
     }

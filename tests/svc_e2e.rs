@@ -1,8 +1,8 @@
 //! End-to-end tests of the replay-as-a-service daemon over real loopback
 //! TCP: the full serve → submit → poll → fetch-certificate → replay
 //! pipeline, plus the abuse cases the daemon must survive (malformed
-//! frames, mid-submit disconnects, job timeouts) and the restart story
-//! (journal replay, store dedup).
+//! frames, mid-submit disconnects, job timeouts), the restart story
+//! (journal replay, store dedup) and the shared-secret perimeter.
 
 use pres_suite::apps::registry::all_bugs;
 use pres_suite::core::api::Pres;
@@ -12,7 +12,7 @@ use pres_suite::core::Certificate;
 use pres_suite::svc::proto::{Frame, Request};
 use pres_suite::svc::queue::QueueConfig;
 use pres_suite::svc::server::{ServeOptions, Server};
-use pres_suite::svc::{Client, JobStatus};
+use pres_suite::svc::{sha256, Client, JobStatus};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -280,6 +280,48 @@ fn shutdown_drains_and_journal_replays_across_restart() {
         .unwrap()
         .replay(program.as_ref())
         .unwrap();
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn auth_token_gates_every_frame() {
+    const TOKEN: &str = "e2e-secret";
+    let dir = scratch("auth");
+    let server = Server::start(ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        data_dir: dir,
+        log_interval: None,
+        auth_token: Some(TOKEN.into()),
+        ..ServeOptions::default()
+    })
+    .expect("daemon starts");
+    let sketch = recorded_sketch_bytes(BUG);
+
+    // No HELLO: the first real frame is answered with an error and the
+    // connection is closed.
+    let mut bare = Client::connect(server.addr()).unwrap();
+    assert!(bare.submit(BUG, &sketch).is_err());
+
+    // Wrong token: refused at the HELLO itself.
+    let mut wrong = Client::connect(server.addr()).unwrap();
+    assert!(wrong.hello(b"not-the-secret").is_err());
+
+    // The object RPCs sit behind the same perimeter.
+    let mut object = Client::connect(server.addr()).unwrap();
+    assert!(object.peer_stat(&sha256(&sketch)).is_err());
+
+    // The right token opens everything.
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.hello(TOKEN.as_bytes()).unwrap();
+    let receipt = client.submit(BUG, &sketch).unwrap();
+    let status = client.wait(receipt.job, Duration::from_secs(120)).unwrap();
+    let JobStatus::Succeeded { certificate, .. } = status else {
+        panic!("expected success, got {status:?}");
+    };
+    let cert = client.fetch_certificate(receipt.job).unwrap();
+    assert_eq!(sha256(&cert), certificate, "served cert matches its digest");
 
     server.shutdown();
     server.join();

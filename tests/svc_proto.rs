@@ -55,7 +55,7 @@ fn gen_status(rng: &mut ChaCha8Rng) -> JobStatus {
 }
 
 fn gen_request(rng: &mut ChaCha8Rng) -> Request {
-    match rng.gen_range(0..12usize) {
+    match rng.gen_range(0..11usize) {
         0 => Request::SubmitBegin {
             bug: gen_string(rng, 40),
         },
@@ -82,13 +82,12 @@ fn gen_request(rng: &mut ChaCha8Rng) -> Request {
         9 => Request::PeerStat {
             digest: gen_digest(rng),
         },
-        10 => Request::PeerList,
         _ => Request::Shutdown,
     }
 }
 
 fn gen_response(rng: &mut ChaCha8Rng) -> Response {
-    match rng.gen_range(0..11usize) {
+    match rng.gen_range(0..10usize) {
         0 => Response::Submitted {
             job: rng.next_u64(),
             sketch: gen_digest(rng),
@@ -115,9 +114,6 @@ fn gen_response(rng: &mut ChaCha8Rng) -> Response {
         },
         8 => Response::PeerStatIs {
             present: rng.next_u32() & 1 == 0,
-        },
-        9 => Response::PeerDigests {
-            digests: (0..rng.gen_range(0..8usize)).map(|_| gen_digest(rng)).collect(),
         },
         _ => Response::Error {
             message: gen_string(rng, 120),

@@ -283,6 +283,64 @@ fn mid_stream_disconnect_leaves_the_store_clean() {
 }
 
 #[test]
+fn object_put_get_stat_round_trip_through_the_store() {
+    let dir = scratch("objects");
+    let server = start(&dir);
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.set_chunk_bytes(1000);
+
+    // A multi-chunk put lands whole and reads back byte for byte.
+    let blob: Vec<u8> = (0..10_000u32).map(|i| (i * 7 + 3) as u8).collect();
+    let digest = sha256(&blob);
+    assert!(
+        client.peer_put(&digest, &mut &blob[..]).unwrap(),
+        "first put is fresh"
+    );
+    assert!(client.peer_stat(&digest).unwrap());
+    assert_eq!(
+        client.peer_get(&digest).unwrap().as_deref(),
+        Some(&blob[..])
+    );
+
+    // The same bytes again dedup.
+    assert!(!client.peer_put(&digest, &mut &blob[..]).unwrap());
+
+    // A put whose advertised digest is not the bytes' digest is refused
+    // with exactly one ERROR naming both; the next request on the
+    // connection is answered normally.
+    let lie = sha256(b"not these bytes");
+    let other: Vec<u8> = blob.iter().rev().copied().collect();
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    send(&mut s, 1, &Request::PeerPutBegin { digest: lie });
+    for chunk in other.chunks(1000) {
+        send(&mut s, 1, &Request::SubmitChunk { data: chunk.to_vec() });
+    }
+    send(&mut s, 1, &Request::SubmitEnd);
+    send(&mut s, 2, &Request::Status { job: 0 });
+    let (tag, response) = recv(&mut s);
+    assert_eq!(tag, 1);
+    let Response::Error { message } = response else {
+        panic!("expected an error, got {response:?}");
+    };
+    assert!(message.contains(&lie.to_string()), "{message}");
+    assert!(message.contains(&sha256(&other).to_string()), "{message}");
+    assert_eq!(recv(&mut s), (2, Response::Status { status: None }));
+    assert!(!client.peer_stat(&lie).unwrap());
+
+    // An absent object is a clean miss.
+    assert_eq!(client.peer_get(&sha256(b"never stored")).unwrap(), None);
+
+    let tmp_entries: Vec<_> = std::fs::read_dir(dir.join("store").join("tmp"))
+        .unwrap()
+        .collect();
+    assert!(tmp_entries.is_empty(), "staging litter: {tmp_entries:?}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn payload_errors_keep_the_connection_framing_errors_drop_it() {
     let dir = scratch("severity");
     let server = start(&dir);
