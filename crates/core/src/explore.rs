@@ -3,9 +3,9 @@
 //! PRES relaxes "reproduce on the first attempt" to "reproduce within a few
 //! attempts". The explorer drives that loop:
 //!
-//! 1. run a sketch-constrained replay attempt on a [`VthreadPool`],
-//!    streaming its events through a [`feedback::StreamingExtractor`]
-//!    rather than buffering a trace;
+//! 1. run a sketch-constrained replay attempt on the worker thread's warm
+//!    executor pool, streaming its events through a
+//!    [`feedback::StreamingExtractor`] rather than buffering a trace;
 //! 2. if the target failure manifested — done; mint a certificate from the
 //!    attempt's scheduling decisions;
 //! 3. otherwise generate feedback: rank the flip candidates the extractor
@@ -108,9 +108,8 @@ pub struct ExploreConfig {
     /// default) runs the classic serial loop; higher values race attempts
     /// on OS threads and the lowest-numbered success wins.
     pub workers: usize,
-    /// Sizing hint for the [`VthreadPool`] each exploration worker creates
-    /// when the caller supplies none. The pool grows on demand, so the
-    /// hint never changes results.
+    /// Ignored: every exploration worker runs its attempts on its own
+    /// thread's executor pool, which grows on demand.
     pub pool_width: usize,
     /// Cooperative stop token: checked between attempts, so a reproduction
     /// can be cut short by a wall-clock budget (`pres reproduce
@@ -198,7 +197,6 @@ impl Default for ExploreConfig {
             ranking: feedback::Ranking::LocksetThenRecency,
             search: SearchOrder::Bfs,
             workers: 1,
-            // Peak concurrent vthreads over the evaluation corpus.
             pool_width: 8,
             stop: None,
         }
@@ -246,8 +244,7 @@ impl ExploreConfig {
     /// [`ClampDecision::warning`]; library callers typically don't).
     ///
     /// The clamp never changes *results* (the worker count is
-    /// schedule-invisible), only resource pressure. Each worker's pool
-    /// starts empty and grows on demand, so the pool hint needs no clamp.
+    /// schedule-invisible), only resource pressure.
     pub fn validate(mut self) -> ValidationOutcome {
         let host = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -517,7 +514,8 @@ impl Observer for WindowObserver<'_> {
 }
 
 /// Runs one replay attempt for a plan against the shared sketch index, on
-/// `pool`'s workers.
+/// `pool`'s workers when given one and on the calling thread's pool
+/// otherwise.
 ///
 /// Feedback attempts deliver their post-boundary events to a
 /// [`feedback::StreamingExtractor`] and buffer no trace; random attempts
@@ -529,7 +527,7 @@ fn run_attempt(
     vm_config: &VmConfig,
     explore: &ExploreConfig,
     plan: &Plan,
-    pool: &VthreadPool,
+    pool: Option<&VthreadPool>,
 ) -> (RunOutcome, Option<feedback::StreamingExtractor>) {
     let mut sched =
         FastForwardScheduler::with_index(Arc::clone(index), plan.constraints.clone(), plan.seed);
@@ -551,14 +549,13 @@ fn run_attempt(
         }
     };
     let body = program.root();
-    let out = vm::run_with_pool(
-        cfg,
-        program.resources(),
-        &mut sched,
-        observer,
-        pool,
-        move |ctx| body(ctx),
-    );
+    let resources = program.resources();
+    let out = match pool {
+        Some(pool) => vm::run_with_pool(cfg, resources, &mut sched, observer, pool, move |ctx| {
+            body(ctx)
+        }),
+        None => vm::run(cfg, resources, &mut sched, observer, move |ctx| body(ctx)),
+    };
     (out, extractor)
 }
 
@@ -613,13 +610,10 @@ pub fn reproduce_with_oracle(
     reproduce_with_oracle_and_pool(program, sketch, oracle, vm_config, explore, None)
 }
 
-/// As [`reproduce_with_oracle`], additionally reusing a caller-owned
-/// [`VthreadPool`] for the serial exploration path. A long-lived caller
-/// running many reproductions back to back (the `pres-svc` job workers)
-/// keeps one warm pool per worker, so steady-state *jobs* — not just
-/// steady-state attempts — perform zero OS thread spawns. Ignored when
-/// `explore.workers > 1` (each parallel exploration worker owns its own
-/// pool). Pool identity is schedule-invisible, so results are
+/// As [`reproduce_with_oracle`], running the checkpoint check and the
+/// serial exploration path on `pool` instead of the calling thread's own
+/// pool (`None`). Parallel exploration workers always use their own
+/// threads' pools. Pool identity is schedule-invisible, so results are
 /// byte-identical either way.
 pub fn reproduce_with_oracle_and_pool(
     program: &dyn Program,
@@ -696,21 +690,10 @@ fn reproduce_serial(
     oracle: &dyn FailureOracle,
     vm_config: &VmConfig,
     explore: &ExploreConfig,
-    external_pool: Option<&VthreadPool>,
+    pool: Option<&VthreadPool>,
 ) -> Reproduction {
     let mut history = Vec::new();
     let mut search = SearchState::new(explore);
-    // One pool serves every attempt of the loop: attempt 1 warms it to the
-    // program's peak vthread count, every later attempt is spawn-free. A
-    // caller-owned pool extends that reuse across reproductions.
-    let owned_pool;
-    let pool = match external_pool {
-        Some(pool) => pool,
-        None => {
-            owned_pool = VthreadPool::new(explore.pool_width);
-            &owned_pool
-        }
-    };
 
     for attempt in 1..=explore.max_attempts {
         if explore.stop.as_ref().is_some_and(StopToken::is_stopped) {
@@ -791,9 +774,6 @@ fn parallel_worker(
     vm_config: &VmConfig,
     shared: &ParallelShared<'_>,
 ) {
-    // One pool per worker (not shared): checkout never contends across
-    // workers, and a worker's attempts reuse its own warm workers.
-    let pool = VthreadPool::new(shared.explore.pool_width);
     let stop = shared.explore.stop.as_ref();
     loop {
         // Claim the next global attempt index and its plan in one critical
@@ -828,8 +808,9 @@ fn parallel_worker(
             }
         };
 
-        let (out, extractor) =
-            run_attempt(program, index, vm_config, shared.explore, &plan, &pool);
+        // Each worker's attempts run on its own thread's pool: checkout
+        // never contends across workers.
+        let (out, extractor) = run_attempt(program, index, vm_config, shared.explore, &plan, None);
         let verdict = oracle.judge(&out);
         let reproduced = verdict.is_some();
         let record = attempt_record(attempt, &plan, &out, reproduced);
@@ -1408,25 +1389,25 @@ mod tests {
     }
 
     #[test]
-    fn external_pool_reuse_matches_owned_pool_results() {
+    fn caller_pool_reuse_matches_thread_pool_results() {
         let prog = atomicity_program();
         let config = VmConfig::default();
         let run = record_until_failure(&prog, Mechanism::Sync, &config, 0..2000).unwrap();
         let explore = ExploreConfig::default();
-        let owned = reproduce(
+        let on_thread = reproduce(
             &prog,
             &run.sketch,
             &run.sketch.meta.failure_signature,
             &config,
             &explore,
         );
-        // One warm pool serving several reproductions back to back — the
-        // daemon's steady state. Results must be byte-identical and the
+        // One caller-owned pool serving several reproductions back to back.
+        // Results must be byte-identical to the thread's own pool and the
         // pool must stop spawning after the first job warms it.
         let pool = VthreadPool::new(explore.pool_width);
         let mut spawned_after_first = 0;
         for round in 0..3 {
-            let external = reproduce_with_oracle_and_pool(
+            let on_caller = reproduce_with_oracle_and_pool(
                 &prog,
                 &run.sketch,
                 &crate::oracle::StatusOracle::new(&run.sketch.meta.failure_signature),
@@ -1434,11 +1415,11 @@ mod tests {
                 &explore,
                 Some(&pool),
             );
-            assert_eq!(external.reproduced, owned.reproduced, "round {round}");
-            assert_eq!(external.attempts, owned.attempts, "round {round}");
+            assert_eq!(on_caller.reproduced, on_thread.reproduced, "round {round}");
+            assert_eq!(on_caller.attempts, on_thread.attempts, "round {round}");
             assert_eq!(
-                external.certificate.as_ref().map(Certificate::encode),
-                owned.certificate.as_ref().map(Certificate::encode),
+                on_caller.certificate.as_ref().map(Certificate::encode),
+                on_thread.certificate.as_ref().map(Certificate::encode),
                 "round {round}: certificates must be byte-identical"
             );
             match round {

@@ -548,27 +548,6 @@ pub fn record(
         config,
         seed,
         SketchRecorder::new(mechanism, config.cost_model.clone()),
-        None,
-    )
-}
-
-/// As [`record`], but hosting both the native and the recorded execution on
-/// `pool`'s workers — spawn-free once the pool is warm. Recording is
-/// schedule-invisible and so is the executor, so the sketch is byte-
-/// identical to [`record`]'s (pinned by `tests/pool_equivalence.rs`).
-pub fn record_pooled(
-    program: &dyn Program,
-    mechanism: Mechanism,
-    config: &VmConfig,
-    seed: u64,
-    pool: &pres_tvm::pool::VthreadPool,
-) -> RecordedRun {
-    record_with(
-        program,
-        config,
-        seed,
-        SketchRecorder::new(mechanism, config.cost_model.clone()),
-        Some(pool),
     )
 }
 
@@ -588,25 +567,6 @@ pub fn record_ring(
         config,
         seed,
         RingRecorder::new(mechanism, config.cost_model.clone(), ring),
-        None,
-    )
-}
-
-/// As [`record_ring`], hosted on a warm vthread pool.
-pub fn record_ring_pooled(
-    program: &dyn Program,
-    mechanism: Mechanism,
-    ring: RingConfig,
-    config: &VmConfig,
-    seed: u64,
-    pool: &pres_tvm::pool::VthreadPool,
-) -> RecordedRun {
-    record_with(
-        program,
-        config,
-        seed,
-        RingRecorder::new(mechanism, config.cost_model.clone(), ring),
-        Some(pool),
     )
 }
 
@@ -619,9 +579,8 @@ pub fn record_ring_until_failure(
     config: &VmConfig,
     seeds: impl IntoIterator<Item = u64>,
 ) -> Option<RecordedRun> {
-    let pool = pres_tvm::pool::VthreadPool::new(8);
     for seed in seeds {
-        let run = record_ring_pooled(program, mechanism, ring.clone(), config, seed, &pool);
+        let run = record_ring(program, mechanism, ring.clone(), config, seed);
         if run.failed() {
             return Some(run);
         }
@@ -643,6 +602,8 @@ pub fn record_ring_until_failure(
 /// The verification run is cut off at the boundary (the scheduler aborts
 /// once the capture is in hand), so its cost is one prefix, not one full
 /// production run, and it happens once per reproduction — not per attempt.
+/// It runs on `pool` when given one, on the calling thread's pool
+/// otherwise.
 pub fn verify_checkpoint(
     program: &dyn Program,
     checkpoint: &crate::sketch::SketchCheckpoint,
@@ -751,10 +712,9 @@ fn record_with<R: RecordingObserver>(
     config: &VmConfig,
     seed: u64,
     mut recorder: R,
-    pool: Option<&pres_tvm::pool::VthreadPool>,
 ) -> RecordedRun {
-    let native = run_once_on(program, config, seed, &mut NullObserver, TraceMode::Off, pool);
-    let outcome = run_once_on(program, config, seed, &mut recorder, TraceMode::Off, pool);
+    let native = run_once(program, config, seed, &mut NullObserver, TraceMode::Off);
+    let outcome = run_once(program, config, seed, &mut recorder, TraceMode::Off);
     debug_assert_eq!(
         native.schedule, outcome.schedule,
         "recording must not perturb scheduling"
@@ -792,11 +752,8 @@ pub fn record_until_failure(
     config: &VmConfig,
     seeds: impl IntoIterator<Item = u64>,
 ) -> Option<RecordedRun> {
-    // A seed search is itself a hot loop (2 runs per seed, often thousands
-    // of seeds): host it on one pool so only the first seed pays spawns.
-    let pool = pres_tvm::pool::VthreadPool::new(8);
     for seed in seeds {
-        let run = record_pooled(program, mechanism, config, seed, &pool);
+        let run = record(program, mechanism, config, seed);
         if run.failed() {
             return Some(run);
         }
@@ -811,39 +768,17 @@ fn run_once(
     observer: &mut dyn Observer,
     trace_mode: TraceMode,
 ) -> RunOutcome {
-    run_once_on(program, config, seed, observer, trace_mode, None)
-}
-
-fn run_once_on(
-    program: &dyn Program,
-    config: &VmConfig,
-    seed: u64,
-    observer: &mut dyn Observer,
-    trace_mode: TraceMode,
-    pool: Option<&pres_tvm::pool::VthreadPool>,
-) -> RunOutcome {
     let mut cfg = config.clone();
     cfg.trace_mode = trace_mode;
     cfg.world = program.world();
     let body = program.root();
-    let mut sched = RandomScheduler::new(seed);
-    match pool {
-        Some(pool) => vm::run_with_pool(
-            cfg,
-            program.resources(),
-            &mut sched,
-            observer,
-            pool,
-            move |ctx| body(ctx),
-        ),
-        None => vm::run(
-            cfg,
-            program.resources(),
-            &mut sched,
-            observer,
-            move |ctx| body(ctx),
-        ),
-    }
+    vm::run(
+        cfg,
+        program.resources(),
+        &mut RandomScheduler::new(seed),
+        observer,
+        move |ctx| body(ctx),
+    )
 }
 
 /// Runs the program once with full tracing and no recording — used by
@@ -930,7 +865,18 @@ mod tests {
         let prog = compute_heavy_program();
         let run = record(&prog, Mechanism::Rw, &VmConfig::default(), 3);
         assert_eq!(run.native.schedule, run.outcome.schedule);
-        assert_eq!(run.native.stats, run.outcome.stats);
+        // `os_spawns` counts pool growth, not execution: the native run
+        // warms the thread's pool for the recorded one.
+        assert_eq!(
+            RunStats {
+                os_spawns: 0,
+                ..run.native.stats
+            },
+            RunStats {
+                os_spawns: 0,
+                ..run.outcome.stats
+            }
+        );
     }
 
     #[test]

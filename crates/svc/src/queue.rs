@@ -7,10 +7,11 @@
 //! burning a second exploration — and journaled before acknowledgement so
 //! a restarted daemon resumes exactly the unfinished work.
 //!
-//! Each worker thread owns one warm [`VthreadPool`] and hands it to every
-//! exploration it runs ([`explore::reproduce_with_index`]), so
-//! steady-state job turnover performs zero OS thread spawns. The decoded
-//! sketch and its replay index come from the digest-keyed
+//! Every exploration a worker thread runs
+//! ([`explore::reproduce_with_index`]) hosts its vthreads on that thread's
+//! own warm executor pool (see [`pres_tvm::vm::run`]), so steady-state job
+//! turnover performs zero OS thread spawns. The decoded sketch and its
+//! replay index come from the digest-keyed
 //! [`SketchCache`], so repeated executions over one sketch (retries,
 //! multi-bug jobs, duplicate submissions) skip the store read, the
 //! SHA-256 re-verification, the decode, and the index build entirely.
@@ -40,7 +41,6 @@ use pres_core::codec::decode_index;
 use pres_core::explore::{self, ExploreConfig, StopToken};
 use pres_core::oracle::StatusOracle;
 use pres_core::sketch::Sketch;
-use pres_tvm::pool::VthreadPool;
 use pres_tvm::sync::{Condvar, Mutex};
 use pres_tvm::vm::VmConfig;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -421,14 +421,13 @@ impl JobQueue {
     }
 
     /// One worker's main loop: claim → execute → resolve, until drain.
-    /// Called from [`crate::server`]-spawned threads; `pool` is the
-    /// worker's private warm executor pool, reused across jobs.
-    pub fn work(&self, pool: &VthreadPool) {
+    /// Called from [`crate::server`]-spawned threads.
+    pub fn work(&self) {
         loop {
             let Some((id, job, retries)) = self.claim() else {
                 return;
             };
-            let outcome = self.execute(&job, retries, pool);
+            let outcome = self.execute(&job, retries);
             self.resolve(id, &job, retries, outcome);
         }
     }
@@ -533,7 +532,7 @@ impl JobQueue {
     }
 
     /// Runs one exploration try for `job`.
-    fn execute(&self, job: &Job, retries: u32, pool: &VthreadPool) -> JobStatus {
+    fn execute(&self, job: &Job, retries: u32) -> JobStatus {
         let Some(bug) = all_bugs().into_iter().find(|b| b.id == job.bug) else {
             return JobStatus::Failed {
                 message: format!("unknown bug '{}'", job.bug),
@@ -588,7 +587,7 @@ impl JobQueue {
             &StatusOracle::new(&sketch.meta.failure_signature),
             &VmConfig::default(),
             &explore,
-            Some(pool),
+            None,
         );
         self.metrics
             .attempts
@@ -717,9 +716,8 @@ mod tests {
     }
 
     fn drive(q: &JobQueue) {
-        let pool = VthreadPool::new(8);
         q.drain();
-        q.work(&pool);
+        q.work();
         q.await_drained();
     }
 

@@ -3,8 +3,8 @@
 //! ## Threading model
 //!
 //! One accept thread, a small fixed pool of *connection workers*, and
-//! [`QueueConfig::workers`](crate::queue::QueueConfig) job workers each
-//! owning a warm [`VthreadPool`].
+//! [`QueueConfig::workers`](crate::queue::QueueConfig) job workers, each
+//! running its explorations on its own thread's warm executor pool.
 //!
 //! The accept thread only accepts: each new connection is handed
 //! round-robin to a connection worker's mailbox (or refused with a single
@@ -59,8 +59,6 @@ use crate::proto::{Frame, Request, Response, CONNECTION_TAG, DEFAULT_MAX_FRAME};
 use crate::queue::{JobQueue, JobStatus, QueueConfig};
 use crate::store::{Store, StreamingPut};
 use pres_apps::registry::all_bugs;
-use pres_core::explore::ExploreConfig;
-use pres_tvm::pool::VthreadPool;
 use pres_tvm::sync::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -215,12 +213,7 @@ impl Server {
                 let queue = Arc::clone(&queue);
                 thread::Builder::new()
                     .name(format!("svc-job-{i}"))
-                    .spawn(move || {
-                        // One warm pool per worker, reused across jobs:
-                        // steady-state job turnover spawns no OS threads.
-                        let pool = VthreadPool::new(ExploreConfig::default().pool_width);
-                        queue.work(&pool);
-                    })
+                    .spawn(move || queue.work())
                     .expect("spawn job worker")
             })
             .collect();

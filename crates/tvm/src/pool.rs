@@ -1,16 +1,14 @@
-//! A reusable executor pool for virtual threads.
+//! The VM's one executor: a reusable pool of OS workers for virtual threads.
 //!
-//! Every [`crate::vm::run`] hosts each virtual thread on its own OS thread,
-//! created with `thread::Builder::spawn` and destroyed by `join` when the
-//! run ends. That is the right default for one-shot runs, but the
-//! reproduction loop executes the *same program* hundreds of times per
-//! `reproduce()` call, paying OS thread creation and teardown for every
-//! vthread of every attempt. [`VthreadPool`] removes that churn: a set of
-//! parked OS workers is checked out per VM run (via
-//! [`crate::vm::run_with_pool`]), each worker executes one vthread body
+//! PRES runs the *same program* hundreds of times per bug — recording,
+//! seed search, every replay attempt, the certificate replay. Every VM run
+//! hosts its virtual threads on a [`VthreadPool`]: a set of parked OS
+//! workers is checked out per run, each worker executes one vthread body
 //! handed to it through a per-worker handoff slot, and **returns to the
-//! pool at vthread exit** instead of being joined and destroyed. Steady
-//! state — attempt after attempt over the same program — performs zero
+//! pool at vthread exit**. [`crate::vm::run`] uses a pool owned by the
+//! calling OS thread (a `thread_local!`, created on the thread's first run
+//! and dropped with the thread); [`crate::vm::run_with_pool`] uses a
+//! caller's. Steady state — run after run on one thread — performs zero
 //! thread spawns ([`crate::vm::RunStats::os_spawns`] stays at 0).
 //!
 //! ## Checkout / reset / return protocol
@@ -111,20 +109,15 @@ struct PoolState {
     shutdown: bool,
 }
 
-struct PoolInner {
-    state: Mutex<PoolState>,
-    width: usize,
-}
-
 /// A reusable set of parked OS workers hosting virtual threads.
 ///
-/// Create one per exploration worker (or one per recording session), pass
-/// it to [`crate::vm::run_with_pool`] run after run, and drop it when the
-/// exploration ends — dropping parks-out and joins every worker. The pool
+/// Every OS thread that calls [`crate::vm::run`] owns one; a caller that
+/// wants a pool of its own passes it to [`crate::vm::run_with_pool`] run
+/// after run. Dropping a pool parks-out and joins every worker. The pool
 /// is lazy: `new` spawns nothing, workers are created on first demand and
 /// retained for reuse.
 pub struct VthreadPool {
-    inner: Arc<PoolInner>,
+    inner: Arc<Mutex<PoolState>>,
 }
 
 /// The cloneable submission handle the VM stores for the duration of a
@@ -133,43 +126,34 @@ pub struct VthreadPool {
 /// run submitted through it.
 #[derive(Clone)]
 pub(crate) struct PoolHandle {
-    inner: Arc<PoolInner>,
+    inner: Arc<Mutex<PoolState>>,
 }
 
 impl VthreadPool {
-    /// A new, empty pool. `width` is a *sizing hint* reported by
-    /// [`VthreadPool::width`]; the pool itself grows on demand past the
-    /// hint if a program runs more concurrent vthreads, and retains every
-    /// worker for reuse.
-    pub fn new(width: usize) -> Self {
+    /// A new, empty pool. `width` is ignored: the pool grows on demand to
+    /// the peak concurrent vthread count of the programs it hosts and
+    /// retains every worker for reuse.
+    pub fn new(_width: usize) -> Self {
         VthreadPool {
-            inner: Arc::new(PoolInner {
-                state: Mutex::new(PoolState {
-                    idle: Vec::new(),
-                    handles: Vec::new(),
-                    spawned: 0,
-                    escaped: Vec::new(),
-                    shutdown: false,
-                }),
-                width: width.max(1),
-            }),
+            inner: Arc::new(Mutex::new(PoolState {
+                idle: Vec::new(),
+                handles: Vec::new(),
+                spawned: 0,
+                escaped: Vec::new(),
+                shutdown: false,
+            })),
         }
-    }
-
-    /// The sizing hint this pool was created with.
-    pub fn width(&self) -> usize {
-        self.inner.width
     }
 
     /// Total OS workers created over the pool's lifetime. Constant once the
     /// pool has warmed up to the peak concurrent vthread count.
     pub fn spawned_workers(&self) -> u64 {
-        self.inner.state.lock().spawned
+        self.inner.lock().spawned
     }
 
     /// Workers currently parked awaiting a handoff.
     pub fn idle_workers(&self) -> usize {
-        self.inner.state.lock().idle.len()
+        self.inner.lock().idle.len()
     }
 
     /// Drains the panics that escaped vthread bodies past the VM's own
@@ -177,7 +161,7 @@ impl VthreadPool {
     /// healthy run — the VM converts body panics to `Failure::Crash` before
     /// they reach the worker.
     pub fn take_escaped_panics(&self) -> Vec<VmError> {
-        std::mem::take(&mut self.inner.state.lock().escaped)
+        std::mem::take(&mut self.inner.lock().escaped)
     }
 
     pub(crate) fn handle(&self) -> PoolHandle {
@@ -198,7 +182,7 @@ impl PoolHandle {
         done: Box<dyn FnOnce() + Send>,
     ) -> bool {
         let job = Job { tid, run, done };
-        let idle = self.inner.state.lock().idle.pop();
+        let idle = self.inner.lock().idle.pop();
         match idle {
             Some(slot) => {
                 slot.deliver(Handoff::Run(job));
@@ -212,12 +196,12 @@ impl PoolHandle {
     }
 }
 
-fn spawn_worker(inner: &Arc<PoolInner>, job: Job) {
+fn spawn_worker(inner: &Arc<Mutex<PoolState>>, job: Job) {
     let slot = Arc::new(WorkerSlot {
         mailbox: Mutex::new(Some(Handoff::Run(job))),
         wake: Condvar::new(),
     });
-    let mut state = inner.state.lock();
+    let mut state = inner.lock();
     state.spawned += 1;
     let worker_inner = inner.clone();
     let worker_slot = slot.clone();
@@ -228,7 +212,7 @@ fn spawn_worker(inner: &Arc<PoolInner>, job: Job) {
     state.handles.push(handle);
 }
 
-fn worker_main(inner: &Arc<PoolInner>, slot: &Arc<WorkerSlot>) {
+fn worker_main(inner: &Arc<Mutex<PoolState>>, slot: &Arc<WorkerSlot>) {
     loop {
         match slot.receive() {
             Handoff::Exit => return,
@@ -236,7 +220,7 @@ fn worker_main(inner: &Arc<PoolInner>, slot: &Arc<WorkerSlot>) {
                 let Job { tid, run, done } = job;
                 let result = catch_unwind(AssertUnwindSafe(run));
                 let exiting = {
-                    let mut state = inner.state.lock();
+                    let mut state = inner.lock();
                     if let Err(payload) = result {
                         state.escaped.push(VmError::ThreadPanic {
                             tid,
@@ -284,7 +268,7 @@ impl Drop for VthreadPool {
     /// re-parking, and its join below completes).
     fn drop(&mut self) {
         let (idle, handles) = {
-            let mut state = self.inner.state.lock();
+            let mut state = self.inner.lock();
             state.shutdown = true;
             (
                 std::mem::take(&mut state.idle),
@@ -399,9 +383,8 @@ mod tests {
     }
 
     #[test]
-    fn width_is_a_hint_not_a_cap() {
+    fn a_busy_worker_makes_the_pool_grow() {
         let pool = VthreadPool::new(1);
-        assert_eq!(pool.width(), 1);
         let (block_tx, block_rx) = mpsc::channel::<()>();
         let (done_tx, done_rx) = mpsc::channel::<()>();
         let done_tx2 = done_tx.clone();
@@ -410,7 +393,7 @@ mod tests {
             Box::new(move || block_rx.recv().unwrap()),
             Box::new(move || done_tx.send(()).unwrap()),
         );
-        // Second concurrent job: the width-1 pool must grow, not deadlock.
+        // Second concurrent job: the pool must grow, not deadlock.
         pool.handle().execute(
             ThreadId(1),
             Box::new(|| {}),

@@ -1,13 +1,14 @@
 //! The virtual machine coordinator and the thread-side [`Ctx`] API.
 //!
-//! Each virtual thread is an OS thread that *announces* its operations
-//! into a per-thread FIFO; the coordinator step applies one queue head at a
-//! time according to the scheduler. VM-visible effects are therefore applied
-//! one at a time in scheduler order, while thread-local code between ops may
-//! overlap in wall time: a thread that announces an op which can neither
-//! return a value nor fault ([`Op::runs_ahead`]) keeps running to its next
-//! op instead of parking, and parks only on an op whose result it needs.
-//! Bodies must not share non-VM state between vthreads.
+//! Each virtual thread runs on a worker of a warm [`VthreadPool`] and
+//! *announces* its operations into a per-thread FIFO; the coordinator step
+//! applies one queue head at a time according to the scheduler. VM-visible
+//! effects are therefore applied one at a time in scheduler order, while
+//! thread-local code between ops may overlap in wall time: a thread that
+//! announces an op which can neither return a value nor fault
+//! ([`Op::runs_ahead`]) keeps running to its next op instead of parking,
+//! and parks only on an op whose result it needs. Bodies must not share
+//! non-VM state between vthreads.
 //!
 //! The coordinator is not a thread but a function ([`coordinate`]) run by
 //! whichever virtual thread made the last missing head known. It picks only
@@ -29,6 +30,7 @@ use crate::ids::{
     ThreadId, VarId, ROOT_THREAD,
 };
 use crate::op::{BufOp, Op, OpResult, SyscallOp};
+use crate::pool::{PoolHandle, VthreadPool};
 use crate::sched::{Candidate, Decision, SchedView, Scheduler};
 use crate::state::{Applied, ResourceSpec, VmState};
 use crate::sys::{AcceptStatus, WorldConfig};
@@ -94,12 +96,13 @@ pub struct RunStats {
     /// Basic-block markers.
     pub bb_markers: u64,
     /// Threads spawned (excluding the root). These are *virtual* spawns:
-    /// every `Ctx::spawn` counts here regardless of executor.
+    /// every `Ctx::spawn` counts here, whether or not an OS thread was
+    /// created for it.
     pub spawns: u64,
-    /// OS threads actually created to host this run's virtual threads
-    /// (root included). Equals `spawns + 1` under the spawning executor;
-    /// **zero** for a warm pooled run ([`run_with_pool`]) — the steady-state
-    /// invariant the executor pool exists to deliver.
+    /// OS threads the executor pool created to host this run's virtual
+    /// threads (root included). Only a cold pool spawns — it grows to the
+    /// program's peak concurrent vthread count — so a warm run reports
+    /// **zero**: the steady-state invariant of every repeated run.
     pub os_spawns: u64,
 }
 
@@ -186,7 +189,6 @@ struct Slot {
     name: Arc<str>,
     tseq: u32,
     spawn_req: Option<SpawnReq>,
-    os_handle: Option<std::thread::JoinHandle<()>>,
     /// This thread's private wakeup: a grant (or shutdown poison) wakes
     /// exactly this thread, never the whole herd.
     cv: Arc<Condvar>,
@@ -204,7 +206,6 @@ impl Slot {
             name,
             tseq: 0,
             spawn_req: None,
-            os_handle: None,
             cv: Arc::new(Condvar::new()),
         }
     }
@@ -234,10 +235,13 @@ struct Hub {
 /// coordinator and back), which dominated replay attempt wall-clock.
 ///
 /// `scheduler` and `observer` are lifetime-erased pointers to the borrows
-/// passed to [`run`]. Safety: they are dereferenced only while holding the
-/// hub mutex, and `run` joins every virtual OS thread before returning, so
-/// every dereference happens strictly within the lifetime of the erased
-/// borrows. Both trait objects are `Send` by supertrait bound.
+/// passed to [`run_with_pool`]. Safety: they are dereferenced only while
+/// holding the hub mutex, and that frame returns only once its
+/// outstanding-jobs counter ([`Shared::jobs`]) is back to zero. A job is
+/// counted out after its vthread body and every coordination step it ran
+/// have finished, so every dereference happens strictly within the
+/// lifetime of the erased borrows. Both trait objects are `Send` by
+/// supertrait bound.
 struct Coord {
     scheduler: *mut dyn Scheduler,
     observer: *mut dyn Observer,
@@ -264,76 +268,47 @@ struct Coord {
 
 // SAFETY: the raw pointers target `Send` trait objects (`Scheduler: Send`,
 // `Observer: Send`), are dereferenced only under the hub mutex (one thread
-// at a time), and never escape the `run` frame that erased them.
+// at a time), and never escape the `run_with_pool` frame that erased them.
 unsafe impl Send for Coord {}
-
-/// How vthread bodies are hosted on OS threads.
-enum Exec {
-    /// One fresh OS thread per vthread, joined at run end — the original
-    /// engine, kept as the fallback (and the equivalence baseline).
-    Spawn,
-    /// Checked out of a [`crate::pool::VthreadPool`]; workers return to the
-    /// pool at vthread exit instead of being joined.
-    Pool(crate::pool::PoolHandle),
-}
 
 struct Shared {
     hub: Mutex<Hub>,
     /// Wakes the `run` caller once the run's status is decided.
     done: Condvar,
-    /// The executor hosting this run's vthreads.
-    exec: Exec,
-    /// Outstanding pooled vthread jobs: incremented at submission,
-    /// decremented when the job returns its worker to the pool. The run
-    /// frame waits for zero before returning — the pooled replacement for
-    /// joining OS handles, and what keeps the erased scheduler/observer
-    /// borrows in [`Coord`] sound.
+    /// The pool hosting this run's vthreads.
+    exec: PoolHandle,
+    /// Outstanding vthread jobs: incremented at submission, decremented
+    /// once the job's body has finished and its worker is back in the
+    /// pool. The run frame waits for zero before returning; that wait is
+    /// the whole argument that no vthread code outlives the run, and so
+    /// what keeps the erased scheduler/observer borrows in [`Coord`] sound.
     jobs: Mutex<usize>,
     /// Wakes the run frame when `jobs` reaches zero.
     jobs_done: Condvar,
 }
 
-/// Starts `body` as vthread `tid`: on the pooled executor the job is handed
-/// to a parked worker (an OS thread is created only when none is idle); on
-/// the spawning executor a fresh OS thread is always created. Returns the
-/// join handle (spawning mode only) and whether an OS thread was created.
-fn launch(
-    shared: &Arc<Shared>,
-    tid: ThreadId,
-    name: &Arc<str>,
-    body: Box<dyn FnOnce(&mut Ctx) + Send>,
-) -> (Option<std::thread::JoinHandle<()>>, bool) {
-    match &shared.exec {
-        Exec::Spawn => {
-            let sh = shared.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("vt-{name}"))
-                .spawn(move || thread_main(&sh, tid, body))
-                .expect("failed to spawn vthread");
-            (Some(handle), true)
-        }
-        Exec::Pool(pool) => {
-            *shared.jobs.lock() += 1;
-            let sh = shared.clone();
-            let done_sh = shared.clone();
-            let spawned = pool.execute(
-                tid,
-                Box::new(move || thread_main(&sh, tid, body)),
-                // The pool fires this unconditionally (return or panic),
-                // after the worker re-parked — so once `jobs` hits zero the
-                // erased scheduler/observer borrows are dead everywhere AND
-                // every worker is already checkable-out again.
-                Box::new(move || {
-                    let mut jobs = done_sh.jobs.lock();
-                    *jobs -= 1;
-                    if *jobs == 0 {
-                        done_sh.jobs_done.notify_all();
-                    }
-                }),
-            );
-            (None, spawned)
-        }
-    }
+/// Starts `body` as vthread `tid` on a parked pool worker (an OS thread is
+/// created only when none is idle). Returns whether an OS thread was
+/// created.
+fn launch(shared: &Arc<Shared>, tid: ThreadId, body: Box<dyn FnOnce(&mut Ctx) + Send>) -> bool {
+    *shared.jobs.lock() += 1;
+    let sh = shared.clone();
+    let done_sh = shared.clone();
+    shared.exec.execute(
+        tid,
+        Box::new(move || thread_main(&sh, tid, body)),
+        // The pool fires this unconditionally (return or panic), after the
+        // worker re-parked — so once `jobs` hits zero the erased
+        // scheduler/observer borrows are dead everywhere AND every worker
+        // is already checkable-out again.
+        Box::new(move || {
+            let mut jobs = done_sh.jobs.lock();
+            *jobs -= 1;
+            if *jobs == 0 {
+                done_sh.jobs_done.notify_all();
+            }
+        }),
+    )
 }
 
 /// The handle a virtual thread uses for every interaction with shared
@@ -707,8 +682,7 @@ fn thread_main(shared: &Arc<Shared>, tid: ThreadId, body: Box<dyn FnOnce(&mut Ct
         slot.exit_pending = Some(exit);
     }
     // An exit can make the last missing head known too; the exiting thread
-    // runs the next scheduling steps before its OS thread terminates (or,
-    // under a pooled executor, returns to the pool).
+    // runs the next scheduling steps before its worker returns to the pool.
     coordinate(&mut hub, shared, None);
 }
 
@@ -716,11 +690,23 @@ fn thread_main(shared: &Arc<Shared>, tid: ThreadId, body: Box<dyn FnOnce(&mut Ct
 // Coordinator.
 // ---------------------------------------------------------------------------
 
+thread_local! {
+    /// The calling OS thread's executor pool: created on its first
+    /// [`run`], warm for every later one, and dropped — every worker told
+    /// to exit and joined — when the thread exits.
+    static THREAD_POOL: VthreadPool = VthreadPool::new(1);
+}
+
 /// Runs a program to completion under the given scheduler and observer.
 ///
 /// The root closure runs as thread `t0`; it may spawn further threads via
 /// [`Ctx::spawn`]. The call returns when every thread has exited, a failure
 /// manifested, the scheduler aborted, or the step budget ran out.
+///
+/// Every virtual thread is hosted on a worker of the calling OS thread's
+/// own pool, so the first run on a thread spawns the workers its program
+/// needs and every later run on that thread spawns none
+/// ([`RunStats::os_spawns`] is zero).
 ///
 /// # Panics
 ///
@@ -733,16 +719,14 @@ pub fn run(
     observer: &mut dyn Observer,
     root: impl FnOnce(&mut Ctx) + Send + 'static,
 ) -> RunOutcome {
-    run_exec(config, resources, scheduler, observer, Exec::Spawn, root)
+    THREAD_POOL.with(|pool| run_with_pool(config, resources, scheduler, observer, pool, root))
 }
 
 /// As [`run`], but hosting every virtual thread on a worker checked out of
-/// `pool` instead of a freshly spawned OS thread. A warm pool makes the
-/// attempt loop spawn-free: [`RunStats::os_spawns`] counts the OS threads
-/// the run actually created (zero once the pool has grown to the program's
-/// peak concurrent vthread count). Execution is byte-identical to [`run`] —
-/// a run is a pure function of (program, world, scheduler decisions),
-/// independent of which OS thread hosts a vthread.
+/// `pool` rather than the calling thread's own. Execution is
+/// byte-identical either way — a run is a pure function of (program,
+/// world, scheduler decisions), independent of which OS thread hosts a
+/// vthread.
 ///
 /// The pool is borrowed for the duration of the call; all submitted
 /// vthreads have returned their workers before this function returns.
@@ -751,32 +735,14 @@ pub fn run_with_pool(
     resources: ResourceSpec,
     scheduler: &mut dyn Scheduler,
     observer: &mut dyn Observer,
-    pool: &crate::pool::VthreadPool,
-    root: impl FnOnce(&mut Ctx) + Send + 'static,
-) -> RunOutcome {
-    run_exec(
-        config,
-        resources,
-        scheduler,
-        observer,
-        Exec::Pool(pool.handle()),
-        root,
-    )
-}
-
-fn run_exec(
-    config: VmConfig,
-    resources: ResourceSpec,
-    scheduler: &mut dyn Scheduler,
-    observer: &mut dyn Observer,
-    exec: Exec,
+    pool: &VthreadPool,
     root: impl FnOnce(&mut Ctx) + Send + 'static,
 ) -> RunOutcome {
     config.validate().expect("invalid VmConfig");
     install_quiet_hook();
     // Erase the borrow lifetimes so the coordinator state can live inside
     // the hub; see `Coord` for the safety argument (hub-mutex-only access,
-    // every virtual thread joined before this frame returns).
+    // every vthread job counted out before this frame returns).
     let scheduler: *mut dyn Scheduler =
         unsafe { std::mem::transmute::<&mut dyn Scheduler, *mut dyn Scheduler>(scheduler) };
     let observer: *mut dyn Observer =
@@ -805,20 +771,17 @@ fn run_exec(
             },
         }),
         done: Condvar::new(),
-        exec,
+        exec: pool.handle(),
         jobs: Mutex::new(0),
         jobs_done: Condvar::new(),
     });
 
-    // Launch the root thread (checked out of the pool, or spawned).
+    // Launch the root thread on a pool worker.
     {
         let mut hub = shared.hub.lock();
-        let root_name: Arc<str> = Arc::from("main");
-        hub.slots.push(Slot::new(root_name.clone()));
+        hub.slots.push(Slot::new(Arc::from("main")));
         hub.coord.known_exited.push(false);
-        let (handle, os_spawned) = launch(&shared, ROOT_THREAD, &root_name, Box::new(root));
-        hub.slots[0].os_handle = handle;
-        if os_spawned {
+        if launch(&shared, ROOT_THREAD, Box::new(root)) {
             hub.coord.stats.os_spawns += 1;
         }
     }
@@ -827,10 +790,9 @@ fn run_exec(
     // Then shut down: poison the hub *in the same critical section* — a
     // thread that ran ahead may announce at any moment, and must find
     // either the decided status or the poison, never a hub that looks
-    // open for another pick — and wait for every vthread to be gone, by
-    // joining OS handles (spawning executor) and by waiting for the
-    // outstanding-jobs count to reach zero (pooled executor).
-    let (status, handles) = {
+    // open for another pick — and wait for the outstanding-jobs count to
+    // reach zero, i.e. for every vthread to be gone.
+    let status = {
         let mut hub = shared.hub.lock();
         while hub.coord.status.is_none() {
             shared.done.wait(&mut hub);
@@ -841,13 +803,8 @@ fn run_exec(
         for s in hub.slots.iter() {
             s.cv.notify_one();
         }
-        let handles: Vec<std::thread::JoinHandle<()>> =
-            hub.slots.iter_mut().filter_map(|s| s.os_handle.take()).collect();
-        (status, handles)
+        status
     };
-    for h in handles {
-        let _ = h.join();
-    }
     {
         let mut jobs = shared.jobs.lock();
         while *jobs != 0 {
@@ -896,9 +853,9 @@ fn capture_snapshot(coord: &Coord, slots: &[Slot]) -> crate::snapshot::VmSnapsho
     use crate::snapshot::{self, Enc, VmSnapshot};
     let mut e = Enc::new();
     e.section(snapshot::SEC_STATS, |e| {
-        // `os_spawns` is deliberately excluded: it depends on executor
-        // choice and pool warmness (both schedule-invisible), and the
-        // snapshot must be byte-identical across them.
+        // `os_spawns` is deliberately excluded: it depends on which pool
+        // hosts the run and how warm it is (both schedule-invisible), and
+        // the snapshot must be byte-identical across them.
         let s = &coord.stats;
         for v in [
             s.total_ops,
@@ -1111,11 +1068,9 @@ fn coordinate(guard: &mut MutexGuard<'_, Hub>, shared: &Arc<Shared>, me: Option<
                     .take()
                     .expect("Spawn announced without a spawn request");
                 let new_tid = ThreadId(slots.len() as u32);
-                slots.push(Slot::new(req.name.clone()));
+                slots.push(Slot::new(req.name));
                 coord.known_exited.push(false);
-                let (handle, os_spawned) = launch(shared, new_tid, &req.name, req.body);
-                slots[new_tid.index()].os_handle = handle;
-                if os_spawned {
+                if launch(shared, new_tid, req.body) {
                     coord.stats.os_spawns += 1;
                 }
                 (true, OpResult::Tid(new_tid))
@@ -1269,36 +1224,40 @@ mod tests {
 
     #[test]
     fn spawn_join_and_shared_counter() {
-        let mut spec = ResourceSpec::new();
-        let counter = spec.var("counter", 0);
-        let out = run(
-            quick_config(),
-            spec,
-            &mut RandomScheduler::new(1),
-            &mut NullObserver,
-            move |ctx| {
-                let kids: Vec<ThreadId> = (0..4)
-                    .map(|i| {
-                        ctx.spawn(&format!("w{i}"), move |ctx| {
-                            for _ in 0..10 {
-                                ctx.fetch_add(counter, 1);
-                            }
+        for pass in 0..2 {
+            let mut spec = ResourceSpec::new();
+            let counter = spec.var("counter", 0);
+            let out = run(
+                quick_config(),
+                spec,
+                &mut RandomScheduler::new(1),
+                &mut NullObserver,
+                move |ctx| {
+                    let kids: Vec<ThreadId> = (0..4)
+                        .map(|i| {
+                            ctx.spawn(&format!("w{i}"), move |ctx| {
+                                for _ in 0..10 {
+                                    ctx.fetch_add(counter, 1);
+                                }
+                            })
                         })
-                    })
-                    .collect();
-                for k in kids {
-                    ctx.join(k);
-                }
-                let total = ctx.read(counter);
-                ctx.check(total == 40, "lost updates");
-            },
-        );
-        assert_eq!(out.status, RunStatus::Completed);
-        assert_eq!(out.stats.spawns, 4);
-        assert_eq!(out.stats.os_spawns, 5, "root + 4 children, all spawned");
+                        .collect();
+                    for k in kids {
+                        ctx.join(k);
+                    }
+                    let total = ctx.read(counter);
+                    ctx.check(total == 40, "lost updates");
+                },
+            );
+            assert_eq!(out.status, RunStatus::Completed);
+            assert_eq!(out.stats.spawns, 4);
+            if pass > 0 {
+                assert_eq!(out.stats.os_spawns, 0, "warm run on this thread spawned");
+            }
+        }
     }
 
-    /// One parameterized program used by the pooled-executor tests: spawns
+    /// One parameterized program used by the pool tests: spawns
     /// workers, races a counter, joins, prints — exercising every launch
     /// path a program can take.
     fn pooled_probe(seed: u64) -> (ResourceSpec, impl FnOnce(&mut Ctx) + Send + 'static) {
@@ -1324,7 +1283,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_runs_match_spawning_runs_and_reuse_workers() {
+    fn caller_pool_runs_match_thread_pool_runs_and_reuse_workers() {
         let pool = crate::pool::VthreadPool::new(4);
         for seed in 0..8 {
             let (spec_p, body_p) = pooled_probe(seed);
@@ -1336,22 +1295,21 @@ mod tests {
                 &pool,
                 body_p,
             );
-            let (spec_s, body_s) = pooled_probe(seed);
-            let fresh = run(
+            let (spec_t, body_t) = pooled_probe(seed);
+            let on_thread = run(
                 quick_config(),
-                spec_s,
+                spec_t,
                 &mut RandomScheduler::new(seed),
                 &mut NullObserver,
-                body_s,
+                body_t,
             );
-            assert_eq!(pooled.status, fresh.status, "seed {seed}");
-            assert_eq!(pooled.schedule, fresh.schedule, "seed {seed}");
-            assert_eq!(pooled.stdout, fresh.stdout, "seed {seed}");
-            assert_eq!(pooled.stats.spawns, fresh.stats.spawns, "seed {seed}");
-            // The one intended difference: OS-thread creation.
-            assert_eq!(fresh.stats.os_spawns, fresh.stats.spawns + 1);
+            assert_eq!(pooled.status, on_thread.status, "seed {seed}");
+            assert_eq!(pooled.schedule, on_thread.schedule, "seed {seed}");
+            assert_eq!(pooled.stdout, on_thread.stdout, "seed {seed}");
+            assert_eq!(pooled.stats.spawns, on_thread.stats.spawns, "seed {seed}");
             if seed > 0 {
                 assert_eq!(pooled.stats.os_spawns, 0, "warm attempt spawned (seed {seed})");
+                assert_eq!(on_thread.stats.os_spawns, 0, "warm run spawned (seed {seed})");
             }
         }
         // The pool warmed to the peak concurrent vthread count and stayed.

@@ -2,7 +2,7 @@
 //! over a real multithreaded program, pinning the boundary model (picks ==
 //! observer events), decode round-trips, and the byte-identity guarantees
 //! the replay-from-checkpoint path depends on — same seed ⇒ same snapshot
-//! bytes, across *both* executors (spawning and pooled).
+//! bytes, whichever pool hosts the run and however warm it is.
 
 use pres_tvm::prelude::*;
 use pres_tvm::state::ResourceSpec;
@@ -70,7 +70,7 @@ fn contended_spec() -> (ResourceSpec, RootBody) {
     (spec, body)
 }
 
-fn run_spawning(seed: u64, every: u64) -> (RunOutcome, Vec<VmSnapshot>) {
+fn run_on_thread(seed: u64, every: u64) -> (RunOutcome, Vec<VmSnapshot>) {
     let (spec, body) = contended_spec();
     let mut obs = PeriodicCheckpointer::new(every);
     let out = pres_tvm::vm::run(
@@ -83,7 +83,7 @@ fn run_spawning(seed: u64, every: u64) -> (RunOutcome, Vec<VmSnapshot>) {
     (out, obs.snaps)
 }
 
-fn run_pooled(seed: u64, every: u64, pool: &VthreadPool) -> (RunOutcome, Vec<VmSnapshot>) {
+fn run_on_pool(seed: u64, every: u64, pool: &VthreadPool) -> (RunOutcome, Vec<VmSnapshot>) {
     let (spec, body) = contended_spec();
     let mut obs = PeriodicCheckpointer::new(every);
     let out = pres_tvm::vm::run_with_pool(
@@ -99,7 +99,7 @@ fn run_pooled(seed: u64, every: u64, pool: &VthreadPool) -> (RunOutcome, Vec<VmS
 
 #[test]
 fn periodic_checkpoints_fire_at_exact_boundaries() {
-    let (out, snaps) = run_spawning(7, 10);
+    let (out, snaps) = run_on_thread(7, 10);
     assert_eq!(out.status, RunStatus::Completed);
     assert!(!snaps.is_empty(), "a contended run must cross epoch cuts");
     for (i, s) in snaps.iter().enumerate() {
@@ -110,7 +110,7 @@ fn periodic_checkpoints_fire_at_exact_boundaries() {
 
 #[test]
 fn snapshots_round_trip_through_the_codec() {
-    let (_, snaps) = run_spawning(11, 16);
+    let (_, snaps) = run_on_thread(11, 16);
     for s in &snaps {
         let back = VmSnapshot::decode(&s.encode()).expect("captured snapshot must decode");
         assert_eq!(&back, s);
@@ -119,8 +119,8 @@ fn snapshots_round_trip_through_the_codec() {
 
 #[test]
 fn same_seed_same_snapshot_bytes() {
-    let (out_a, a) = run_spawning(42, 8);
-    let (out_b, b) = run_spawning(42, 8);
+    let (out_a, a) = run_on_thread(42, 8);
+    let (out_b, b) = run_on_thread(42, 8);
     assert_eq!(out_a.status, out_b.status);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
@@ -130,25 +130,30 @@ fn same_seed_same_snapshot_bytes() {
 
 #[test]
 fn executor_choice_is_invisible_to_snapshots() {
-    // The pooled executor reuses OS threads (different `os_spawns` stats,
-    // different warmness) but drives the identical schedule; snapshots
-    // deliberately exclude executor-dependent state, so the bytes must
-    // match the spawning run exactly. Run the pool twice so the second
-    // pass is warm — warmness must be invisible too.
+    // A caller's pool and the thread's own pool host the run on different
+    // OS threads (different `os_spawns` stats, different warmness) but
+    // drive the identical schedule; snapshots deliberately exclude
+    // pool-dependent state, so the bytes must match exactly. Run the
+    // caller's pool twice so the second pass is warm — warmness must be
+    // invisible too.
     let pool = VthreadPool::new(8);
-    let (_, cold) = run_pooled(42, 8, &pool);
-    let (_, warm) = run_pooled(42, 8, &pool);
-    let (_, spawned) = run_spawning(42, 8);
-    assert_eq!(cold.len(), spawned.len());
-    for ((c, w), s) in cold.iter().zip(&warm).zip(&spawned) {
-        assert_eq!(c.encode(), s.encode(), "pooled vs spawning must agree");
-        assert_eq!(w.encode(), s.encode(), "pool warmness must be invisible");
+    let (_, cold) = run_on_pool(42, 8, &pool);
+    let (_, warm) = run_on_pool(42, 8, &pool);
+    let (_, on_thread) = run_on_thread(42, 8);
+    assert_eq!(cold.len(), on_thread.len());
+    for ((c, w), t) in cold.iter().zip(&warm).zip(&on_thread) {
+        assert_eq!(
+            c.encode(),
+            t.encode(),
+            "caller pool vs thread pool must agree"
+        );
+        assert_eq!(w.encode(), t.encode(), "pool warmness must be invisible");
     }
 }
 
 #[test]
 fn checkpoints_capture_mid_run_progress() {
-    let (out, snaps) = run_spawning(3, 12);
+    let (out, snaps) = run_on_thread(3, 12);
     assert_eq!(out.status, RunStatus::Completed);
     // Snapshots are strictly ordered in picks and step.
     for w in snaps.windows(2) {

@@ -1,12 +1,13 @@
 //! Executor-pool reuse: hosting replay attempts on recycled OS workers is
-//! invisible to every observable artifact. A width-1 pool serves 50
+//! invisible to every observable artifact. A caller's pool serves 50
 //! PI-replay attempts of one corpus bug and each attempt's schedule,
-//! status, output, and re-derived sketch are byte-identical to a fresh
-//! spawning VM's; re-running the same seeds on the warmed pool creates
-//! zero OS threads.
+//! status, output, and re-derived sketch are byte-identical to the same
+//! attempt on the calling thread's own pool; re-running the same seeds on
+//! either warmed pool creates zero OS threads.
 
 use std::sync::Arc;
 
+use pres_core::api::Pres;
 use pres_core::codec::encode_sketch;
 use pres_core::recorder::record;
 use pres_core::replay::PiReplayScheduler;
@@ -18,7 +19,7 @@ use pres_suite::tvm::vm::{self, RunOutcome, VmConfig};
 
 const ATTEMPTS: u64 = 50;
 
-/// One PI-replay attempt, on the pool when given one, spawning otherwise.
+/// One PI-replay attempt, on the given pool or on the calling thread's own.
 fn attempt(
     prog: &dyn pres_core::program::Program,
     index: &Arc<SketchIndex>,
@@ -59,7 +60,7 @@ fn fifty_attempts_on_a_width_one_pool_match_fresh_vms_byte_for_byte() {
     let recorded = record(prog.as_ref(), Mechanism::Sync, &VmConfig::default(), 7);
     let index = Arc::new(SketchIndex::new(&recorded.sketch));
 
-    // Width 1 is only a sizing hint: the pool must still grow to the
+    // The width argument is ignored: the pool must still grow to the
     // program's peak concurrency and then serve every attempt from the
     // recycled workers.
     let pool = VthreadPool::new(1);
@@ -91,14 +92,8 @@ fn fifty_attempts_on_a_width_one_pool_match_fresh_vms_byte_for_byte() {
             "seed {seed}: re-derived sketches diverge"
         );
 
-        // Virtual spawn counts agree; OS spawn counts tell the story:
-        // every fresh VM pays spawns+1 threads, the pool only grows.
+        // Virtual spawn counts agree; the caller's pool only grows.
         assert_eq!(pooled.stats.spawns, fresh.stats.spawns, "seed {seed}");
-        assert_eq!(
-            fresh.stats.os_spawns,
-            fresh.stats.spawns + 1,
-            "seed {seed}: spawning executor thread accounting"
-        );
         total_pool_spawns += pooled.stats.os_spawns;
     }
     assert_eq!(
@@ -126,4 +121,44 @@ fn fifty_attempts_on_a_width_one_pool_match_fresh_vms_byte_for_byte() {
         pool.take_escaped_panics().is_empty(),
         "no vthread body panicked"
     );
+}
+
+#[test]
+fn warm_runs_on_the_calling_thread_spawn_nothing() {
+    let bugs = all_bugs();
+    let bug = &bugs[0];
+    let prog = bug.program();
+    let recorded = record(prog.as_ref(), Mechanism::Sync, &VmConfig::default(), 7);
+    let index = Arc::new(SketchIndex::new(&recorded.sketch));
+    let pres = Pres::new(Mechanism::Sync);
+    let failing = pres
+        .record_until_failure(prog.as_ref(), 0..5000)
+        .expect("the bug manifests in production");
+    let certificate = pres
+        .reproduce(prog.as_ref(), &failing)
+        .certificate
+        .expect("the bug reproduces");
+
+    // A fresh OS thread starts with a cold pool of its own.
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let prog = bug.program();
+            for pass in 0..2 {
+                for seed in 0..ATTEMPTS {
+                    let out = attempt(prog.as_ref(), &index, seed, None);
+                    if pass == 1 {
+                        assert_eq!(out.stats.os_spawns, 0, "seed {seed}: warm run spawned");
+                    }
+                }
+            }
+            for replay in 1..=10 {
+                let out = certificate
+                    .replay(prog.as_ref())
+                    .expect("the certificate replays");
+                if replay > 1 {
+                    assert_eq!(out.stats.os_spawns, 0, "replay {replay} spawned");
+                }
+            }
+        });
+    });
 }
