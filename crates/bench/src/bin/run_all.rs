@@ -27,11 +27,4 @@ fn main() {
     }
     let dist = experiments::e10_distribution(8, 300);
     println!("{}", experiments::render_distribution(&dist, 300));
-    let counts = [1usize, 2, 4, 8];
-    let mech = pres_core::sketch::Mechanism::Sys;
-    let scaling = experiments::e11_worker_scaling(mech, &counts, ATTEMPT_CAP);
-    println!(
-        "{}",
-        experiments::render_worker_scaling(&scaling, &counts, mech)
-    );
 }

@@ -906,151 +906,6 @@ pub fn e10_distribution(runs: usize, cap: u32) -> Vec<DistributionRow> {
     rows
 }
 
-// ---------------------------------------------------------------------------
-// E11 — parallel reproduction: wall-clock speedup by worker count.
-// ---------------------------------------------------------------------------
-
-/// One bug's wall-clock measurements across worker counts.
-#[derive(Debug, Clone)]
-pub struct WorkerScalingRow {
-    /// Bug id.
-    pub bug: String,
-    /// Serial attempt count (`None` = cap hit) — bugs with a large value
-    /// are the ones parallelism can help.
-    pub serial_attempts: Option<u32>,
-    /// `(workers, wall_clock, reproduced)` per measured point, in the
-    /// order of the `worker_counts` argument.
-    pub points: Vec<(usize, std::time::Duration, bool)>,
-}
-
-impl WorkerScalingRow {
-    /// Wall-clock time at a worker count, if measured.
-    pub fn time_at(&self, workers: usize) -> Option<std::time::Duration> {
-        self.points
-            .iter()
-            .find(|(w, _, _)| *w == workers)
-            .map(|(_, t, _)| *t)
-    }
-
-    /// Speedup of `workers` relative to the serial (1-worker) point.
-    pub fn speedup_at(&self, workers: usize) -> Option<f64> {
-        let serial = self.time_at(1)?.as_secs_f64();
-        let t = self.time_at(workers)?.as_secs_f64();
-        (t > 0.0).then(|| serial / t)
-    }
-}
-
-/// For each corpus bug, records one failing run under `mechanism` and
-/// measures the reproduction wall-clock at each worker count. Attempts
-/// race on OS threads; the outcome (reproduced or not) must not depend on
-/// the worker count even though the attempt counts may. Coarse sketches
-/// (SYS) are where the pool earns its keep: SYNC reproduces most bugs in
-/// 1–3 attempts, leaving nothing to parallelize.
-pub fn e11_worker_scaling(
-    mechanism: Mechanism,
-    worker_counts: &[usize],
-    cap: u32,
-) -> Vec<WorkerScalingRow> {
-    let config = std_vm(REPRO_PROCESSORS);
-    let mut rows = Vec::new();
-    for bug in all_bugs() {
-        let prog = bug.program();
-        let Some(seed) = find_failing_seed(prog.as_ref(), &config) else {
-            continue;
-        };
-        let run = record(prog.as_ref(), mechanism, &config, seed);
-        let mut serial_attempts = None;
-        let mut points = Vec::new();
-        for &workers in worker_counts {
-            let start = std::time::Instant::now();
-            let rep = explore::reproduce(
-                prog.as_ref(),
-                &run.sketch,
-                &run.sketch.meta.failure_signature,
-                &config,
-                &ExploreConfig {
-                    max_attempts: cap,
-                    workers,
-                    ..ExploreConfig::default()
-                },
-            );
-            let elapsed = start.elapsed();
-            if workers == 1 {
-                serial_attempts = rep.reproduced.then_some(rep.attempts);
-            }
-            points.push((workers, elapsed, rep.reproduced));
-        }
-        rows.push(WorkerScalingRow {
-            bug: bug.id.to_string(),
-            serial_attempts,
-            points,
-        });
-    }
-    rows
-}
-
-/// Renders the worker-scaling table: per-bug wall-clock at each worker
-/// count plus speedup vs. serial, with a hard-bug aggregate (bugs needing
-/// ≥ 10 serial attempts are where the pool pays off).
-pub fn render_worker_scaling(
-    rows: &[WorkerScalingRow],
-    worker_counts: &[usize],
-    mechanism: Mechanism,
-) -> String {
-    let mut header: Vec<String> = vec!["bug".into(), "serial att".into()];
-    for &w in worker_counts {
-        header.push(format!("{w}w time"));
-        if w > 1 {
-            header.push(format!("{w}w spd"));
-        }
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut trows = Vec::new();
-    for r in rows {
-        let mut row = vec![
-            r.bug.clone(),
-            r.serial_attempts
-                .map(|a| a.to_string())
-                .unwrap_or_else(|| "cap".into()),
-        ];
-        for &w in worker_counts {
-            match r.time_at(w) {
-                Some(t) => row.push(format!("{:.1}ms", t.as_secs_f64() * 1e3)),
-                None => row.push("-".into()),
-            }
-            if w > 1 {
-                match r.speedup_at(w) {
-                    Some(s) => row.push(format!("{s:.2}x")),
-                    None => row.push("-".into()),
-                }
-            }
-        }
-        trows.push(row);
-    }
-    let mut out = format!(
-        "E11. Parallel reproduction: wall-clock by worker count ({} sketch)\n\n",
-        mechanism.name()
-    );
-    out.push_str(&table(&header_refs, &trows));
-    // Aggregate over hard bugs: mean speedup at the widest worker count.
-    let widest = worker_counts.iter().copied().max().unwrap_or(1);
-    let hard: Vec<f64> = rows
-        .iter()
-        .filter(|r| r.serial_attempts.is_none_or(|a| a >= 10))
-        .filter_map(|r| r.speedup_at(widest))
-        .collect();
-    if hard.is_empty() {
-        out.push_str("\nheadline: no hard bugs (>= 10 serial attempts) in this run\n");
-    } else {
-        let mean = hard.iter().sum::<f64>() / hard.len() as f64;
-        out.push_str(&format!(
-            "\nheadline: mean {mean:.2}x wall-clock speedup at {widest} workers on the {} hard bugs (>= 10 serial attempts)\n",
-            hard.len()
-        ));
-    }
-    out
-}
-
 /// Renders the distribution table.
 pub fn render_distribution(rows: &[DistributionRow], cap: u32) -> String {
     let mut trows = Vec::new();

@@ -4,7 +4,7 @@
 //! pres list                                       # the evaluation corpus
 //! pres record      --bug <id> [--mechanism SYNC] [--out sketch.pres]
 //!                  [--ring-epochs K --epoch-entries N]   # always-on ring mode
-//! pres reproduce   --bug <id> --sketch sketch.pres [--workers N] [--cert cert.pres]
+//! pres reproduce   --bug <id> --sketch sketch.pres [--cert cert.pres]
 //! pres replay      --bug <id> --cert cert.pres [--report]
 //! pres sketch-info --sketch sketch.pres
 //! pres overhead    --app <id> [--processors 8]
@@ -38,12 +38,14 @@ use pres_core::codec::{
     checkpoint_segment_bytes, container_version, decode_index, decode_sketch, encode_sketch,
     v2_layout,
 };
+use pres_core::explore::{reproduce, ExploreConfig};
 use pres_core::inspect::{failure_report, InspectOptions};
 use pres_core::stats::{ExploreStats, SketchStats};
 use pres_core::program::Program;
 use pres_core::sketch::Mechanism;
 use pres_core::{Certificate, RingConfig, StopToken};
 use pres_svc::{Client, QueueConfig, ServeOptions, Server};
+use pres_tvm::vm::VmConfig;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -51,8 +53,8 @@ const USAGE: &str = "usage:
   pres list
   pres record      --bug <id> [--mechanism RW|BB|BB-N|FUNC|SYS|SYNC] [--seed N] [--out FILE]
                    [--ring-epochs N] [--epoch-entries N] [--epoch-cost N]
-  pres reproduce   --bug <id> --sketch FILE [--max-attempts N] [--workers N]
-                   [--timeout-secs N] [--cert FILE]
+  pres reproduce   --bug <id> --sketch FILE [--max-attempts N] [--timeout-secs N]
+                   [--cert FILE]
   pres replay      --bug <id> --cert FILE [--report]
   pres sketch-info --sketch FILE
   pres overhead    --app <id> [--mechanism SYNC] [--processors N]
@@ -236,9 +238,6 @@ fn cmd_reproduce(args: &Args) -> Result<(), UsageError> {
     let bug = args.required("bug")?;
     let sketch_path = args.required("sketch")?;
     let max_attempts: u32 = args.get_parsed("max-attempts")?.unwrap_or(1000);
-    // `with_workers` clamps to >= 1; clamp here too so the summary line
-    // reports the worker count actually used.
-    let workers: usize = args.get_parsed("workers")?.unwrap_or(1).max(1);
     let timeout_secs: Option<u64> = args.get_parsed("timeout-secs")?;
     let cert_path = args.get("cert").unwrap_or_else(|| format!("{bug}.cert"));
     args.finish()?;
@@ -254,27 +253,26 @@ fn cmd_reproduce(args: &Args) -> Result<(), UsageError> {
             prog.name()
         )));
     }
-    let mut pres = Pres::new(sketch.mechanism)
-        .with_max_attempts(max_attempts)
-        .with_workers(workers);
-    // Clamp workers against the host. The library reports the decision;
-    // the CLI decides it is worth a stderr warning.
-    let outcome = pres.explore.validate();
-    if let Some(clamp) = &outcome.clamp {
-        eprintln!("pres: {}", clamp.warning());
+    let target = &sketch.meta.failure_signature;
+    if target.is_empty() {
+        return Err(UsageError(
+            "sketch records a clean run; nothing to reproduce".into(),
+        ));
     }
-    let clamped = outcome.clamp.is_some();
-    pres.explore = outcome.config;
-    if let Some(secs) = timeout_secs {
-        pres.explore.stop = Some(StopToken::after(Duration::from_secs(secs)));
-    }
-    let workers = pres.explore.workers;
-    let mut recorded_like = pres.record(prog.as_ref(), sketch.meta.seed);
-    // Reproduce against the on-disk sketch (the run above re-derives the
-    // native/overhead context only).
-    recorded_like.sketch = sketch;
+    // The wall-clock budget covers the search alone.
+    let explore = ExploreConfig {
+        max_attempts,
+        stop: timeout_secs.map(|secs| StopToken::after(Duration::from_secs(secs))),
+        ..ExploreConfig::default()
+    };
     let started = Instant::now();
-    let repro = pres.reproduce(prog.as_ref(), &recorded_like);
+    let repro = reproduce(
+        prog.as_ref(),
+        &sketch,
+        target,
+        &VmConfig::default(),
+        &explore,
+    );
     let elapsed = started.elapsed();
     for h in &repro.history {
         println!(
@@ -282,7 +280,7 @@ fn cmd_reproduce(args: &Args) -> Result<(), UsageError> {
             h.index, h.status, h.constraints
         );
     }
-    println!("exploration: {}", ExploreStats::of(&repro).with_clamp(clamped));
+    println!("exploration: {}", ExploreStats::of(&repro));
     let secs = elapsed.as_secs_f64();
     if secs > 0.0 {
         println!(
@@ -304,10 +302,7 @@ fn cmd_reproduce(args: &Args) -> Result<(), UsageError> {
             "not reproduced within {max_attempts} attempts"
         )));
     }
-    println!(
-        "reproduced after {} attempt(s) ({} worker(s))",
-        repro.attempts, workers
-    );
+    println!("reproduced after {} attempt(s)", repro.attempts);
     let cert = repro.certificate.expect("certificate exists on success");
     let bytes = cert.encode();
     std::fs::write(&cert_path, &bytes)
@@ -476,7 +471,10 @@ fn cmd_serve(args: &Args) -> Result<(), UsageError> {
     }
     let mut queue = QueueConfig::default();
     if let Some(workers) = args.get_parsed::<usize>("job-workers")? {
-        queue.workers = workers.max(1);
+        queue = QueueConfig {
+            workers: workers.max(1),
+            ..queue
+        };
     }
     if let Some(attempts) = args.get_parsed::<u32>("max-attempts")? {
         queue.max_attempts = attempts;
@@ -507,7 +505,7 @@ fn cmd_serve(args: &Args) -> Result<(), UsageError> {
     args.finish()?;
 
     let data_dir = opts.data_dir.clone();
-    let workers = opts.queue.workers;
+    let QueueConfig { workers, .. } = opts.queue;
     let server = Server::start(opts).map_err(|e| io_err("cannot start daemon", e))?;
     println!(
         "pres-svc listening on {} (data dir {}, {} job worker(s))",

@@ -98,13 +98,6 @@ impl Pres {
         self
     }
 
-    /// Sets the number of worker threads racing reproduction attempts.
-    /// `1` (the default) keeps the classic serial exploration loop.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.explore.workers = workers.max(1);
-        self
-    }
-
     /// Records one production run under this mechanism (running the
     /// workload natively as well, for exact overhead accounting).
     pub fn record(&self, program: &dyn Program, seed: u64) -> RecordedRun {
@@ -222,18 +215,10 @@ mod tests {
         let pres = Pres::new(Mechanism::Rw)
             .with_processors(16)
             .with_strategy(Strategy::Random)
-            .with_max_attempts(50)
-            .with_workers(4);
+            .with_max_attempts(50);
         assert_eq!(pres.vm.processors, 16);
         assert_eq!(pres.explore.strategy, Strategy::Random);
         assert_eq!(pres.explore.max_attempts, 50);
-        assert_eq!(pres.explore.workers, 4);
-    }
-
-    #[test]
-    fn zero_workers_clamps_to_serial() {
-        let pres = Pres::new(Mechanism::Sync).with_workers(0);
-        assert_eq!(pres.explore.workers, 1);
     }
 
     #[test]
@@ -250,20 +235,5 @@ mod tests {
         let repro = pres.reproduce(&prog, &recorded);
         assert!(repro.reproduced, "{:#?}", repro.history);
         repro.certificate.unwrap().replay(&prog).unwrap();
-    }
-
-    #[test]
-    fn parallel_reproduce_agrees_with_serial() {
-        let prog = racy();
-        let recorded = Pres::new(Mechanism::Sync)
-            .record_until_failure(&prog, 0..2000)
-            .expect("failing production run");
-        let serial = Pres::new(Mechanism::Sync).reproduce(&prog, &recorded);
-        let parallel = Pres::new(Mechanism::Sync)
-            .with_workers(4)
-            .reproduce(&prog, &recorded);
-        assert_eq!(serial.reproduced, parallel.reproduced);
-        let cert = parallel.certificate.expect("parallel certificate");
-        cert.replay(&prog).expect("reproduces every time");
     }
 }

@@ -3,7 +3,7 @@
 //! PRES relaxes "reproduce on the first attempt" to "reproduce within a few
 //! attempts". The explorer drives that loop:
 //!
-//! 1. run a sketch-constrained replay attempt on the worker thread's warm
+//! 1. run a sketch-constrained replay attempt on the calling thread's warm
 //!    executor pool, streaming its events through a
 //!    [`feedback::StreamingExtractor`] rather than buffering a trace;
 //! 2. if the target failure manifested — done; mint a certificate from the
@@ -16,8 +16,8 @@
 //! 4. take the next constraint set and go to 1.
 //!
 //! The sketch itself is consulted through a [`SketchIndex`] built **once**
-//! per reproduction and shared (via `Arc`) by every attempt and worker, so
-//! per-attempt scheduler setup allocates only the cursor state.
+//! per reproduction and shared (via `Arc`) by every attempt, so per-attempt
+//! scheduler setup allocates only the cursor state.
 //!
 //! When the frontier drains without success the explorer starts a new
 //! *round* with a fresh exploration seed — coarse sketches sometimes leave
@@ -28,22 +28,9 @@
 //! paper's ablation baseline: "PRES's feedback generation from unsuccessful
 //! replays is critical in bug reproduction".
 //!
-//! # Parallel exploration
-//!
-//! Attempts are independent executions of the deterministic VM, so the loop
-//! parallelizes naturally: [`ExploreConfig::workers`] threads drain one
-//! shared frontier. The shared state (frontier + the set of plan signatures
-//! ever tried) lives behind a mutex; a worker that finds the frontier empty
-//! while other attempts are still in flight waits on a condvar for their
-//! feedback rather than burning budget on restart rounds. An attempt's
-//! global index is claimed in the same critical section that pops its plan,
-//! so index `k` always runs the `k`-th plan handed out, and the first
-//! success publishes its attempt index as a cancellation flag: workers stop
-//! claiming new attempts numbered above it. When several attempts succeed
-//! concurrently the **lowest-numbered** success supplies the certificate
-//! and the reported attempt count. Feedback merges into the frontier in
-//! completion order, so the minted artifact is timing-independent for a
-//! search decided within its first wave of plans.
+//! The search is one serial chain: attempt `k + 1`'s plan depends on the
+//! feedback of attempts `1..=k`, so a reproduction — attempt count, history
+//! and certificate bytes — is a pure function of its inputs.
 
 use crate::certificate::Certificate;
 use crate::feedback;
@@ -54,13 +41,11 @@ use crate::replay::{FastForwardScheduler, OrderConstraint};
 use crate::sketch::{Sketch, SketchIndex};
 use pres_tvm::error::RunStatus;
 use pres_tvm::pool::VthreadPool;
-use pres_tvm::sync::{Condvar, Mutex};
 use pres_tvm::trace::{Event, NullObserver, Observer, ObserverCharge, TraceMode};
 use pres_tvm::vm::{self, RunOutcome, VmConfig};
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// How the explorer chooses the next attempt.
@@ -104,12 +89,10 @@ pub struct ExploreConfig {
     /// single flip before any composed set; depth-first commits to a
     /// subtree.
     pub search: SearchOrder,
-    /// Worker threads draining the shared frontier concurrently. `1` (the
-    /// default) runs the classic serial loop; higher values race attempts
-    /// on OS threads and the lowest-numbered success wins.
+    /// Ignored: the search is one serial chain on the calling thread.
     pub workers: usize,
-    /// Ignored: every exploration worker runs its attempts on its own
-    /// thread's executor pool, which grows on demand.
+    /// Ignored: attempts run on the calling thread's executor pool, which
+    /// grows on demand.
     pub pool_width: usize,
     /// Cooperative stop token: checked between attempts, so a reproduction
     /// can be cut short by a wall-clock budget (`pres reproduce
@@ -203,72 +186,6 @@ impl Default for ExploreConfig {
     }
 }
 
-/// The result of [`ExploreConfig::validate`]: the (possibly adjusted)
-/// configuration plus the clamp decision, if one was made. Callers that
-/// front a terminal (the CLI, the daemon's per-job setup) decide whether
-/// and where to surface [`ClampDecision::warning`]; library use stays
-/// silent.
-#[derive(Debug, Clone)]
-pub struct ValidationOutcome {
-    /// The configuration after clamping.
-    pub config: ExploreConfig,
-    /// `Some` iff the requested workers oversubscribed the host.
-    pub clamp: Option<ClampDecision>,
-}
-
-/// A recorded `workers` clamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClampDecision {
-    /// `workers` as requested (after the ≥1 floor).
-    pub requested: usize,
-    /// `workers` actually applied.
-    pub applied: usize,
-    /// The host parallelism the knob was clamped against.
-    pub host: usize,
-}
-
-impl ClampDecision {
-    /// The human-readable warning line.
-    pub fn warning(&self) -> String {
-        format!(
-            "{} workers oversubscribe {} available core(s); clamped to {}",
-            self.requested, self.host, self.applied
-        )
-    }
-}
-
-impl ExploreConfig {
-    /// Clamps `workers` to the host's available parallelism, returning the
-    /// (possibly adjusted) configuration and the clamp decision. Nothing is
-    /// printed — the caller owns the terminal (the CLI surfaces
-    /// [`ClampDecision::warning`]; library callers typically don't).
-    ///
-    /// The clamp never changes *results* (the worker count is
-    /// schedule-invisible), only resource pressure.
-    pub fn validate(mut self) -> ValidationOutcome {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.workers = self.workers.max(1);
-        if self.workers <= host {
-            return ValidationOutcome {
-                config: self,
-                clamp: None,
-            };
-        }
-        let clamp = ClampDecision {
-            requested: self.workers,
-            applied: host,
-            host,
-        };
-        self.workers = host;
-        ValidationOutcome {
-            config: self,
-            clamp: Some(clamp),
-        }
-    }
-}
-
 /// One attempt's summary.
 #[derive(Debug, Clone)]
 pub struct AttemptRecord {
@@ -299,9 +216,7 @@ pub struct Reproduction {
     pub attempts: u32,
     /// The minted certificate, if reproduced.
     pub certificate: Option<Certificate>,
-    /// Per-attempt history, ordered by attempt index. In parallel mode
-    /// attempts numbered above the winning index may appear here too: they
-    /// were already in flight when the winner finished.
+    /// Per-attempt history, ordered by attempt index.
     pub history: Vec<AttemptRecord>,
     /// Whether the effort ended because [`ExploreConfig::stop`] tripped
     /// (wall-clock timeout or external cancellation) before the attempt
@@ -349,26 +264,17 @@ fn plan_signature_with(base: &[OrderConstraint], extra: &OrderConstraint, seed: 
     format!("{seed}|{}", cs.join(";"))
 }
 
-/// The search state shared by every worker: the plan frontier plus the
-/// signature set of every plan ever scheduled. Serial exploration owns one
-/// directly; parallel exploration puts it behind a mutex.
+/// The search state: the plan frontier plus the signature set of every
+/// plan ever scheduled.
 struct SearchState {
     frontier: VecDeque<Plan>,
     /// Signatures of every plan ever handed out — the dedup ledger.
     tried: BTreeSet<String>,
     /// Restart counter: round `k` proposes base seed + `k`.
     round: u64,
-    /// Random-strategy seed cursor; monotone so concurrent claims never
-    /// derive the same seed.
+    /// Random-strategy seed cursor; monotone so no two attempts derive the
+    /// same seed.
     random_cursor: u64,
-    /// Attempts currently executing (parallel mode). While nonzero, an
-    /// empty frontier may still be refilled by in-flight feedback, so idle
-    /// workers wait instead of burning restart rounds.
-    in_flight: usize,
-    /// The next global attempt index to claim (1-based, parallel mode).
-    /// Bumped only when [`SearchState::next_plan`] hands out a plan, under
-    /// the same lock, so an index and its plan are claimed together.
-    next_attempt: u32,
 }
 
 impl SearchState {
@@ -383,8 +289,6 @@ impl SearchState {
             tried,
             round: 0,
             random_cursor: 0,
-            in_flight: 0,
-            next_attempt: 1,
         }
     }
 
@@ -404,10 +308,8 @@ impl SearchState {
         }
     }
 
-    /// The plan for global attempt `attempt`, or `None` when the frontier
-    /// is empty but in-flight attempts may still refill it (the caller
-    /// should wait and retry).
-    fn next_plan(&mut self, explore: &ExploreConfig, attempt: u32) -> Option<Plan> {
+    /// The plan for attempt `attempt` (1-based).
+    fn next_plan(&mut self, explore: &ExploreConfig, attempt: u32) -> Plan {
         match explore.strategy {
             Strategy::Random => loop {
                 // Random is the no-feedback ablation, but it still must not
@@ -418,10 +320,10 @@ impl SearchState {
                     .base_seed
                     .wrapping_add(self.random_cursor.wrapping_mul(0x9e37_79b9_7f4a_7c15));
                 if self.tried.insert(plan_signature(&[], seed)) {
-                    return Some(Plan {
+                    return Plan {
                         seed,
                         constraints: Vec::new(),
-                    });
+                    };
                 }
             },
             Strategy::Feedback => {
@@ -429,39 +331,34 @@ impl SearchState {
                     && attempt > 1
                     && (attempt - 1).is_multiple_of(explore.restart_period);
                 if restart {
-                    return Some(self.restart_plan(explore));
+                    return self.restart_plan(explore);
                 }
                 let popped = match explore.search {
                     SearchOrder::Bfs => self.frontier.pop_front(),
                     SearchOrder::Dfs => self.frontier.pop_back(),
                 };
-                match popped {
-                    Some(p) => Some(p),
-                    None if self.in_flight > 0 => None,
-                    None => Some(self.restart_plan(explore)),
-                }
+                popped.unwrap_or_else(|| self.restart_plan(explore))
             }
         }
     }
 
-    /// Merges pre-extracted flip candidates back into the frontier,
-    /// best-first, deduplicated against every plan ever scheduled.
-    ///
-    /// Candidate *extraction* ([`extract_candidates`]) is kept separate
-    /// because it runs happens-before analysis over the whole attempt
-    /// trace — far too expensive to do under the shared search lock.
-    fn merge_candidates(
+    /// Ranks a failed attempt's flip candidates — the extractor already did
+    /// the happens-before analysis during the run — and merges the best
+    /// `fanout` of them back into the frontier, best-first, deduplicated
+    /// against every plan ever scheduled.
+    fn merge_feedback(
         &mut self,
         explore: &ExploreConfig,
         plan: &Plan,
-        cands: Vec<feedback::FlipCandidate>,
+        extractor: feedback::StreamingExtractor,
     ) {
+        let mut cands = extractor.finish_ranked(explore.ranking);
+        cands.truncate(explore.fanout);
         // DFS pops from the back, so highest priority must land last.
-        let ordered: Vec<_> = match explore.search {
-            SearchOrder::Bfs => cands,
-            SearchOrder::Dfs => cands.into_iter().rev().collect(),
-        };
-        for cand in ordered {
+        if explore.search == SearchOrder::Dfs {
+            cands.reverse();
+        }
+        for cand in cands {
             if plan.constraints.contains(&cand.constraint) {
                 continue;
             }
@@ -481,17 +378,6 @@ impl SearchState {
             }
         }
     }
-}
-
-/// Ranks and truncates a failed attempt's flip candidates. The extractor
-/// already did the happens-before analysis during the run; callers finish
-/// the ranking *outside* any shared lock.
-fn extract_candidates(
-    explore: &ExploreConfig,
-    extractor: feedback::StreamingExtractor,
-) -> Vec<feedback::FlipCandidate> {
-    let ranked = extractor.finish_ranked(explore.ranking);
-    ranked.into_iter().take(explore.fanout).collect()
 }
 
 /// Forwards only post-boundary events to the wrapped extractor: during
@@ -596,10 +482,6 @@ pub fn reproduce(
 /// (wrong output, no crash) are reproduced. The minted certificate's
 /// expected signature is whatever the oracle reported; verify such
 /// certificates with [`Certificate::replay_with`].
-///
-/// With [`ExploreConfig::workers`] > 1 attempts run concurrently on OS
-/// threads; the reported attempt count and certificate come from the
-/// lowest-numbered successful attempt.
 pub fn reproduce_with_oracle(
     program: &dyn Program,
     sketch: &Sketch,
@@ -610,11 +492,10 @@ pub fn reproduce_with_oracle(
     reproduce_with_oracle_and_pool(program, sketch, oracle, vm_config, explore, None)
 }
 
-/// As [`reproduce_with_oracle`], running the checkpoint check and the
-/// serial exploration path on `pool` instead of the calling thread's own
-/// pool (`None`). Parallel exploration workers always use their own
-/// threads' pools. Pool identity is schedule-invisible, so results are
-/// byte-identical either way.
+/// As [`reproduce_with_oracle`], running the checkpoint check and every
+/// attempt on `pool` instead of the calling thread's own pool (`None`).
+/// Pool identity is schedule-invisible, so results are byte-identical
+/// either way.
 pub fn reproduce_with_oracle_and_pool(
     program: &dyn Program,
     sketch: &Sketch,
@@ -623,9 +504,8 @@ pub fn reproduce_with_oracle_and_pool(
     explore: &ExploreConfig,
     pool: Option<&VthreadPool>,
 ) -> Reproduction {
-    // One immutable index serves every attempt (and every worker): the
-    // sketch is scanned exactly once per reproduction, not once per
-    // scheduler construction.
+    // One immutable index serves every attempt: the sketch is scanned
+    // exactly once per reproduction, not once per scheduler construction.
     let index = Arc::new(SketchIndex::new(sketch));
     reproduce_with_index(program, &index, oracle, vm_config, explore, pool)
 }
@@ -675,16 +555,12 @@ pub fn reproduce_with_index(
         }
         None => None,
     };
-    let mut rep = if explore.workers > 1 {
-        reproduce_parallel(program, index, oracle, vm_config, explore)
-    } else {
-        reproduce_serial(program, index, oracle, vm_config, explore, pool)
-    };
+    let mut rep = run_search(program, index, oracle, vm_config, explore, pool);
     rep.checkpoint = checkpoint;
     rep
 }
 
-fn reproduce_serial(
+fn run_search(
     program: &dyn Program,
     index: &Arc<SketchIndex>,
     oracle: &dyn FailureOracle,
@@ -706,9 +582,7 @@ fn reproduce_serial(
                 checkpoint: None,
             };
         }
-        let plan = search
-            .next_plan(explore, attempt)
-            .expect("serial search always yields a plan");
+        let plan = search.next_plan(explore, attempt);
         let (out, extractor) = run_attempt(program, index, vm_config, explore, &plan, pool);
         let verdict = oracle.judge(&out);
         history.push(attempt_record(attempt, &plan, &out, verdict.is_some()));
@@ -731,7 +605,7 @@ fn reproduce_serial(
         }
 
         if let Some(extractor) = extractor {
-            search.merge_candidates(explore, &plan, extract_candidates(explore, extractor));
+            search.merge_feedback(explore, &plan, extractor);
         }
     }
 
@@ -742,177 +616,6 @@ fn reproduce_serial(
         history,
         stopped: false,
         checkpoint: None,
-    }
-}
-
-/// State shared by the parallel workers.
-struct ParallelShared<'a> {
-    explore: &'a ExploreConfig,
-    search: Mutex<SearchState>,
-    /// Signalled whenever an attempt finishes: waiting workers recheck the
-    /// frontier and the cancellation flag.
-    work_ready: Condvar,
-    /// Lowest successful attempt index so far; `u32::MAX` means none. This
-    /// is both the first-success cancellation flag and the determinism
-    /// rule: no attempt numbered above it can change the outcome.
-    winner: AtomicU32,
-    results: Mutex<Vec<(AttemptRecord, Option<Certificate>)>>,
-}
-
-impl ParallelShared<'_> {
-    /// Whether attempt `attempt` is pointless: a lower-numbered attempt
-    /// already reproduced the failure.
-    fn cancelled_for(&self, attempt: u32) -> bool {
-        self.winner.load(Ordering::SeqCst) < attempt
-    }
-}
-
-fn parallel_worker(
-    program: &dyn Program,
-    index: &Arc<SketchIndex>,
-    oracle: &dyn FailureOracle,
-    vm_config: &VmConfig,
-    shared: &ParallelShared<'_>,
-) {
-    let stop = shared.explore.stop.as_ref();
-    loop {
-        // Claim the next global attempt index and its plan in one critical
-        // section, waiting while the frontier is empty but in-flight
-        // attempts may still refill it. Budget, cancellation, and the stop
-        // token are judged before any work is done for the claim. With a
-        // stop token present the wait is bounded: a deadline can trip
-        // without anyone calling notify.
-        let (attempt, plan) = {
-            let mut s = shared.search.lock();
-            loop {
-                if stop.is_some_and(StopToken::is_stopped) {
-                    return;
-                }
-                let attempt = s.next_attempt;
-                if attempt > shared.explore.max_attempts || shared.cancelled_for(attempt) {
-                    return;
-                }
-                if let Some(plan) = s.next_plan(shared.explore, attempt) {
-                    s.next_attempt += 1;
-                    s.in_flight += 1;
-                    break (attempt, plan);
-                }
-                match stop {
-                    Some(_) => {
-                        shared
-                            .work_ready
-                            .wait_timeout(&mut s, Duration::from_millis(20));
-                    }
-                    None => shared.work_ready.wait(&mut s),
-                }
-            }
-        };
-
-        // Each worker's attempts run on its own thread's pool: checkout
-        // never contends across workers.
-        let (out, extractor) = run_attempt(program, index, vm_config, shared.explore, &plan, None);
-        let verdict = oracle.judge(&out);
-        let reproduced = verdict.is_some();
-        let record = attempt_record(attempt, &plan, &out, reproduced);
-        let certificate = verdict.map(|signature| Certificate {
-            program: program.name(),
-            schedule: out.schedule,
-            expected_signature: signature,
-            processors: vm_config.processors,
-        });
-        shared.results.lock().push((record, certificate));
-
-        if reproduced {
-            // Publish this success, keeping the lowest index.
-            let mut cur = shared.winner.load(Ordering::SeqCst);
-            while attempt < cur {
-                match shared.winner.compare_exchange(
-                    cur,
-                    attempt,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                ) {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
-        // Finishing the candidate ranking is the expensive half of
-        // feedback; do it before taking the search lock so workers'
-        // analyses overlap.
-        let cands = extractor
-            .filter(|_| !reproduced)
-            .map(|extractor| extract_candidates(shared.explore, extractor));
-        {
-            let mut s = shared.search.lock();
-            s.in_flight -= 1;
-            if let Some(cands) = cands {
-                s.merge_candidates(shared.explore, &plan, cands);
-            }
-        }
-        shared.work_ready.notify_all();
-        if reproduced {
-            return;
-        }
-    }
-}
-
-fn reproduce_parallel(
-    program: &dyn Program,
-    index: &Arc<SketchIndex>,
-    oracle: &dyn FailureOracle,
-    vm_config: &VmConfig,
-    explore: &ExploreConfig,
-) -> Reproduction {
-    let shared = ParallelShared {
-        explore,
-        search: Mutex::new(SearchState::new(explore)),
-        work_ready: Condvar::new(),
-        winner: AtomicU32::new(u32::MAX),
-        results: Mutex::new(Vec::new()),
-    };
-
-    thread::scope(|scope| {
-        for _ in 0..explore.workers {
-            scope.spawn(|| parallel_worker(program, index, oracle, vm_config, &shared));
-        }
-    });
-
-    let mut entries = std::mem::take(&mut *shared.results.lock());
-    entries.sort_by_key(|(record, _)| record.index);
-    let winner = shared.winner.load(Ordering::SeqCst);
-    let mut certificate = None;
-    let mut history = Vec::with_capacity(entries.len());
-    for (record, cert) in entries {
-        if record.index == winner {
-            certificate = cert;
-        }
-        history.push(record);
-    }
-
-    if winner == u32::MAX {
-        let stopped = explore.stop.as_ref().is_some_and(StopToken::is_stopped);
-        Reproduction {
-            reproduced: false,
-            attempts: if stopped {
-                history.len() as u32
-            } else {
-                explore.max_attempts
-            },
-            certificate: None,
-            history,
-            stopped,
-            checkpoint: None,
-        }
-    } else {
-        Reproduction {
-            reproduced: true,
-            attempts: winner,
-            certificate,
-            history,
-            stopped: false,
-            checkpoint: None,
-        }
     }
 }
 
@@ -1173,160 +876,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_workers_reproduce_and_mint_replayable_certificate() {
-        let prog = atomicity_program();
-        let config = VmConfig::default();
-        let run = record_until_failure(&prog, Mechanism::Sync, &config, 0..2000).unwrap();
-        let rep = reproduce(
-            &prog,
-            &run.sketch,
-            &run.sketch.meta.failure_signature,
-            &config,
-            &ExploreConfig {
-                workers: 4,
-                ..ExploreConfig::default()
-            },
-        );
-        assert!(rep.reproduced, "{:#?}", rep.history);
-        // The winner is the lowest-numbered success in the history.
-        let lowest = rep
-            .history
-            .iter()
-            .filter(|h| h.reproduced)
-            .map(|h| h.index)
-            .min()
-            .expect("a successful attempt is recorded");
-        assert_eq!(rep.attempts, lowest);
-        let cert = rep.certificate.expect("certificate minted");
-        for _ in 0..5 {
-            cert.replay(&prog).expect("certificate replays");
-        }
-    }
-
-    #[test]
-    fn parallel_failure_spends_exactly_the_budget() {
-        let prog = atomicity_program();
-        let config = VmConfig::default();
-        let run = record_until_failure(&prog, Mechanism::Sync, &config, 0..2000).unwrap();
-        let rep = reproduce(
-            &prog,
-            &run.sketch,
-            "assert:never",
-            &config,
-            &ExploreConfig {
-                workers: 4,
-                max_attempts: 16,
-                ..ExploreConfig::default()
-            },
-        );
-        assert!(!rep.reproduced);
-        assert_eq!(rep.attempts, 16);
-        let idx: Vec<u32> = rep.history.iter().map(|h| h.index).collect();
-        assert_eq!(idx, (1..=16).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn parallel_history_never_repeats_a_plan() {
-        let prog = atomicity_program();
-        let config = VmConfig::default();
-        let run = record_until_failure(&prog, Mechanism::Sync, &config, 0..2000).unwrap();
-        for strategy in [Strategy::Feedback, Strategy::Random] {
-            let rep = reproduce(
-                &prog,
-                &run.sketch,
-                "assert:never",
-                &config,
-                &ExploreConfig {
-                    strategy,
-                    workers: 4,
-                    max_attempts: 60,
-                    restart_period: 3,
-                    ..ExploreConfig::default()
-                },
-            );
-            let plans: BTreeSet<&str> = rep.history.iter().map(|h| h.plan.as_str()).collect();
-            assert_eq!(
-                plans.len(),
-                rep.history.len(),
-                "duplicate plan under {} strategy",
-                strategy.name()
-            );
-        }
-    }
-
-    // validate() assertions must hold on any host, so they are phrased
-    // against the live available_parallelism value, not a fixed core count.
-    #[test]
-    fn validate_clamps_zero_workers_to_one() {
-        let cfg = ExploreConfig {
-            workers: 0,
-            ..ExploreConfig::default()
-        }
-        .validate()
-        .config;
-        assert_eq!(cfg.workers, 1);
-    }
-
-    #[test]
-    fn validate_keeps_a_serial_config_untouched() {
-        let outcome = ExploreConfig::default().validate();
-        assert_eq!(outcome.config.workers, 1);
-        assert_eq!(outcome.config.pool_width, ExploreConfig::default().pool_width);
-        assert!(outcome.clamp.is_none());
-    }
-
-    #[test]
-    fn validate_bounds_workers_by_the_host() {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let outcome = ExploreConfig {
-            workers: host * 64,
-            ..ExploreConfig::default()
-        }
-        .validate();
-        assert_eq!(outcome.config.workers, host);
-        // An oversubscribing request always yields a recorded decision,
-        // and the warning text carries the numbers.
-        let clamp = outcome.clamp.expect("oversubscription records a clamp");
-        assert_eq!(clamp.requested, host * 64);
-        assert_eq!(clamp.applied, host);
-        assert_eq!(clamp.host, host);
-        assert!(clamp.warning().contains("oversubscribe"));
-        // Exactly the host's parallelism is not oversubscription.
-        let fits = ExploreConfig {
-            workers: host,
-            ..ExploreConfig::default()
-        }
-        .validate();
-        assert_eq!(fits.config.workers, host);
-        assert!(fits.clamp.is_none());
-    }
-
-    #[test]
     fn pre_tripped_stop_token_spends_no_attempts() {
         let prog = atomicity_program();
         let config = VmConfig::default();
         let run = record_until_failure(&prog, Mechanism::Sync, &config, 0..2000).unwrap();
         let token = StopToken::new();
         token.stop();
-        for workers in [1usize, 4] {
-            let rep = reproduce(
-                &prog,
-                &run.sketch,
-                &run.sketch.meta.failure_signature,
-                &config,
-                &ExploreConfig {
-                    workers,
-                    stop: Some(token.clone()),
-                    ..ExploreConfig::default()
-                },
-            );
-            assert!(!rep.reproduced, "workers={workers}");
-            assert!(rep.stopped, "workers={workers}");
-            assert_eq!(rep.attempts, 0, "workers={workers}");
-            assert!(rep.history.is_empty(), "workers={workers}");
-        }
+        let rep = reproduce(
+            &prog,
+            &run.sketch,
+            &run.sketch.meta.failure_signature,
+            &config,
+            &ExploreConfig {
+                stop: Some(token),
+                ..ExploreConfig::default()
+            },
+        );
+        assert!(!rep.reproduced);
+        assert!(rep.stopped);
+        assert_eq!(rep.attempts, 0);
+        assert!(rep.history.is_empty());
     }
 
     #[test]

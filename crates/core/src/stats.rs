@@ -192,11 +192,6 @@ pub struct ExploreStats {
     pub distinct_plans: u64,
     /// Deepest constraint set executed.
     pub max_constraints: u64,
-    /// Whether the run's `workers` knob was clamped by
-    /// [`crate::explore::ExploreConfig::validate`] (see
-    /// [`ExploreStats::with_clamp`]); `of()` alone cannot know, so it
-    /// defaults to `false`.
-    pub clamped: bool,
 }
 
 impl ExploreStats {
@@ -215,15 +210,7 @@ impl ExploreStats {
                 .map(|h| h.constraints as u64)
                 .max()
                 .unwrap_or(0),
-            clamped: false,
         }
-    }
-
-    /// Records whether the exploration knobs were clamped against the host
-    /// (the [`crate::explore::ValidationOutcome`] of the config that ran).
-    pub fn with_clamp(mut self, clamped: bool) -> ExploreStats {
-        self.clamped = clamped;
-        self
     }
 
     /// Attempts spent on a plan already tried before — always zero with a
@@ -237,13 +224,12 @@ impl fmt::Display for ExploreStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} attempts ({} diverged), {} seeds, {} distinct plans, depth {}{}",
+            "{} attempts ({} diverged), {} seeds, {} distinct plans, depth {}",
             self.attempts,
             self.diverged,
             self.distinct_seeds,
             self.distinct_plans,
             self.max_constraints,
-            if self.clamped { " (knobs clamped)" } else { "" }
         )
     }
 }

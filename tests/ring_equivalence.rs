@@ -1,5 +1,5 @@
 //! Always-on ring recording vs. classic full-run recording, across the
-//! whole bug corpus and worker counts 1 and 4.
+//! whole bug corpus.
 //!
 //! Two pins:
 //!
@@ -22,12 +22,8 @@ use pres_core::sketch::Mechanism;
 use pres_suite::apps::all_bugs;
 use pres_suite::tvm::vm::VmConfig;
 
-const WORKER_COUNTS: [usize; 2] = [1, 4];
-
-fn explorer(workers: usize) -> Pres {
-    Pres::new(Mechanism::Sync)
-        .with_max_attempts(300)
-        .with_workers(workers)
+fn explorer() -> Pres {
+    Pres::new(Mechanism::Sync).with_max_attempts(300)
 }
 
 #[test]
@@ -59,36 +55,26 @@ fn full_retention_ring_is_byte_identical_to_classic() {
         assert!(cp.is_genesis(), "{}: full retention must not rotate", bug.id);
         assert_eq!(cp.dropped_entries, 0, "{}", bug.id);
 
-        // Exploration from the ring flush is byte-identical to classic,
-        // however many workers race the attempts.
-        for workers in WORKER_COUNTS {
-            let from_classic = explorer(workers).reproduce(prog.as_ref(), &classic);
-            let from_ring = explorer(workers).reproduce(prog.as_ref(), &ring);
-            assert_eq!(
-                from_classic.reproduced, from_ring.reproduced,
-                "{} ({workers} workers): verdicts diverge",
-                bug.id,
-            );
-            let a = from_classic
-                .certificate
-                .unwrap_or_else(|| panic!("{}: classic did not reproduce", bug.id));
-            let b = from_ring
-                .certificate
-                .unwrap_or_else(|| panic!("{}: ring did not reproduce", bug.id));
-            assert_eq!(a.expected_signature, b.expected_signature, "{}", bug.id);
-            if workers == 1 {
-                // Serial exploration is byte-deterministic, so the
-                // genesis-checkpoint ring must mint the *same bytes* as
-                // classic. (Racing workers merge feedback in completion
-                // order, so deep multi-worker searches are only
-                // verdict-deterministic, ring or no ring.)
-                assert_eq!(from_classic.attempts, from_ring.attempts, "{}", bug.id);
-                assert_eq!(a.encode(), b.encode(), "{}: certificates differ", bug.id);
-            } else {
-                b.replay(prog.as_ref())
-                    .unwrap_or_else(|e| panic!("{}: {e}", bug.id));
-            }
-        }
+        // Exploration is byte-deterministic, so the genesis-checkpoint
+        // ring must mint the *same bytes* as classic.
+        let from_classic = explorer().reproduce(prog.as_ref(), &classic);
+        let from_ring = explorer().reproduce(prog.as_ref(), &ring);
+        assert_eq!(
+            from_classic.reproduced, from_ring.reproduced,
+            "{}: verdicts diverge",
+            bug.id,
+        );
+        let a = from_classic
+            .certificate
+            .unwrap_or_else(|| panic!("{}: classic did not reproduce", bug.id));
+        let b = from_ring
+            .certificate
+            .unwrap_or_else(|| panic!("{}: ring did not reproduce", bug.id));
+        assert_eq!(a.expected_signature, b.expected_signature, "{}", bug.id);
+        assert_eq!(from_classic.attempts, from_ring.attempts, "{}", bug.id);
+        assert_eq!(a.encode(), b.encode(), "{}: certificates differ", bug.id);
+        b.replay(prog.as_ref())
+            .unwrap_or_else(|e| panic!("{}: {e}", bug.id));
     }
 }
 
@@ -150,57 +136,50 @@ fn bounded_ring_reproduces_every_corpus_bug_from_its_retained_window() {
         let production = run_traced(prog.as_ref(), &VmConfig::default(), ring.sketch.meta.seed);
 
         // The failure lies in the retained window by construction (the
-        // flush happens at the failure), so every worker count must
-        // reproduce it — deterministically.
-        for workers in WORKER_COUNTS {
-            let first = explorer(workers).reproduce(prog.as_ref(), &ring);
-            assert!(
-                first.reproduced,
-                "{} ({workers} workers): not reproduced from the window",
-                bug.id,
-            );
-            if !cp.is_genesis() {
-                let status = first
-                    .checkpoint
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("{}: no checkpoint status", bug.id));
-                assert!(status.verified, "{}: {:?}", bug.id, status.detail);
-                assert_eq!(status.boundary, cp.boundary, "{}", bug.id);
-            }
-            let cert = first.certificate.expect("certificate exists on success");
-            assert_eq!(
-                cert.expected_signature, ring.sketch.meta.failure_signature,
-                "{}",
-                bug.id
-            );
-            // Prefix fidelity: the certificate's schedule replays the
-            // production run's picks verbatim up to the boundary — the
-            // window replay really did resume *that* run.
-            let boundary = cp.boundary as usize;
-            assert!(cert.schedule.len() >= boundary, "{}", bug.id);
-            assert_eq!(
-                cert.schedule[..boundary],
-                production.schedule[..boundary],
-                "{} ({workers} workers): fast-forward prefix diverges",
-                bug.id,
-            );
-            // Certificates replay standalone, window or no window.
-            cert.replay(prog.as_ref())
-                .unwrap_or_else(|e| panic!("{}: {e}", bug.id));
-
-            // Determinism: a serial configuration reruns to the same
-            // certificate bytes. (Multi-worker reruns are verdict-
-            // deterministic only — feedback merges in completion order.)
-            if workers == 1 {
-                let again = explorer(workers).reproduce(prog.as_ref(), &ring);
-                assert_eq!(
-                    again.certificate.expect("reproduces again").encode(),
-                    cert.encode(),
-                    "{}: rerun diverged",
-                    bug.id,
-                );
-            }
+        // flush happens at the failure), so the search must reproduce it.
+        let first = explorer().reproduce(prog.as_ref(), &ring);
+        assert!(
+            first.reproduced,
+            "{}: not reproduced from the window",
+            bug.id
+        );
+        if !cp.is_genesis() {
+            let status = first
+                .checkpoint
+                .as_ref()
+                .unwrap_or_else(|| panic!("{}: no checkpoint status", bug.id));
+            assert!(status.verified, "{}: {:?}", bug.id, status.detail);
+            assert_eq!(status.boundary, cp.boundary, "{}", bug.id);
         }
+        let cert = first.certificate.expect("certificate exists on success");
+        assert_eq!(
+            cert.expected_signature, ring.sketch.meta.failure_signature,
+            "{}",
+            bug.id
+        );
+        // Prefix fidelity: the certificate's schedule replays the
+        // production run's picks verbatim up to the boundary — the
+        // window replay really did resume *that* run.
+        let boundary = cp.boundary as usize;
+        assert!(cert.schedule.len() >= boundary, "{}", bug.id);
+        assert_eq!(
+            cert.schedule[..boundary],
+            production.schedule[..boundary],
+            "{}: fast-forward prefix diverges",
+            bug.id,
+        );
+        // Certificates replay standalone, window or no window.
+        cert.replay(prog.as_ref())
+            .unwrap_or_else(|e| panic!("{}: {e}", bug.id));
+
+        // Determinism: a rerun mints the same certificate bytes.
+        let again = explorer().reproduce(prog.as_ref(), &ring);
+        assert_eq!(
+            again.certificate.expect("reproduces again").encode(),
+            cert.encode(),
+            "{}: rerun diverged",
+            bug.id,
+        );
     }
     assert!(
         any_rotated,
