@@ -20,11 +20,13 @@
 //!   window.
 //!
 //! ```text
-//! fig_ring [--reduced] [--out FILE]
+//! fig_ring [--out FILE]
 //! ```
 //!
-//! Prints the tables and writes the measurements as JSON (for the CI
-//! artifact) to `BENCH_ring.json` unless `--out` overrides it.
+//! Prints the tables and writes the measurements as JSON to
+//! `BENCH_ring.json` unless `--out` overrides it. Every number is a count
+//! or a model-unit cost, so the committed `BENCH_ring.json` is a pin: CI
+//! regenerates it and fails on any difference.
 use pres_apps::registry::all_bugs;
 use pres_bench::render::{bytes, table};
 use pres_core::codec::{checkpoint_segment_bytes, encode_sketch};
@@ -248,26 +250,18 @@ fn to_json(corpus: &[RingRow], soak: &[RingRow]) -> String {
 }
 
 fn main() {
-    let mut reduced = false;
     let mut out_path = String::from("BENCH_ring.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--reduced" => reduced = true,
             "--out" => out_path = args.next().expect("--out needs a path"),
             other => panic!("unknown argument '{other}'"),
         }
     }
 
     // Corpus arm: bounded ring sized off each bug's classic run.
-    let mut bugs = all_bugs();
-    if reduced {
-        // CI smoke: three bugs keep the release-mode step fast while
-        // still exercising rotation, flush, and window reproduction.
-        bugs.truncate(3);
-    }
     let mut corpus = Vec::new();
-    for bug in &bugs {
+    for bug in &all_bugs() {
         let prog = bug.program();
         let classic_len = Pres::new(Mechanism::Sync)
             .record_until_failure(prog.as_ref(), 0..5000)
@@ -284,19 +278,14 @@ fn main() {
     println!("{}", render("E21a: corpus, window = 2 epochs of len/3", &corpus));
 
     // Soak arm: fixed ring budget, growing production run.
-    let rounds: &[u64] = if reduced {
-        &[64, 256]
-    } else {
-        &[64, 256, 1024]
-    };
     let soak_cfg = RingConfig {
         epoch_entries: 64,
         epoch_cost: 0,
         ring_epochs: 2,
     };
-    let soak: Vec<RingRow> = rounds
-        .iter()
-        .map(|&r| measure(&soak_program(r), soak_cfg.clone(), 2000))
+    let soak: Vec<RingRow> = [64, 256, 1024]
+        .into_iter()
+        .map(|r| measure(&soak_program(r), soak_cfg.clone(), 2000))
         .collect();
     println!(
         "{}",

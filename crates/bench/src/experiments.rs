@@ -2,19 +2,24 @@
 //! reconstructed evaluation (DESIGN.md §5, EXPERIMENTS.md).
 //!
 //! Every experiment is deterministic: fixed seeds, fixed workloads, fixed
-//! exploration parameters. Each returns structured results plus a
-//! plain-text rendering that the `pres-bench` binaries print.
+//! exploration parameters, and every number is a count or a model-unit
+//! cost. [`paper`] renders them all into one string, committed as
+//! `tests/data/paper.txt` and diffed by `tests/paper.rs`.
+//!
+//! Each headline is computed from its rows against the paper's bound,
+//! which is data here, and closes with "claim held" or "claim NOT held".
 
 use crate::render::{bytes, pct, table};
 use pres_apps::registry::{all_apps, all_bugs, BugCase, WorkloadScale};
-use pres_core::explore::{ExploreConfig, Strategy};
+use pres_core::explore::{ExploreConfig, SearchOrder, Strategy};
+use pres_core::feedback::Ranking;
 use pres_core::program::Program;
-use pres_core::recorder::{record, RecordingReport};
+use pres_core::recorder::{record, RecordedRun, RecordingReport};
 use pres_core::sketch::Mechanism;
+use pres_core::stats::SketchStats;
 use pres_core::{explore, Certificate};
-use pres_tvm::error::RunStatus;
 use pres_tvm::sched::RandomScheduler;
-use pres_tvm::trace::{NullObserver, TraceMode};
+use pres_tvm::trace::NullObserver;
 use pres_tvm::vm::{self, VmConfig};
 
 /// The mechanism columns of every table, in the paper's overhead order.
@@ -50,15 +55,59 @@ pub const ABLATION_CAP: u32 = 300;
 /// Seed-search budget for finding a failing production run.
 pub const SEED_SEARCH: u64 = 3000;
 
-/// Finds a production seed on which the buggy program fails (native run —
-/// recording does not perturb scheduling, so the same seed fails under
-/// every mechanism).
-pub fn find_failing_seed(program: &dyn Program, config: &VmConfig) -> Option<u64> {
-    for seed in 0..SEED_SEARCH {
+/// The paper's best RW/SYNC overhead ratio ("by up to 4416 times").
+pub const PAPER_RW_OVER_SYNC: f64 = 4416.0;
+/// The paper's attempt bound ("most tested bugs in fewer than 10 replay
+/// attempts").
+pub const PAPER_ATTEMPTS: u32 = 10;
+/// "Scales well" (E5): SYNC overhead, max over min across every processor
+/// count, stays within this factor.
+pub const FLAT_GROWTH: f64 = 1.5;
+/// "Critical" (E6): random replay needs at least this many times the
+/// attempts of feedback over the whole suite.
+pub const CRITICAL_MARGIN: f64 = 2.0;
+
+/// The close of every headline.
+fn verdict(held: bool) -> &'static str {
+    if held {
+        "claim held"
+    } else {
+        "claim NOT held"
+    }
+}
+
+/// The whole evaluation, E1–E10 in EXPERIMENTS.md order, as one string.
+pub fn paper() -> String {
+    let matrix = RecordingMatrix::run(OVERHEAD_PROCESSORS, WorkloadScale::Standard);
+    [
+        e1_bugs(),
+        matrix.render_overhead(),
+        matrix.render_logsize(),
+        e3b_composition(),
+        render_attempts(&e4_attempts(ATTEMPT_CAP), ATTEMPT_CAP),
+        render_scalability(&e5_scalability(&[2, 4, 8, 16])),
+        render_feedback(&e6_feedback(ABLATION_CAP), ABLATION_CAP),
+        render_certificates(&e7_certificates(100)),
+        render_bbn(&e8_bbn_sweep(&[1, 2, 4, 8, 16, 64])),
+        render_ablation(&e9_ablation(200, Mechanism::Sync), 200, Mechanism::Sync),
+        render_ablation(&e9_ablation(200, Mechanism::Sys), 200, Mechanism::Sys),
+        render_distribution(&e10_distribution(8, 300), 300),
+    ]
+    .map(|section| section + "\n")
+    .concat()
+}
+
+/// The production seeds below [`SEED_SEARCH`] on which the buggy program
+/// fails natively, in order (recording does not perturb scheduling, so the
+/// same seed fails under every mechanism).
+fn failing_seeds<'a>(
+    program: &'a dyn Program,
+    config: &'a VmConfig,
+) -> impl Iterator<Item = u64> + 'a {
+    (0..SEED_SEARCH).filter(move |&seed| {
         let body = program.root();
-        let out = vm::run(
+        vm::run(
             VmConfig {
-                trace_mode: TraceMode::Off,
                 world: program.world(),
                 ..config.clone()
             },
@@ -66,12 +115,56 @@ pub fn find_failing_seed(program: &dyn Program, config: &VmConfig) -> Option<u64
             &mut RandomScheduler::new(seed),
             &mut NullObserver,
             move |ctx| body(ctx),
-        );
-        if out.status.is_failed() {
-            return Some(seed);
-        }
+        )
+        .status
+        .is_failed()
+    })
+}
+
+/// The first failing production seed of `bug`; a bug that never fails is
+/// a broken corpus, not a row to drop.
+fn failing_seed(bug: &BugCase, program: &dyn Program, config: &VmConfig) -> u64 {
+    failing_seeds(program, config)
+        .next()
+        .unwrap_or_else(|| panic!("{}: no failing seed in {SEED_SEARCH}", bug.id))
+}
+
+/// Searches `run`'s sketch for its failure; the attempt count, or `None`
+/// when the cap runs out first.
+fn attempts(
+    program: &dyn Program,
+    run: &RecordedRun,
+    config: &VmConfig,
+    explore: &ExploreConfig,
+) -> Option<u32> {
+    let rep = explore::reproduce(
+        program,
+        &run.sketch,
+        &run.sketch.meta.failure_signature,
+        config,
+        explore,
+    );
+    rep.reproduced.then_some(rep.attempts)
+}
+
+/// The default search with an attempt cap.
+fn capped(cap: u32) -> ExploreConfig {
+    ExploreConfig {
+        max_attempts: cap,
+        ..ExploreConfig::default()
     }
-    None
+}
+
+/// An attempt count, or `>cap` when the cap ran out.
+fn cell(attempts: Option<u32>, cap: u32) -> String {
+    attempts.map_or_else(|| format!(">{cap}"), |a| a.to_string())
+}
+
+/// max/min of a series (the growth across every point, not last/first).
+fn spread(values: impl Iterator<Item = f64> + Clone) -> f64 {
+    let max = values.clone().fold(f64::MIN, f64::max);
+    let min = values.fold(f64::MAX, f64::min);
+    max / min.max(0.01)
 }
 
 // ---------------------------------------------------------------------------
@@ -79,7 +172,7 @@ pub fn find_failing_seed(program: &dyn Program, config: &VmConfig) -> Option<u64
 // ---------------------------------------------------------------------------
 
 /// Renders the corpus table (paper Tables 1–2 analogue).
-pub fn e1_table_bugs() -> String {
+pub fn e1_bugs() -> String {
     let mut rows = Vec::new();
     for bug in all_bugs() {
         rows.push(vec![
@@ -168,57 +261,73 @@ impl RecordingMatrix {
         best
     }
 
-    /// Renders the E2 overhead figure as a table.
-    pub fn render_overhead(&self) -> String {
+    /// One column per mechanism, one row per app, cells rendered by `fmt`.
+    fn render_cells(&self, title: &str, fmt: impl Fn(&RecordingReport) -> String) -> String {
         let mechs = standard_mechanisms();
         let mut rows = Vec::new();
         for app in all_apps() {
             let mut row = vec![app.id.to_string()];
             for m in &mechs {
-                row.push(
-                    self.cell(app.id, *m)
-                        .map(|r| pct(r.overhead_pct))
-                        .unwrap_or_else(|| "-".into()),
-                );
+                row.push(self.cell(app.id, *m).map_or_else(|| "-".into(), &fmt));
             }
             rows.push(row);
         }
-        let mut headers = vec!["app"];
         let names: Vec<String> = mechs.iter().map(|m| m.name().into_owned()).collect();
+        let mut headers = vec!["app"];
         headers.extend(names.iter().map(|s| s.as_str()));
-        let mut out = String::from(
-            "E2. Production-run recording overhead (% over native, 8 simulated cores)\n\n",
+        format!("{title}\n\n{}", table(&headers, &rows))
+    }
+
+    /// Renders the E2 overhead figure as a table.
+    pub fn render_overhead(&self) -> String {
+        let mut out = self.render_cells(
+            "E2. Production-run recording overhead (% over native, 8 simulated cores)",
+            |r| pct(r.overhead_pct),
         );
-        out.push_str(&table(&headers, &rows));
+        let apps = all_apps();
+        let ordered = apps
+            .iter()
+            .filter(|a| {
+                let ovh = |m| self.cell(a.id, m).expect("full matrix").overhead_pct;
+                ovh(Mechanism::Rw) >= ovh(Mechanism::Sync)
+            })
+            .count();
         let (app, ratio) = self.max_rw_over_sync();
         out.push_str(&format!(
-            "\nheadline: SYNC sketching lowers recording overhead vs. the RW baseline by up to {ratio:.0}x (on {app})\n",
+            "\nheadline: SYNC sketching lowers recording overhead vs. the RW baseline by up to {ratio:.0}x (on {app}; paper: up to {PAPER_RW_OVER_SYNC:.0}x), and RW costs at least SYNC on {ordered}/{} apps — {}\n",
+            apps.len(),
+            verdict(ratio >= PAPER_RW_OVER_SYNC && ordered == apps.len()),
         ));
         out
     }
 
     /// Renders the E3 log-size table.
     pub fn render_logsize(&self) -> String {
-        let mechs = standard_mechanisms();
-        let mut rows = Vec::new();
-        for app in all_apps() {
-            let mut row = vec![app.id.to_string()];
-            for m in &mechs {
-                row.push(
-                    self.cell(app.id, *m)
-                        .map(|r| format!("{} ({} ev)", bytes(r.log_bytes), r.entries))
-                        .unwrap_or_else(|| "-".into()),
-                );
-            }
-            rows.push(row);
-        }
-        let mut headers = vec!["app"];
-        let names: Vec<String> = mechs.iter().map(|m| m.name().into_owned()).collect();
-        headers.extend(names.iter().map(|s| s.as_str()));
-        let mut out = String::from("E3. Sketch log size per workload (encoded bytes, entries)\n\n");
-        out.push_str(&table(&headers, &rows));
-        out
+        self.render_cells(
+            "E3. Sketch log size per workload (encoded bytes, entries)",
+            |r| format!("{} ({} ev)", bytes(r.log_bytes), r.entries),
+        )
     }
+}
+
+/// E3b: which event class each mechanism's log bytes go to on httpd, and
+/// the codec's density vs. a fixed-width encoding.
+pub fn e3b_composition() -> String {
+    let apps = all_apps();
+    let app = apps.iter().find(|a| a.id == "httpd").expect("httpd");
+    let prog = app.workload(WorkloadScale::Standard);
+    let config = std_vm(OVERHEAD_PROCESSORS);
+    let mechs: Vec<String> = standard_mechanisms()
+        .into_iter()
+        .map(|mech| {
+            let sketch = record(prog.as_ref(), mech, &config, 7).sketch;
+            format!("{}: {}", mech.name(), SketchStats::of(&sketch))
+        })
+        .collect();
+    format!(
+        "E3b. Sketch composition on httpd (standard workload)\n\n{}",
+        mechs.join("\n")
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -241,38 +350,22 @@ pub struct AttemptsRow {
 
 /// Runs the attempts table for every bug.
 pub fn e4_attempts(cap: u32) -> Vec<AttemptsRow> {
-    e4_attempts_for(&all_bugs(), cap)
-}
-
-/// Runs the attempts table for a subset of bugs.
-pub fn e4_attempts_for(bugs: &[BugCase], cap: u32) -> Vec<AttemptsRow> {
     let config = std_vm(REPRO_PROCESSORS);
     let mut rows = Vec::new();
-    for bug in bugs {
+    for bug in all_bugs() {
         let prog = bug.program();
-        let seed = find_failing_seed(prog.as_ref(), &config)
-            .unwrap_or_else(|| panic!("{}: no failing seed in {SEED_SEARCH}", bug.id));
-        let mut attempts = Vec::new();
+        let seed = failing_seed(&bug, prog.as_ref(), &config);
+        let mut row = Vec::new();
         for mech in standard_mechanisms() {
             let run = record(prog.as_ref(), mech, &config, seed);
             assert!(run.failed(), "{}: recording changed the outcome", bug.id);
-            let rep = explore::reproduce(
-                prog.as_ref(),
-                &run.sketch,
-                &run.sketch.meta.failure_signature,
-                &config,
-                &ExploreConfig {
-                    max_attempts: cap,
-                    ..ExploreConfig::default()
-                },
-            );
-            attempts.push(rep.reproduced.then_some(rep.attempts));
+            row.push(attempts(prog.as_ref(), &run, &config, &capped(cap)));
         }
         rows.push(AttemptsRow {
             bug: bug.id.to_string(),
             class: bug.class.label().to_string(),
             seed,
-            attempts,
+            attempts: row,
         });
     }
     rows
@@ -284,12 +377,7 @@ pub fn render_attempts(rows: &[AttemptsRow], cap: u32) -> String {
     let mut trows = Vec::new();
     for r in rows {
         let mut row = vec![r.bug.clone(), r.class.clone()];
-        for a in &r.attempts {
-            row.push(match a {
-                Some(n) => n.to_string(),
-                None => format!(">{cap}"),
-            });
-        }
+        row.extend(r.attempts.iter().map(|a| cell(*a, cap)));
         trows.push(row);
     }
     let mut headers = vec!["bug", "class"];
@@ -299,18 +387,31 @@ pub fn render_attempts(rows: &[AttemptsRow], cap: u32) -> String {
         "E4. Replay attempts until reproduction (cap {cap}, {REPRO_PROCESSORS} simulated cores)\n\n"
     );
     out.push_str(&table(&headers, &trows));
-    let sync_idx = mechs.iter().position(|m| *m == Mechanism::Sync).unwrap();
-    let sys_idx = mechs.iter().position(|m| *m == Mechanism::Sys).unwrap();
-    let under_10 = rows
-        .iter()
-        .filter(|r| {
-            r.attempts[sync_idx].is_some_and(|a| a < 10)
-                || r.attempts[sys_idx].is_some_and(|a| a < 10)
-        })
-        .count();
+    let column = |mech: Mechanism| {
+        let i = mechs.iter().position(|m| *m == mech).expect("standard mechanism");
+        rows.iter().map(move |r| (r.bug.as_str(), r.attempts[i]))
+    };
+    // Per mechanism: bugs under the paper's bound, and the worst bug
+    // (a capped search counts as cap + 1).
+    let under = |mech| {
+        column(mech)
+            .filter(|(_, a)| a.is_some_and(|a| a < PAPER_ATTEMPTS))
+            .count()
+    };
+    let worst = |mech| {
+        let (bug, a) = column(mech)
+            .max_by_key(|(_, a)| a.unwrap_or(cap + 1))
+            .unwrap_or(("-", Some(0)));
+        format!("worst {} on {bug}", cell(a, cap))
+    };
+    let (sync, sys) = (under(Mechanism::Sync), under(Mechanism::Sys));
+    let rw_once = column(Mechanism::Rw).filter(|(_, a)| *a == Some(1)).count();
+    let n = rows.len();
     out.push_str(&format!(
-        "\nheadline: {under_10}/{} bugs reproduced in fewer than 10 attempts with SYNC or SYS sketching; RW reproduces every bug on attempt 1 by construction\n",
-        rows.len()
+        "\nheadline: {sync}/{n} bugs reproduce in fewer than {PAPER_ATTEMPTS} attempts under SYNC ({}) and {sys}/{n} under SYS ({}); RW takes 1 attempt on {rw_once}/{n}; paper: most bugs in fewer than {PAPER_ATTEMPTS} — {}\n",
+        worst(Mechanism::Sync),
+        worst(Mechanism::Sys),
+        verdict(2 * sync > n && 2 * sys > n),
     ));
     out
 }
@@ -334,14 +435,14 @@ pub struct ScalabilityPoint {
 
 /// Apps used for the scalability overhead curve (compute-heavy, so the
 /// parallel-speedup denominator is meaningful).
-fn scalability_apps() -> Vec<&'static str> {
-    vec!["fft", "lu", "radix"]
-}
+const SCALABILITY_APPS: [&str; 3] = ["fft", "lu", "radix"];
 
 /// Bugs used for the scalability attempts curve.
-fn scalability_bugs() -> Vec<&'static str> {
-    vec!["lu-reduction-atomicity", "aget-progress-atomicity", "sqld-deadlock"]
-}
+const SCALABILITY_BUGS: [&str; 3] = [
+    "lu-reduction-atomicity",
+    "aget-progress-atomicity",
+    "sqld-deadlock",
+];
 
 /// Runs the scalability experiment over the given processor counts.
 pub fn e5_scalability(processor_counts: &[u32]) -> Vec<ScalabilityPoint> {
@@ -352,43 +453,31 @@ pub fn e5_scalability(processor_counts: &[u32]) -> Vec<ScalabilityPoint> {
         let config = std_vm(p);
         let mut rw_sum = 0.0;
         let mut sync_sum = 0.0;
-        let mut n = 0.0;
-        for id in scalability_apps() {
+        for id in SCALABILITY_APPS {
             let app = apps.iter().find(|a| a.id == id).expect("app exists");
             // Size the program to the machine: one worker per core, as the
             // paper's scalability runs do.
             let prog = app.workload_with_threads(WorkloadScale::Standard, p);
-            let rw = record(prog.as_ref(), Mechanism::Rw, &config, 7);
-            let sync = record(prog.as_ref(), Mechanism::Sync, &config, 7);
-            rw_sum += rw.overhead_pct();
-            sync_sum += sync.overhead_pct();
-            n += 1.0;
+            rw_sum += record(prog.as_ref(), Mechanism::Rw, &config, 7).overhead_pct();
+            sync_sum += record(prog.as_ref(), Mechanism::Sync, &config, 7).overhead_pct();
         }
-        let mut attempts = Vec::new();
-        for id in scalability_bugs() {
+        let mut row = Vec::new();
+        for id in SCALABILITY_BUGS {
             let bug = bugs.iter().find(|b| b.id == id).expect("bug exists");
             let prog = bug.program();
-            let result = find_failing_seed(prog.as_ref(), &config).map(|seed| {
-                let run = record(prog.as_ref(), Mechanism::Sync, &config, seed);
-                let rep = explore::reproduce(
-                    prog.as_ref(),
-                    &run.sketch,
-                    &run.sketch.meta.failure_signature,
-                    &config,
-                    &ExploreConfig {
-                        max_attempts: ATTEMPT_CAP,
-                        ..ExploreConfig::default()
-                    },
-                );
-                rep.reproduced.then_some(rep.attempts)
-            });
-            attempts.push((id.to_string(), result.flatten()));
+            let seed = failing_seed(bug, prog.as_ref(), &config);
+            let run = record(prog.as_ref(), Mechanism::Sync, &config, seed);
+            row.push((
+                id.to_string(),
+                attempts(prog.as_ref(), &run, &config, &capped(ATTEMPT_CAP)),
+            ));
         }
+        let n = SCALABILITY_APPS.len() as f64;
         points.push(ScalabilityPoint {
             processors: p,
             rw_overhead_pct: rw_sum / n,
             sync_overhead_pct: sync_sum / n,
-            attempts,
+            attempts: row,
         });
     }
     points
@@ -403,12 +492,7 @@ pub fn render_scalability(points: &[ScalabilityPoint]) -> String {
             pct(pt.rw_overhead_pct),
             pct(pt.sync_overhead_pct),
         ];
-        for (_, a) in &pt.attempts {
-            row.push(match a {
-                Some(n) => n.to_string(),
-                None => format!(">{ATTEMPT_CAP}"),
-            });
-        }
+        row.extend(pt.attempts.iter().map(|(_, a)| cell(*a, ATTEMPT_CAP)));
         rows.push(row);
     }
     let mut headers = vec!["P", "RW ovh", "SYNC ovh"];
@@ -421,17 +505,20 @@ pub fn render_scalability(points: &[ScalabilityPoint]) -> String {
         "E5. Scalability with processor count (overhead: mean over fft/lu/radix; attempts: SYNC sketch)\n\n",
     );
     out.push_str(&table(&headers, &rows));
-    if points.len() >= 2 {
-        let first = &points[0];
-        let last = &points[points.len() - 1];
-        out.push_str(&format!(
-            "\nheadline: from P={} to P={}, RW overhead grows {:.1}x while SYNC overhead stays within {:.1}x — PRES scales with the number of processors, the baseline does not\n",
-            first.processors,
-            last.processors,
-            last.rw_overhead_pct / first.rw_overhead_pct.max(0.01),
-            last.sync_overhead_pct / first.sync_overhead_pct.max(0.01),
-        ));
-    }
+    let ps: Vec<String> = points.iter().map(|p| p.processors.to_string()).collect();
+    let rw = spread(points.iter().map(|p| p.rw_overhead_pct));
+    let sync = spread(points.iter().map(|p| p.sync_overhead_pct));
+    let worst = points
+        .iter()
+        .flat_map(|p| p.attempts.iter().map(|(_, a)| a.unwrap_or(ATTEMPT_CAP + 1)))
+        .max()
+        .unwrap_or(0);
+    out.push_str(&format!(
+        "\nheadline: over P = {}, RW overhead grows {rw:.1}x (max/min) while SYNC overhead stays within {sync:.1}x and SYNC attempts stay at or below {}; bound: SYNC within {FLAT_GROWTH:.1}x and attempts under {PAPER_ATTEMPTS} at every P — {}\n",
+        ps.join(", "),
+        cell(Some(worst).filter(|&w| w <= ATTEMPT_CAP), ATTEMPT_CAP),
+        verdict(sync <= FLAT_GROWTH && worst < PAPER_ATTEMPTS),
+    ));
     out
 }
 
@@ -458,23 +545,14 @@ pub fn e6_feedback(cap: u32) -> Vec<FeedbackRow> {
     let mut rows = Vec::new();
     for bug in all_bugs() {
         let prog = bug.program();
-        let Some(seed) = find_failing_seed(prog.as_ref(), &config) else {
-            continue;
-        };
+        let seed = failing_seed(&bug, prog.as_ref(), &config);
         let run = record(prog.as_ref(), Mechanism::Sys, &config, seed);
-        let go = |strategy: Strategy| {
-            let rep = explore::reproduce(
-                prog.as_ref(),
-                &run.sketch,
-                &run.sketch.meta.failure_signature,
-                &config,
-                &ExploreConfig {
-                    strategy,
-                    max_attempts: cap,
-                    ..ExploreConfig::default()
-                },
-            );
-            rep.reproduced.then_some(rep.attempts)
+        let go = |strategy| {
+            let explore = ExploreConfig {
+                strategy,
+                ..capped(cap)
+            };
+            attempts(prog.as_ref(), &run, &config, &explore)
         };
         rows.push(FeedbackRow {
             bug: bug.id.to_string(),
@@ -489,34 +567,30 @@ pub fn e6_feedback(cap: u32) -> Vec<FeedbackRow> {
 pub fn render_feedback(rows: &[FeedbackRow], cap: u32) -> String {
     let trows: Vec<Vec<String>> = rows
         .iter()
-        .map(|r| {
-            vec![
-                r.bug.clone(),
-                r.feedback
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|| format!(">{cap}")),
-                r.random
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|| format!(">{cap}")),
-            ]
-        })
+        .map(|r| vec![r.bug.clone(), cell(r.feedback, cap), cell(r.random, cap)])
         .collect();
     let mut out = format!(
         "E6. Feedback generation vs. independent random replay (SYS sketch, cap {cap})\n\n"
     );
     out.push_str(&table(&["bug", "feedback", "random"], &trows));
-    let wins = rows
+    // A capped search counts as cap + 1.
+    let pairs: Vec<(u32, u32)> = rows
         .iter()
-        .filter(|r| {
-            let f = r.feedback.unwrap_or(cap + 1);
-            let g = r.random.unwrap_or(cap + 1);
-            f <= g
-        })
-        .count();
+        .map(|r| (r.feedback.unwrap_or(cap + 1), r.random.unwrap_or(cap + 1)))
+        .collect();
+    let wins = pairs.iter().filter(|(f, g)| f < g).count();
+    let ties = pairs.iter().filter(|(f, g)| f == g).count();
     let random_caps = rows.iter().filter(|r| r.random.is_none()).count();
+    let feedback_total: u32 = pairs.iter().map(|(f, _)| f).sum();
+    let random_total: u32 = pairs.iter().map(|(_, g)| g).sum();
+    let ratio = f64::from(random_total) / f64::from(feedback_total.max(1));
+    let critical = ratio >= CRITICAL_MARGIN;
     out.push_str(&format!(
-        "\nheadline: feedback matches or beats random exploration on {wins}/{} bugs; random exhausts the cap on {random_caps} of them — feedback generation from unsuccessful replays is critical\n",
-        rows.len()
+        "\nheadline: feedback beats random on {wins}/{n} bugs (ties {ties}, losses {}); random exhausts the cap on {random_caps}; over the suite random needs {ratio:.1}x feedback's attempts ({random_total} vs. {feedback_total}), so feedback {} by the {CRITICAL_MARGIN:.0}x margin — {}\n",
+        rows.len() - wins - ties,
+        if critical { "is critical" } else { "is not critical" },
+        verdict(critical),
+        n = rows.len(),
     ));
     out
 }
@@ -534,8 +608,8 @@ pub struct CertRow {
     pub successes: u32,
     /// Replay trials.
     pub trials: u32,
-    /// Encoded certificate size.
-    pub cert_bytes: u64,
+    /// Encoded certificate size; `None` when the search minted none.
+    pub cert_bytes: Option<u64>,
 }
 
 /// Reproduces each bug once (SYNC) and replays its certificate `trials`
@@ -545,36 +619,27 @@ pub fn e7_certificates(trials: u32) -> Vec<CertRow> {
     let mut rows = Vec::new();
     for bug in all_bugs() {
         let prog = bug.program();
-        let Some(seed) = find_failing_seed(prog.as_ref(), &config) else {
-            continue;
-        };
+        let seed = failing_seed(&bug, prog.as_ref(), &config);
         let run = record(prog.as_ref(), Mechanism::Sync, &config, seed);
         let rep = explore::reproduce(
             prog.as_ref(),
             &run.sketch,
             &run.sketch.meta.failure_signature,
             &config,
-            &ExploreConfig {
-                max_attempts: ATTEMPT_CAP,
-                ..ExploreConfig::default()
-            },
+            &capped(ATTEMPT_CAP),
         );
-        let Some(cert) = rep.certificate else {
-            continue;
-        };
-        let encoded = cert.encode();
-        let decoded = Certificate::decode(&encoded).expect("certificate round-trips");
-        let mut successes = 0;
-        for _ in 0..trials {
-            if decoded.replay(prog.as_ref()).is_ok() {
-                successes += 1;
-            }
-        }
+        let encoded = rep.certificate.map(|cert| cert.encode());
+        let successes = encoded.as_ref().map_or(0, |encoded| {
+            let decoded = Certificate::decode(encoded).expect("certificate round-trips");
+            (0..trials)
+                .filter(|_| decoded.replay(prog.as_ref()).is_ok())
+                .count() as u32
+        });
         rows.push(CertRow {
             bug: bug.id.to_string(),
             successes,
             trials,
-            cert_bytes: encoded.len() as u64,
+            cert_bytes: encoded.map(|e| e.len() as u64),
         });
     }
     rows
@@ -588,7 +653,7 @@ pub fn render_certificates(rows: &[CertRow]) -> String {
             vec![
                 r.bug.clone(),
                 format!("{}/{}", r.successes, r.trials),
-                bytes(r.cert_bytes),
+                r.cert_bytes.map_or_else(|| "not reproduced".into(), bytes),
             ]
         })
         .collect();
@@ -596,10 +661,18 @@ pub fn render_certificates(rows: &[CertRow]) -> String {
         "E7. Reproduce once, reproduce every time (certificate replays)\n\n",
     );
     out.push_str(&table(&["bug", "deterministic replays", "cert size"], &trows));
-    let all_perfect = rows.iter().all(|r| r.successes == r.trials);
+    let perfect = rows
+        .iter()
+        .filter(|r| r.cert_bytes.is_some() && r.successes == r.trials)
+        .count();
+    let sizes = rows.iter().filter_map(|r| r.cert_bytes);
+    let (min, max) = (sizes.clone().min().unwrap_or(0), sizes.max().unwrap_or(0));
     out.push_str(&format!(
-        "\nheadline: {} — after one successful reproduction, PRES reproduces the bug every time\n",
-        if all_perfect { "100% deterministic" } else { "NON-DETERMINISM DETECTED" }
+        "\nheadline: {perfect}/{} bugs replay every trial from their certificate (certificates {}–{}); paper: reproduced once, reproduced every time — {}\n",
+        rows.len(),
+        bytes(min),
+        bytes(max),
+        verdict(perfect == rows.len() && !rows.is_empty()),
     ));
     out
 }
@@ -633,27 +706,17 @@ pub fn e8_bbn_sweep(ns: &[u32]) -> Vec<BbnPoint> {
         .expect("bug exists");
     let workload = app.workload(WorkloadScale::Standard);
     let buggy = bug.program();
-    let seed = find_failing_seed(buggy.as_ref(), &config).expect("failing seed");
+    let seed = failing_seed(bug, buggy.as_ref(), &config);
     let mut points = Vec::new();
     for &n in ns {
         let mech = if n <= 1 { Mechanism::Bb } else { Mechanism::BbN(n) };
         let over = record(workload.as_ref(), mech, &config, 7);
         let run = record(buggy.as_ref(), mech, &config, seed);
-        let rep = explore::reproduce(
-            buggy.as_ref(),
-            &run.sketch,
-            &run.sketch.meta.failure_signature,
-            &config,
-            &ExploreConfig {
-                max_attempts: ATTEMPT_CAP,
-                ..ExploreConfig::default()
-            },
-        );
         points.push(BbnPoint {
             n,
             overhead_pct: over.overhead_pct(),
             log_bytes: over.log_bytes,
-            attempts: rep.reproduced.then_some(rep.attempts),
+            attempts: attempts(buggy.as_ref(), &run, &config, &capped(ATTEMPT_CAP)),
         });
     }
     points
@@ -661,16 +724,21 @@ pub fn e8_bbn_sweep(ns: &[u32]) -> Vec<BbnPoint> {
 
 /// Renders the BB-N sweep.
 pub fn render_bbn(points: &[BbnPoint]) -> String {
+    let name = |p: &BbnPoint| -> String {
+        if p.n <= 1 {
+            "BB".into()
+        } else {
+            format!("BB-{}", p.n)
+        }
+    };
     let trows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
             vec![
-                if p.n <= 1 { "BB".into() } else { format!("BB-{}", p.n) },
+                name(p),
                 pct(p.overhead_pct),
                 bytes(p.log_bytes),
-                p.attempts
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|| format!(">{ATTEMPT_CAP}")),
+                cell(p.attempts, ATTEMPT_CAP),
             ]
         })
         .collect();
@@ -678,40 +746,33 @@ pub fn render_bbn(points: &[BbnPoint]) -> String {
         "E8. Sketch-granularity sweep on lu (recording cost vs. reproduction effort)\n\n",
     );
     out.push_str(&table(&["mechanism", "overhead", "log", "attempts"], &trows));
-    out.push_str(
-        "\nheadline: coarser sampling trades recording overhead for replay attempts — the spectrum that motivates PRES's mechanism menu\n",
-    );
+    let (Some(first), Some(last)) = (points.first(), points.last()) else {
+        return out;
+    };
+    // Coarser sampling must cost less to record and never fewer attempts
+    // to reproduce (a capped search counts as cap + 1).
+    let steps = || points.windows(2).map(|w| (&w[0], &w[1]));
+    let overhead_falls = steps().all(|(a, b)| b.overhead_pct < a.overhead_pct);
+    let log_falls = steps().all(|(a, b)| b.log_bytes < a.log_bytes);
+    let att = |p: &BbnPoint| p.attempts.unwrap_or(ATTEMPT_CAP + 1);
+    let attempts_rise = steps().all(|(a, b)| att(b) >= att(a));
+    let series: Vec<String> = points.iter().map(|p| cell(p.attempts, ATTEMPT_CAP)).collect();
+    let monotone = |held: bool| if held { "monotonically" } else { "not monotonically" };
+    out.push_str(&format!(
+        "\nheadline: {} → {}: overhead falls {} → {} ({}), log falls {} → {} ({}), attempts never fall: {} ({}); paper: coarser sketches trade recording cost for replay attempts — {}\n",
+        name(first),
+        name(last),
+        pct(first.overhead_pct),
+        pct(last.overhead_pct),
+        monotone(overhead_falls),
+        bytes(first.log_bytes),
+        bytes(last.log_bytes),
+        monotone(log_falls),
+        series.join(", "),
+        if attempts_rise { "yes" } else { "no" },
+        verdict(overhead_falls && log_falls && attempts_rise),
+    ));
     out
-}
-
-// ---------------------------------------------------------------------------
-// Sanity check used by `run_all` and the integration tests.
-// ---------------------------------------------------------------------------
-
-/// Quick cross-check that a representative pipeline works end to end.
-pub fn smoke() -> Result<(), String> {
-    let config = std_vm(REPRO_PROCESSORS);
-    let bugs = all_bugs();
-    let bug = &bugs[0];
-    let prog = bug.program();
-    let seed = find_failing_seed(prog.as_ref(), &config).ok_or("no failing seed")?;
-    let run = record(prog.as_ref(), Mechanism::Sync, &config, seed);
-    let rep = explore::reproduce(
-        prog.as_ref(),
-        &run.sketch,
-        &run.sketch.meta.failure_signature,
-        &config,
-        &ExploreConfig::default(),
-    );
-    if !rep.reproduced {
-        return Err(format!("{} not reproduced", bug.id));
-    }
-    let cert = rep.certificate.ok_or("no certificate")?;
-    let out = cert.replay(prog.as_ref()).map_err(|e| e.to_string())?;
-    match out.status {
-        RunStatus::Failed(_) => Ok(()),
-        other => Err(format!("certificate replay ended {other}")),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -727,111 +788,105 @@ pub struct AblationRow {
     pub attempts: Vec<Option<u32>>,
 }
 
+impl AblationRow {
+    /// (bugs reproduced, mean attempts, worst attempts), a capped search
+    /// counting as cap + 1.
+    pub fn summary(&self, cap: u32) -> (usize, f64, u32) {
+        let counts = self.attempts.iter().map(|a| a.unwrap_or(cap + 1));
+        let solved = self.attempts.iter().filter(|a| a.is_some()).count();
+        let mean = counts.clone().map(f64::from).sum::<f64>() / self.attempts.len().max(1) as f64;
+        (solved, mean, counts.max().unwrap_or(0))
+    }
+}
+
 /// The design-choice ablations DESIGN.md calls out: candidate ranking,
 /// frontier discipline, and periodic restarts, each toggled independently
-/// against the full configuration. Runs under SYNC sketching with a
-/// reduced cap (each variant runs the entire suite).
+/// against the full configuration (the first row). Each variant runs the
+/// entire suite, so the cap is reduced.
 pub fn e9_ablation(cap: u32, mechanism: Mechanism) -> Vec<AblationRow> {
-    use pres_core::explore::SearchOrder;
-    use pres_core::feedback::Ranking;
     let config = std_vm(REPRO_PROCESSORS);
-    let variants: Vec<(String, ExploreConfig)> = vec![
-        ("full (lockset+recency, bfs, restarts)".into(), ExploreConfig {
-            max_attempts: cap,
-            ..ExploreConfig::default()
-        }),
-        ("ranking: recency only".into(), ExploreConfig {
-            max_attempts: cap,
+    let variants: Vec<(&str, ExploreConfig)> = vec![
+        ("full (lockset+recency, bfs, restarts)", capped(cap)),
+        ("ranking: recency only", ExploreConfig {
             ranking: Ranking::RecencyOnly,
-            ..ExploreConfig::default()
+            ..capped(cap)
         }),
-        ("ranking: oldest first".into(), ExploreConfig {
-            max_attempts: cap,
+        ("ranking: oldest first", ExploreConfig {
             ranking: Ranking::Oldest,
-            ..ExploreConfig::default()
+            ..capped(cap)
         }),
-        ("search: dfs".into(), ExploreConfig {
-            max_attempts: cap,
+        ("search: dfs", ExploreConfig {
             search: SearchOrder::Dfs,
-            ..ExploreConfig::default()
+            ..capped(cap)
         }),
-        ("restarts: off".into(), ExploreConfig {
-            max_attempts: cap,
+        ("restarts: off", ExploreConfig {
             restart_period: 0,
-            ..ExploreConfig::default()
+            ..capped(cap)
         }),
     ];
-    let mut rows = Vec::new();
     // Record each bug once; reuse across variants.
     let mut recorded = Vec::new();
     for bug in all_bugs() {
         let prog = bug.program();
-        let seed = find_failing_seed(prog.as_ref(), &config)
-            .unwrap_or_else(|| panic!("{}: no failing seed", bug.id));
+        let seed = failing_seed(&bug, prog.as_ref(), &config);
         let run = record(prog.as_ref(), mechanism, &config, seed);
         recorded.push((prog, run));
     }
-    for (label, explore_cfg) in variants {
-        let mut attempts = Vec::new();
-        for (prog, run) in &recorded {
-            let rep = explore::reproduce(
-                prog.as_ref(),
-                &run.sketch,
-                &run.sketch.meta.failure_signature,
-                &config,
-                &explore_cfg,
-            );
-            attempts.push(rep.reproduced.then_some(rep.attempts));
-        }
-        rows.push(AblationRow {
-            variant: label,
-            attempts,
-        });
-    }
-    rows
+    variants
+        .into_iter()
+        .map(|(label, explore_cfg)| AblationRow {
+            variant: label.to_string(),
+            attempts: recorded
+                .iter()
+                .map(|(prog, run)| attempts(prog.as_ref(), run, &config, &explore_cfg))
+                .collect(),
+        })
+        .collect()
 }
 
-/// Renders the ablation table: per-variant worst case and mean, plus the
-/// count of bugs each variant reproduces within the cap.
-pub fn render_ablation_for(rows: &[AblationRow], cap: u32, mechanism: Mechanism) -> String {
-    let bugs = all_bugs();
+/// Renders the ablation table: per-variant bugs reproduced within the
+/// cap, mean and worst attempts, and both against the first (full) row.
+pub fn render_ablation(rows: &[AblationRow], cap: u32, mechanism: Mechanism) -> String {
+    let (_, full_mean, full_worst) = rows.first().map_or((0, 0.0, 0), |r| r.summary(cap));
+    let capped_max = |max: u32| cell(Some(max).filter(|&m| m <= cap), cap);
     let mut trows = Vec::new();
-    for r in rows {
-        let solved = r.attempts.iter().filter(|a| a.is_some()).count();
-        let max = r
-            .attempts
-            .iter()
-            .map(|a| a.unwrap_or(cap + 1))
-            .max()
-            .unwrap_or(0);
-        let mean: f64 = r
-            .attempts
-            .iter()
-            .map(|a| f64::from(a.unwrap_or(cap + 1)))
-            .sum::<f64>()
-            / r.attempts.len().max(1) as f64;
+    // Ablations (every row after the full one) that cost no attempts.
+    let mut free = Vec::new();
+    for (i, r) in rows.iter().enumerate() {
+        let (solved, mean, max) = r.summary(cap);
+        let (d_mean, d_worst) = (mean - full_mean, i64::from(max) - i64::from(full_worst));
         trows.push(vec![
             r.variant.clone(),
-            format!("{solved}/{}", bugs.len()),
+            format!("{solved}/{}", r.attempts.len()),
             format!("{mean:.1}"),
-            if max > cap {
-                format!(">{cap}")
-            } else {
-                max.to_string()
-            },
+            capped_max(max),
+            format!("{d_mean:+.2}"),
+            format!("{d_worst:+}"),
         ]);
+        if i > 0 && d_mean <= 0.0 && d_worst <= 0 {
+            free.push(r.variant.as_str());
+        }
     }
     let mut out = format!(
         "E9. Feedback-engine ablation ({} sketch, cap {cap}; attempts across all 13 bugs)\n\n",
         mechanism.name()
     );
     out.push_str(&table(
-        &["variant", "reproduced", "mean att", "worst att"],
+        &["variant", "reproduced", "mean att", "worst att", "mean vs full", "worst vs full"],
         &trows,
     ));
-    out.push_str(
-        "\nheadline: each heuristic earns its keep — disabling ranking, breadth-first search, or restarts costs attempts on the hard bugs\n",
-    );
+    let ablations = rows.len().saturating_sub(1);
+    out.push_str(&format!(
+        "\nheadline: against full (mean {full_mean:.1}, worst {}), {}/{ablations} ablations cost attempts{}; bound: disabling any one heuristic costs attempts — {}\n",
+        capped_max(full_worst),
+        ablations - free.len(),
+        if free.is_empty() {
+            String::new()
+        } else {
+            format!(", {} costs none", free.join(" and "))
+        },
+        verdict(free.is_empty()),
+    ));
     out
 }
 
@@ -865,49 +920,28 @@ impl DistributionRow {
 /// robustness beyond the single-seed numbers of E4. SYNC sketching.
 pub fn e10_distribution(runs: usize, cap: u32) -> Vec<DistributionRow> {
     let config = std_vm(REPRO_PROCESSORS);
-    let mut rows = Vec::new();
-    for bug in all_bugs() {
-        let prog = bug.program();
-        let mut attempts = Vec::new();
-        let mut seed = 0u64;
-        while attempts.len() < runs && seed < SEED_SEARCH {
-            let body = prog.root();
-            let out = vm::run(
-                VmConfig {
-                    world: prog.world(),
-                    ..config.clone()
-                },
-                prog.resources(),
-                &mut RandomScheduler::new(seed),
-                &mut NullObserver,
-                move |ctx| body(ctx),
-            );
-            if out.status.is_failed() {
-                let run = record(prog.as_ref(), Mechanism::Sync, &config, seed);
-                let rep = explore::reproduce(
-                    prog.as_ref(),
-                    &run.sketch,
-                    &run.sketch.meta.failure_signature,
-                    &config,
-                    &ExploreConfig {
-                        max_attempts: cap,
-                        ..ExploreConfig::default()
-                    },
-                );
-                attempts.push(if rep.reproduced { rep.attempts } else { cap + 1 });
+    all_bugs()
+        .into_iter()
+        .map(|bug| {
+            let prog = bug.program();
+            let attempts = failing_seeds(prog.as_ref(), &config)
+                .take(runs)
+                .map(|seed| {
+                    let run = record(prog.as_ref(), Mechanism::Sync, &config, seed);
+                    attempts(prog.as_ref(), &run, &config, &capped(cap)).unwrap_or(cap + 1)
+                })
+                .collect();
+            DistributionRow {
+                bug: bug.id.to_string(),
+                attempts,
             }
-            seed += 1;
-        }
-        rows.push(DistributionRow {
-            bug: bug.id.to_string(),
-            attempts,
-        });
-    }
-    rows
+        })
+        .collect()
 }
 
 /// Renders the distribution table.
 pub fn render_distribution(rows: &[DistributionRow], cap: u32) -> String {
+    let capped_max = |max: u32| cell(Some(max).filter(|&m| m <= cap), cap);
     let mut trows = Vec::new();
     for r in rows {
         let (min, med, max) = r.summary();
@@ -916,23 +950,100 @@ pub fn render_distribution(rows: &[DistributionRow], cap: u32) -> String {
             r.attempts.len().to_string(),
             min.to_string(),
             med.to_string(),
-            if max > cap {
-                format!(">{cap}")
-            } else {
-                max.to_string()
-            },
+            capped_max(max),
         ]);
     }
     let mut out = format!(
         "E10. Attempts across distinct failing production runs (SYNC sketch, cap {cap})\n\n"
     );
     out.push_str(&table(&["bug", "runs", "min", "median", "max"], &trows));
-    let all_small = rows
+    let largest = |pick: fn((u32, u32, u32)) -> u32| {
+        rows.iter()
+            .map(|r| (pick(r.summary()), r.bug.as_str()))
+            .max_by_key(|&(v, _)| v)
+            .unwrap_or((0, "-"))
+    };
+    let (median, median_bug) = largest(|s| s.1);
+    let (max, max_bug) = largest(|s| s.2);
+    let small = rows
         .iter()
-        .all(|r| r.summary().1 < 10);
+        .filter(|r| r.summary().1 < PAPER_ATTEMPTS)
+        .count();
     out.push_str(&format!(
-        "\nheadline: median attempts below 10 for {} — reproduction effort is robust to which production run failed\n",
-        if all_small { "every bug" } else { "most bugs" }
+        "\nheadline: largest median {median} ({median_bug}), largest max {} ({max_bug}); median under {PAPER_ATTEMPTS} attempts for {small}/{} bugs, whichever production run failed — {}\n",
+        capped_max(max),
+        rows.len(),
+        verdict(small == rows.len()),
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn headline(text: &str) -> &str {
+        text.lines()
+            .find(|l| l.starts_with("headline:"))
+            .expect("every section has a headline")
+    }
+
+    #[test]
+    fn e7_headline_fails_on_a_bug_without_a_certificate() {
+        let row = |bug: &str, successes, cert_bytes| CertRow {
+            bug: bug.into(),
+            successes,
+            trials: 100,
+            cert_bytes,
+        };
+        let all = [row("a", 100, Some(67)), row("b", 100, Some(591))];
+        let text = render_certificates(&all);
+        assert!(headline(&text).ends_with("— claim held"), "{text}");
+
+        let missing = [row("a", 100, Some(67)), row("b", 0, None)];
+        let text = render_certificates(&missing);
+        assert!(text.contains("0/100") && text.contains("not reproduced"), "{text}");
+        assert!(headline(&text).contains("1/2 bugs"), "{text}");
+        assert!(headline(&text).ends_with("— claim NOT held"), "{text}");
+    }
+
+    #[test]
+    fn e6_headline_calls_feedback_critical_only_past_the_margin() {
+        let row = |feedback, random| FeedbackRow {
+            bug: "b".into(),
+            feedback: Some(feedback),
+            random,
+        };
+        let text = render_feedback(&[row(2, Some(4)), row(1, None)], 10);
+        assert!(headline(&text).contains("is critical"), "{text}");
+        let text = render_feedback(&[row(2, Some(3)), row(4, Some(2))], 10);
+        assert!(headline(&text).contains("is not critical"), "{text}");
+        assert!(headline(&text).ends_with("— claim NOT held"), "{text}");
+    }
+
+    #[test]
+    fn e8_headline_fails_when_attempts_fall_with_coarser_sampling() {
+        let point = |n, overhead_pct, log_bytes, attempts| BbnPoint {
+            n,
+            overhead_pct,
+            log_bytes,
+            attempts: Some(attempts),
+        };
+        let rising = [point(1, 200.0, 900, 2), point(4, 50.0, 300, 3)];
+        assert!(headline(&render_bbn(&rising)).ends_with("— claim held"));
+        let falling = [point(1, 200.0, 900, 2), point(4, 50.0, 300, 1)];
+        assert!(headline(&render_bbn(&falling)).ends_with("— claim NOT held"));
+    }
+
+    #[test]
+    fn e9_headline_names_an_ablation_that_costs_nothing() {
+        let row = |variant: &str, attempts: &[u32]| AblationRow {
+            variant: variant.into(),
+            attempts: attempts.iter().copied().map(Some).collect(),
+        };
+        let rows = [row("full", &[1, 3]), row("dfs", &[4, 9]), row("off", &[1, 3])];
+        let text = render_ablation(&rows, 200, Mechanism::Sync);
+        assert!(headline(&text).contains("1/2 ablations cost attempts, off costs none"), "{text}");
+        assert!(headline(&text).ends_with("— claim NOT held"), "{text}");
+    }
 }

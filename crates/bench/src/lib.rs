@@ -1,24 +1,18 @@
 //! # pres-bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the reconstructed evaluation
-//! (DESIGN.md §5). Each experiment has a binary that prints the table:
+//! (DESIGN.md §5):
 //!
 //! | Binary | Experiment |
 //! |---|---|
-//! | `table_bugs` | E1 applications & bugs |
-//! | `fig_overhead` | E2 recording overhead |
-//! | `table_logsize` | E3 log sizes |
-//! | `table_attempts` | E4 replay attempts per bug per mechanism |
-//! | `fig_scalability` | E5 overhead/attempts vs. processor count |
-//! | `fig_feedback` | E6 feedback vs. random ablation |
-//! | `fig_bbn_sweep` | E8 BB-N granularity sweep |
-//! | `run_all` | everything, in EXPERIMENTS.md order (incl. E7) |
+//! | `run_all` | E1–E10 (and E3b), the text pinned in `tests/data/paper.txt` |
+//! | `fig_ring` | E21 always-on ring flushes, pinned in `BENCH_ring.json` |
+//! | `fig_svc` | E16 replay as a service |
+//! | `fig_svc_frontend` | E18 front-end concurrency and streamed-submit RSS |
+//! | `fig_svc_journal` | E19 group commit and the decode cache |
 //!
-//! The wall-clock benches (`cargo bench`, driven by [`harness`]) measure
-//! the same pipelines in real time: per-mechanism recording cost,
-//! replay-attempt cost, codec throughput, the feedback analysis, and
-//! parallel-reproduction scaling.
+//! [`experiments::paper`] is the one entry point to E1–E10; `run_all`
+//! prints it and `tests/paper.rs` diffs it against the pin.
 
 pub mod experiments;
-pub mod harness;
 pub mod render;
