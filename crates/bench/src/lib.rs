@@ -7,9 +7,6 @@
 //! |---|---|
 //! | `run_all` | E1–E10 (and E3b), the text pinned in `tests/data/paper.txt` |
 //! | `fig_ring` | E21 always-on ring flushes, pinned in `BENCH_ring.json` |
-//! | `fig_svc` | E16 replay as a service |
-//! | `fig_svc_frontend` | E18 front-end concurrency and streamed-submit RSS |
-//! | `fig_svc_journal` | E19 group commit and the decode cache |
 //!
 //! [`experiments::paper`] is the one entry point to E1–E10; `run_all`
 //! prints it and `tests/paper.rs` diffs it against the pin.

@@ -15,8 +15,9 @@
 //! caches only the sketch header and the compact index
 //! ([`pres_core::codec::decode_index`]), ≈ 5 bytes per sketch entry, so
 //! the budget bounds memory in the unit memory is spent in. A budget of
-//! `0` disables the cache outright, which is the E19 cache-cold baseline
-//! and the byte-identity pin's control arm: hits and misses must produce
+//! `0` disables the cache outright: every execution re-reads,
+//! re-verifies and re-decodes its sketch. That is the byte-identity
+//! pin's control arm: hits and misses must produce
 //! bit-identical certificates, and `--sketch-cache-bytes 0` is how the
 //! tests prove it.
 //!

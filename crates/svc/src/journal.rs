@@ -25,8 +25,7 @@
 //! before the sync that covers its record — the PR 6 acknowledgement
 //! contract is unchanged; only the number of syncs per acknowledged
 //! record changes (from 1 to 1/cohort). `GroupCommit { max_records: 1 }`
-//! restores the exact per-record behavior and is the measured baseline
-//! of experiment E19.
+//! restores the exact per-record behavior: one `fdatasync` per record.
 //!
 //! A cohort that fails — torn write, injected crash, real I/O error —
 //! fails *every* member: none were acked, so none may believe they were
@@ -199,7 +198,7 @@ fn parse(data: &[u8], path: &Path) -> io::Result<Parsed> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommit {
     /// Most records one `fdatasync` may cover. `1` = per-record syncing,
-    /// byte-for-byte the PR 6 append path (and the E19 baseline).
+    /// byte-for-byte the PR 6 append path.
     pub max_records: usize,
     /// How long a leader holds the cohort open for concurrent appenders
     /// to join before it writes and syncs. `0` = never wait: the leader

@@ -159,7 +159,7 @@ pub struct QueueConfig {
     /// Backoff before retry `r` is eligible: `retry_backoff << (r - 1)`.
     pub retry_backoff: Duration,
     /// Most records one journal `fdatasync` may cover (group commit).
-    /// `1` restores per-record syncing — the measured E19 baseline.
+    /// `1` syncs every record on its own, before its append returns.
     pub journal_batch: usize,
     /// How long a commit leader holds a cohort open for concurrent
     /// appenders to join (`0` = commit immediately; concurrent appends

@@ -9,52 +9,19 @@
 //! to that, to staying correct when a starvation-sized budget forces
 //! eviction on every insert, and to charging exactly what it holds.
 
-use pres_suite::apps::registry::all_bugs;
-use pres_suite::core::api::Pres;
-use pres_suite::core::codec::encode_sketch;
-use pres_suite::core::sketch::Mechanism;
+mod common;
+
+use common::{recorded_sketch_bytes, scratch, start};
 use pres_suite::svc::queue::QueueConfig;
-use pres_suite::svc::server::{ServeOptions, Server};
+use pres_suite::svc::server::Server;
 use pres_suite::svc::{Client, Digest, JobStatus};
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// Three bugs across three mechanisms — enough digests that a tiny budget
 /// must evict between jobs.
 const CORPUS: [&str; 3] = ["pbzip-order", "aget-progress-atomicity", "fft-barrier-order"];
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "pres-svc-cache-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn start(data_dir: &std::path::Path, queue: QueueConfig) -> Server {
-    Server::start(ServeOptions {
-        addr: "127.0.0.1:0".into(),
-        data_dir: data_dir.to_path_buf(),
-        queue,
-        log_interval: None,
-        ..ServeOptions::default()
-    })
-    .expect("daemon starts")
-}
-
-fn recorded_sketch_bytes(bug: &str) -> Vec<u8> {
-    let case = all_bugs().into_iter().find(|b| b.id == bug).unwrap();
-    let program = case.program();
-    let pres = Pres::new(Mechanism::Sync);
-    let run = pres
-        .record_until_failure(program.as_ref(), 0..5000)
-        .expect("bug manifests in production");
-    encode_sketch(&run.sketch)
-}
 
 /// The cache holds what it charged for and never more than its budget:
 /// its byte count is the sum of the resident values' own

@@ -19,23 +19,15 @@
 //! daemon under SIGKILL; this file covers them deterministically, one
 //! crash point at a time.
 
+mod common;
+
+use common::scratch;
 use pres_suite::svc::faultpoint::{FaultMode, FaultPoint, Faults, INJECTED};
 use pres_suite::svc::journal::{Journal, Record};
 use pres_suite::svc::queue::{JobQueue, JobStatus, QueueConfig};
 use pres_suite::svc::store::Store;
 use pres_suite::svc::{sha256, Metrics};
-use std::path::PathBuf;
 use std::sync::Arc;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "pres-svc-crash-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn dir_entry_count(dir: &std::path::Path) -> usize {
     std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0)

@@ -4,52 +4,23 @@
 //! frames, mid-submit disconnects, job timeouts), the restart story
 //! (journal replay, store dedup) and the shared-secret perimeter.
 
+mod common;
+
+use common::{recorded_sketch_bytes, scratch, start, start_with};
 use pres_suite::apps::registry::all_bugs;
 use pres_suite::core::api::Pres;
-use pres_suite::core::codec::{decode_sketch, encode_sketch};
+use pres_suite::core::codec::decode_sketch;
 use pres_suite::core::sketch::Mechanism;
 use pres_suite::core::Certificate;
 use pres_suite::svc::proto::{Frame, Request};
 use pres_suite::svc::queue::QueueConfig;
-use pres_suite::svc::server::{ServeOptions, Server};
+use pres_suite::svc::server::ServeOptions;
 use pres_suite::svc::{sha256, Client, JobStatus};
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::Duration;
 
 const BUG: &str = "pbzip-order";
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "pres-svc-e2e-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn start(data_dir: &std::path::Path, queue: QueueConfig) -> Server {
-    Server::start(ServeOptions {
-        addr: "127.0.0.1:0".into(),
-        data_dir: data_dir.to_path_buf(),
-        queue,
-        log_interval: None,
-        ..ServeOptions::default()
-    })
-    .expect("daemon starts")
-}
-
-fn recorded_sketch_bytes(bug: &str) -> Vec<u8> {
-    let case = all_bugs().into_iter().find(|b| b.id == bug).unwrap();
-    let program = case.program();
-    let pres = Pres::new(Mechanism::Sync);
-    let run = pres
-        .record_until_failure(program.as_ref(), 0..5000)
-        .expect("bug manifests in production");
-    encode_sketch(&run.sketch)
-}
 
 #[test]
 fn loopback_certificate_is_byte_identical_to_in_process_reproduction() {
@@ -87,6 +58,50 @@ fn loopback_certificate_is_byte_identical_to_in_process_reproduction() {
 
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn two_job_workers_mint_the_certificates_one_worker_mints() {
+    let corpus: Vec<(&str, Vec<u8>)> = all_bugs()
+        .iter()
+        .take(3)
+        .map(|b| (b.id, recorded_sketch_bytes(b.id)))
+        .collect();
+    let certificates = |workers: usize| -> Vec<Vec<u8>> {
+        let dir = scratch(&format!("workers-{workers}"));
+        let server = start(
+            &dir,
+            QueueConfig {
+                workers,
+                ..QueueConfig::default()
+            },
+        );
+        let mut client = Client::connect(server.addr()).unwrap();
+        // The whole batch is queued before any wait, so two workers
+        // explore side by side.
+        let jobs: Vec<u64> = corpus
+            .iter()
+            .map(|(bug, bytes)| client.submit(bug, bytes).unwrap().job)
+            .collect();
+        let certs = jobs
+            .iter()
+            .zip(&corpus)
+            .map(|(&job, (bug, _))| {
+                let status = client.wait(job, Duration::from_secs(120)).unwrap();
+                assert!(
+                    matches!(status, JobStatus::Succeeded { .. }),
+                    "{bug} under {workers} worker(s): {status:?}"
+                );
+                let cert = client.fetch_certificate(job).unwrap();
+                assert!(!cert.is_empty(), "{bug}: empty certificate");
+                cert
+            })
+            .collect();
+        server.shutdown();
+        server.join();
+        certs
+    };
+    assert_eq!(certificates(2), certificates(1));
 }
 
 #[test]
@@ -289,14 +304,13 @@ fn shutdown_drains_and_journal_replays_across_restart() {
 fn auth_token_gates_every_frame() {
     const TOKEN: &str = "e2e-secret";
     let dir = scratch("auth");
-    let server = Server::start(ServeOptions {
-        addr: "127.0.0.1:0".into(),
-        data_dir: dir,
-        log_interval: None,
-        auth_token: Some(TOKEN.into()),
-        ..ServeOptions::default()
-    })
-    .expect("daemon starts");
+    let server = start_with(
+        &dir,
+        ServeOptions {
+            auth_token: Some(TOKEN.into()),
+            ..ServeOptions::default()
+        },
+    );
     let sketch = recorded_sketch_bytes(BUG);
 
     // No HELLO: the first real frame is answered with an error and the

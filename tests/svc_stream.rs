@@ -3,45 +3,19 @@
 //! payload-vs-framing error severity contract with its connection-level
 //! tag-0 ERROR, and the connection cap.
 
-use pres_suite::apps::registry::all_bugs;
-use pres_suite::core::api::Pres;
-use pres_suite::core::codec::encode_sketch;
-use pres_suite::core::sketch::Mechanism;
+mod common;
+
+use common::{recorded_sketch_bytes, scratch, start, start_with};
 use pres_suite::svc::digest::sha256;
 use pres_suite::svc::proto::{Frame, Request, Response, CONNECTION_TAG, DEFAULT_MAX_FRAME};
 use pres_suite::svc::queue::QueueConfig;
-use pres_suite::svc::server::{ServeOptions, Server};
+use pres_suite::svc::server::ServeOptions;
 use pres_suite::svc::{Client, JobStatus};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 const BUG: &str = "pbzip-order";
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "pres-svc-stream-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn start_with(data_dir: &std::path::Path, opts: ServeOptions) -> Server {
-    Server::start(ServeOptions {
-        addr: "127.0.0.1:0".into(),
-        data_dir: data_dir.to_path_buf(),
-        log_interval: None,
-        ..opts
-    })
-    .expect("daemon starts")
-}
-
-fn start(data_dir: &std::path::Path) -> Server {
-    start_with(data_dir, ServeOptions::default())
-}
 
 /// A quick queue config for tests that only exercise the submit path.
 fn quick_queue() -> QueueConfig {
@@ -50,16 +24,6 @@ fn quick_queue() -> QueueConfig {
         max_retries: 0,
         ..QueueConfig::default()
     }
-}
-
-fn recorded_sketch_bytes(bug: &str) -> Vec<u8> {
-    let case = all_bugs().into_iter().find(|b| b.id == bug).unwrap();
-    let program = case.program();
-    let pres = Pres::new(Mechanism::Sync);
-    let run = pres
-        .record_until_failure(program.as_ref(), 0..5000)
-        .expect("bug manifests in production");
-    encode_sketch(&run.sketch)
 }
 
 /// Raw-socket helpers for tests that need frame-level control.
@@ -92,7 +56,7 @@ fn recv_connection_error_then_eof(s: &mut TcpStream) -> String {
 #[test]
 fn two_chunk_sizes_give_one_digest_one_job_and_one_certificate() {
     let dir = scratch("digest");
-    let server = start(&dir);
+    let server = start(&dir, QueueConfig::default());
     let sketch_bytes = recorded_sketch_bytes(BUG);
 
     // Stream at an adversarially small chunk size: the digest must land on
@@ -238,7 +202,7 @@ fn two_streams_interleave_on_one_connection() {
 #[test]
 fn mid_stream_disconnect_leaves_the_store_clean() {
     let dir = scratch("disconnect");
-    let server = start(&dir);
+    let server = start(&dir, QueueConfig::default());
     let objects_before = server.queue().store().len().unwrap();
 
     {
@@ -285,7 +249,7 @@ fn mid_stream_disconnect_leaves_the_store_clean() {
 #[test]
 fn object_put_get_stat_round_trip_through_the_store() {
     let dir = scratch("objects");
-    let server = start(&dir);
+    let server = start(&dir, QueueConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
     client.set_chunk_bytes(1000);
 
@@ -343,7 +307,7 @@ fn object_put_get_stat_round_trip_through_the_store() {
 #[test]
 fn payload_errors_keep_the_connection_framing_errors_drop_it() {
     let dir = scratch("severity");
-    let server = start(&dir);
+    let server = start(&dir, QueueConfig::default());
 
     // Payload severity: an unknown kind costs one tagged ERROR, then the
     // same connection keeps serving. 0x0E, the retired PEER_STEAL, is as
@@ -390,7 +354,7 @@ fn payload_errors_keep_the_connection_framing_errors_drop_it() {
 #[test]
 fn framing_errors_get_one_tag_zero_error_naming_the_cause() {
     let dir = scratch("tag-zero");
-    let server = start(&dir);
+    let server = start(&dir, QueueConfig::default());
 
     // A version-1 header (the untagged dialect's STATUS, job 5) and
     // garbage magic: each is answered by exactly one ERROR on the
