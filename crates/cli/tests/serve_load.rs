@@ -10,7 +10,8 @@
 //!   at least four journal records per `fdatasync`.
 //! * Ignored by default, because they are wall-clock tripwires: the same
 //!   pipelined load acks at least 1.5× faster grouped than with
-//!   per-record syncs (`--journal-batch 1 --journal-batch-usecs 0`), and
+//!   per-record syncs (`--journal-batch 1 --journal-batch-usecs 0`), on
+//!   the median of five alternated burst pairs, and
 //!   256 clients × 20 ops (every tenth a streamed 64 KiB submit) are all
 //!   answered with a p99 of at most 2 000 ms. CI runs them in release:
 //!
@@ -267,19 +268,36 @@ fn grouped_commit_covers_four_records_per_sync() {
 #[ignore = "wall-clock tripwire; CI smoke runs it in release"]
 fn grouped_commit_acks_one_and_a_half_times_per_record_syncing() {
     let _serial = one_at_a_time();
+    // One burst per arm swings with the host's fsync latency of the
+    // moment, so the verdict is the median ratio of alternated pairs,
+    // each burst on a fresh daemon; the order flips every pair.
+    const PAIRS: usize = 5;
     let acks_per_s = |tag: &str, flags: &[&str]| {
         let daemon = Daemon::start(tag, flags);
         let rate = pipelined_submits(&daemon.addr);
         daemon.shutdown();
         rate
     };
-    let per_record = acks_per_s("per-record", PER_RECORD);
-    let grouped = acks_per_s("grouped-rate", GROUPED);
-    let speedup = grouped / per_record;
-    println!("acks/s: per-record {per_record:.0}, grouped {grouped:.0}, {speedup:.2}x");
+    let mut speedups: Vec<f64> = (0..PAIRS)
+        .map(|pair| {
+            let (per_record, grouped) = if pair % 2 == 0 {
+                let per_record = acks_per_s("per-record", PER_RECORD);
+                (per_record, acks_per_s("grouped-rate", GROUPED))
+            } else {
+                let grouped = acks_per_s("grouped-rate", GROUPED);
+                (acks_per_s("per-record", PER_RECORD), grouped)
+            };
+            let speedup = grouped / per_record;
+            println!("pair {pair}: acks/s per-record {per_record:.0}, grouped {grouped:.0}, {speedup:.2}x");
+            speedup
+        })
+        .collect();
+    speedups.sort_by(f64::total_cmp);
+    let median = speedups[PAIRS / 2];
+    println!("median group-commit speedup {median:.2}x over {PAIRS} pairs");
     assert!(
-        speedup >= 1.5,
-        "group-commit speedup {speedup:.2}x below the 1.5x bound"
+        median >= 1.5,
+        "median group-commit speedup {median:.2}x over {PAIRS} pairs below the 1.5x bound"
     );
 }
 

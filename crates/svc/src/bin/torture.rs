@@ -16,9 +16,18 @@
 //!   than forking a duplicate;
 //! * after a final kill-free drain, every job is terminal, every
 //!   certificate fetches, decodes, and matches its content digest, and
-//!   the store holds exactly |sketches| + |distinct certificates|
-//!   objects — re-executions after crashes minted byte-identical
-//!   certificates, never duplicates.
+//!   the store holds exactly |sketches| + |fresh-job payloads| +
+//!   |distinct certificates| objects — re-executions after crashes
+//!   minted byte-identical certificates, never duplicates.
+//!
+//! The load is three submit loops: one cycles a small pool of real
+//! sketches (whose jobs reproduce and mint certificates), the other two
+//! each submit a never-seen payload every time (a job that fails at
+//! decode), so every iteration journals concurrent SUBMIT and RESULT
+//! records and the kill can land inside a multi-record commit cohort. Each iteration
+//! prints the journal's largest cohort read from STATS just before the
+//! kill, and the run fails if no iteration saw one of two or more
+//! records.
 //!
 //! Usage (all flags optional):
 //!
@@ -44,11 +53,14 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BUG: &str = "pbzip-order";
+
+/// Unpaced fresh-job submit loops beside the paced sketch-pool loop.
+const FRESH_LOADERS: usize = 2;
 
 struct Options {
     pres: PathBuf,
@@ -200,12 +212,26 @@ fn sketch_pool() -> Vec<Vec<u8>> {
     pool
 }
 
+/// The `n`th fresh-job payload: bytes no codec accepts, so its job fails
+/// at decode — a SUBMIT and a RESULT record for the journal, no search.
+fn garbage(n: u64) -> Vec<u8> {
+    format!("pres-torture: not a sketch, #{n}").into_bytes()
+}
+
+/// What one submit loop sends.
+enum Payloads {
+    /// A random sketch of the recorded pool, 1–10 ms apart.
+    Pool(Arc<Vec<Vec<u8>>>),
+    /// The next never-sent `garbage(n)`, back to back.
+    Fresh(Arc<AtomicU64>),
+}
+
 /// Loops submit + status-poll against `addr` until `stop`, recording
 /// acknowledgements in the ledger. Transport errors are expected (the
 /// daemon is being murdered) and simply end the loop.
 fn submit_load(
     addr: String,
-    sketches: Arc<Vec<Vec<u8>>>,
+    payloads: Payloads,
     ledger: Arc<Mutex<Ledger>>,
     stop: Arc<AtomicBool>,
     seed: u64,
@@ -215,8 +241,11 @@ fn submit_load(
         return;
     };
     while !stop.load(Ordering::SeqCst) {
-        let sketch = &sketches[rng.gen_range(0..sketches.len())];
-        match client.submit(BUG, sketch) {
+        let blob = match &payloads {
+            Payloads::Pool(pool) => pool[rng.gen_range(0..pool.len())].clone(),
+            Payloads::Fresh(sent) => garbage(sent.fetch_add(1, Ordering::SeqCst)),
+        };
+        match client.submit(BUG, &blob) {
             Ok(receipt) => {
                 let mut ledger = ledger.lock();
                 ledger
@@ -237,7 +266,9 @@ fn submit_load(
                 Err(_) => return,
             }
         }
-        std::thread::sleep(Duration::from_millis(rng.gen_range(1usize..10) as u64));
+        if let Payloads::Pool(_) = payloads {
+            std::thread::sleep(Duration::from_millis(rng.gen_range(1usize..10) as u64));
+        }
     }
 }
 
@@ -365,6 +396,16 @@ fn check_online(addr: &str, ledger: &mut Ledger, sketches: &[Vec<u8>], violation
     }
 }
 
+/// The daemon's `journal_cohort_max` from STATS: whether the kill about
+/// to land can fall inside a multi-record commit window. `None` when the
+/// daemon does not answer.
+fn journal_cohort_max(addr: &str) -> Option<u64> {
+    let stats = Client::connect(addr).ok()?.stats().ok()?;
+    stats
+        .lines()
+        .find_map(|l| l.strip_prefix("journal_cohort_max ")?.trim().parse().ok())
+}
+
 fn kill(mut daemon: Daemon) {
     let _ = daemon.child.kill(); // SIGKILL on unix
     let _ = daemon.child.wait();
@@ -396,6 +437,9 @@ fn main() -> ExitCode {
     let ledger = Arc::new(Mutex::new(Ledger::default()));
     let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
     let mut violations: Vec<String> = Vec::new();
+    let mut cohort_max_seen = 0;
+    // Fresh-job payloads handed out so far: `garbage(0..n)`.
+    let garbage_sent = Arc::new(AtomicU64::new(0));
 
     for iteration in 1..=opts.iterations {
         let daemon = match start_daemon(&opts) {
@@ -417,21 +461,33 @@ fn main() -> ExitCode {
             }
         }
 
-        // Load until the seeded kill moment.
+        // Load until the seeded kill moment. The pool's few sketches are
+        // all journaled by the first iteration, after which their submits
+        // only join existing jobs; the fresh loaders' jobs keep SUBMIT
+        // and RESULT records flowing, so the journal has concurrent
+        // appenders to form cohorts from when the kill lands.
         let stop = Arc::new(AtomicBool::new(false));
-        let loader = {
-            let addr = daemon.addr.clone();
-            let sketches = Arc::clone(&sketches);
-            let ledger = Arc::clone(&ledger);
-            let stop = Arc::clone(&stop);
-            let seed = opts.seed ^ (u64::from(iteration) << 32);
-            std::thread::spawn(move || submit_load(addr, sketches, ledger, stop, seed))
-        };
+        let seed = opts.seed ^ (u64::from(iteration) << 32);
+        let fresh = (0..FRESH_LOADERS).map(|_| Payloads::Fresh(Arc::clone(&garbage_sent)));
+        let loaders: Vec<_> = std::iter::once(Payloads::Pool(Arc::clone(&sketches)))
+            .chain(fresh)
+            .zip(0u64..)
+            .map(|(payloads, k)| {
+                let addr = daemon.addr.clone();
+                let ledger = Arc::clone(&ledger);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || submit_load(addr, payloads, ledger, stop, seed ^ k))
+            })
+            .collect();
         let kill_after = Duration::from_millis(rng.gen_range(1..opts.kill_max_ms as usize) as u64);
         std::thread::sleep(kill_after);
+        let cohort_max = journal_cohort_max(&daemon.addr);
+        cohort_max_seen = cohort_max_seen.max(cohort_max.unwrap_or(0));
         kill(daemon);
         stop.store(true, Ordering::SeqCst);
-        let _ = loader.join();
+        for loader in loaders {
+            let _ = loader.join();
+        }
 
         let before = violations.len();
         {
@@ -443,11 +499,24 @@ fn main() -> ExitCode {
         }
         let l = ledger.lock();
         eprintln!(
-            "pres-torture: iteration {iteration}/{}: killed after {kill_after:?}; {} acked job(s), {} terminal, {} violation(s)",
+            "pres-torture: iteration {iteration}/{}: killed after {kill_after:?} (largest cohort {}); {} acked job(s), {} terminal, {} violation(s)",
             opts.iterations,
+            cohort_max.map_or_else(|| "unknown".to_string(), |n| n.to_string()),
             l.acked.len(),
             l.terminal.len(),
             violations.len()
+        );
+    }
+
+    // The audit only covers batched cohorts if the load formed some.
+    if cohort_max_seen < 2 {
+        violations.push(format!(
+            "no kill followed a multi-record journal cohort (largest {cohort_max_seen}): \
+             the load no longer exercises group commit"
+        ));
+        eprintln!(
+            "pres-torture: VIOLATION: {}",
+            violations.last().expect("just pushed")
         );
     }
 
@@ -456,15 +525,26 @@ fn main() -> ExitCode {
     match start_daemon(&opts) {
         Ok(daemon) => {
             let before = violations.len();
+            // Every fresh-job payload handed out, acknowledged or not,
+            // may be in the store; resubmitting them all makes the store
+            // count below exact (and re-checks dedup for the acked ones).
+            let garbage_count = garbage_sent.load(Ordering::SeqCst);
+            let mut blobs = sketches.to_vec();
+            blobs.extend((0..garbage_count).map(garbage));
             {
                 let mut ledger = ledger.lock();
-                check_online(&daemon.addr, &mut ledger, &sketches, &mut violations);
+                check_online(&daemon.addr, &mut ledger, &blobs, &mut violations);
             }
             match Client::connect(&daemon.addr) {
                 Ok(mut client) => {
-                    let jobs: Vec<u64> = ledger.lock().acked.keys().copied().collect();
+                    let jobs: Vec<(u64, Digest)> = ledger
+                        .lock()
+                        .acked
+                        .iter()
+                        .map(|(job, (_, d))| (*job, *d))
+                        .collect();
                     let mut certs: Vec<Digest> = Vec::new();
-                    for job in jobs {
+                    for (job, sketch) in jobs {
                         match client.wait(job, Duration::from_secs(300)) {
                             Ok(JobStatus::Succeeded { certificate, .. }) => {
                                 match client.fetch_certificate(job) {
@@ -486,6 +566,8 @@ fn main() -> ExitCode {
                                         .push(format!("job {job}: certificate fetch failed: {e}")),
                                 }
                             }
+                            // A fresh-job payload is meant to fail.
+                            Ok(_) if !sketch_digests.contains(&sketch) => {}
                             Ok(terminal) => eprintln!(
                                 "pres-torture: note: job {job} drained as {terminal} (not Succeeded)"
                             ),
@@ -504,11 +586,13 @@ fn main() -> ExitCode {
                     // crash-era re-executions converged, byte for byte.
                     match Store::open(opts.data_dir.join("store")) {
                         Ok((store, count)) => {
-                            let expected = sketch_digests.len() + certs.len();
+                            let expected =
+                                sketch_digests.len() + garbage_count as usize + certs.len();
                             if count != expected {
                                 violations.push(format!(
-                                    "store holds {count} objects; expected {} sketches + {} certificates",
+                                    "store holds {count} objects; expected {} sketches + {} fresh-job payloads + {} certificates",
                                     sketch_digests.len(),
+                                    garbage_count,
                                     certs.len()
                                 ));
                             }
@@ -535,10 +619,11 @@ fn main() -> ExitCode {
 
     let l = ledger.lock();
     eprintln!(
-        "pres-torture: done in {:.1?}: {} iterations, {} acked job(s), {} violation(s)",
+        "pres-torture: done in {:.1?}: {} iterations, {} acked job(s), largest journal cohort before a kill {}, {} violation(s)",
         started.elapsed(),
         opts.iterations,
         l.acked.len(),
+        cohort_max_seen,
         violations.len()
     );
     if violations.is_empty() {

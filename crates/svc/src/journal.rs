@@ -18,14 +18,27 @@
 //! [`Journal::append`] therefore runs the classic WAL group-commit
 //! protocol: an appender encodes its frame, enqueues it under the journal
 //! lock, and blocks on a condvar; the first appender to find no active
-//! leader *becomes* the leader, optionally holds the door open for
+//! leader *becomes* the leader, holds the door open for up to
 //! [`GroupCommit::max_hold`] so concurrent appenders can join, then
 //! writes every pending frame with one `write` sequence and exactly one
-//! `fdatasync`, and wakes the whole cohort. No appender returns `Ok`
-//! before the sync that covers its record — the PR 6 acknowledgement
-//! contract is unchanged; only the number of syncs per acknowledged
-//! record changes (from 1 to 1/cohort). `GroupCommit { max_records: 1 }`
-//! restores the exact per-record behavior: one `fdatasync` per record.
+//! `fdatasync`, and wakes the whole cohort.
+//!
+//! The hold is spent only when another appender can be seen. A leader is
+//! *alone* when no other appender's frame is pending, no appender is
+//! blocked entering the commit path (an atomic count, raised before the
+//! lock is taken and lowered under it, where the frames are enqueued),
+//! and the previous cohort was a single record. An alone leader syncs at
+//! once: a hold would wait for a cohort that is not coming. Any other
+//! leader holds as before, until [`GroupCommit::max_records`] frames are
+//! pending or `max_hold` runs out. Under light load the journal
+//! therefore reads `records_per_sync` ≈ 1 by design; under concurrent
+//! load the cohorts form as they do with an unconditional hold.
+//!
+//! No appender returns `Ok` before the sync that covers its record — the
+//! acknowledgement contract of per-record syncing is unchanged; only the
+//! number of syncs per acknowledged record changes (from 1 to 1/cohort).
+//! `GroupCommit { max_records: 1 }` restores the exact per-record
+//! behavior: one `fdatasync` per record.
 //!
 //! A cohort that fails — torn write, injected crash, real I/O error —
 //! fails *every* member: none were acked, so none may believe they were
@@ -65,7 +78,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -203,7 +216,8 @@ pub struct GroupCommit {
     /// How long a leader holds the cohort open for concurrent appenders
     /// to join before it writes and syncs. `0` = never wait: the leader
     /// commits whatever is already enqueued (opportunistic batching
-    /// only). The hold is cut short the moment the cohort fills.
+    /// only). The hold is cut short the moment the cohort fills, and is
+    /// skipped when the leader is alone (see the module doc).
     pub max_hold: Duration,
 }
 
@@ -254,6 +268,9 @@ struct CommitState {
     /// A leader is holding the door or writing (lock released during the
     /// hold, so the flag — not the lock — is what serializes leaders).
     leader: bool,
+    /// Records in the last cohort written: a leader with company in the
+    /// previous round holds even if it sees none yet.
+    last_cohort: usize,
     /// Set when a failed cohort write may have left a partial frame on
     /// disk: the in-memory append position no longer matches a clean
     /// file tail, so every later append fails fast until reopen.
@@ -272,6 +289,12 @@ pub struct Journal {
     /// holding leader, not every parked follower (with tens of
     /// concurrent appenders that thundering herd is real CPU).
     hold: Condvar,
+    /// Appenders between "about to take the lock" and "frames enqueued":
+    /// the ones blocked on the lock that a leader could otherwise not
+    /// see. Read and lowered under the lock. `Relaxed` because it
+    /// publishes no data: a stale read only decides whether one hold is
+    /// spent, never what is written or acknowledged.
+    entering: AtomicUsize,
     faults: Faults,
     config: GroupCommit,
     metrics: Arc<Metrics>,
@@ -363,10 +386,12 @@ impl Journal {
                 resolved: 0,
                 failed: BTreeMap::new(),
                 leader: false,
+                last_cohort: 0,
                 wedged: None,
             }),
             commit: Condvar::new(),
             hold: Condvar::new(),
+            entering: AtomicUsize::new(0),
             faults,
             config,
             metrics,
@@ -414,7 +439,11 @@ impl Journal {
     /// — leading (writing cohorts) whenever no other appender is.
     fn commit_frames(&self, frames: Vec<Vec<u8>>) -> io::Result<()> {
         let count = frames.len() as u64;
+        self.entering.fetch_add(1, Ordering::Relaxed);
         let mut shared = self.shared.lock();
+        // Lowered under the lock, so a leader (which reads it under the
+        // lock) never sees this appender as both entering and enqueued.
+        self.entering.fetch_sub(1, Ordering::Relaxed);
         if let Some(msg) = &shared.wedged {
             return Err(wedged_error(msg));
         }
@@ -436,7 +465,7 @@ impl Journal {
             }
             if !shared.leader {
                 shared.leader = true;
-                self.lead(&mut shared, last);
+                self.lead(&mut shared, first, last);
                 shared.leader = false;
                 // Wake both cohort members (their outcome is in) and the
                 // next leader candidate (pending may be non-empty).
@@ -447,16 +476,28 @@ impl Journal {
         }
     }
 
-    /// Runs commit cohorts until every seq up to `upto` has an outcome.
-    /// Called with the `leader` flag held; the lock is released only
-    /// during the hold window (so joiners can enqueue), never during the
-    /// write+sync itself — appenders arriving mid-sync park on the lock
-    /// and form the next cohort the moment it is released.
-    fn lead(&self, shared: &mut MutexGuard<'_, CommitState>, upto: u64) {
+    /// Runs commit cohorts until every seq up to `upto` has an outcome;
+    /// `from..=upto` are the leader's own frames. Called with the
+    /// `leader` flag held; the lock is released only during the hold
+    /// window (so joiners can enqueue), never during the write+sync
+    /// itself — appenders arriving mid-sync park on the lock and form
+    /// the next cohort the moment it is released.
+    fn lead(&self, shared: &mut MutexGuard<'_, CommitState>, from: u64, upto: u64) {
         while shared.resolved < upto && shared.wedged.is_none() {
             // Hold the door: give concurrent appenders up to `max_hold`
-            // to join this cohort, stopping early once it is full.
-            if !self.config.max_hold.is_zero() && shared.pending.len() < self.config.max_records {
+            // to join this cohort, stopping early once it is full — but
+            // only if some other appender can be seen. Alone, a hold
+            // waits for a cohort that is not coming. Pending is in seq
+            // order and the leader's seqs are contiguous, so its two ends
+            // tell whether every pending frame is the leader's own.
+            let only_own = shared.pending.front().is_none_or(|p| p.seq >= from)
+                && shared.pending.back().is_none_or(|p| p.seq <= upto);
+            let alone =
+                only_own && self.entering.load(Ordering::Relaxed) == 0 && shared.last_cohort <= 1;
+            if !alone
+                && !self.config.max_hold.is_zero()
+                && shared.pending.len() < self.config.max_records
+            {
                 let deadline = Instant::now() + self.config.max_hold;
                 while shared.pending.len() < self.config.max_records {
                     let left = deadline.saturating_duration_since(Instant::now());
@@ -469,6 +510,7 @@ impl Journal {
             let take = shared.pending.len().min(self.config.max_records.max(1));
             let cohort: Vec<Pending> = shared.pending.drain(..take).collect();
             let hi = cohort.last().expect("leader leads only with pending frames").seq;
+            shared.last_cohort = cohort.len();
             match self.write_cohort(shared, &cohort) {
                 Ok(()) => {
                     self.metrics.journal_records.fetch_add(cohort.len() as u64, Ordering::Relaxed);
@@ -796,6 +838,37 @@ mod tests {
             .collect();
         jobs.sort_unstable();
         assert_eq!(jobs, (0..THREADS * PER_THREAD).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_lone_appender_never_waits_out_the_hold() {
+        let path = scratch("lone");
+        let hold = Duration::from_secs(10);
+        let (j, _) = Journal::open_with(
+            &path,
+            Faults::none(),
+            GroupCommit {
+                max_records: 64,
+                max_hold: hold,
+            },
+            Arc::new(Metrics::new()),
+        )
+        .unwrap();
+        let records = sample_records();
+        for r in &records {
+            let started = Instant::now();
+            j.append(r).unwrap();
+            let took = started.elapsed();
+            assert!(
+                took < hold / 10,
+                "a lone append took {took:?} under a {hold:?} hold"
+            );
+        }
+        let snap = j.metrics().snapshot();
+        assert_eq!(snap.journal_records, records.len() as u64);
+        assert_eq!(snap.journal_syncs, records.len() as u64);
+        drop(j);
+        assert_eq!(Journal::open(&path).unwrap().1, records);
     }
 
     #[test]

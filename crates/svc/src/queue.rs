@@ -163,7 +163,9 @@ pub struct QueueConfig {
     pub journal_batch: usize,
     /// How long a commit leader holds a cohort open for concurrent
     /// appenders to join (`0` = commit immediately; concurrent appends
-    /// still batch opportunistically).
+    /// still batch opportunistically). A leader that sees no other
+    /// appender skips the hold and syncs at once, so light load reads
+    /// ≈ 1 record per sync by design (see [`crate::journal`]).
     pub journal_hold: Duration,
     /// Byte budget of the digest-keyed sketch decode cache (`0` disables
     /// it — every execution re-reads, re-verifies, and re-decodes).

@@ -15,13 +15,16 @@
 //! fsync(destination dir) → fsync(tmp dir): the rename is atomic on
 //! POSIX *and* every link in the chain is forced down before `put`
 //! returns, so an acknowledged object survives power loss, not just
-//! process death. A crash mid-ingest leaves a stale temp file (swept on
-//! the next open) but never a truncated object. Because the name *is*
-//! the hash, a rebuild after any crash is just a directory walk, and
-//! [`Store::fsck`] makes the walk adversarial: every object is re-hashed
-//! and mismatches are quarantined (moved aside, never served again from
-//! their digest path — a later `put` of the true bytes re-ingests
-//! cleanly).
+//! process death. All 256 fan-out directories are created at open, and
+//! `objects/` synced once after creating any, so the first object in a
+//! fan-out is as durable as the rest without a put ever paying for a
+//! directory creation. A crash mid-ingest leaves a stale temp file
+//! (swept on the next open) but never a truncated object. Because the
+//! name *is* the hash, a rebuild after any crash is just a directory
+//! walk, and [`Store::fsck`] makes the walk adversarial: every object is
+//! re-hashed and mismatches are quarantined (moved aside, never served
+//! again from their digest path — a later `put` of the true bytes
+//! re-ingests cleanly).
 //!
 //! Each fallible step is guarded by a [`Faults`] crash point so tests can
 //! stop the sequence at any link and assert what a restart observes.
@@ -164,9 +167,28 @@ impl Store {
         faults: Faults,
     ) -> io::Result<(Store, usize)> {
         let root = root.into();
-        std::fs::create_dir_all(root.join("objects"))?;
+        let objects = root.join("objects");
+        let fresh_layout = !objects.is_dir();
+        std::fs::create_dir_all(&objects)?;
         std::fs::create_dir_all(root.join("tmp"))?;
         std::fs::create_dir_all(root.join("quarantine"))?;
+        // Every fan-out directory exists, durably, before the first put:
+        // `publish` then never creates a directory, so no put needs a
+        // sync beyond its own fan-out directory and `tmp/`.
+        let mut created = false;
+        for byte in 0..=u8::MAX {
+            match std::fs::create_dir(objects.join(format!("{byte:02x}"))) {
+                Ok(()) => created = true,
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if created {
+            sync_dir(&objects)?;
+        }
+        if fresh_layout {
+            sync_dir(&root)?;
+        }
         let mut swept = false;
         for entry in std::fs::read_dir(root.join("tmp"))? {
             let entry = entry?;
@@ -251,7 +273,6 @@ impl Store {
             return Ok(false);
         }
         let parent = path.parent().expect("object path has fan-out parent");
-        std::fs::create_dir_all(parent)?;
         self.faults.check(FaultPoint::StoreRenameCrash)?;
         match std::fs::rename(tmp, &path) {
             Ok(()) => {}
@@ -420,6 +441,19 @@ mod tests {
         assert!(!fresh2, "second put of identical content must dedup");
         assert_eq!(store.get(&d1).unwrap().unwrap(), b"sketch bytes");
         assert_eq!(store.len().unwrap(), 1);
+    }
+
+    #[test]
+    fn open_lays_out_every_fan_out_so_a_put_creates_no_directory() {
+        let root = scratch("fan-outs");
+        let fan_outs = |root: &Path| std::fs::read_dir(root.join("objects")).unwrap().count();
+        let (store, _) = Store::open(&root).unwrap();
+        assert_eq!(fan_outs(&root), 256);
+        store.put(b"first object of its fan-out").unwrap();
+        assert_eq!(fan_outs(&root), 256);
+        drop(store);
+        let (_, count) = Store::open(&root).unwrap();
+        assert_eq!((fan_outs(&root), count), (256, 1));
     }
 
     #[test]
