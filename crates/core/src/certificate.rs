@@ -7,7 +7,7 @@
 //! the identical failure — deterministically, every time. This is the
 //! paper's closing property: PRES pays the search cost once.
 
-use crate::codec::{ByteReader, ByteWriter, DecodeError};
+use pres_tvm::bytes::{DecodeError, Reader, Writer};
 use pres_tvm::error::RunStatus;
 use pres_tvm::ids::ThreadId;
 use pres_tvm::sched::ScriptedScheduler;
@@ -124,9 +124,9 @@ impl Certificate {
 
     /// Serializes the certificate to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.string(&self.program);
-        w.string(&self.expected_signature);
+        let mut w = Writer::new();
+        w.str(&self.program);
+        w.str(&self.expected_signature);
         w.varint(u64::from(self.processors));
         w.varint(self.schedule.len() as u64);
         // Delta-friendly: thread ids are tiny; plain varints are compact.
@@ -141,18 +141,14 @@ impl Certificate {
     /// not fit a `u32` is refused rather than truncated, and nothing may
     /// follow the schedule.
     pub fn decode(data: &[u8]) -> Result<Certificate, DecodeError> {
-        fn u32_varint(r: &mut ByteReader<'_>, what: &str) -> Result<u32, DecodeError> {
-            let v = r.varint()?;
-            u32::try_from(v).map_err(|_| r.err(&format!("{what} out of range")))
-        }
-        let mut r = ByteReader::new(data);
-        let program = r.string()?;
-        let expected_signature = r.string()?;
-        let processors = u32_varint(&mut r, "processor count")?;
+        let mut r = Reader::new(data);
+        let program = r.str()?.to_string();
+        let expected_signature = r.str()?.to_string();
+        let processors = r.varint_u32("processor count")?;
         let n = r.count(1, "schedule")?;
         let mut schedule = Vec::with_capacity(n);
         for _ in 0..n {
-            schedule.push(ThreadId(u32_varint(&mut r, "thread id")?));
+            schedule.push(ThreadId(r.varint_u32("thread id")?));
         }
         if !r.at_end() {
             return Err(r.err("trailing bytes"));
@@ -283,9 +279,9 @@ mod tests {
     /// A certificate's bytes with the given processor varint, schedule
     /// count and tid varints, followed by `trailer`.
     fn raw(processors: u64, count: u64, tids: &[u64], trailer: &[u8]) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.string("p");
-        w.string("s");
+        let mut w = Writer::new();
+        w.str("p");
+        w.str("s");
         w.varint(processors);
         w.varint(count);
         for &t in tids {

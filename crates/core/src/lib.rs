@@ -51,7 +51,7 @@ pub mod stats;
 pub use api::Pres;
 pub use certificate::{Certificate, CertificateError};
 pub use explore::{ExploreConfig, Reproduction, SearchOrder, StopToken, Strategy};
-pub use oracle::{AnyOracle, FailureOracle, OutputOracle, StatusOracle};
+pub use oracle::{FailureOracle, OutputOracle, StatusOracle};
 pub use program::{ClosureProgram, Program};
 pub use recorder::{
     RecordedRun, RecordingObserver, RecordingReport, RingConfig, SketchRecorder,

@@ -138,24 +138,6 @@ impl FailureOracle for OutputOracle {
     }
 }
 
-/// Judges the bug manifested if *any* member oracle says so.
-pub struct AnyOracle {
-    members: Vec<Box<dyn FailureOracle>>,
-}
-
-impl AnyOracle {
-    /// An oracle over the given members.
-    pub fn new(members: Vec<Box<dyn FailureOracle>>) -> Self {
-        AnyOracle { members }
-    }
-}
-
-impl FailureOracle for AnyOracle {
-    fn judge(&self, outcome: &RunOutcome) -> Option<String> {
-        self.members.iter().find_map(|m| m.judge(outcome))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,15 +221,5 @@ mod tests {
             }
         }
         assert!(found);
-    }
-
-    #[test]
-    fn any_oracle_takes_the_first_verdict() {
-        let prog = silent_program();
-        let out = run_traced(&prog, &VmConfig::default(), 0);
-        let never = OutputOracle::from_golden(&out);
-        let always = OutputOracle::new().expect_stdout(b"something else".to_vec());
-        let combo = AnyOracle::new(vec![Box::new(never), Box::new(always)]);
-        assert!(combo.judge(&out).is_some());
     }
 }

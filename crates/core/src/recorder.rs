@@ -286,7 +286,7 @@ impl RingEpoch {
 /// epoch ring instead of an unbounded log.
 ///
 /// Recording (filtering, stamping, charging) is byte-for-byte the
-/// sharded recorder's — both route through the same [`RecorderCore`] —
+/// sharded recorder's — both route through the same `RecorderCore` —
 /// but entries land in the current *epoch*. When the epoch exceeds its
 /// budget the recorder asks the VM for a checkpoint
 /// ([`Observer::checkpoint_due`]), seals the epoch at that pick
@@ -592,7 +592,7 @@ pub fn record_ring_until_failure(
 ///
 /// Re-executes the production prefix — same seed, same recording charges
 /// (a [`SketchRecorder`] mirror routes events through the shared
-/// [`RecorderCore`], so the virtual clock the snapshot embeds is billed
+/// `RecorderCore`, so the virtual clock the snapshot embeds is billed
 /// identically) — and compares the state snapshot the VM captures at the
 /// boundary with the snapshot the checkpoint carries. A mismatch means
 /// the sketch does not belong to this program/configuration, and

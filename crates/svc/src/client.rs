@@ -243,7 +243,7 @@ impl Client {
     }
 
     /// Polls until `job` reaches a terminal status or `budget` elapses,
-    /// sleeping [`wait_poll_delay`] between polls.
+    /// sleeping `wait_poll_delay` between polls.
     pub fn wait(&mut self, job: u64, budget: Duration) -> io::Result<JobStatus> {
         let deadline = Instant::now() + budget;
         let mut polls = 0u32;

@@ -5,7 +5,7 @@
 //! non-cryptographic mixer would make `put` dedup unsound under adversarial
 //! (or merely unlucky) inputs. The workspace is dependency-free by policy,
 //! so the hash lives here, with two compression functions behind one
-//! [`compress_blocks`]:
+//! `compress_blocks`:
 //!
 //! - the scalar FIPS 180-4 compress over 512-bit blocks: the portable path,
 //!   and the oracle the tests hold the other path to;

@@ -72,7 +72,8 @@ use crate::digest::Digest;
 use crate::faultpoint::{FaultPoint, Faults};
 use crate::metrics::Metrics;
 use crate::queue::JobStatus;
-use crate::wire::{self, LenOverflow, Reader};
+use crate::wire::{self, LenOverflow};
+use pres_tvm::bytes::{DecodeError, Reader};
 use pres_tvm::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -128,25 +129,28 @@ impl Record {
         Ok(out)
     }
 
-    fn decode(payload: &[u8]) -> Option<Record> {
-        let mut r = Reader(payload);
+    fn decode(payload: &[u8]) -> Result<Record, DecodeError> {
+        let mut r = Reader::new(payload);
         let record = match r.u8()? {
             KIND_SUBMIT => Record::Submit {
-                job: r.u64()?,
-                bug: r.str()?.to_string(),
-                sketch: r.digest()?,
+                job: r.be_u64()?,
+                bug: r.be_str()?.to_string(),
+                sketch: Digest(r.array()?),
             },
             KIND_RETRY => Record::Retry {
-                job: r.u64()?,
-                retries: r.u32()?,
+                job: r.be_u64()?,
+                retries: r.be_u32()?,
             },
             KIND_RESULT => Record::Result {
-                job: r.u64()?,
+                job: r.be_u64()?,
                 status: JobStatus::decode(&mut r)?,
             },
-            _ => return None,
+            other => return Err(r.err(format!("unknown record kind {other}"))),
         };
-        r.is_done().then_some(record)
+        if !r.at_end() {
+            return Err(r.err("trailing bytes"));
+        }
+        Ok(record)
     }
 }
 
@@ -169,41 +173,30 @@ struct Parsed {
 /// undecodable payload with more bytes behind it is corruption.
 fn parse(data: &[u8], path: &Path) -> io::Result<Parsed> {
     let mut records = Vec::new();
-    let mut offset = MAGIC.len();
-    loop {
-        let rest = &data[offset..];
-        if rest.is_empty() {
-            break;
-        }
-        let Some((head, after_len)) = rest.split_at_checked(4) else {
-            break; // partial length prefix at the tail
-        };
-        let len = u32::from_be_bytes(head.try_into().unwrap()) as usize;
-        let Some((payload, after_payload)) = after_len.split_at_checked(len) else {
-            break; // partial payload at the tail
-        };
-        let Some((crc_bytes, after_crc)) = after_payload.split_at_checked(4) else {
-            break; // partial checksum at the tail
-        };
-        let stored_crc = u32::from_be_bytes(crc_bytes.try_into().unwrap());
+    let mut r = Reader::new(&data[MAGIC.len()..]);
+    let mut clean_len = MAGIC.len();
+    while !r.at_end() {
+        // A partial length prefix, payload or checksum at the tail.
+        let Ok(payload) = r.be_bytes() else { break };
+        let Ok(stored_crc) = r.be_u32() else { break };
         if crc32(payload) != stored_crc {
-            if after_crc.is_empty() {
+            if r.at_end() {
                 break; // torn final record: a plausible frame, wrong bytes
             }
-            return Err(corrupt(path, offset, "checksum mismatch mid-file"));
+            return Err(corrupt(path, clean_len, "checksum mismatch mid-file"));
         }
-        let Some(record) = Record::decode(payload) else {
+        let Ok(record) = Record::decode(payload) else {
             // The checksum matched, so these bytes are what was written:
             // an undecodable payload is a writer bug or real corruption,
             // wherever it sits.
-            return Err(corrupt(path, offset, "undecodable record payload"));
+            return Err(corrupt(path, clean_len, "undecodable record payload"));
         };
         records.push(record);
-        offset = data.len() - after_crc.len();
+        clean_len = MAGIC.len() + r.position();
     }
     Ok(Parsed {
         records,
-        clean_len: offset as u64,
+        clean_len: clean_len as u64,
     })
 }
 

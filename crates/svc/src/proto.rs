@@ -65,13 +65,15 @@
 //!   message's tag and keeps the connection: with pipelining, other
 //!   requests in flight on the same connection are unaffected.
 //!
-//! Payload fields use [`crate::wire`]. Every decoder demands full
-//! consumption ([`wire::Reader::is_done`]): trailing bytes are a protocol
-//! error, never silently ignored.
+//! Payload fields are written with [`crate::wire`] and read with
+//! [`pres_tvm::bytes::Reader`]. Every decoder demands full consumption
+//! ([`Reader::at_end`]): trailing bytes are a protocol error, never
+//! silently ignored.
 
 use crate::digest::Digest;
 use crate::queue::JobStatus;
-use crate::wire::{self, Reader};
+use crate::wire;
+use pres_tvm::bytes::{DecodeError, Reader};
 use std::io::{self, Read, Write};
 
 /// Frame magic: the first two bytes of every frame.
@@ -187,6 +189,12 @@ impl ProtoError {
             }
         }
     }
+}
+
+/// Maps a field's decode failure to the [`ProtoError::BadPayload`]
+/// naming that field.
+fn bad(what: &'static str) -> impl Fn(DecodeError) -> ProtoError {
+    move |_| ProtoError::BadPayload(what)
 }
 
 /// Bytes every frame header starts with: magic, version, kind, length.
@@ -378,42 +386,41 @@ impl Request {
 
     /// Decodes a frame's kind and payload (the tag is the caller's).
     pub fn from_frame(frame: &Frame) -> Result<Request, ProtoError> {
-        let mut r = Reader(&frame.payload);
-        let bad = ProtoError::BadPayload;
+        let mut r = Reader::new(&frame.payload);
         let req = match frame.kind {
             REQ_SUBMIT_BEGIN => Request::SubmitBegin {
-                bug: r.str().ok_or(bad("submit-begin bug id"))?.to_string(),
+                bug: r.be_str().map_err(bad("submit-begin bug id"))?.to_string(),
             },
             // The chunk payload is opaque bytes: consume it whole so the
             // trailing-bytes check below stays an invariant, not a case.
             REQ_SUBMIT_CHUNK => Request::SubmitChunk {
-                data: r.take_rest().to_vec(),
+                data: r.rest().to_vec(),
             },
             REQ_SUBMIT_END => Request::SubmitEnd,
             REQ_STATUS => Request::Status {
-                job: r.u64().ok_or(bad("status job id"))?,
+                job: r.be_u64().map_err(bad("status job id"))?,
             },
             REQ_RESULT => Request::Result {
-                job: r.u64().ok_or(bad("result job id"))?,
+                job: r.be_u64().map_err(bad("result job id"))?,
             },
             REQ_STATS => Request::Stats,
             REQ_SHUTDOWN => Request::Shutdown,
             REQ_HELLO => Request::Hello {
-                token: r.bytes().ok_or(bad("hello token"))?.to_vec(),
+                token: r.be_bytes().map_err(bad("hello token"))?.to_vec(),
             },
             REQ_PEER_PUT_BEGIN => Request::PeerPutBegin {
-                digest: r.digest().ok_or(bad("peer-put digest"))?,
+                digest: r.array().map(Digest).map_err(bad("peer-put digest"))?,
             },
             REQ_PEER_GET => Request::PeerGet {
-                digest: r.digest().ok_or(bad("peer-get digest"))?,
+                digest: r.array().map(Digest).map_err(bad("peer-get digest"))?,
             },
             REQ_PEER_STAT => Request::PeerStat {
-                digest: r.digest().ok_or(bad("peer-stat digest"))?,
+                digest: r.array().map(Digest).map_err(bad("peer-stat digest"))?,
             },
             k => return Err(ProtoError::UnknownKind(k)),
         };
-        if !r.is_done() {
-            return Err(bad("trailing bytes"));
+        if !r.at_end() {
+            return Err(ProtoError::BadPayload("trailing bytes"));
         }
         Ok(req)
     }
@@ -523,51 +530,50 @@ impl Response {
 
     /// Decodes a frame's kind and payload (the tag is the caller's).
     pub fn from_frame(frame: &Frame) -> Result<Response, ProtoError> {
-        let mut r = Reader(&frame.payload);
-        let bad = ProtoError::BadPayload;
+        let mut r = Reader::new(&frame.payload);
         let resp = match frame.kind {
             RESP_SUBMIT => Response::Submitted {
-                job: r.u64().ok_or(bad("submitted job id"))?,
-                sketch: r.digest().ok_or(bad("submitted digest"))?,
-                fresh_object: r.u8().ok_or(bad("submitted fresh_object"))? != 0,
-                fresh_job: r.u8().ok_or(bad("submitted fresh_job"))? != 0,
+                job: r.be_u64().map_err(bad("submitted job id"))?,
+                sketch: r.array().map(Digest).map_err(bad("submitted digest"))?,
+                fresh_object: r.u8().map_err(bad("submitted fresh_object"))? != 0,
+                fresh_job: r.u8().map_err(bad("submitted fresh_job"))? != 0,
             },
             RESP_STATUS => Response::Status {
-                status: match r.u8().ok_or(bad("status presence byte"))? {
+                status: match r.u8().map_err(bad("status presence byte"))? {
                     0 => None,
-                    1 => Some(JobStatus::decode(&mut r).ok_or(bad("status body"))?),
-                    _ => return Err(bad("status presence byte")),
+                    1 => Some(JobStatus::decode(&mut r).map_err(bad("status body"))?),
+                    _ => return Err(ProtoError::BadPayload("status presence byte")),
                 },
             },
             RESP_RESULT => Response::Result {
-                certificate: r.bytes().ok_or(bad("result certificate"))?.to_vec(),
+                certificate: r.be_bytes().map_err(bad("result certificate"))?.to_vec(),
             },
             RESP_STATS => Response::Stats {
-                text: r.str().ok_or(bad("stats text"))?.to_string(),
+                text: r.be_str().map_err(bad("stats text"))?.to_string(),
             },
             RESP_SHUTDOWN => Response::ShuttingDown,
             RESP_HELLO => Response::HelloOk,
             RESP_PEER_PUT => Response::PeerPut {
-                digest: r.digest().ok_or(bad("peer-put digest"))?,
-                fresh: r.u8().ok_or(bad("peer-put fresh byte"))? != 0,
+                digest: r.array().map(Digest).map_err(bad("peer-put digest"))?,
+                fresh: r.u8().map_err(bad("peer-put fresh byte"))? != 0,
             },
             RESP_PEER_OBJECT => Response::PeerObject {
-                body: match r.u8().ok_or(bad("peer-object presence byte"))? {
+                body: match r.u8().map_err(bad("peer-object presence byte"))? {
                     0 => None,
-                    1 => Some(r.bytes().ok_or(bad("peer-object bytes"))?.to_vec()),
-                    _ => return Err(bad("peer-object presence byte")),
+                    1 => Some(r.be_bytes().map_err(bad("peer-object bytes"))?.to_vec()),
+                    _ => return Err(ProtoError::BadPayload("peer-object presence byte")),
                 },
             },
             RESP_PEER_STAT => Response::PeerStatIs {
-                present: r.u8().ok_or(bad("peer-stat presence byte"))? != 0,
+                present: r.u8().map_err(bad("peer-stat presence byte"))? != 0,
             },
             RESP_ERROR => Response::Error {
-                message: r.str().ok_or(bad("error message"))?.to_string(),
+                message: r.be_str().map_err(bad("error message"))?.to_string(),
             },
             k => return Err(ProtoError::UnknownKind(k)),
         };
-        if !r.is_done() {
-            return Err(bad("trailing bytes"));
+        if !r.at_end() {
+            return Err(ProtoError::BadPayload("trailing bytes"));
         }
         Ok(resp)
     }
@@ -576,7 +582,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::sha256;
 
     fn frame(kind: u8, payload: &[u8]) -> Frame {
         Frame {
@@ -584,141 +589,6 @@ mod tests {
             kind,
             payload: payload.to_vec(),
         }
-    }
-
-    #[test]
-    fn frame_roundtrips_through_both_readers() {
-        let frame = frame(REQ_SUBMIT_CHUNK, b"chunk bytes");
-        let bytes = frame.encode();
-        // Blocking reader.
-        let mut cursor = &bytes[..];
-        let got = Frame::read_from(&mut cursor, DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, frame);
-        assert!(cursor.is_empty());
-        // Incremental parser.
-        let (got, used) = Frame::parse(&bytes, DEFAULT_MAX_FRAME).unwrap().unwrap();
-        assert_eq!(got, frame);
-        assert_eq!(used, bytes.len());
-    }
-
-    #[test]
-    fn oversized_frame_is_rejected_before_allocation() {
-        let mut bytes = frame(REQ_STATS, b"").encode();
-        bytes[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
-        let err = Frame::read_from(&mut &bytes[..], 1024)
-            .unwrap()
-            .unwrap_err();
-        assert!(matches!(err, ProtoError::Oversized { .. }));
-        assert!(matches!(
-            Frame::parse(&bytes, 1024).unwrap_err(),
-            ProtoError::Oversized { .. }
-        ));
-    }
-
-    #[test]
-    fn bad_magic_and_version_are_rejected() {
-        let mut bytes = frame(REQ_STATS, b"").encode();
-        bytes[0] = b'X';
-        assert!(matches!(
-            Frame::read_from(&mut &bytes[..], 1024)
-                .unwrap()
-                .unwrap_err(),
-            ProtoError::BadMagic(_)
-        ));
-        // Version 1 is gone: its header is a framing error like any other
-        // unknown version, decided from the 8-byte prefix alone.
-        for version in [1, 3, 9] {
-            let mut bytes = frame(REQ_STATS, b"").encode();
-            bytes[2] = version;
-            let err = Frame::read_from(&mut &bytes[..8], 1024)
-                .unwrap()
-                .unwrap_err();
-            assert_eq!(err, ProtoError::BadVersion(version));
-            assert_eq!(err.severity(), Severity::Framing);
-            assert_eq!(Frame::parse(&bytes[..8], 1024).unwrap_err(), err);
-        }
-    }
-
-    #[test]
-    fn truncated_stream_is_an_io_error() {
-        let bytes = frame(REQ_SUBMIT_CHUNK, b"payload").encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                Frame::read_from(&mut &bytes[..cut], DEFAULT_MAX_FRAME).is_err(),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn request_and_response_roundtrip() {
-        let requests = [
-            Request::Status { job: 7 },
-            Request::Result { job: u64::MAX },
-            Request::Stats,
-            Request::Shutdown,
-        ];
-        for req in requests {
-            assert_eq!(Request::from_frame(&req.to_frame(3).unwrap()).unwrap(), req);
-        }
-        let responses = [
-            Response::Submitted {
-                job: 1,
-                sketch: sha256(b"s"),
-                fresh_object: true,
-                fresh_job: false,
-            },
-            Response::Status { status: None },
-            Response::Status {
-                status: Some(JobStatus::Running),
-            },
-            Response::Result {
-                certificate: vec![0; 64],
-            },
-            Response::Stats {
-                text: "everything is fine".into(),
-            },
-            Response::ShuttingDown,
-            Response::Error {
-                message: "unknown bug".into(),
-            },
-        ];
-        for resp in responses {
-            let frame = resp.to_frame(0xfeed).unwrap();
-            assert_eq!(frame.tag, 0xfeed);
-            assert_eq!(Response::from_frame(&frame).unwrap(), resp);
-        }
-    }
-
-    #[test]
-    fn incremental_parse_handles_partial_and_back_to_back_frames() {
-        let a = Request::Stats.to_frame(1).unwrap().encode();
-        let b = Request::Status { job: 9 }.to_frame(2).unwrap().encode();
-        let mut stream = a.clone();
-        stream.extend_from_slice(&b);
-        // Every prefix short of frame A is "need more bytes".
-        for cut in 0..a.len() {
-            assert_eq!(
-                Frame::parse(&stream[..cut], DEFAULT_MAX_FRAME).unwrap(),
-                None,
-                "cut at {cut}"
-            );
-        }
-        // A complete first frame parses without touching the second.
-        let (first, used) = Frame::parse(&stream, DEFAULT_MAX_FRAME).unwrap().unwrap();
-        assert_eq!(used, a.len());
-        assert_eq!(first.tag, 1);
-        let (second, used2) = Frame::parse(&stream[used..], DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        assert_eq!(used2, b.len());
-        assert_eq!(second.tag, 2);
-        assert_eq!(
-            Request::from_frame(&second).unwrap(),
-            Request::Status { job: 9 }
-        );
     }
 
     #[test]
@@ -736,66 +606,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_requests_roundtrip_tagged() {
-        let reqs = [
-            Request::SubmitBegin {
-                bug: "pbzip-order".into(),
-            },
-            Request::SubmitChunk {
-                data: vec![7; 1000],
-            },
-            // An empty chunk is legal framing (the decoder consumes the
-            // rest, which may be nothing).
-            Request::SubmitChunk { data: vec![] },
-            Request::SubmitEnd,
-        ];
-        for req in reqs {
-            let frame = req.to_frame(41).unwrap();
-            assert_eq!(frame.tag, 41);
-            assert_eq!(Request::from_frame(&frame).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn auth_and_object_requests_and_responses_roundtrip() {
-        let requests = [
-            Request::Hello {
-                token: b"sesame".to_vec(),
-            },
-            Request::Hello { token: vec![] },
-            Request::PeerPutBegin {
-                digest: sha256(b"obj"),
-            },
-            Request::PeerGet {
-                digest: sha256(b"obj"),
-            },
-            Request::PeerStat {
-                digest: sha256(b"obj"),
-            },
-        ];
-        for req in requests {
-            let frame = req.to_frame(77).unwrap();
-            assert_eq!(frame.tag, 77);
-            assert_eq!(Request::from_frame(&frame).unwrap(), req);
-        }
-        let responses = [
-            Response::HelloOk,
-            Response::PeerPut {
-                digest: sha256(b"obj"),
-                fresh: true,
-            },
-            Response::PeerObject { body: None },
-            Response::PeerObject {
-                body: Some(vec![7; 100]),
-            },
-            Response::PeerStatIs { present: false },
-        ];
-        for resp in responses {
-            assert_eq!(
-                Response::from_frame(&resp.to_frame(77).unwrap()).unwrap(),
-                resp
-            );
-        }
+    fn an_empty_hello_token_roundtrips() {
+        let hello = Request::Hello { token: vec![] };
+        assert_eq!(Request::from_frame(&hello.to_frame(77).unwrap()).unwrap(), hello);
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Byte-level encode/decode helpers shared by the journal and the network
-//! protocol.
+//! The u32-BE-prefixed encode helpers shared by the journal and the
+//! network protocol.
 //!
-//! Everything the daemon persists or ships is built from four primitives:
-//! fixed-width big-endian integers, and length-prefixed byte strings. The
-//! reader is a consuming cursor over a borrowed slice; every accessor
-//! returns `None` past the end instead of panicking, so malformed input
-//! degrades into a decode error at the call site.
+//! Everything the daemon persists or ships is built from fixed-width
+//! big-endian integers, `u32`-length-prefixed byte strings and raw
+//! digests. These `put_*` helpers write them; the read side is
+//! [`pres_tvm::bytes::Reader`] (`be_u32`, `be_u64`, `be_bytes`, `be_str`,
+//! `array`), the workspace's one never-panic byte codec, so malformed
+//! input degrades into a [`pres_tvm::bytes::DecodeError`] at the call
+//! site. Its two decode rules — a varint must fit `u64`, a `u32` id is
+//! checked rather than truncated — cover the varint formats; the fields
+//! here are fixed-width, so a `u32` is read as exactly four bytes.
 //!
 //! Length prefixes are `u32`, and the conversion from `usize` is
 //! *checked*: a payload over `u32::MAX` bytes surfaces as a
@@ -70,62 +74,11 @@ pub fn put_digest(out: &mut Vec<u8>, d: &Digest) {
     out.extend_from_slice(&d.0);
 }
 
-/// A consuming cursor over encoded bytes.
-pub struct Reader<'a>(pub &'a [u8]);
-
-impl<'a> Reader<'a> {
-    pub fn u8(&mut self) -> Option<u8> {
-        let (&b, rest) = self.0.split_first()?;
-        self.0 = rest;
-        Some(b)
-    }
-
-    pub fn u32(&mut self) -> Option<u32> {
-        let (head, rest) = self.0.split_at_checked(4)?;
-        self.0 = rest;
-        Some(u32::from_be_bytes(head.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> Option<u64> {
-        let (head, rest) = self.0.split_at_checked(8)?;
-        self.0 = rest;
-        Some(u64::from_be_bytes(head.try_into().unwrap()))
-    }
-
-    pub fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.u32()? as usize;
-        let (head, rest) = self.0.split_at_checked(len)?;
-        self.0 = rest;
-        Some(head)
-    }
-
-    pub fn str(&mut self) -> Option<&'a str> {
-        std::str::from_utf8(self.bytes()?).ok()
-    }
-
-    pub fn digest(&mut self) -> Option<Digest> {
-        let (head, rest) = self.0.split_at_checked(32)?;
-        self.0 = rest;
-        Some(Digest(head.try_into().unwrap()))
-    }
-
-    /// Consumes and returns everything left — for payloads whose tail is
-    /// opaque bytes with no inner length prefix (streaming submit chunks).
-    pub fn take_rest(&mut self) -> &'a [u8] {
-        std::mem::take(&mut self.0)
-    }
-
-    /// Whether every byte has been consumed — decoders check this so
-    /// trailing garbage is rejected rather than silently ignored.
-    pub fn is_done(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::digest::sha256;
+    use pres_tvm::bytes::Reader;
 
     #[test]
     fn primitives_roundtrip() {
@@ -137,13 +90,13 @@ mod tests {
         let d = sha256(b"x");
         put_digest(&mut buf, &d);
 
-        let mut r = Reader(&buf);
-        assert_eq!(r.u32(), Some(0xdead_beef));
-        assert_eq!(r.u64(), Some(u64::MAX - 7));
-        assert_eq!(r.str(), Some("héllo"));
-        assert_eq!(r.bytes(), Some(&[1u8, 2, 3][..]));
-        assert_eq!(r.digest(), Some(d));
-        assert!(r.is_done());
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.be_u32(), Ok(0xdead_beef));
+        assert_eq!(r.be_u64(), Ok(u64::MAX - 7));
+        assert_eq!(r.be_str(), Ok("héllo"));
+        assert_eq!(r.be_bytes(), Ok(&[1u8, 2, 3][..]));
+        assert_eq!(r.array().map(Digest), Ok(d));
+        assert!(r.at_end());
     }
 
     #[test]
@@ -154,24 +107,5 @@ mod tests {
         assert_eq!(check_len(too_big), Err(LenOverflow(too_big)));
         let io: std::io::Error = LenOverflow(too_big).into();
         assert_eq!(io.kind(), std::io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn truncated_reads_are_none_not_panics() {
-        let mut buf = Vec::new();
-        put_bytes(&mut buf, b"abcdef").unwrap();
-        for cut in 0..buf.len() {
-            let mut r = Reader(&buf[..cut]);
-            assert_eq!(r.bytes(), None, "cut at {cut}");
-        }
-        let mut r = Reader(&[0xff, 0xff, 0xff, 0xff]);
-        assert_eq!(r.bytes(), None, "length prefix larger than payload");
-    }
-
-    #[test]
-    fn invalid_utf8_is_rejected() {
-        let mut buf = Vec::new();
-        put_bytes(&mut buf, &[0xff, 0xfe]).unwrap();
-        assert_eq!(Reader(&buf).str(), None);
     }
 }

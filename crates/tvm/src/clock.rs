@@ -89,13 +89,13 @@ impl VClock {
 
     /// Serializes the clock into a snapshot section
     /// (see [`crate::snapshot`]).
-    pub fn snapshot_into(&self, e: &mut crate::snapshot::Enc) {
-        e.u64(self.per_thread.len() as u64);
+    pub fn snapshot_into(&self, e: &mut crate::bytes::Writer) {
+        e.varint(self.per_thread.len() as u64);
         for t in &self.per_thread {
-            e.u64(*t);
+            e.varint(*t);
         }
-        e.u64(self.work);
-        e.u64(self.serial);
+        e.varint(self.work);
+        e.varint(self.serial);
     }
 }
 

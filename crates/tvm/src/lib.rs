@@ -47,6 +47,7 @@
 //! assert_eq!(out.status, RunStatus::Completed);
 //! ```
 
+pub mod bytes;
 pub mod clock;
 pub mod cost;
 pub mod deadlock;

@@ -124,14 +124,14 @@ impl ChaCha8Rng {
     /// Serializes the full generator state into a snapshot section
     /// (see [`crate::snapshot`]): block input, current keystream block,
     /// and the read cursor.
-    pub fn snapshot_into(&self, e: &mut crate::snapshot::Enc) {
+    pub fn snapshot_into(&self, e: &mut crate::bytes::Writer) {
         for w in &self.state {
-            e.u64(u64::from(*w));
+            e.varint(u64::from(*w));
         }
         for w in &self.block {
-            e.u64(u64::from(*w));
+            e.varint(u64::from(*w));
         }
-        e.u64(self.word as u64);
+        e.varint(self.word as u64);
     }
 }
 

@@ -18,12 +18,18 @@
 //! environment is detected instead of silently corrupting exploration
 //! (see `pres-core`'s checkpoint verification).
 //!
-//! Encoding discipline mirrors the sketch codec: decoding is strictly
-//! structural, never panics, never accepts trailing bytes, and bounds
-//! every collection count against the remaining input so corrupt or
-//! truncated snapshots fail fast with an offset-carrying error.
+//! The encoding is [`crate::bytes`], the workspace's one byte codec:
+//! owning modules ([`crate::state`], [`crate::sys`], [`crate::clock`],
+//! [`crate::rng`]) write their private fields through a
+//! [`crate::bytes::Writer`], and the coordinator assembles the
+//! tagged sections. Decoding is strictly structural, never panics, never
+//! accepts trailing bytes, and bounds every collection count against the
+//! remaining input, so corrupt or truncated snapshots fail fast with an
+//! offset-carrying [`DecodeError`]. The codec's two decode rules apply: a
+//! varint must fit `u64` (a tenth byte above 1 is refused), and the
+//! header's thread count is a checked `u32`.
 
-use std::fmt;
+use crate::bytes::{DecodeError, Reader, Writer};
 
 /// Current snapshot encoding version.
 pub const SNAPSHOT_VERSION: u8 = 1;
@@ -36,195 +42,6 @@ pub const SEC_CLOCK: u8 = 2;
 pub const SEC_THREADS: u8 = 3;
 /// Shared state + simulated world section.
 pub const SEC_STATE: u8 = 4;
-
-/// A decode failure: where and why.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError {
-    /// Byte offset at which decoding failed (relative to the region being
-    /// parsed).
-    pub offset: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "snapshot decode error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// Append-only snapshot encoder (LEB128 varints, length-prefixed blobs).
-///
-/// Owning modules ([`crate::state`], [`crate::sys`], [`crate::clock`],
-/// [`crate::rng`]) serialize themselves through this writer so their fields
-/// stay private; the coordinator assembles the sections.
-#[derive(Debug, Default)]
-pub struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    /// An empty encoder.
-    pub fn new() -> Self {
-        Enc::default()
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a bool as one byte (0/1).
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    /// Appends an LEB128 varint.
-    pub fn u64(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
-    }
-
-    /// Appends a length-prefixed byte blob.
-    pub fn bytes(&mut self, data: &[u8]) {
-        self.u64(data.len() as u64);
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-
-    /// Appends a tagged, length-prefixed section whose body is produced by
-    /// `f` into a fresh encoder.
-    pub fn section(&mut self, tag: u8, f: impl FnOnce(&mut Enc)) {
-        let mut body = Enc::new();
-        f(&mut body);
-        self.u8(tag);
-        self.bytes(&body.buf);
-    }
-
-    /// Consumes the encoder and returns the bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-/// Bounds-checked snapshot reader.
-struct Dec<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Dec { data, pos: 0 }
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, SnapshotError> {
-        Err(SnapshotError {
-            offset: self.pos,
-            message: message.into(),
-        })
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        match self.data.get(self.pos) {
-            Some(b) => {
-                self.pos += 1;
-                Ok(*b)
-            }
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => self.err(format!("invalid bool byte {other}")),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let mut value: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 63 && byte > 1 {
-                return self.err("varint overflows u64");
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    fn take(&mut self, len: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.data.len() - self.pos < len {
-            return self.err(format!(
-                "need {len} bytes, {} remain",
-                self.data.len() - self.pos
-            ));
-        }
-        let slice = &self.data[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(slice)
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.u64()?;
-        if len > (self.data.len() - self.pos) as u64 {
-            return self.err(format!("blob length {len} exceeds remaining input"));
-        }
-        self.take(len as usize)
-    }
-
-    fn str(&mut self) -> Result<&'a str, SnapshotError> {
-        let raw = self.bytes()?;
-        match std::str::from_utf8(raw) {
-            Ok(s) => Ok(s),
-            Err(_) => self.err("invalid utf-8 in string"),
-        }
-    }
-
-    /// A collection count, rejected when it exceeds the remaining bytes
-    /// (every element consumes at least one byte, so a larger count can
-    /// only come from corruption).
-    fn count(&mut self) -> Result<u64, SnapshotError> {
-        let n = self.u64()?;
-        if n > (self.data.len() - self.pos) as u64 {
-            return self.err(format!("count {n} exceeds remaining input"));
-        }
-        Ok(n)
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.data.len()
-    }
-}
 
 /// A serialized checkpoint of a VM at a pick boundary.
 ///
@@ -274,36 +91,33 @@ impl VmSnapshot {
 
     /// Serializes the snapshot (version, boundary, step, threads, payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u8(SNAPSHOT_VERSION);
-        e.u64(self.picks);
-        e.u64(self.step);
-        e.u64(u64::from(self.threads));
-        e.bytes(&self.payload);
-        e.finish()
+        let mut w = Writer::new();
+        w.u8(SNAPSHOT_VERSION);
+        w.varint(self.picks);
+        w.varint(self.step);
+        w.varint(u64::from(self.threads));
+        w.bytes(&self.payload);
+        w.finish()
     }
 
     /// Decodes and structurally validates a snapshot. Never panics; errors
     /// on truncation, corruption, version mismatch, or trailing bytes.
-    pub fn decode(data: &[u8]) -> Result<VmSnapshot, SnapshotError> {
-        let mut d = Dec::new(data);
-        let version = d.u8()?;
+    pub fn decode(data: &[u8]) -> Result<VmSnapshot, DecodeError> {
+        let mut r = Reader::new(data);
+        let version = r.u8()?;
         if version != SNAPSHOT_VERSION {
-            return d.err(format!("unsupported snapshot version {version}"));
+            return Err(r.err(format!("unsupported snapshot version {version}")));
         }
-        let picks = d.u64()?;
-        let step = d.u64()?;
-        let threads = d.u64()?;
-        if threads > u64::from(u32::MAX) {
-            return d.err(format!("thread count {threads} out of range"));
-        }
-        let payload = d.bytes()?.to_vec();
-        if !d.at_end() {
-            return d.err("trailing bytes after snapshot");
+        let picks = r.varint()?;
+        let step = r.varint()?;
+        let threads = r.varint_u32("thread count")?;
+        let payload = r.bytes()?.to_vec();
+        if !r.at_end() {
+            return Err(r.err("trailing bytes after snapshot"));
         }
         let declared = validate_payload(&payload)?;
-        if u64::from(declared) != threads {
-            return Err(SnapshotError {
+        if declared != threads {
+            return Err(DecodeError {
                 offset: 0,
                 message: format!(
                     "header thread count {threads} disagrees with payload ({declared})"
@@ -313,7 +127,7 @@ impl VmSnapshot {
         Ok(VmSnapshot {
             picks,
             step,
-            threads: threads as u32,
+            threads,
             payload,
         })
     }
@@ -321,16 +135,15 @@ impl VmSnapshot {
 
 /// Structurally validates a snapshot payload, returning the thread count
 /// declared by its thread section.
-fn validate_payload(payload: &[u8]) -> Result<u32, SnapshotError> {
-    let mut d = Dec::new(payload);
+fn validate_payload(payload: &[u8]) -> Result<u32, DecodeError> {
+    let mut r = Reader::new(payload);
     let mut threads: u32 = 0;
     for expected in [SEC_STATS, SEC_CLOCK, SEC_THREADS, SEC_STATE] {
-        let tag = d.u8()?;
+        let tag = r.u8()?;
         if tag != expected {
-            return d.err(format!("expected section {expected}, found {tag}"));
+            return Err(r.err(format!("expected section {expected}, found {tag}")));
         }
-        let body = d.bytes()?;
-        let mut s = Dec::new(body);
+        let mut s = Reader::new(r.bytes()?);
         match tag {
             SEC_STATS => validate_stats(&mut s)?,
             SEC_CLOCK => validate_clock(&mut s)?,
@@ -339,141 +152,100 @@ fn validate_payload(payload: &[u8]) -> Result<u32, SnapshotError> {
             _ => unreachable!(),
         }
         if !s.at_end() {
-            return s.err(format!("trailing bytes in section {tag}"));
+            return Err(s.err(format!("trailing bytes in section {tag}")));
         }
     }
-    if !d.at_end() {
-        return d.err("trailing bytes after final section");
+    if !r.at_end() {
+        return Err(r.err("trailing bytes after final section"));
     }
     Ok(threads)
 }
 
+/// Reads a count-prefixed list of varints.
+fn validate_varints(r: &mut Reader<'_>, what: &str) -> Result<(), DecodeError> {
+    for _ in 0..r.count(1, what)? {
+        r.varint()?;
+    }
+    Ok(())
+}
+
 /// 7 operation counters: `os_spawns` is executor-dependent and excluded.
-fn validate_stats(d: &mut Dec<'_>) -> Result<(), SnapshotError> {
+fn validate_stats(r: &mut Reader<'_>) -> Result<(), DecodeError> {
     for _ in 0..7 {
-        d.u64()?;
+        r.varint()?;
     }
     Ok(())
 }
 
-fn validate_clock(d: &mut Dec<'_>) -> Result<(), SnapshotError> {
-    let n = d.count()?;
-    for _ in 0..n {
-        d.u64()?;
-    }
-    d.u64()?; // work
-    d.u64()?; // serial
+fn validate_clock(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    validate_varints(r, "clock thread")?;
+    r.varint()?; // work
+    r.varint()?; // serial
     Ok(())
 }
 
-fn validate_threads(d: &mut Dec<'_>) -> Result<u32, SnapshotError> {
-    let n = d.count()?;
-    if n > u64::from(u32::MAX) {
-        return d.err(format!("thread count {n} out of range"));
-    }
+fn validate_threads(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
+    let n = r.count(1, "thread")?;
+    let n = u32::try_from(n).map_err(|_| r.err(format!("thread count {n} out of range")))?;
     for _ in 0..n {
-        d.str()?; // name
-        d.u64()?; // tseq
-        d.bool()?; // exited
+        r.str()?; // name
+        r.varint()?; // tseq
+        r.bool()?; // exited
     }
-    Ok(n as u32)
+    Ok(n)
 }
 
-/// `Option<ThreadId>` encoding: 0 = None, otherwise tid + 1.
-fn validate_opt_tid(d: &mut Dec<'_>) -> Result<(), SnapshotError> {
-    d.u64()?;
-    Ok(())
+fn validate_state(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    validate_varints(r, "var")?;
+    for _ in 0..r.count(1, "buf")? {
+        r.bytes()?;
+    }
+    // Lock holders: `Option<ThreadId>` as 0 = None, otherwise tid + 1.
+    validate_varints(r, "lock")?;
+    for _ in 0..r.count(1, "rwlock")? {
+        r.varint()?; // writer
+        validate_varints(r, "rwlock reader")?;
+    }
+    for _ in 0..r.count(1, "condvar")? {
+        validate_varints(r, "condvar waiter")?;
+        validate_varints(r, "condvar notified")?;
+    }
+    for _ in 0..r.count(1, "barrier")? {
+        r.varint()?; // parties
+        validate_varints(r, "barrier arrived")?;
+        validate_varints(r, "barrier released")?;
+        r.varint()?; // generation
+    }
+    validate_varints(r, "semaphore")?;
+    for _ in 0..r.count(1, "channel")? {
+        validate_varints(r, "channel message")?;
+        r.bool()?; // closed
+    }
+    validate_world(r)
 }
 
-fn validate_tid_list(d: &mut Dec<'_>) -> Result<(), SnapshotError> {
-    let n = d.count()?;
-    for _ in 0..n {
-        d.u64()?;
+fn validate_world(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    for _ in 0..r.count(1, "file")? {
+        r.str()?;
+        r.bytes()?;
     }
-    Ok(())
-}
-
-fn validate_state(d: &mut Dec<'_>) -> Result<(), SnapshotError> {
-    // vars
-    let n = d.count()?;
-    for _ in 0..n {
-        d.u64()?;
+    for _ in 0..r.count(1, "fd")? {
+        r.str()?; // path
+        r.varint()?; // cursor
+        r.bool()?; // closed
     }
-    // bufs
-    let n = d.count()?;
-    for _ in 0..n {
-        d.bytes()?;
-    }
-    // locks
-    let n = d.count()?;
-    for _ in 0..n {
-        validate_opt_tid(d)?;
-    }
-    // rwlocks
-    let n = d.count()?;
-    for _ in 0..n {
-        validate_opt_tid(d)?;
-        validate_tid_list(d)?;
-    }
-    // condvars
-    let n = d.count()?;
-    for _ in 0..n {
-        validate_tid_list(d)?; // waiting
-        validate_tid_list(d)?; // notified
-    }
-    // barriers
-    let n = d.count()?;
-    for _ in 0..n {
-        d.u64()?; // parties
-        validate_tid_list(d)?; // arrived
-        validate_tid_list(d)?; // released
-        d.u64()?; // generation
-    }
-    // semaphores
-    let n = d.count()?;
-    for _ in 0..n {
-        d.u64()?;
-    }
-    // channels
-    let n = d.count()?;
-    for _ in 0..n {
-        let q = d.count()?;
-        for _ in 0..q {
-            d.u64()?;
-        }
-        d.bool()?; // closed
-    }
-    validate_world(d)
-}
-
-fn validate_world(d: &mut Dec<'_>) -> Result<(), SnapshotError> {
-    // files
-    let n = d.count()?;
-    for _ in 0..n {
-        d.str()?;
-        d.bytes()?;
-    }
-    // fds
-    let n = d.count()?;
-    for _ in 0..n {
-        d.str()?; // path
-        d.u64()?; // cursor
-        d.bool()?; // closed
-    }
-    d.u64()?; // next_session
-    // connections
-    let n = d.count()?;
-    for _ in 0..n {
-        d.bytes()?; // inbox
-        d.u64()?; // read_cursor
-        d.bytes()?; // outbox
-        d.bool()?; // closed
+    r.varint()?; // next_session
+    for _ in 0..r.count(1, "connection")? {
+        r.bytes()?; // inbox
+        r.varint()?; // read_cursor
+        r.bytes()?; // outbox
+        r.bool()?; // closed
     }
     // rng: 16 state words + 16 block words + cursor
     for _ in 0..33 {
-        d.u64()?;
+        r.varint()?;
     }
-    d.bytes()?; // stdout
+    r.bytes()?; // stdout
     Ok(())
 }
 
@@ -484,33 +256,33 @@ mod tests {
     /// A structurally valid payload for an empty VM: zero-count sections
     /// and a zeroed RNG.
     fn empty_payload() -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = Writer::new();
         e.section(SEC_STATS, |e| {
             for _ in 0..7 {
-                e.u64(0);
+                e.varint(0);
             }
         });
         e.section(SEC_CLOCK, |e| {
-            e.u64(0); // per-thread count
-            e.u64(0); // work
-            e.u64(0); // serial
+            e.varint(0); // per-thread count
+            e.varint(0); // work
+            e.varint(0); // serial
         });
         e.section(SEC_THREADS, |e| {
-            e.u64(1);
+            e.varint(1);
             e.str("main");
-            e.u64(0);
+            e.varint(0);
             e.bool(false);
         });
         e.section(SEC_STATE, |e| {
             for _ in 0..8 {
-                e.u64(0); // vars..chans counts
+                e.varint(0); // vars..chans counts
             }
-            e.u64(0); // files
-            e.u64(0); // fds
-            e.u64(0); // next_session
-            e.u64(0); // conns
+            e.varint(0); // files
+            e.varint(0); // fds
+            e.varint(0); // next_session
+            e.varint(0); // conns
             for _ in 0..33 {
-                e.u64(0); // rng
+                e.varint(0); // rng
             }
             e.bytes(&[]); // stdout
         });
@@ -563,39 +335,13 @@ mod tests {
     fn header_payload_thread_disagreement_is_rejected() {
         // Re-encode with a lying header thread count.
         let snap = sample();
-        let mut e = Enc::new();
+        let mut e = Writer::new();
         e.u8(SNAPSHOT_VERSION);
-        e.u64(snap.picks());
-        e.u64(snap.step());
-        e.u64(7); // payload says 1
+        e.varint(snap.picks());
+        e.varint(snap.step());
+        e.varint(7); // payload says 1
         e.bytes(snap.payload());
         let err = VmSnapshot::decode(&e.finish()).unwrap_err();
         assert!(err.message.contains("disagrees"), "{err}");
-    }
-
-    #[test]
-    fn bit_flips_never_panic() {
-        let bytes = sample().encode();
-        for i in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut corrupt = bytes.clone();
-                corrupt[i] ^= 1 << bit;
-                // Must return (Ok for benign flips in e.g. stats values,
-                // Err for structural damage) — never panic.
-                let _ = VmSnapshot::decode(&corrupt);
-            }
-        }
-    }
-
-    #[test]
-    fn varint_overflow_is_an_error_not_a_panic() {
-        let mut e = Enc::new();
-        e.u8(SNAPSHOT_VERSION);
-        // 11-byte varint: overflows u64.
-        for _ in 0..10 {
-            e.u8(0xff);
-        }
-        e.u8(0x7f);
-        assert!(VmSnapshot::decode(&e.finish()).is_err());
     }
 }

@@ -528,55 +528,55 @@ impl VmState {
     /// section (see [`crate::snapshot`]). The [`ResourceSpec`] is
     /// config-derived — identical on replay by construction — so it is
     /// not captured.
-    pub fn snapshot_into(&self, e: &mut crate::snapshot::Enc) {
-        fn tid_list(e: &mut crate::snapshot::Enc, tids: &[ThreadId]) {
-            e.u64(tids.len() as u64);
+    pub fn snapshot_into(&self, e: &mut crate::bytes::Writer) {
+        fn tid_list(e: &mut crate::bytes::Writer, tids: &[ThreadId]) {
+            e.varint(tids.len() as u64);
             for t in tids {
-                e.u64(u64::from(t.0));
+                e.varint(u64::from(t.0));
             }
         }
-        fn opt_tid(e: &mut crate::snapshot::Enc, t: Option<ThreadId>) {
-            e.u64(t.map_or(0, |t| u64::from(t.0) + 1));
+        fn opt_tid(e: &mut crate::bytes::Writer, t: Option<ThreadId>) {
+            e.varint(t.map_or(0, |t| u64::from(t.0) + 1));
         }
-        e.u64(self.vars.len() as u64);
+        e.varint(self.vars.len() as u64);
         for v in &self.vars {
-            e.u64(*v);
+            e.varint(*v);
         }
-        e.u64(self.bufs.len() as u64);
+        e.varint(self.bufs.len() as u64);
         for b in &self.bufs {
             e.bytes(b);
         }
-        e.u64(self.locks.len() as u64);
+        e.varint(self.locks.len() as u64);
         for l in &self.locks {
             opt_tid(e, l.holder);
         }
-        e.u64(self.rwlocks.len() as u64);
+        e.varint(self.rwlocks.len() as u64);
         for rw in &self.rwlocks {
             opt_tid(e, rw.writer);
             tid_list(e, &rw.readers);
         }
-        e.u64(self.conds.len() as u64);
+        e.varint(self.conds.len() as u64);
         for c in &self.conds {
             let waiting: Vec<ThreadId> = c.waiting.iter().copied().collect();
             tid_list(e, &waiting);
             tid_list(e, &c.notified);
         }
-        e.u64(self.barriers.len() as u64);
+        e.varint(self.barriers.len() as u64);
         for b in &self.barriers {
-            e.u64(u64::from(b.parties));
+            e.varint(u64::from(b.parties));
             tid_list(e, &b.arrived);
             tid_list(e, &b.released);
-            e.u64(b.generation);
+            e.varint(b.generation);
         }
-        e.u64(self.sems.len() as u64);
+        e.varint(self.sems.len() as u64);
         for s in &self.sems {
-            e.u64(s.count);
+            e.varint(s.count);
         }
-        e.u64(self.chans.len() as u64);
+        e.varint(self.chans.len() as u64);
         for c in &self.chans {
-            e.u64(c.queue.len() as u64);
+            e.varint(c.queue.len() as u64);
             for v in &c.queue {
-                e.u64(*v);
+                e.varint(*v);
             }
             e.bool(c.closed);
         }

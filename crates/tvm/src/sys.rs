@@ -255,23 +255,23 @@ impl World {
     /// Serializes the live world into a snapshot section (see
     /// [`crate::snapshot`]). The session script is config-derived and
     /// identical on replay, so only the `next_session` cursor is captured.
-    pub fn snapshot_into(&self, e: &mut crate::snapshot::Enc) {
-        e.u64(self.files.len() as u64);
+    pub fn snapshot_into(&self, e: &mut crate::bytes::Writer) {
+        e.varint(self.files.len() as u64);
         for (path, data) in &self.files {
             e.str(path);
             e.bytes(data);
         }
-        e.u64(self.fds.len() as u64);
+        e.varint(self.fds.len() as u64);
         for fd in &self.fds {
             e.str(&fd.path);
-            e.u64(fd.cursor as u64);
+            e.varint(fd.cursor as u64);
             e.bool(fd.closed);
         }
-        e.u64(self.next_session as u64);
-        e.u64(self.conns.len() as u64);
+        e.varint(self.next_session as u64);
+        e.varint(self.conns.len() as u64);
         for c in &self.conns {
             e.bytes(&c.inbox);
-            e.u64(c.read_cursor as u64);
+            e.varint(c.read_cursor as u64);
             e.bytes(&c.outbox);
             e.bool(c.closed);
         }

@@ -10,7 +10,7 @@
 //! and parks only on an op whose result it needs. Bodies must not share
 //! non-VM state between vthreads.
 //!
-//! The coordinator is not a thread but a function ([`coordinate`]) run by
+//! The coordinator is not a thread but a function (`coordinate`) run by
 //! whichever virtual thread made the last missing head known. It picks only
 //! when *every* live thread's head op is known, so the candidates the
 //! scheduler sees — and with them schedules, sketches, snapshots and
@@ -850,8 +850,9 @@ fn finish(coord: &mut Coord, shared: &Shared, status: RunStatus) {
 /// `coord.schedule.len()` and every coordinator-owned structure reflects
 /// exactly those picks.
 fn capture_snapshot(coord: &Coord, slots: &[Slot]) -> crate::snapshot::VmSnapshot {
-    use crate::snapshot::{self, Enc, VmSnapshot};
-    let mut e = Enc::new();
+    use crate::bytes::Writer;
+    use crate::snapshot::{self, VmSnapshot};
+    let mut e = Writer::new();
     e.section(snapshot::SEC_STATS, |e| {
         // `os_spawns` is deliberately excluded: it depends on which pool
         // hosts the run and how warm it is (both schedule-invisible), and
@@ -866,15 +867,15 @@ fn capture_snapshot(coord: &Coord, slots: &[Slot]) -> crate::snapshot::VmSnapsho
             s.bb_markers,
             s.spawns,
         ] {
-            e.u64(v);
+            e.varint(v);
         }
     });
     e.section(snapshot::SEC_CLOCK, |e| coord.clock.snapshot_into(e));
     e.section(snapshot::SEC_THREADS, |e| {
-        e.u64(slots.len() as u64);
+        e.varint(slots.len() as u64);
         for (i, s) in slots.iter().enumerate() {
             e.str(&s.name);
-            e.u64(u64::from(s.tseq));
+            e.varint(u64::from(s.tseq));
             e.bool(coord.known_exited.get(i).copied().unwrap_or(false));
         }
     });

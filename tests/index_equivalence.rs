@@ -12,12 +12,13 @@
 //! corruptions of the fixtures, and three committed hostile containers
 //! that used to crash or exhaust the daemon.
 
-use pres_core::codec::{decode_index, decode_sketch, encode_sketch, ByteWriter};
+use pres_core::codec::{decode_index, decode_sketch, encode_sketch, DecodeError};
 use pres_core::recorder::RingConfig;
 use pres_core::sketch::{Mechanism, Sketch, SketchEntry, SketchIndex, SketchOp};
 use pres_core::Pres;
 use pres_suite::apps::all_bugs;
-use pres_tvm::ids::ThreadId;
+use pres_tvm::bytes::Writer;
+use pres_tvm::ids::{FdId, ThreadId};
 use pres_tvm::op::OpResult;
 
 const FIXTURE_V1: &[u8] = include_bytes!("data/fixture_v1.sketch");
@@ -166,18 +167,18 @@ fn wide_dictionaries_round_trip_through_wider_ids() {
 }
 
 /// A container header with an empty program name and signature.
-fn header(w: &mut ByteWriter) {
+fn header(w: &mut Writer) {
     for b in *b"PRES" {
         w.u8(b);
     }
     w.u8(2); // container v2
     w.u8(1); // SYNC
     w.varint(0); // mechanism argument
-    w.string(""); // program
+    w.str(""); // program
     w.varint(0); // seed
     w.varint(0); // processors
     w.varint(0); // total ops
-    w.string(""); // failure signature
+    w.str(""); // failure signature
 }
 
 /// The three hostile containers committed under `tests/data/`, one per
@@ -185,7 +186,7 @@ fn header(w: &mut ByteWriter) {
 fn hostile() -> [(&'static str, Vec<u8>); 3] {
     // 1. A syscall result whose byte-length varint is near `u64::MAX`:
     //    `pos + len` wrapped and the slice panicked.
-    let mut slice_len = ByteWriter::new();
+    let mut slice_len = Writer::new();
     header(&mut slice_len);
     slice_len.varint(1); // entries
     slice_len.varint(1); // threads
@@ -199,7 +200,7 @@ fn hostile() -> [(&'static str, Vec<u8>); 3] {
 
     // 2. 29 bytes claiming 2^36 entries in one RLE run: the interleave
     //    vector asked for 512 GiB and aborted the process.
-    let mut entry_count = ByteWriter::new();
+    let mut entry_count = Writer::new();
     header(&mut entry_count);
     entry_count.varint(1 << 36); // entries
     entry_count.varint(1); // threads
@@ -211,7 +212,7 @@ fn hostile() -> [(&'static str, Vec<u8>); 3] {
 
     // 3. A tid delta that overflows `u64`: wrapped to a tid *below* its
     //    predecessor, breaking the ascending thread directory.
-    let mut tid_delta = ByteWriter::new();
+    let mut tid_delta = Writer::new();
     header(&mut tid_delta);
     tid_delta.varint(2); // entries
     tid_delta.varint(2); // threads
@@ -246,6 +247,63 @@ fn hostile_containers_are_errors_in_both_decoders() {
     }
     let (_, entry_count) = &hostile()[1];
     assert_eq!(entry_count.len(), 29);
+}
+
+/// A container of `version` whose header carries `seed` as raw bytes (so
+/// a non-varint can stand there) and `processors`, then `body`.
+fn forged(version: u8, seed: &[u8], processors: u64, body: &[u64]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.raw(b"PRES");
+    w.u8(version);
+    w.u8(1); // SYNC
+    w.varint(0); // mechanism argument
+    w.str(""); // program
+    w.raw(seed);
+    w.varint(processors);
+    w.varint(0); // total ops
+    w.str(""); // failure signature
+    for &v in body {
+        w.varint(v);
+    }
+    w.finish()
+}
+
+/// The codec's two decode rules at container level: a varint whose tenth
+/// byte would drop bits, and a `u32` field above `u32::MAX`, are refused
+/// at the same offset with the same message by both decoders, where the
+/// honest container beside each one decodes.
+#[test]
+fn overflowing_varints_and_ids_above_u32_are_refused_by_both_decoders() {
+    let seed = |tenth: u8| [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, tenth];
+    // v2: no entries, no threads, plain interleave.
+    let empty = [0, 0, 0];
+    // v1: one entry, on thread `tid`, START.
+    let v1 = |tid: u64| [1, tid, 0];
+    // v2: one `read` syscall (code 27, operand delta 0) on thread 0,
+    // plain interleave, whose result is RES_FD (9) `fd`.
+    let fd = |fd: u64| [1, 1, 0, 0, 0, 27 | (1 << 6), 9, fd];
+
+    let honest = decode_sketch(&forged(2, &seed(1), 7, &empty)).unwrap();
+    assert_eq!((honest.meta.seed, honest.meta.processors), (u64::MAX, 7));
+    let honest = decode_sketch(&forged(1, &[0], 0, &v1(5))).unwrap();
+    assert_eq!(honest.entries[0].tid, ThreadId(5));
+    let honest = decode_sketch(&forged(2, &[0], 0, &fd(3))).unwrap();
+    assert_eq!(honest.entries[0].result, OpResult::Fd(FdId(3)));
+
+    let cases = [
+        (forged(2, &seed(3), 7, &empty), 18, "varint overflow"),
+        (forged(2, &[0], (1 << 32) + 7, &empty), 14, "processor count out of range"),
+        (forged(1, &[0], 0, &v1(1 << 32)), 18, "thread id out of range"),
+        (forged(2, &[0], 0, &fd((1 << 32) + 3)), 24, "fd id out of range"),
+    ];
+    for (bytes, offset, message) in cases {
+        let want = DecodeError {
+            offset,
+            message: message.into(),
+        };
+        assert_eq!(decode_sketch(&bytes).expect_err(message), want);
+        assert_eq!(decode_index(&bytes).expect_err(message), want);
+    }
 }
 
 /// Rewrites the hostile fixtures from their recipes:

@@ -7,10 +7,11 @@
 //! over a fixed-seed stream of generated cases, which keeps failures
 //! reproducible by construction.
 
-use pres_core::codec::{container_version, decode_sketch, encode_sketch, ByteReader, ByteWriter};
+use pres_core::codec::{container_version, decode_sketch, encode_sketch};
 use pres_core::sketch::{Mechanism, Sketch, SketchEntry, SketchMeta, SketchOp, SyncKind, SysKind};
 use pres_race::vclock::VectorClock;
 use pres_suite::tvm::prelude::*;
+use pres_tvm::bytes::{Reader, Writer};
 use pres_tvm::op::{MemLoc, OpResult};
 use pres_tvm::rng::ChaCha8Rng;
 
@@ -313,12 +314,12 @@ fn varints_round_trip() {
                 raw >> (rng.gen_range(0..64usize) as u32)
             })
             .collect();
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         for v in &values {
             w.varint(*v);
         }
         let buf = w.finish();
-        let mut r = ByteReader::new(&buf);
+        let mut r = Reader::new(&buf);
         for v in &values {
             assert_eq!(r.varint().unwrap(), *v);
         }
