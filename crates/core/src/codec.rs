@@ -25,12 +25,13 @@
 //! Bytes are written and read through [`pres_tvm::bytes`], the workspace's
 //! one byte codec (certificates, VM snapshots and the daemon's journal and
 //! protocol use it too), and every error is its [`DecodeError`]. Its two
-//! decode rules hold for every field here: a varint must fit `u64` (a
-//! tenth byte above 1 is `varint overflow`, never dropped bits), and every
+//! decode rules hold for every field here: a varint is canonical (a
+//! tenth byte above 1 is `varint overflow`, never dropped bits, and a
+//! zero-padded encoding is `overlong varint`), and every
 //! `u32` field — the BB-N argument, the processor count, v1 thread, object
 //! and marker ids, syscall-result connection, fd and thread ids — is
 //! refused as `<what> out of range` above `u32::MAX`, never truncated. So
-//! no two byte strings decode to one sketch by way of a lost high bit.
+//! no two byte strings decode to one sketch.
 
 use crate::sketch::{
     EpochInfo, Mechanism, OpDict, Sketch, SketchCheckpoint, SketchEntry, SketchIndex, SketchMeta,
@@ -67,37 +68,82 @@ const RES_MAYBE_CONN_SOME: u8 = 8;
 const RES_FD: u8 = 9;
 const RES_TID: u8 = 10;
 
-/// Sync kinds in wire-code order: a kind's code is its index.
-const SYNC_KINDS: [SyncKind; 16] = {
-    use SyncKind::*;
-    [
-        Lock, Unlock, RwRead, RwWrite, RwUnlock, Wait, Rewait, Signal, Broadcast, Barrier,
-        BarrierResume, SemP, SemV, Send, Recv, ChanClose,
-    ]
-};
-
-/// Syscall kinds in wire-code order.
-const SYS_KINDS: [SysKind; 11] = {
-    use SysKind::*;
-    [Open, Read, Write, Close, Accept, Recv, Send, NetClose, Clock, Random, Stdout]
-};
-
 fn sync_kind_code(k: SyncKind) -> u8 {
-    SYNC_KINDS.iter().position(|&s| s == k).expect("SYNC_KINDS lists every kind") as u8
+    match k {
+        SyncKind::Lock => 0,
+        SyncKind::Unlock => 1,
+        SyncKind::RwRead => 2,
+        SyncKind::RwWrite => 3,
+        SyncKind::RwUnlock => 4,
+        SyncKind::Wait => 5,
+        SyncKind::Rewait => 6,
+        SyncKind::Signal => 7,
+        SyncKind::Broadcast => 8,
+        SyncKind::Barrier => 9,
+        SyncKind::BarrierResume => 10,
+        SyncKind::SemP => 11,
+        SyncKind::SemV => 12,
+        SyncKind::Send => 13,
+        SyncKind::Recv => 14,
+        SyncKind::ChanClose => 15,
+    }
 }
 
 #[inline]
 fn sync_kind_from(code: u8) -> Option<SyncKind> {
-    SYNC_KINDS.get(usize::from(code)).copied()
+    Some(match code {
+        0 => SyncKind::Lock,
+        1 => SyncKind::Unlock,
+        2 => SyncKind::RwRead,
+        3 => SyncKind::RwWrite,
+        4 => SyncKind::RwUnlock,
+        5 => SyncKind::Wait,
+        6 => SyncKind::Rewait,
+        7 => SyncKind::Signal,
+        8 => SyncKind::Broadcast,
+        9 => SyncKind::Barrier,
+        10 => SyncKind::BarrierResume,
+        11 => SyncKind::SemP,
+        12 => SyncKind::SemV,
+        13 => SyncKind::Send,
+        14 => SyncKind::Recv,
+        15 => SyncKind::ChanClose,
+        _ => return None,
+    })
 }
 
 fn sys_kind_code(k: SysKind) -> u8 {
-    SYS_KINDS.iter().position(|&s| s == k).expect("SYS_KINDS lists every kind") as u8
+    match k {
+        SysKind::Open => 0,
+        SysKind::Read => 1,
+        SysKind::Write => 2,
+        SysKind::Close => 3,
+        SysKind::Accept => 4,
+        SysKind::Recv => 5,
+        SysKind::Send => 6,
+        SysKind::NetClose => 7,
+        SysKind::Clock => 8,
+        SysKind::Random => 9,
+        SysKind::Stdout => 10,
+    }
 }
 
 #[inline]
 fn sys_kind_from(code: u8) -> Option<SysKind> {
-    SYS_KINDS.get(usize::from(code)).copied()
+    Some(match code {
+        0 => SysKind::Open,
+        1 => SysKind::Read,
+        2 => SysKind::Write,
+        3 => SysKind::Close,
+        4 => SysKind::Accept,
+        5 => SysKind::Recv,
+        6 => SysKind::Send,
+        7 => SysKind::NetClose,
+        8 => SysKind::Clock,
+        9 => SysKind::Random,
+        10 => SysKind::Stdout,
+        _ => return None,
+    })
 }
 
 fn encode_result(w: &mut Writer, r: &OpResult) {
@@ -1218,6 +1264,14 @@ mod tests {
             s.mechanism = m;
             let decoded = decode_sketch(&encode_sketch(&s)).unwrap();
             assert_eq!(decoded.mechanism, m);
+        }
+    }
+
+    #[test]
+    fn truncated_input_is_an_error_not_a_panic() {
+        let encoded = encode_sketch(&sample_sketch());
+        for cut in [0, 3, 5, 10, encoded.len() - 1] {
+            assert!(decode_sketch(&encoded[..cut]).is_err());
         }
     }
 

@@ -582,6 +582,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::sha256;
 
     fn frame(kind: u8, payload: &[u8]) -> Frame {
         Frame {
@@ -589,6 +590,141 @@ mod tests {
             kind,
             payload: payload.to_vec(),
         }
+    }
+
+    #[test]
+    fn frame_roundtrips_through_both_readers() {
+        let frame = frame(REQ_SUBMIT_CHUNK, b"chunk bytes");
+        let bytes = frame.encode();
+        // Blocking reader.
+        let mut cursor = &bytes[..];
+        let got = Frame::read_from(&mut cursor, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(got, frame);
+        assert!(cursor.is_empty());
+        // Incremental parser.
+        let (got, used) = Frame::parse(&bytes, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert_eq!(got, frame);
+        assert_eq!(used, bytes.len());
+    }
+
+    #[test]
+    fn oversized_frame_is_rejected_before_allocation() {
+        let mut bytes = frame(REQ_STATS, b"").encode();
+        bytes[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
+        let err = Frame::read_from(&mut &bytes[..], 1024)
+            .unwrap()
+            .unwrap_err();
+        assert!(matches!(err, ProtoError::Oversized { .. }));
+        assert!(matches!(
+            Frame::parse(&bytes, 1024).unwrap_err(),
+            ProtoError::Oversized { .. }
+        ));
+    }
+
+    #[test]
+    fn bad_magic_and_version_are_rejected() {
+        let mut bytes = frame(REQ_STATS, b"").encode();
+        bytes[0] = b'X';
+        assert!(matches!(
+            Frame::read_from(&mut &bytes[..], 1024)
+                .unwrap()
+                .unwrap_err(),
+            ProtoError::BadMagic(_)
+        ));
+        // Version 1 is gone: its header is a framing error like any other
+        // unknown version, decided from the 8-byte prefix alone.
+        for version in [1, 3, 9] {
+            let mut bytes = frame(REQ_STATS, b"").encode();
+            bytes[2] = version;
+            let err = Frame::read_from(&mut &bytes[..8], 1024)
+                .unwrap()
+                .unwrap_err();
+            assert_eq!(err, ProtoError::BadVersion(version));
+            assert_eq!(err.severity(), Severity::Framing);
+            assert_eq!(Frame::parse(&bytes[..8], 1024).unwrap_err(), err);
+        }
+    }
+
+    #[test]
+    fn truncated_stream_is_an_io_error() {
+        let bytes = frame(REQ_SUBMIT_CHUNK, b"payload").encode();
+        for cut in 0..bytes.len() {
+            assert!(
+                Frame::read_from(&mut &bytes[..cut], DEFAULT_MAX_FRAME).is_err(),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn request_and_response_roundtrip() {
+        let requests = [
+            Request::Status { job: 7 },
+            Request::Result { job: u64::MAX },
+            Request::Stats,
+            Request::Shutdown,
+        ];
+        for req in requests {
+            assert_eq!(Request::from_frame(&req.to_frame(3).unwrap()).unwrap(), req);
+        }
+        let responses = [
+            Response::Submitted {
+                job: 1,
+                sketch: sha256(b"s"),
+                fresh_object: true,
+                fresh_job: false,
+            },
+            Response::Status { status: None },
+            Response::Status {
+                status: Some(JobStatus::Running),
+            },
+            Response::Result {
+                certificate: vec![0; 64],
+            },
+            Response::Stats {
+                text: "everything is fine".into(),
+            },
+            Response::ShuttingDown,
+            Response::Error {
+                message: "unknown bug".into(),
+            },
+        ];
+        for resp in responses {
+            let frame = resp.to_frame(0xfeed).unwrap();
+            assert_eq!(frame.tag, 0xfeed);
+            assert_eq!(Response::from_frame(&frame).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn incremental_parse_handles_partial_and_back_to_back_frames() {
+        let a = Request::Stats.to_frame(1).unwrap().encode();
+        let b = Request::Status { job: 9 }.to_frame(2).unwrap().encode();
+        let mut stream = a.clone();
+        stream.extend_from_slice(&b);
+        // Every prefix short of frame A is "need more bytes".
+        for cut in 0..a.len() {
+            assert_eq!(
+                Frame::parse(&stream[..cut], DEFAULT_MAX_FRAME).unwrap(),
+                None,
+                "cut at {cut}"
+            );
+        }
+        // A complete first frame parses without touching the second.
+        let (first, used) = Frame::parse(&stream, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert_eq!(used, a.len());
+        assert_eq!(first.tag, 1);
+        let (second, used2) = Frame::parse(&stream[used..], DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(used2, b.len());
+        assert_eq!(second.tag, 2);
+        assert_eq!(
+            Request::from_frame(&second).unwrap(),
+            Request::Status { job: 9 }
+        );
     }
 
     #[test]
@@ -606,9 +742,66 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_hello_token_roundtrips() {
-        let hello = Request::Hello { token: vec![] };
-        assert_eq!(Request::from_frame(&hello.to_frame(77).unwrap()).unwrap(), hello);
+    fn streaming_requests_roundtrip_tagged() {
+        let reqs = [
+            Request::SubmitBegin {
+                bug: "pbzip-order".into(),
+            },
+            Request::SubmitChunk {
+                data: vec![7; 1000],
+            },
+            // An empty chunk is legal framing (the decoder consumes the
+            // rest, which may be nothing).
+            Request::SubmitChunk { data: vec![] },
+            Request::SubmitEnd,
+        ];
+        for req in reqs {
+            let frame = req.to_frame(41).unwrap();
+            assert_eq!(frame.tag, 41);
+            assert_eq!(Request::from_frame(&frame).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn auth_and_object_requests_and_responses_roundtrip() {
+        let requests = [
+            Request::Hello {
+                token: b"sesame".to_vec(),
+            },
+            Request::Hello { token: vec![] },
+            Request::PeerPutBegin {
+                digest: sha256(b"obj"),
+            },
+            Request::PeerGet {
+                digest: sha256(b"obj"),
+            },
+            Request::PeerStat {
+                digest: sha256(b"obj"),
+            },
+        ];
+        for req in requests {
+            let frame = req.to_frame(77).unwrap();
+            assert_eq!(frame.tag, 77);
+            assert_eq!(Request::from_frame(&frame).unwrap(), req);
+        }
+        let responses = [
+            Response::HelloOk,
+            Response::PeerPut {
+                digest: sha256(b"obj"),
+                fresh: true,
+            },
+            Response::PeerObject { body: None },
+            Response::PeerObject {
+                body: Some(vec![7; 100]),
+            },
+            Response::PeerStatIs { present: false },
+        ];
+        for resp in responses {
+            assert_eq!(
+                Response::from_frame(&resp.to_frame(77).unwrap()).unwrap(),
+                resp
+            );
+        }
     }
 
     #[test]

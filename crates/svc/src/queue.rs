@@ -854,4 +854,28 @@ mod tests {
         assert_eq!(rejoined, unfinished);
         assert!(!created);
     }
+
+    #[test]
+    fn job_status_wire_roundtrip() {
+        let statuses = [
+            JobStatus::Queued { retries: 3 },
+            JobStatus::Running,
+            JobStatus::Succeeded {
+                attempts: 42,
+                certificate: crate::digest::sha256(b"c"),
+            },
+            JobStatus::Exhausted { attempts: 1000 },
+            JobStatus::TimedOut { attempts: 12 },
+            JobStatus::Failed {
+                message: "nope".into(),
+            },
+        ];
+        for status in statuses {
+            let mut buf = Vec::new();
+            status.encode(&mut buf).unwrap();
+            let mut r = Reader::new(&buf);
+            assert_eq!(JobStatus::decode(&mut r), Ok(status));
+            assert!(r.at_end());
+        }
+    }
 }

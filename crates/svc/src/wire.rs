@@ -7,8 +7,9 @@
 //! [`pres_tvm::bytes::Reader`] (`be_u32`, `be_u64`, `be_bytes`, `be_str`,
 //! `array`), the workspace's one never-panic byte codec, so malformed
 //! input degrades into a [`pres_tvm::bytes::DecodeError`] at the call
-//! site. Its two decode rules — a varint must fit `u64`, a `u32` id is
-//! checked rather than truncated — cover the varint formats; the fields
+//! site. Its two decode rules — a varint is canonical (it fits `u64` and
+//! is not zero-padded), a `u32` id is checked rather than truncated —
+//! cover the varint formats; the fields
 //! here are fixed-width, so a `u32` is read as exactly four bytes.
 //!
 //! Length prefixes are `u32`, and the conversion from `usize` is

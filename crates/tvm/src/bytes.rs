@@ -16,9 +16,10 @@
 //!
 //! * **A varint fits `u64`.** It is at most ten bytes, and its tenth byte
 //!   may carry only the top bit (`0` or `1`); anything larger would drop
-//!   bits, and is refused as `varint overflow`. (An overlong encoding
-//!   padded with zero groups, such as `80 00` for 0, still reads as its
-//!   value.)
+//!   bits, and is refused as `varint overflow`. It is also minimal: a
+//!   last byte of 0 after the first (`80 00` for 0) would give one value
+//!   two encodings, and is refused as `overlong varint`. The [`Writer`]
+//!   never emits either.
 //! * **An id that is a `u32` is checked as one.** [`Reader::varint_u32`]
 //!   refuses a value above `u32::MAX` as `<what> out of range` instead of
 //!   truncating it.
@@ -166,8 +167,20 @@ impl<'a> Reader<'a> {
     /// Reads an LEB128 varint that fits `u64` (see the module docs).
     #[inline]
     pub fn varint(&mut self) -> Result<u64, DecodeError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
+        let b = self.u8()?;
+        if b & 0x80 == 0 {
+            return Ok(u64::from(b));
+        }
+        self.varint_tail(b)
+    }
+
+    /// Reads the rest of a varint whose first byte, `first`, has its
+    /// continuation bit set. Out of line, so that the one-byte case every
+    /// caller inlines stays small.
+    #[inline(never)]
+    fn varint_tail(&mut self, first: u8) -> Result<u64, DecodeError> {
+        let mut v = u64::from(first & 0x7f);
+        let mut shift = 7u32;
         loop {
             let b = self.u8()?;
             if shift >= 63 && b > 1 {
@@ -175,6 +188,9 @@ impl<'a> Reader<'a> {
             }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
+                if b == 0 {
+                    return Err(self.err("overlong varint"));
+                }
                 return Ok(v);
             }
             shift += 7;
@@ -321,6 +337,14 @@ mod tests {
             let got = error(Reader::new(&bytes).varint());
             assert_eq!(got, (10, "varint overflow".into()), "tenth byte {tenth:#04x}");
         }
+        bytes[9] = 0x00;
+        assert_eq!(error(Reader::new(&bytes).varint()), (10, "overlong varint".into()));
+        for overlong in [&[0x80, 0x00][..], &[0x81, 0x80, 0x00], &[0xff, 0x00]] {
+            let got = error(Reader::new(overlong).varint());
+            assert_eq!(got, (overlong.len(), "overlong varint".into()), "{overlong:02x?}");
+        }
+        assert_eq!(Reader::new(&[0x00]).varint(), Ok(0));
+        assert_eq!(Reader::new(&[0x80, 0x01]).varint(), Ok(128));
     }
 
     #[test]

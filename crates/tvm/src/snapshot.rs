@@ -26,7 +26,7 @@
 //! accepts trailing bytes, and bounds every collection count against the
 //! remaining input, so corrupt or truncated snapshots fail fast with an
 //! offset-carrying [`DecodeError`]. The codec's two decode rules apply: a
-//! varint must fit `u64` (a tenth byte above 1 is refused), and the
+//! varint is canonical (it fits `u64` and is not zero-padded), and the
 //! header's thread count is a checked `u32`.
 
 use crate::bytes::{DecodeError, Reader, Writer};
@@ -314,6 +314,32 @@ mod tests {
                 "truncation at {cut} must not decode"
             );
         }
+    }
+
+    #[test]
+    fn bit_flips_never_panic() {
+        let bytes = sample().encode();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 1 << bit;
+                // Must return (Ok for benign flips in e.g. stats values,
+                // Err for structural damage) — never panic.
+                let _ = VmSnapshot::decode(&corrupt);
+            }
+        }
+    }
+
+    #[test]
+    fn varint_overflow_is_an_error_not_a_panic() {
+        let mut e = Writer::new();
+        e.u8(SNAPSHOT_VERSION);
+        // 11-byte varint: overflows u64.
+        for _ in 0..10 {
+            e.u8(0xff);
+        }
+        e.u8(0x7f);
+        assert!(VmSnapshot::decode(&e.finish()).is_err());
     }
 
     #[test]

@@ -269,7 +269,8 @@ fn forged(version: u8, seed: &[u8], processors: u64, body: &[u64]) -> Vec<u8> {
 }
 
 /// The codec's two decode rules at container level: a varint whose tenth
-/// byte would drop bits, and a `u32` field above `u32::MAX`, are refused
+/// byte would drop bits, an overlong (zero-padded) varint, and a `u32`
+/// field above `u32::MAX`, are refused
 /// at the same offset with the same message by both decoders, where the
 /// honest container beside each one decodes.
 #[test]
@@ -292,6 +293,8 @@ fn overflowing_varints_and_ids_above_u32_are_refused_by_both_decoders() {
 
     let cases = [
         (forged(2, &seed(3), 7, &empty), 18, "varint overflow"),
+        (forged(2, &seed(0), 7, &empty), 18, "overlong varint"),
+        (forged(2, &[0x84, 0x00], 7, &empty), 10, "overlong varint"),
         (forged(2, &[0], (1 << 32) + 7, &empty), 14, "processor count out of range"),
         (forged(1, &[0], 0, &v1(1 << 32)), 18, "thread id out of range"),
         (forged(2, &[0], 0, &fd((1 << 32) + 3)), 24, "fd id out of range"),
