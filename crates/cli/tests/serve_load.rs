@@ -110,8 +110,9 @@ impl Daemon {
             .expect("VmHWM in /proc status")
     }
 
-    /// `(journal_records, journal_syncs)` from the daemon's STATS.
-    fn journal_counts(&self) -> (u64, u64) {
+    /// `(journal_records, journal_syncs, journal_hold_us)` from the
+    /// daemon's STATS.
+    fn journal_counts(&self) -> (u64, u64, u64) {
         let stats = Client::connect(&self.addr).unwrap().stats().unwrap();
         let stat = |key: &str| -> u64 {
             stats
@@ -119,7 +120,11 @@ impl Daemon {
                 .find_map(|l| l.strip_prefix(key)?.trim().parse().ok())
                 .unwrap_or_else(|| panic!("no {key} in STATS:\n{stats}"))
         };
-        (stat("journal_records "), stat("journal_syncs "))
+        (
+            stat("journal_records "),
+            stat("journal_syncs "),
+            stat("journal_hold_us "),
+        )
     }
 
     fn shutdown(mut self) {
@@ -255,8 +260,8 @@ fn grouped_commit_covers_four_records_per_sync() {
     let _serial = one_at_a_time();
     let daemon = Daemon::start("grouped", GROUPED);
     pipelined_submits(&daemon.addr);
-    let (records, syncs) = daemon.journal_counts();
-    println!("grouped journal: {syncs} syncs for {records} records");
+    let (records, syncs, hold_us) = daemon.journal_counts();
+    println!("grouped journal: {syncs} syncs for {records} records, {hold_us} us held");
     assert!(
         syncs * 4 <= records,
         "grouped journal did not batch: {syncs} syncs for {records} records"
@@ -275,6 +280,8 @@ fn grouped_commit_acks_one_and_a_half_times_per_record_syncing() {
     let acks_per_s = |tag: &str, flags: &[&str]| {
         let daemon = Daemon::start(tag, flags);
         let rate = pipelined_submits(&daemon.addr);
+        let (records, syncs, hold_us) = daemon.journal_counts();
+        println!("{tag}: {syncs} syncs for {records} records, {hold_us} us held");
         daemon.shutdown();
         rate
     };

@@ -143,10 +143,10 @@ fn start_daemon(opts: &Options) -> Result<Daemon, String> {
             "2",
             "--log-interval-secs",
             "0",
-            // Group commit explicitly on, with a hold wide enough that
-            // SIGKILLs land inside open commit windows — the torture
-            // audit must hold for batched cohorts, not just per-record
-            // syncs.
+            // Group commit explicitly on, with a hold cap wide enough
+            // that SIGKILLs land while a leader waits for entering
+            // appenders — the torture audit must hold for batched
+            // cohorts, not just per-record syncs.
             "--journal-batch",
             "64",
             "--journal-batch-usecs",
