@@ -146,6 +146,7 @@ fn sys_kind_from(code: u8) -> Option<SysKind> {
     })
 }
 
+#[inline(always)]
 fn encode_result(w: &mut Writer, r: &OpResult) {
     match r {
         OpResult::Unit => w.u8(RES_UNIT),
@@ -186,7 +187,7 @@ fn encode_result(w: &mut Writer, r: &OpResult) {
 /// Reads one syscall result. With `keep == false` byte payloads are
 /// validated and skipped without allocating (the returned result then
 /// carries empty bytes); every error is the same either way.
-#[inline]
+#[inline(always)]
 fn decode_result(r: &mut Reader<'_>, keep: bool) -> Result<OpResult, DecodeError> {
     let payload = |r: &mut Reader<'_>| {
         r.bytes()
@@ -380,6 +381,7 @@ const CODE_FUNC: u8 = 8;
 const CODE_BB: u8 = 9;
 const CODE_SYNC_BASE: u8 = 10; // + sync_kind_code: 10..=25
 const CODE_SYS_BASE: u8 = 26; // + sys_kind_code: 26..=36
+const CODE_END: u8 = 37; // one past the last code; every code below it is valid
 
 /// Operand delta folded into the code byte's top two bits.
 const FLAG_SHIFT: u32 = 6;
@@ -449,7 +451,7 @@ fn code_group(code: u8) -> Option<usize> {
         CODE_FUNC => Some(GROUP_FUNC),
         CODE_BB => Some(GROUP_BB),
         c if (CODE_SYNC_BASE..CODE_SYS_BASE).contains(&c) => Some(GROUP_SYNC),
-        c if (CODE_SYS_BASE..=CODE_SYS_BASE + 10).contains(&c) => Some(GROUP_SYS),
+        c if (CODE_SYS_BASE..CODE_END).contains(&c) => Some(GROUP_SYS),
         _ => None,
     }
 }
@@ -475,7 +477,7 @@ fn op_from_code(code: u8, operand: u32) -> Option<SketchOp> {
             kind: sync_kind_from(c - CODE_SYNC_BASE)?,
             obj: operand,
         },
-        c if (CODE_SYS_BASE..=CODE_SYS_BASE + 10).contains(&c) => SketchOp::Sys {
+        c if (CODE_SYS_BASE..CODE_END).contains(&c) => SketchOp::Sys {
             kind: sys_kind_from(c - CODE_SYS_BASE)?,
             obj: operand,
         },
@@ -579,101 +581,147 @@ fn decode_checkpoint(r: &mut Reader<'_>) -> Result<SketchCheckpoint, DecodeError
 
 /// Writes everything after the header of a v2/v3 container: entry count,
 /// thread directory, interleave stream, and per-thread column blocks.
+///
+/// One pass over the entries feeds each thread's [`ColumnWriter`] and
+/// notes the cross-thread order as same-thread runs, from which the
+/// interleave encodings' lengths follow in closed form.
 fn encode_body_v2(w: &mut Writer, sketch: &Sketch) {
-    w.varint(sketch.entries.len() as u64);
+    let (entries, n) = (&sketch.entries, sketch.entries.len());
+    // Threads take slots in first-seen order: `table` keeps slot + 1 (0:
+    // unseen) for a tid below the entry count, `large` for the larger
+    // tids, sorted and deduplicated when the first turns up. Memory is
+    // O(entries), never O(largest tid).
+    let (mut table, mut large) = (Vec::<u32>::new(), Vec::<(u32, u32)>::new());
+    // Per slot: tid, runs, column. Same-thread runs as (slot, first
+    // position), and the varint bytes their lengths take.
+    let mut cols: Vec<(u32, u64, ColumnWriter)> = Vec::new();
+    let (mut runs, mut run_bytes) = (Vec::<(u32, u32)>::new(), 0);
+    let (mut run_tid, mut slot) = (None, 0);
+    for (pos, e) in entries.iter().enumerate() {
+        let tid = e.tid.0;
+        if run_tid != Some(tid) {
+            if tid as usize >= n && large.is_empty() {
+                let larger = entries.iter().filter(|e| e.tid.0 as usize >= n);
+                large = larger.map(|e| (e.tid.0, 0)).collect();
+                large.sort_unstable();
+                large.dedup();
+            } else if (table.len()..n).contains(&(tid as usize)) {
+                table.resize(tid as usize + 1, 0);
+            }
+            let k = large.partition_point(|&(l, _)| l < tid);
+            let cell = match table.get_mut(tid as usize) {
+                Some(cell) => cell,
+                None => &mut large[k].1,
+            };
+            if *cell == 0 {
+                cols.push((tid, 0, ColumnWriter::default()));
+                *cell = cols.len() as u32;
+            }
+            run_bytes += runs
+                .last()
+                .map_or(0, |r| varint_size((pos - r.1 as usize) as u64));
+            (run_tid, slot) = (Some(tid), *cell as usize - 1);
+            cols[slot].1 += 1;
+            runs.push((slot as u32, pos as u32));
+        }
+        cols[slot].2.push(&e.op, &e.result);
+    }
+    run_bytes += runs
+        .last()
+        .map_or(0, |r| varint_size((n - r.1 as usize) as u64));
 
-    // Thread directory: ascending tids, delta-encoded. Per-thread entry
-    // counts are *not* stored — the decoder recovers them by counting the
-    // interleave stream.
-    let mut by_tid: std::collections::BTreeMap<u32, Vec<&SketchEntry>> =
-        std::collections::BTreeMap::new();
-    for e in &sketch.entries {
-        by_tid.entry(e.tid.0).or_default().push(e);
+    // Thread directory: ascending tids, delta-encoded; a thread's rank is
+    // its interleave index and places its column. Per-thread entry counts
+    // are *not* stored — the decoder counts the interleave stream, which
+    // is plain index varints, (index, length) run pairs, or (for ≤16
+    // threads) two indices nibble-packed per byte, whichever is smallest,
+    // a tie going to the lowest flag.
+    let mut order: Vec<usize> = (0..cols.len()).collect();
+    order.sort_unstable_by_key(|&s| cols[s].0);
+    let mut index = vec![0; cols.len()];
+    let mut len = [
+        0,
+        varint_size(runs.len() as u64) + run_bytes,
+        n.div_ceil(2) as u64,
+    ];
+    w.varint(n as u64);
+    w.varint(cols.len() as u64);
+    let mut next = 0;
+    for (i, &s) in order.iter().enumerate() {
+        let (tid, thread_runs, col) = &cols[s];
+        let size = varint_size(i as u64);
+        index[s] = i as u64;
+        len[0] += col.entries * size;
+        len[1] += thread_runs * size;
+        w.varint(u64::from(*tid) - next);
+        next = u64::from(*tid) + 1;
     }
-    w.varint(by_tid.len() as u64);
-    let mut prev_tid: Option<u32> = None;
-    for &tid in by_tid.keys() {
-        match prev_tid {
-            None => w.varint(u64::from(tid)),
-            Some(p) => w.varint(u64::from(tid - p - 1)),
-        }
-        prev_tid = Some(tid);
+    if cols.len() > 16 {
+        len[2] = u64::MAX;
     }
-    let index_of: std::collections::BTreeMap<u32, usize> = by_tid
-        .keys()
-        .enumerate()
-        .map(|(i, &tid)| (tid, i))
-        .collect();
-
-    // Interleave stream: the cross-thread order as thread indices. Three
-    // encodings — plain varints, run-length pairs, and (for ≤16 threads)
-    // two indices nibble-packed per byte; the smallest wins.
-    let indices: Vec<usize> = sketch
-        .entries
-        .iter()
-        .map(|e| index_of[&e.tid.0])
-        .collect();
-    let mut plain = Writer::new();
-    let mut runs: Vec<(usize, u64)> = Vec::new();
-    for &idx in &indices {
-        plain.varint(idx as u64);
-        match runs.last_mut() {
-            Some((last, len)) if *last == idx => *len += 1,
-            _ => runs.push((idx, 1)),
-        }
-    }
-    let mut rle = Writer::new();
-    rle.varint(runs.len() as u64);
-    for (idx, len) in &runs {
-        rle.varint(*idx as u64);
-        rle.varint(*len);
-    }
-    let nibble = if by_tid.len() <= 16 {
-        let mut nw = Writer::new();
-        for pair in indices.chunks(2) {
-            let lo = pair[0] as u8;
-            let hi = if pair.len() == 2 { pair[1] as u8 } else { 0 };
-            nw.u8(lo | (hi << 4));
-        }
-        Some(nw)
-    } else {
-        None
-    };
-    let mut candidates: Vec<(u8, Writer)> = vec![(0, plain), (1, rle)];
-    if let Some(nw) = nibble {
-        candidates.push((2, nw));
-    }
-    let (flag, body) = candidates
-        .into_iter()
-        .min_by_key(|(flag, body)| (body.len(), *flag))
-        .expect("candidates is non-empty");
+    let flag = (0..3).min_by_key(|&f| (len[f as usize], f)).unwrap_or(0);
+    let columns: usize = cols.iter().map(|c| c.2.w.len()).sum();
+    w.reserve(1 + len[flag as usize] as usize + columns);
     w.u8(flag);
-    w.raw(&body.finish());
+    if flag == 1 {
+        w.varint(runs.len() as u64);
+    }
+    let ends = runs.iter().skip(1).map(|r| r.1).chain([n as u32]);
+    let mut half = None; // the nibble stream's pending low half
+    for (&(s, start), end) in runs.iter().zip(ends) {
+        let (i, run) = (index[s as usize], end - start);
+        match flag {
+            0 => (0..run).for_each(|_| w.varint(i)),
+            1 => {
+                w.varint(i);
+                w.varint(u64::from(run));
+            }
+            _ => (0..run).for_each(|_| match half.take() {
+                None => half = Some(i as u8),
+                Some(lo) => w.u8(lo | (i as u8) << 4),
+            }),
+        }
+    }
+    if let Some(lo) = half {
+        w.u8(lo);
+    }
+    for s in order {
+        w.raw(&std::mem::take(&mut cols[s].2.w).finish());
+    }
+}
 
-    // Column blocks: per thread, dictionary code + operand delta (+ result
-    // for syscalls, which replay must reproduce verbatim).
-    for col in by_tid.values() {
-        let mut prevs = [0i64; GROUPS];
-        for e in col {
-            let (code, operand) = op_code(&e.op);
-            match operand {
-                Some((group, value)) => {
-                    let delta = i64::from(value) - prevs[group];
-                    prevs[group] = i64::from(value);
-                    match delta {
-                        0 => w.u8(code | (FLAG_DELTA_ZERO << FLAG_SHIFT)),
-                        1 => w.u8(code | (FLAG_DELTA_ONE << FLAG_SHIFT)),
-                        _ => {
-                            w.u8(code);
-                            w.varint(zigzag(delta));
-                        }
-                    }
-                }
-                None => w.u8(code),
-            }
-            if matches!(e.op, SketchOp::Sys { .. }) {
-                encode_result(w, &e.result);
-            }
+/// One thread's v2 column block, written as its entries arrive: the
+/// dictionary code with its delta flag, the zigzag operand delta against
+/// the previous operand of the same group when no flag covers it, and a
+/// syscall's result, which replay must reproduce verbatim.
+#[derive(Default)]
+struct ColumnWriter {
+    w: Writer,
+    prevs: [i64; GROUPS],
+    entries: u64,
+}
+
+impl ColumnWriter {
+    /// Appends the thread's next entry.
+    #[inline]
+    fn push(&mut self, op: &SketchOp, result: &OpResult) {
+        self.entries += 1;
+        let (code, operand) = op_code(op);
+        let Some((group, v)) = operand else {
+            return self.w.u8(code);
+        };
+        let delta = i64::from(v) - std::mem::replace(&mut self.prevs[group], i64::from(v));
+        let flag = match delta {
+            0 => FLAG_DELTA_ZERO,
+            1 => FLAG_DELTA_ONE,
+            _ => FLAG_VARINT,
+        };
+        self.w.u8(code | (flag << FLAG_SHIFT));
+        if flag == FLAG_VARINT {
+            self.w.varint(zigzag(delta));
+        }
+        if matches!(op, SketchOp::Sys { .. }) {
+            encode_result(&mut self.w, result);
         }
     }
 }
@@ -723,8 +771,10 @@ trait BodySink {
     /// and skipped without allocating).
     const KEEPS_RESULTS: bool;
 
-    /// Thread `tid`'s next entry, at global position `pos`.
-    fn entry(&mut self, pos: u32, tid: u32, op: SketchOp, result: OpResult);
+    /// Thread `tid`'s next entry, at global position `pos`: its op as a
+    /// dictionary code below `CODE_END` and its operand (0 for the
+    /// operand-free codes).
+    fn entry(&mut self, pos: u32, tid: u32, code: u8, operand: u32, result: OpResult);
 }
 
 /// Materialises entries straight into their global positions. The
@@ -747,16 +797,22 @@ impl BodySink for EntrySink {
     const KEEPS_RESULTS: bool = true;
 
     #[inline]
-    fn entry(&mut self, pos: u32, tid: u32, op: SketchOp, result: OpResult) {
-        self.0[pos as usize] = SketchEntry {
-            tid: ThreadId(tid),
-            op,
-            result,
-        };
+    fn entry(&mut self, pos: u32, tid: u32, code: u8, operand: u32, result: OpResult) {
+        // `walk_body` refused every code without an op, so this always
+        // writes; an `expect` here slows the decode loop measurably.
+        if let Some(op) = op_from_code(code, operand) {
+            self.0[pos as usize] = SketchEntry {
+                tid: ThreadId(tid),
+                op,
+                result,
+            };
+        }
     }
 }
 
-/// Interns every op, column by column — the index's op columns.
+/// Interns every op, column by column — the index's op columns. The
+/// dictionary is keyed on the raw (code, operand) pair, so a
+/// [`SketchOp`] is built only the first time an op is seen.
 struct IndexSink {
     dict: OpDict,
     ids: Vec<u32>,
@@ -775,8 +831,11 @@ impl BodySink for IndexSink {
     const KEEPS_RESULTS: bool = false;
 
     #[inline]
-    fn entry(&mut self, _pos: u32, _tid: u32, op: SketchOp, _result: OpResult) {
-        let id = self.dict.id(&op);
+    fn entry(&mut self, _pos: u32, _tid: u32, code: u8, operand: u32, _result: OpResult) {
+        let key = u64::from(code) << 32 | u64::from(operand);
+        let id = self.dict.intern(key, || {
+            op_from_code(code, operand).expect("walk_body checked the code")
+        });
         self.ids.push(id);
     }
 }
@@ -785,7 +844,7 @@ impl BodySink for IndexSink {
 impl BodySink for () {
     const KEEPS_RESULTS: bool = false;
 
-    fn entry(&mut self, _pos: u32, _tid: u32, _op: SketchOp, _result: OpResult) {}
+    fn entry(&mut self, _pos: u32, _tid: u32, _code: u8, _operand: u32, _result: OpResult) {}
 }
 
 /// What [`walk_body`] recovers besides the entries: the thread directory,
@@ -897,14 +956,15 @@ fn walk_body<S: BodySink>(
                     0
                 }
             };
-            let op = op_from_code(code, operand)
-                .ok_or_else(|| r.err(format!("unknown op code {code}")))?;
-            let result = if matches!(op, SketchOp::Sys { .. }) {
+            if code >= CODE_END {
+                return Err(r.err(format!("unknown op code {code}")));
+            }
+            let result = if code >= CODE_SYS_BASE {
                 decode_result(r, S::KEEPS_RESULTS)?
             } else {
                 OpResult::Unit
             };
-            sink.entry(pos, tid, op, result);
+            sink.entry(pos, tid, code, operand, result);
         }
         shards.push(V2Shard {
             tid,
@@ -1129,13 +1189,10 @@ fn decode_version(r: &mut Reader<'_>) -> Result<u8, DecodeError> {
     r.u8()
 }
 
-/// The number of bytes a value occupies as a LEB128 varint.
+/// The number of bytes a value occupies as a LEB128 varint: one per
+/// started group of 7 significant bits, and one for zero.
 fn varint_size(v: u64) -> u64 {
-    if v == 0 {
-        1
-    } else {
-        u64::from((64 - v.leading_zeros()).div_ceil(7))
-    }
+    u64::from((64 + 6 - (v | 1).leading_zeros()) / 7)
 }
 
 /// The number of bytes [`encode_result`] writes for a result.
@@ -1676,5 +1733,109 @@ mod tests {
         let encoded = v1_bytes(&sketch);
         assert_eq!(v2_layout(&encoded).expect("valid container"), None);
         assert!(v2_layout(b"garbage").is_err());
+    }
+
+    /// The three interleave encodings of `indices` (each entry's thread
+    /// index), built the long way: `(length, flag, bytes)`, nibble only
+    /// for at most 16 threads.
+    fn interleave_candidates(indices: &[u64], threads: usize) -> Vec<(usize, u8, Vec<u8>)> {
+        let mut plain = Writer::new();
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for &i in indices {
+            plain.varint(i);
+            match runs.last_mut() {
+                Some((last, len)) if *last == i => *len += 1,
+                _ => runs.push((i, 1)),
+            }
+        }
+        let mut rle = Writer::new();
+        rle.varint(runs.len() as u64);
+        for (i, len) in runs {
+            rle.varint(i);
+            rle.varint(len);
+        }
+        let mut out = vec![(plain.len(), 0, plain.finish()), (rle.len(), 1, rle.finish())];
+        if threads <= 16 {
+            let mut nibble = Writer::new();
+            for pair in indices.chunks(2) {
+                nibble.u8(pair[0] as u8 | (pair.get(1).map_or(0, |&hi| hi as u8) << 4));
+            }
+            out.push((nibble.len(), 2, nibble.finish()));
+        }
+        out
+    }
+
+    #[test]
+    fn interleave_selector_takes_the_smallest_encoding_and_the_lowest_flag_on_a_tie() {
+        let runs = |spec: &[(u32, usize)]| -> Vec<u32> {
+            spec.iter()
+                .flat_map(|&(t, len)| std::iter::repeat_n(t, len))
+                .collect()
+        };
+        let mut plain_eq_rle: Vec<(u32, usize)> = (0..16).map(|t| (t, 2)).collect();
+        plain_eq_rle.push((16, 3));
+        // 150 runs, so the run count's varint takes two bytes.
+        let many_runs: Vec<(u32, usize)> =
+            (0..150).map(|k| (k % 17, if k < 2 { 3 } else { 2 })).collect();
+        let pairs = |threads: u32| runs(&(0..threads).map(|t| (t, 2)).collect::<Vec<_>>());
+        // One run long enough for a two-byte length, then 124 single
+        // entries over 17 other threads.
+        let mut long_run = vec![(0, 128)];
+        long_run.extend((0..124).map(|k| (1 + k % 17, 1)));
+        // (case, every entry's thread index — its tid's rank —, expected flag)
+        let cases: Vec<(&str, Vec<u32>, u8)> = vec![
+            ("empty", vec![], 0),
+            ("plain = nibble < rle", vec![0], 0),
+            ("rle = nibble < plain", runs(&[(0, 5), (1, 5)]), 1),
+            ("plain = rle, 17 threads", runs(&plain_eq_rle), 0),
+            ("16 threads alternating", (0..64).map(|i| i % 16).collect(), 2),
+            ("17 threads alternating", (0..68).map(|i| i % 17).collect(), 0),
+            ("runs of 300", runs(&[(0, 300), (1, 300), (0, 1)]), 1),
+            ("plain = rle, 150 runs", runs(&many_runs), 0),
+            ("plain = rle, a run of 128", runs(&long_run), 0),
+            ("plain = rle, 130 threads", pairs(130), 0),
+            ("200 threads in runs of 2", pairs(200), 1),
+            ("200 threads alternating", (0..400).map(|i| i % 200).collect(), 0),
+        ];
+        for (case, slots, flag) in cases {
+            // Tids far from their indices and first seen out of order, so
+            // the encoder must rank them.
+            let tid = |slot: u32| 1_000 * (slot + 1) + slot % 7;
+            let mut entries: Vec<SketchEntry> = slots
+                .iter()
+                .enumerate()
+                .map(|(k, &slot)| entry(tid(slot), SketchOp::Bb(k as u32)))
+                .collect();
+            entries.reverse();
+            let mut indices: Vec<u64> = slots.iter().map(|&slot| u64::from(slot)).collect();
+            indices.reverse();
+            let threads = slots.iter().max().map_or(0, |&m| m as usize + 1);
+            let sketch = Sketch {
+                mechanism: Mechanism::Bb,
+                entries,
+                meta: SketchMeta::default(),
+                checkpoint: None,
+            };
+            let bytes = encode_sketch_v2(&sketch);
+            assert_eq!(decode_sketch(&bytes).unwrap(), sketch, "{case}");
+
+            let mut prefix = Writer::new();
+            encode_header(&mut prefix, &sketch, VERSION_V2);
+            prefix.varint(indices.len() as u64);
+            prefix.varint(threads as u64);
+            for slot in 0..threads as u32 {
+                let prev = slot.checked_sub(1).map_or(0, |p| tid(p) + 1);
+                prefix.varint(u64::from(tid(slot) - prev));
+            }
+            let at = prefix.len();
+            assert_eq!(bytes[..at], prefix.finish()[..], "{case}: directory");
+            let (_, best, body) = interleave_candidates(&indices, threads)
+                .into_iter()
+                .min_by_key(|&(len, flag, _)| (len, flag))
+                .unwrap();
+            assert_eq!(best, flag, "{case}: the tie the case is built for");
+            assert_eq!(bytes[at], best, "{case}: selector");
+            assert_eq!(bytes[at + 1..at + 1 + body.len()], body[..], "{case}: stream");
+        }
     }
 }

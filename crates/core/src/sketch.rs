@@ -829,13 +829,22 @@ impl OpDict {
         }
     }
 
-    /// The id of `op`, adding it on first sight. Inlined into both index
-    /// builders' per-entry loops.
+    /// The id of `op`, adding it on first sight.
     #[inline(always)]
     pub(crate) fn id(&mut self, op: &SketchOp) -> u32 {
+        self.intern(op_key(op), || op.clone())
+    }
+
+    /// The id of the op under `key`, adding `make()` on first sight. A
+    /// dictionary must take all its keys from one injective scheme: the
+    /// recorded op's `op_key` here, or a container's (code, operand)
+    /// pair in `codec`'s index sink. Inlined into both index builders'
+    /// per-entry loops.
+    #[inline(always)]
+    pub(crate) fn intern(&mut self, key: u64, make: impl FnOnce() -> SketchOp) -> u32 {
         let ops = &mut self.ops;
-        self.interned.get_or_insert_with(op_key(op), || {
-            ops.push(op.clone());
+        self.interned.get_or_insert_with(key, || {
+            ops.push(make());
             ops.len() as u32 - 1
         })
     }
@@ -959,7 +968,8 @@ struct Interner {
 /// Direct-mapped cache slots (a power of two).
 const CACHE_SLOTS: usize = 1024;
 /// An empty cache slot. No key is `u64::MAX`: tids are `u32`, op keys
-/// carry a tag below 48.
+/// carry a tag below 48 (a container's op code, below 64) above the
+/// operand.
 const VACANT: u64 = u64::MAX;
 
 impl Interner {

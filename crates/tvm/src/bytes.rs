@@ -108,6 +108,12 @@ impl Writer {
         self.bytes(&body.buf);
     }
 
+    /// Makes room for at least `additional` more bytes, so a writer that
+    /// knows its final size grows once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Consumes the writer and returns the bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

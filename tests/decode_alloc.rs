@@ -8,11 +8,15 @@
 //! runs) and `Frame::parse` + `{Request,Response}::from_frame`. No decode
 //! may panic, or ask the allocator for more than `16 × len + 64 KiB`
 //! bytes in all, `len` being the bytes it was given.
+//!
+//! The same counting allocator bounds the encoder: a sketch with sparse
+//! thread ids encodes in memory proportional to its entries, never to its
+//! largest thread id.
 
 mod common;
 
-use pres_core::codec::{decode_index, decode_sketch};
-use pres_core::sketch::Mechanism;
+use pres_core::codec::{decode_index, decode_sketch, encode_sketch};
+use pres_core::sketch::{Mechanism, Sketch, SketchEntry, SketchMeta, SketchOp};
 use pres_core::{Certificate, Pres};
 use pres_suite::apps::all_bugs;
 use pres_svc::crc::crc32;
@@ -20,6 +24,8 @@ use pres_svc::journal::{Journal, Record, MAGIC};
 use pres_svc::proto::{Frame, Request, Response, DEFAULT_MAX_FRAME};
 use pres_svc::{sha256, JobStatus};
 use pres_tvm::bytes::Writer;
+use pres_tvm::ids::ThreadId;
+use pres_tvm::op::OpResult;
 use pres_tvm::rng::ChaCha8Rng;
 use pres_tvm::snapshot::VmSnapshot;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -253,4 +259,34 @@ fn hostile_bytes_never_panic_a_decoder_or_ask_for_unbounded_memory() {
             }
         });
     }
+}
+
+#[test]
+fn sparse_thread_ids_encode_in_memory_proportional_to_the_entries() {
+    // Runs of 50 entries cycling over tids {0, 7, u32::MAX - 1}: a table
+    // indexed by the largest tid would ask for 16 GiB.
+    let tids = [0, 7, u32::MAX - 1];
+    let entries: Vec<SketchEntry> = (0..3_000u32)
+        .map(|k| SketchEntry {
+            tid: ThreadId(tids[(k / 50) as usize % tids.len()]),
+            op: SketchOp::Bb(k),
+            result: OpResult::Unit,
+        })
+        .collect();
+    let sketch = Sketch {
+        mechanism: Mechanism::Bb,
+        entries,
+        meta: SketchMeta::default(),
+        checkpoint: None,
+    };
+    REQUESTED.with(|r| r.set(0));
+    let bytes = encode_sketch(&sketch);
+    let requested = REQUESTED.with(Cell::get);
+    assert_eq!(decode_sketch(&bytes).unwrap(), sketch);
+    let bound = 16 * bytes.len();
+    assert!(
+        requested <= bound,
+        "{requested} bytes requested to encode a {}-byte container (bound {bound})",
+        bytes.len()
+    );
 }
