@@ -5,7 +5,10 @@
 //! Driven by the workspace's own deterministic generator so the cases are
 //! reproducible by construction and the suite builds offline.
 
+mod common;
+
 use pres_suite::svc::digest::{sha256, Digest};
+use pres_suite::svc::journal::{Journal, Record};
 use pres_suite::svc::proto::{
     Frame, ProtoError, Request, Response, Severity, DEFAULT_MAX_FRAME, VERSION,
 };
@@ -272,6 +275,76 @@ fn the_wire_bytes_of_a_tagged_status_exchange_are_pinned() {
             0, 0, 0, 0, 3, // Queued, retries 3
         ]
     );
+}
+
+#[test]
+fn every_message_status_and_journal_record_is_pinned_byte_for_byte() {
+    // Literal hex; spaces only group fields. A frame is `5053 02 kind`,
+    // payload length, tag 01020304, payload. D is the digest 00 01 .. 1f.
+    const D: &str = "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f";
+    let d = Digest(std::array::from_fn(|i| i as u8));
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let pin = |bytes: &[u8], pin: &str| assert_eq!(hex(bytes), pin.replace(' ', ""));
+    let request = |r: Request| r.to_frame(0x0102_0304).unwrap().encode();
+    let response = |r: Response| r.to_frame(0x0102_0304).unwrap().encode();
+    let status = |s: Option<JobStatus>| response(Response::Status { status: s });
+
+    let bug = || "ab".to_string();
+    pin(&request(Request::SubmitBegin { bug: bug() }), "50530206 00000006 01020304 00000002 6162");
+    pin(&request(Request::SubmitChunk { data: vec![1, 2, 3] }), "50530207 00000003 01020304 010203");
+    pin(&request(Request::SubmitEnd), "50530208 00000000 01020304");
+    pin(&request(Request::Status { job: 7 }), "50530202 00000008 01020304 0000000000000007");
+    pin(&request(Request::Result { job: 0x0102_0304_0506_0708 }), "50530203 00000008 01020304 0102030405060708");
+    pin(&request(Request::Stats), "50530204 00000000 01020304");
+    pin(&request(Request::Shutdown), "50530205 00000000 01020304");
+    pin(&request(Request::Hello { token: vec![0xaa, 0xbb] }), "50530209 00000006 01020304 00000002 aabb");
+    pin(&request(Request::PeerPutBegin { digest: d }), &format!("5053020a 00000020 01020304 {D}"));
+    pin(&request(Request::PeerGet { digest: d }), &format!("5053020b 00000020 01020304 {D}"));
+    pin(&request(Request::PeerStat { digest: d }), &format!("5053020c 00000020 01020304 {D}"));
+
+    let submitted = |fresh_object, fresh_job| {
+        response(Response::Submitted { job: 5, sketch: d, fresh_object, fresh_job })
+    };
+    pin(&submitted(true, false), &format!("50530281 0000002a 01020304 0000000000000005 {D} 01 00"));
+    pin(&submitted(false, true), &format!("50530281 0000002a 01020304 0000000000000005 {D} 00 01"));
+    pin(&status(None), "50530282 00000001 01020304 00");
+    pin(&status(Some(JobStatus::Queued { retries: 3 })), "50530282 00000006 01020304 01 00 00000003");
+    pin(&status(Some(JobStatus::Running)), "50530282 00000002 01020304 01 01");
+    let succeeded = JobStatus::Succeeded { attempts: 4, certificate: d };
+    pin(&status(Some(succeeded.clone())), &format!("50530282 00000026 01020304 01 02 00000004 {D}"));
+    pin(&status(Some(JobStatus::Exhausted { attempts: 5 })), "50530282 00000006 01020304 01 03 00000005");
+    pin(&status(Some(JobStatus::TimedOut { attempts: 6 })), "50530282 00000006 01020304 01 04 00000006");
+    let failed = JobStatus::Failed { message: "no".into() };
+    pin(&status(Some(failed.clone())), "50530282 00000008 01020304 01 05 00000002 6e6f");
+    pin(&response(Response::Result { certificate: vec![1, 2] }), "50530283 00000006 01020304 00000002 0102");
+    pin(&response(Response::Stats { text: "x=1".into() }), "50530284 00000007 01020304 00000003 783d31");
+    pin(&response(Response::ShuttingDown), "50530285 00000000 01020304");
+    pin(&response(Response::HelloOk), "50530286 00000000 01020304");
+    pin(&response(Response::PeerPut { digest: d, fresh: true }), &format!("50530287 00000021 01020304 {D} 01"));
+    pin(&response(Response::PeerPut { digest: d, fresh: false }), &format!("50530287 00000021 01020304 {D} 00"));
+    pin(&response(Response::PeerObject { body: None }), "50530288 00000001 01020304 00");
+    pin(&response(Response::PeerObject { body: Some(vec![7]) }), "50530288 00000006 01020304 01 00000001 07");
+    pin(&response(Response::PeerStatIs { present: true }), "50530289 00000001 01020304 01");
+    pin(&response(Response::PeerStatIs { present: false }), "50530289 00000001 01020304 00");
+    pin(&response(Response::Error { message: "bad".into() }), "505302ff 00000007 01020304 00000003 626164");
+
+    // The journal as `Journal::append` leaves it on disk: the magic, then
+    // per record `len u32 | payload (kind, fields) | crc32 u32`.
+    let path = common::scratch("pins");
+    let (journal, _) = Journal::open(&path).unwrap();
+    journal.append(&Record::Submit { job: 1, bug: bug(), sketch: d }).unwrap();
+    journal.append(&Record::Retry { job: 1, retries: 2 }).unwrap();
+    journal.append(&Record::Result { job: 1, status: succeeded }).unwrap();
+    journal.append(&Record::Result { job: 2, status: failed }).unwrap();
+    let on_disk = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    pin(&on_disk, &format!(
+        "50534a32 \
+         0000002f 01 0000000000000001 00000002 6162 {D} 23b28f3a \
+         0000000d 02 0000000000000001 00000002 bc46bb55 \
+         0000002e 03 0000000000000001 02 00000004 {D} 87da1928 \
+         00000010 03 0000000000000002 05 00000002 6e6f f09939f3"
+    ));
 }
 
 // ---------------------------------------------------------------------------
