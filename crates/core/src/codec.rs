@@ -34,8 +34,8 @@
 //! no two byte strings decode to one sketch.
 
 use crate::sketch::{
-    EpochInfo, Mechanism, OpDict, Sketch, SketchCheckpoint, SketchEntry, SketchIndex, SketchMeta,
-    SketchOp, SyncKind, SysKind,
+    EpochInfo, Interner, Mechanism, OpDict, Sketch, SketchCheckpoint, SketchEntry, SketchIndex,
+    SketchMeta, SketchOp, SyncKind, SysKind,
 };
 use pres_tvm::bytes::{Reader, Writer};
 use pres_tvm::ids::{ConnId, FdId, ThreadId};
@@ -587,11 +587,9 @@ fn decode_checkpoint(r: &mut Reader<'_>) -> Result<SketchCheckpoint, DecodeError
 /// interleave encodings' lengths follow in closed form.
 fn encode_body_v2(w: &mut Writer, sketch: &Sketch) {
     let (entries, n) = (&sketch.entries, sketch.entries.len());
-    // Threads take slots in first-seen order: `table` keeps slot + 1 (0:
-    // unseen) for a tid below the entry count, `large` for the larger
-    // tids, sorted and deduplicated when the first turns up. Memory is
-    // O(entries), never O(largest tid).
-    let (mut table, mut large) = (Vec::<u32>::new(), Vec::<(u32, u32)>::new());
+    // Threads take slots in first-seen order, one lookup per same-thread
+    // run; memory is O(threads), never O(largest tid).
+    let mut slots = Interner::new();
     // Per slot: tid, runs, column. Same-thread runs as (slot, first
     // position), and the varint bytes their lengths take.
     let mut cols: Vec<(u32, u64, ColumnWriter)> = Vec::new();
@@ -600,27 +598,14 @@ fn encode_body_v2(w: &mut Writer, sketch: &Sketch) {
     for (pos, e) in entries.iter().enumerate() {
         let tid = e.tid.0;
         if run_tid != Some(tid) {
-            if tid as usize >= n && large.is_empty() {
-                let larger = entries.iter().filter(|e| e.tid.0 as usize >= n);
-                large = larger.map(|e| (e.tid.0, 0)).collect();
-                large.sort_unstable();
-                large.dedup();
-            } else if (table.len()..n).contains(&(tid as usize)) {
-                table.resize(tid as usize + 1, 0);
-            }
-            let k = large.partition_point(|&(l, _)| l < tid);
-            let cell = match table.get_mut(tid as usize) {
-                Some(cell) => cell,
-                None => &mut large[k].1,
-            };
-            if *cell == 0 {
+            let cell = slots.get_or_insert_with(u64::from(tid), || {
                 cols.push((tid, 0, ColumnWriter::default()));
-                *cell = cols.len() as u32;
-            }
+                cols.len() as u32 - 1
+            });
             run_bytes += runs
                 .last()
                 .map_or(0, |r| varint_size((pos - r.1 as usize) as u64));
-            (run_tid, slot) = (Some(tid), *cell as usize - 1);
+            (run_tid, slot) = (Some(tid), cell as usize);
             cols[slot].1 += 1;
             runs.push((slot as u32, pos as u32));
         }

@@ -85,18 +85,6 @@ impl OutputOracle {
         self
     }
 
-    /// Expects these exact per-connection responses.
-    pub fn expect_conn_outputs(mut self, outputs: Vec<Vec<u8>>) -> Self {
-        self.expected_conn_outputs = Some(outputs);
-        self
-    }
-
-    /// Expects this exact final filesystem state.
-    pub fn expect_files(mut self, files: BTreeMap<String, Vec<u8>>) -> Self {
-        self.expected_files = Some(files);
-        self
-    }
-
     fn mismatch(&self, outcome: &RunOutcome) -> Option<&'static str> {
         if let Some(stdout) = &self.expected_stdout {
             if &outcome.stdout != stdout {

@@ -520,15 +520,6 @@ impl RecordingReport {
             encoded_v2: codec::encode_sketch_v2(&run.sketch).len() as u64,
         }
     }
-
-    /// Encoded v2 bytes per thousand executed operations.
-    pub fn bytes_per_kop(&self) -> f64 {
-        if self.total_ops == 0 {
-            0.0
-        } else {
-            self.encoded_v2 as f64 * 1000.0 / self.total_ops as f64
-        }
-    }
 }
 
 /// Records one production run of `program` under `mechanism` with the

@@ -460,17 +460,6 @@ impl FastForwardScheduler {
         self.boundary
     }
 
-    /// Whether the attempt is still fast-forwarding through the prefix.
-    pub fn in_prefix(&self) -> bool {
-        self.applied < self.boundary
-    }
-
-    /// Makes post-boundary divergence abort instead of relaxing.
-    pub fn strict(mut self) -> Self {
-        self.inner = self.inner.strict();
-        self
-    }
-
     /// The step at which sketch enforcement was relaxed, if it was.
     pub fn relaxed_at(&self) -> Option<u64> {
         self.inner.relaxed_at()

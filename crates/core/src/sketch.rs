@@ -960,7 +960,7 @@ fn op_key(op: &SketchOp) -> u64 {
 /// costs a multiply and a compare, and only a cache miss pays the keyed
 /// hash.
 #[derive(Debug)]
-struct Interner {
+pub(crate) struct Interner {
     cache: Box<[(u64, u32); CACHE_SLOTS]>,
     map: std::collections::HashMap<u64, u32>,
 }
@@ -973,7 +973,7 @@ const CACHE_SLOTS: usize = 1024;
 const VACANT: u64 = u64::MAX;
 
 impl Interner {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Interner {
             cache: Box::new([(VACANT, 0); CACHE_SLOTS]),
             map: std::collections::HashMap::new(),
@@ -982,7 +982,7 @@ impl Interner {
 
     /// The value of `key`; a new key gets the value `insert` returns.
     #[inline(always)]
-    fn get_or_insert_with(&mut self, key: u64, insert: impl FnOnce() -> u32) -> u32 {
+    pub(crate) fn get_or_insert_with(&mut self, key: u64, insert: impl FnOnce() -> u32) -> u32 {
         let slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             >> (u64::BITS - CACHE_SLOTS.trailing_zeros())) as usize;
         let (k, v) = self.cache[slot];

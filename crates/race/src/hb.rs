@@ -369,11 +369,6 @@ impl HbDetector {
     pub fn into_races(self) -> Vec<RacePair> {
         self.races
     }
-
-    /// The current vector clock of a thread (diagnostics).
-    pub fn thread_clock(&self, tid: ThreadId) -> Option<&VectorClock> {
-        self.clocks.get(tid.index())
-    }
 }
 
 /// Runs the detector over a whole trace.

@@ -199,13 +199,6 @@ impl Faults {
         inner.fired.store(false, Ordering::SeqCst);
     }
 
-    /// Disarms without firing.
-    pub fn disarm(&self) {
-        if let Some(inner) = &self.0 {
-            *inner.armed.lock() = None;
-        }
-    }
-
     /// Whether the armed fault has fired since it was armed.
     pub fn fired(&self) -> bool {
         self.0

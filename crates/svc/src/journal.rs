@@ -52,6 +52,10 @@
 //! record = u32 BE payload length | payload (kind u8 + fields) | u32 BE CRC-32(payload)
 //! ```
 //!
+//! Both the frame and the payload fields are written with
+//! [`pres_tvm::bytes::Writer`] and read with [`Reader`]; a field too long
+//! for its `u32` length prefix fails the append, never truncates.
+//!
 //! The CRC trailer is what lets replay tell a *torn* append from
 //! *corruption*: a record whose checksum mismatches and which ends the
 //! file is a crash signature (truncate and continue); a mismatching
@@ -70,8 +74,7 @@ use crate::digest::Digest;
 use crate::faultpoint::{FaultPoint, Faults};
 use crate::metrics::Metrics;
 use crate::queue::JobStatus;
-use crate::wire::{self, LenOverflow};
-use pres_tvm::bytes::{DecodeError, Reader};
+use pres_tvm::bytes::{DecodeError, LenOverflow, Reader, Writer};
 use pres_tvm::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -105,26 +108,36 @@ const KIND_RESULT: u8 = 3;
 
 impl Record {
     fn encode(&self) -> Result<Vec<u8>, LenOverflow> {
-        let mut out = Vec::new();
+        let mut out = Writer::new();
         match self {
             Record::Submit { job, bug, sketch } => {
-                out.push(KIND_SUBMIT);
-                wire::put_u64(&mut out, *job);
-                wire::put_str(&mut out, bug)?;
-                wire::put_digest(&mut out, sketch);
+                out.u8(KIND_SUBMIT);
+                out.be_u64(*job);
+                out.be_str(bug)?;
+                out.raw(&sketch.0);
             }
             Record::Retry { job, retries } => {
-                out.push(KIND_RETRY);
-                wire::put_u64(&mut out, *job);
-                wire::put_u32(&mut out, *retries);
+                out.u8(KIND_RETRY);
+                out.be_u64(*job);
+                out.be_u32(*retries);
             }
             Record::Result { job, status } => {
-                out.push(KIND_RESULT);
-                wire::put_u64(&mut out, *job);
+                out.u8(KIND_RESULT);
+                out.be_u64(*job);
                 status.encode(&mut out)?;
             }
         }
-        Ok(out)
+        Ok(out.finish())
+    }
+
+    /// The record's format-2 frame: `len | payload | crc`.
+    fn frame(&self) -> Result<Vec<u8>, LenOverflow> {
+        let payload = self.encode()?;
+        let mut out = Writer::new();
+        out.reserve(8 + payload.len());
+        out.be_bytes(&payload)?;
+        out.be_u32(crc32(&payload));
+        Ok(out.finish())
     }
 
     fn decode(payload: &[u8]) -> Result<Record, DecodeError> {
@@ -400,10 +413,7 @@ impl Journal {
     /// `Ok`. Concurrent appenders are group-committed: their frames ride
     /// one cohort and share one sync.
     pub fn append(&self, record: &Record) -> io::Result<()> {
-        let payload = record.encode().map_err(io::Error::from)?;
-        let mut framed = Vec::with_capacity(8 + payload.len());
-        frame_into(&mut framed, &payload)?;
-        self.commit_frames(vec![framed])
+        self.commit_frames(vec![record.frame()?])
     }
 
     /// Appends several records as members of the same commit cohort(s):
@@ -416,13 +426,7 @@ impl Journal {
         if records.is_empty() {
             return Ok(());
         }
-        let mut frames = Vec::with_capacity(records.len());
-        for record in records {
-            let payload = record.encode().map_err(io::Error::from)?;
-            let mut framed = Vec::with_capacity(8 + payload.len());
-            frame_into(&mut framed, &payload)?;
-            frames.push(framed);
-        }
+        let frames = records.iter().map(Record::frame).collect::<Result<_, _>>()?;
         self.commit_frames(frames)
     }
 
@@ -596,16 +600,6 @@ fn wedged_error(msg: &str) -> io::Error {
     io::Error::other(format!("journal is wedged by an earlier failed write: {msg}"))
 }
 
-/// Appends one format-2 frame (`len | payload | crc`) to `out`, with the
-/// length conversion checked.
-fn frame_into(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
-    let len = wire::check_len(payload.len()).map_err(io::Error::from)?;
-    wire::put_u32(out, len);
-    out.extend_from_slice(payload);
-    wire::put_u32(out, crc32(payload));
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,7 +668,7 @@ mod tests {
         let without_last = {
             let mut out = MAGIC.to_vec();
             for r in &records[..records.len() - 1] {
-                frame_into(&mut out, &r.encode().unwrap()).unwrap();
+                out.extend(r.frame().unwrap());
             }
             out
         };
@@ -750,7 +744,7 @@ mod tests {
         // neither may be rewritten.
         let mut headerless = Vec::new();
         for r in &sample_records() {
-            frame_into(&mut headerless, &r.encode().unwrap()).unwrap();
+            headerless.extend(r.frame().unwrap());
         }
         for foreign in [
             b"not a journal, just notes\n".to_vec(),

@@ -17,7 +17,6 @@
 //! | [`cache`] | digest-keyed, byte-budgeted sketch decode cache |
 //! | [`queue`] | FIFO job queue: dedup, retries with backoff, timeouts |
 //! | [`metrics`] | atomic counters + latency histogram |
-//! | [`wire`] | byte-level field encoding shared by journal and protocol |
 //! | [`proto`] | length-prefixed tagged frames (one version, size-capped) |
 //! | [`netpoll`] | std-only `poll(2)` shim for the connection workers |
 //! | [`server`] | the daemon: accept loop, connection workers, lifecycle |
@@ -50,7 +49,6 @@ pub mod proto;
 pub mod queue;
 pub mod server;
 pub mod store;
-pub mod wire;
 
 pub use cache::{CachedSketch, SketchCache};
 pub use client::{Client, SubmitReceipt};

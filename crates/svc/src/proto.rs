@@ -65,15 +65,14 @@
 //!   message's tag and keeps the connection: with pipelining, other
 //!   requests in flight on the same connection are unaffected.
 //!
-//! Payload fields are written with [`crate::wire`] and read with
-//! [`pres_tvm::bytes::Reader`]. Every decoder demands full consumption
+//! Payload fields are written with [`pres_tvm::bytes::Writer`] and read
+//! with [`pres_tvm::bytes::Reader`]. Every decoder demands full consumption
 //! ([`Reader::at_end`]): trailing bytes are a protocol error, never
 //! silently ignored.
 
 use crate::digest::Digest;
 use crate::queue::JobStatus;
-use crate::wire;
-use pres_tvm::bytes::{DecodeError, Reader};
+use pres_tvm::bytes::{DecodeError, LenOverflow, Reader, Writer};
 use std::io::{self, Read, Write};
 
 /// Frame magic: the first two bytes of every frame.
@@ -141,8 +140,8 @@ pub enum ProtoError {
     TooLarge(usize),
 }
 
-impl From<wire::LenOverflow> for ProtoError {
-    fn from(e: wire::LenOverflow) -> ProtoError {
+impl From<LenOverflow> for ProtoError {
+    fn from(e: LenOverflow) -> ProtoError {
         ProtoError::TooLarge(e.0)
     }
 }
@@ -235,22 +234,23 @@ impl Frame {
     /// bytes — use [`Frame::write_to`] (which refuses with an error) on
     /// any path where the payload size is not already checked.
     pub fn encode(&self) -> Vec<u8> {
-        let len = wire::check_len(self.payload.len())
+        let len = LenOverflow::check(self.payload.len())
             .expect("frame payload length checked at construction");
-        let mut out = Vec::with_capacity(HEADER + self.payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.kind);
-        wire::put_u32(&mut out, len);
-        wire::put_u32(&mut out, self.tag);
-        out.extend_from_slice(&self.payload);
-        out
+        let mut out = Writer::new();
+        out.reserve(HEADER + self.payload.len());
+        out.raw(&MAGIC);
+        out.u8(VERSION);
+        out.u8(self.kind);
+        out.be_u32(len);
+        out.be_u32(self.tag);
+        out.raw(&self.payload);
+        out.finish()
     }
 
     /// Writes the frame to a stream, refusing (with `InvalidInput`, not
     /// truncating) a payload the `u32` length prefix cannot describe.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        wire::check_len(self.payload.len()).map_err(io::Error::from)?;
+        LenOverflow::check(self.payload.len())?;
         w.write_all(&self.encode())?;
         w.flush()
     }
@@ -339,48 +339,46 @@ impl Request {
     /// length prefix can carry is a [`ProtoError::TooLarge`], never a
     /// truncated frame.
     pub fn to_frame(&self, tag: u32) -> Result<Frame, ProtoError> {
-        let (kind, payload) = match self {
+        let mut p = Writer::new();
+        let kind = match self {
             Request::SubmitBegin { bug } => {
-                let mut p = Vec::new();
-                wire::put_str(&mut p, bug)?;
-                (REQ_SUBMIT_BEGIN, p)
+                p.be_str(bug)?;
+                REQ_SUBMIT_BEGIN
             }
-            Request::SubmitChunk { data } => (REQ_SUBMIT_CHUNK, data.clone()),
-            Request::SubmitEnd => (REQ_SUBMIT_END, Vec::new()),
+            Request::SubmitChunk { data } => {
+                p.raw(data);
+                REQ_SUBMIT_CHUNK
+            }
+            Request::SubmitEnd => REQ_SUBMIT_END,
             Request::Status { job } => {
-                let mut p = Vec::new();
-                wire::put_u64(&mut p, *job);
-                (REQ_STATUS, p)
+                p.be_u64(*job);
+                REQ_STATUS
             }
             Request::Result { job } => {
-                let mut p = Vec::new();
-                wire::put_u64(&mut p, *job);
-                (REQ_RESULT, p)
+                p.be_u64(*job);
+                REQ_RESULT
             }
-            Request::Stats => (REQ_STATS, Vec::new()),
-            Request::Shutdown => (REQ_SHUTDOWN, Vec::new()),
+            Request::Stats => REQ_STATS,
+            Request::Shutdown => REQ_SHUTDOWN,
             Request::Hello { token } => {
-                let mut p = Vec::new();
-                wire::put_bytes(&mut p, token)?;
-                (REQ_HELLO, p)
+                p.be_bytes(token)?;
+                REQ_HELLO
             }
             Request::PeerPutBegin { digest } => {
-                let mut p = Vec::new();
-                wire::put_digest(&mut p, digest);
-                (REQ_PEER_PUT_BEGIN, p)
+                p.raw(&digest.0);
+                REQ_PEER_PUT_BEGIN
             }
             Request::PeerGet { digest } => {
-                let mut p = Vec::new();
-                wire::put_digest(&mut p, digest);
-                (REQ_PEER_GET, p)
+                p.raw(&digest.0);
+                REQ_PEER_GET
             }
             Request::PeerStat { digest } => {
-                let mut p = Vec::new();
-                wire::put_digest(&mut p, digest);
-                (REQ_PEER_STAT, p)
+                p.raw(&digest.0);
+                REQ_PEER_STAT
             }
         };
-        wire::check_len(payload.len())?;
+        LenOverflow::check(p.len())?;
+        let payload = p.finish();
         Ok(Frame { tag, kind, payload })
     }
 
@@ -463,68 +461,60 @@ impl Response {
     /// Encodes into a frame echoing `tag`; a payload beyond what a `u32`
     /// length prefix can carry is a [`ProtoError::TooLarge`].
     pub fn to_frame(&self, tag: u32) -> Result<Frame, ProtoError> {
-        let (kind, payload) = match self {
+        let mut p = Writer::new();
+        let kind = match self {
             Response::Submitted {
                 job,
                 sketch,
                 fresh_object,
                 fresh_job,
             } => {
-                let mut p = Vec::new();
-                wire::put_u64(&mut p, *job);
-                wire::put_digest(&mut p, sketch);
-                p.push(u8::from(*fresh_object));
-                p.push(u8::from(*fresh_job));
-                (RESP_SUBMIT, p)
+                p.be_u64(*job);
+                p.raw(&sketch.0);
+                p.bool(*fresh_object);
+                p.bool(*fresh_job);
+                RESP_SUBMIT
             }
             Response::Status { status } => {
-                let mut p = Vec::new();
-                match status {
-                    None => p.push(0),
-                    Some(s) => {
-                        p.push(1);
-                        s.encode(&mut p)?;
-                    }
+                p.bool(status.is_some());
+                if let Some(s) = status {
+                    s.encode(&mut p)?;
                 }
-                (RESP_STATUS, p)
+                RESP_STATUS
             }
             Response::Result { certificate } => {
-                let mut p = Vec::new();
-                wire::put_bytes(&mut p, certificate)?;
-                (RESP_RESULT, p)
+                p.be_bytes(certificate)?;
+                RESP_RESULT
             }
             Response::Stats { text } => {
-                let mut p = Vec::new();
-                wire::put_str(&mut p, text)?;
-                (RESP_STATS, p)
+                p.be_str(text)?;
+                RESP_STATS
             }
-            Response::ShuttingDown => (RESP_SHUTDOWN, Vec::new()),
-            Response::HelloOk => (RESP_HELLO, Vec::new()),
+            Response::ShuttingDown => RESP_SHUTDOWN,
+            Response::HelloOk => RESP_HELLO,
             Response::PeerPut { digest, fresh } => {
-                let mut p = Vec::new();
-                wire::put_digest(&mut p, digest);
-                p.push(u8::from(*fresh));
-                (RESP_PEER_PUT, p)
+                p.raw(&digest.0);
+                p.bool(*fresh);
+                RESP_PEER_PUT
             }
             Response::PeerObject { body } => {
-                let mut p = Vec::new();
-                match body {
-                    None => p.push(0),
-                    Some(bytes) => {
-                        p.push(1);
-                        wire::put_bytes(&mut p, bytes)?;
-                    }
+                p.bool(body.is_some());
+                if let Some(bytes) = body {
+                    p.be_bytes(bytes)?;
                 }
-                (RESP_PEER_OBJECT, p)
+                RESP_PEER_OBJECT
             }
-            Response::PeerStatIs { present } => (RESP_PEER_STAT, vec![u8::from(*present)]),
+            Response::PeerStatIs { present } => {
+                p.bool(*present);
+                RESP_PEER_STAT
+            }
             Response::Error { message } => {
-                let mut p = Vec::new();
-                wire::put_str(&mut p, message)?;
-                (RESP_ERROR, p)
+                p.be_str(message)?;
+                RESP_ERROR
             }
         };
-        wire::check_len(payload.len())?;
+        LenOverflow::check(p.len())?;
+        let payload = p.finish();
         Ok(Frame { tag, kind, payload })
     }
 

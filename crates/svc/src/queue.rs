@@ -28,6 +28,9 @@
 //! [`StopToken`] and marked terminal. Shutdown is a drain: workers finish
 //! the jobs they are running, queued jobs stay journaled for the next
 //! start.
+//!
+//! A [`JobStatus`] has one byte form, written and read by
+//! [`pres_tvm::bytes`], that the journal and the protocol share.
 
 use crate::cache::{CachedSketch, SketchCache};
 use crate::digest::Digest;
@@ -35,13 +38,12 @@ use crate::faultpoint::Faults;
 use crate::journal::{GroupCommit, Journal, Record};
 use crate::metrics::Metrics;
 use crate::store::Store;
-use crate::wire;
 use pres_apps::registry::all_bugs;
 use pres_core::codec::decode_index;
 use pres_core::explore::{self, ExploreConfig, StopToken};
 use pres_core::oracle::StatusOracle;
 use pres_core::sketch::Sketch;
-use pres_tvm::bytes::{DecodeError, Reader};
+use pres_tvm::bytes::{DecodeError, LenOverflow, Reader, Writer};
 use pres_tvm::sync::{Condvar, Mutex};
 use pres_tvm::vm::VmConfig;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -76,32 +78,32 @@ impl JobStatus {
     }
 
     /// Appends the wire form (shared by the journal and the protocol).
-    pub fn encode(&self, out: &mut Vec<u8>) -> Result<(), wire::LenOverflow> {
+    pub fn encode(&self, out: &mut Writer) -> Result<(), LenOverflow> {
         match self {
             JobStatus::Queued { retries } => {
-                out.push(0);
-                wire::put_u32(out, *retries);
+                out.u8(0);
+                out.be_u32(*retries);
             }
-            JobStatus::Running => out.push(1),
+            JobStatus::Running => out.u8(1),
             JobStatus::Succeeded {
                 attempts,
                 certificate,
             } => {
-                out.push(2);
-                wire::put_u32(out, *attempts);
-                wire::put_digest(out, certificate);
+                out.u8(2);
+                out.be_u32(*attempts);
+                out.raw(&certificate.0);
             }
             JobStatus::Exhausted { attempts } => {
-                out.push(3);
-                wire::put_u32(out, *attempts);
+                out.u8(3);
+                out.be_u32(*attempts);
             }
             JobStatus::TimedOut { attempts } => {
-                out.push(4);
-                wire::put_u32(out, *attempts);
+                out.u8(4);
+                out.be_u32(*attempts);
             }
             JobStatus::Failed { message } => {
-                out.push(5);
-                wire::put_str(out, message)?;
+                out.u8(5);
+                out.be_str(message)?;
             }
         }
         Ok(())
@@ -931,8 +933,9 @@ mod tests {
             },
         ];
         for status in statuses {
-            let mut buf = Vec::new();
-            status.encode(&mut buf).unwrap();
+            let mut w = Writer::new();
+            status.encode(&mut w).unwrap();
+            let buf = w.finish();
             let mut r = Reader::new(&buf);
             assert_eq!(JobStatus::decode(&mut r), Ok(status));
             assert!(r.at_end());

@@ -44,9 +44,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// An in-progress streaming ingest: chunks are digested incrementally and
 /// spilled straight into a staging file, so ingesting a multi-MB blob
 /// never holds more than one chunk in memory. Obtained from
-/// [`Store::put_streaming`]; finish with [`StreamingPut::finish`] (which
-/// runs the same dedup + atomic-publish + fsync chain as [`Store::put`])
-/// or drop it to abort, which removes the staging file.
+/// [`Store::put_streaming`]; finish with [`StreamingPut::finish`] (the
+/// dedup + atomic-publish + fsync chain [`Store::put`] also ends in) or
+/// drop it to abort, which removes the staging file.
 #[derive(Debug)]
 pub struct StreamingPut<'a> {
     store: &'a Store,
@@ -301,35 +301,19 @@ impl Store {
     /// directory entries publishing it are fsynced.
     pub fn put(&self, data: &[u8]) -> io::Result<(Digest, bool)> {
         let digest = sha256(data);
-        if self.object_path(&digest).exists() {
+        if self.contains(&digest) {
             return Ok((digest, false));
         }
-        let tmp = self.stage_path();
-        self.faults.check(FaultPoint::StoreStageCrash)?;
-        {
-            let mut file = File::create(&tmp)?;
-            if let Some(keep) = self.faults.torn(FaultPoint::StoreStageTorn, data.len()) {
-                file.write_all(&data[..keep])?;
-                let _ = file.sync_all();
-                return Err(Faults::torn_error(FaultPoint::StoreStageTorn));
-            }
-            file.write_all(data)?;
-            self.faults.check(FaultPoint::StoreTmpSyncCrash)?;
-            // The staged bytes must be durable BEFORE the rename: a
-            // rename of an unsynced file can publish a name whose
-            // content is lost by power failure.
-            file.sync_all()?;
-        }
-        let fresh = self.publish(&tmp, &digest)?;
-        Ok((digest, fresh))
+        let mut put = self.put_streaming()?;
+        put.write(data)?;
+        put.finish()
     }
 
     /// Opens a streaming ingest: the returned writer spills chunks into a
     /// staging file and digests them incrementally, so peak memory is one
-    /// chunk regardless of blob size. The crash-point walk matches
-    /// [`Store::put`] step for step (stage → torn-write → tmp-sync →
-    /// rename → dir-sync), so the durability contract and its tests cover
-    /// both paths.
+    /// chunk regardless of blob size. [`Store::put`] is this path with
+    /// one chunk, so both walk the same crash points (stage → torn-write →
+    /// tmp-sync → rename → dir-sync) under one durability contract.
     pub fn put_streaming(&self) -> io::Result<StreamingPut<'_>> {
         let tmp = self.stage_path();
         self.faults.check(FaultPoint::StoreStageCrash)?;

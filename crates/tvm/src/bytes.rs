@@ -1,13 +1,17 @@
 //! The one byte codec: an append-only [`Writer`], a bounds-checked
-//! [`Reader`] and the [`DecodeError`] every decoder in the workspace
-//! returns.
+//! [`Reader`], the [`DecodeError`] every decoder in the workspace returns
+//! and the [`LenOverflow`] an encoder refuses a too-long field with.
 //!
 //! Sketch containers and certificates (`pres-core`'s `codec` and
 //! `certificate`), VM snapshots ([`crate::snapshot`]) and the daemon's
-//! journal and wire protocol (`pres-svc`) are all written and read here.
-//! The variable-width format is LEB128 varints and varint-prefixed byte
-//! strings; the daemon's fixed-width fields are big-endian, with `u32`
-//! length prefixes.
+//! journal, job status and wire protocol (`pres-svc`) are all written and
+//! read here, each field by a `Writer` method and the `Reader` method of
+//! the same name (a fixed-size `array` is written with `raw`). The
+//! variable-width format is LEB128 varints and varint-prefixed byte
+//! strings; the daemon's fixed-width fields are big-endian (`be_*`), with
+//! `u32` length prefixes that the writer checks: a field over `u32::MAX`
+//! bytes is a [`LenOverflow`] at the encode site, never a truncated prefix
+//! that frames garbage.
 //!
 //! The reader never panics and never allocates: every accessor checks the
 //! bytes that remain and fails with an offset-carrying [`DecodeError`],
@@ -43,6 +47,32 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// A field too long for a big-endian `u32` length prefix. Carries the
+/// offending byte count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LenOverflow(pub usize);
+
+impl LenOverflow {
+    /// `len` as a `u32` length prefix, or the refusal.
+    pub fn check(len: usize) -> Result<u32, LenOverflow> {
+        u32::try_from(len).map_err(|_| LenOverflow(len))
+    }
+}
+
+impl fmt::Display for LenOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "payload of {} bytes exceeds the u32 length-prefix limit", self.0)
+    }
+}
+
+impl std::error::Error for LenOverflow {}
+
+impl From<LenOverflow> for std::io::Error {
+    fn from(e: LenOverflow) -> std::io::Error {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
+    }
+}
 
 /// An append-only encoder.
 #[derive(Debug, Default)]
@@ -97,6 +127,29 @@ impl Writer {
     /// Appends a varint-length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.bytes(s.as_bytes());
+    }
+
+    /// Appends a big-endian `u32`.
+    pub fn be_u32(&mut self, v: u32) {
+        self.raw(&v.to_be_bytes());
+    }
+
+    /// Appends a big-endian `u64`.
+    pub fn be_u64(&mut self, v: u64) {
+        self.raw(&v.to_be_bytes());
+    }
+
+    /// Appends bytes behind a big-endian `u32` length prefix, refusing
+    /// data the prefix cannot describe.
+    pub fn be_bytes(&mut self, data: &[u8]) -> Result<(), LenOverflow> {
+        self.be_u32(LenOverflow::check(data.len())?);
+        self.raw(data);
+        Ok(())
+    }
+
+    /// Appends a UTF-8 string behind a big-endian `u32` length prefix.
+    pub fn be_str(&mut self, s: &str) -> Result<(), LenOverflow> {
+        self.be_bytes(s.as_bytes())
     }
 
     /// Appends a tagged, length-prefixed section whose body `f` writes
@@ -376,10 +429,11 @@ mod tests {
         w.str("héllo");
         w.bool(true);
         w.section(7, |s| s.varint(300));
-        w.raw(&0xdead_beef_u32.to_be_bytes());
-        w.raw(&(u64::MAX - 7).to_be_bytes());
-        w.raw(&3u32.to_be_bytes());
-        w.raw(b"abc!");
+        w.be_u32(0xdead_beef);
+        w.be_u64(u64::MAX - 7);
+        w.be_str("abc").unwrap();
+        w.be_bytes(&[1, 2, 3]).unwrap();
+        w.raw(b"!");
         let buf = w.finish();
         let read = |buf: &[u8]| -> Result<(), DecodeError> {
             let mut r = Reader::new(buf);
@@ -390,6 +444,7 @@ mod tests {
             assert_eq!(r.be_u32()?, 0xdead_beef);
             assert_eq!(r.be_u64()?, u64::MAX - 7);
             assert_eq!(r.be_str()?, "abc");
+            assert_eq!(r.be_bytes()?, [1, 2, 3]);
             assert_eq!(r.array::<1>()?, *b"!");
             assert_eq!(r.rest(), b"");
             Ok(())
@@ -398,5 +453,14 @@ mod tests {
         for cut in 0..buf.len() {
             assert!(read(&buf[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn a_length_prefix_over_u32_is_refused_not_truncated() {
+        assert_eq!(LenOverflow::check(u32::MAX as usize), Ok(u32::MAX));
+        let too_big = u32::MAX as usize + 1;
+        assert_eq!(LenOverflow::check(too_big), Err(LenOverflow(too_big)));
+        let io: std::io::Error = LenOverflow(too_big).into();
+        assert_eq!(io.kind(), std::io::ErrorKind::InvalidInput);
     }
 }

@@ -504,11 +504,6 @@ impl VmState {
         }
     }
 
-    /// The party count of a barrier.
-    pub fn barrier_parties(&self, b: BarrierId) -> u32 {
-        self.barriers[b.index()].parties
-    }
-
     /// The current holder of a mutex, if any.
     pub fn lock_holder(&self, l: LockId) -> Option<ThreadId> {
         self.locks[l.index()].holder
@@ -517,11 +512,6 @@ impl VmState {
     /// Current value of a shared variable (diagnostics only).
     pub fn var_value(&self, v: VarId) -> u64 {
         self.vars[v.index()]
-    }
-
-    /// Mutable access to the world (coordinator use).
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
     }
 
     /// Serializes every mutable piece of shared state into a snapshot
