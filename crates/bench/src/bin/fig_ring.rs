@@ -29,7 +29,7 @@
 //! regenerates it and fails on any difference.
 use pres_apps::registry::all_bugs;
 use pres_bench::render::{bytes, table};
-use pres_core::codec::{checkpoint_segment_bytes, encode_sketch};
+use pres_core::codec::{encode_sketch, layout};
 use pres_core::program::{ClosureProgram, Program};
 use pres_core::recorder::RingConfig;
 use pres_core::sketch::Mechanism;
@@ -134,8 +134,9 @@ fn measure(prog: &dyn Program, ring_cfg: RingConfig, seed_cap: u64) -> RingRow {
 
     let full_encoded = encode_sketch(&classic.sketch);
     let flush_encoded = encode_sketch(&ring.sketch);
-    let checkpoint_bytes = checkpoint_segment_bytes(&flush_encoded)
+    let checkpoint_bytes = layout(&flush_encoded)
         .expect("flush container parses")
+        .checkpoint_bytes
         .expect("flush container carries a checkpoint segment");
 
     // Reproduction from the flush: fast-forward to the boundary, search

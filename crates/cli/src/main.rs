@@ -34,10 +34,7 @@ mod args;
 use args::{Args, UsageError};
 use pres_apps::registry::{all_apps, all_bugs, WorkloadScale};
 use pres_core::api::Pres;
-use pres_core::codec::{
-    checkpoint_segment_bytes, container_version, decode_index, decode_sketch, encode_sketch,
-    v2_layout,
-};
+use pres_core::codec::{decode_index, decode_sketch, encode_sketch, layout};
 use pres_core::explore::{reproduce, ExploreConfig};
 use pres_core::inspect::{failure_report, InspectOptions};
 use pres_core::stats::{ExploreStats, SketchStats};
@@ -229,8 +226,10 @@ fn cmd_record(args: &Args) -> Result<(), UsageError> {
         std::fs::write(&out, &bytes)
             .map_err(|e| UsageError(format!("cannot write {out}: {e}")))?;
     }
-    let version = container_version(&bytes).map_err(|e| UsageError(e.to_string()))?;
-    println!("wrote {} ({} bytes, codec v{})", out, bytes.len(), version);
+    let version = layout(&bytes)
+        .map_err(|e| UsageError(e.to_string()))?
+        .version;
+    println!("wrote {out} ({} bytes, codec v{version})", bytes.len());
     Ok(())
 }
 
@@ -336,13 +335,13 @@ fn cmd_sketch_info(args: &Args) -> Result<(), UsageError> {
     args.finish()?;
     let data = std::fs::read(&path)
         .map_err(|e| UsageError(format!("cannot read {path}: {e}")))?;
-    let version = container_version(&data).map_err(|e| UsageError(e.to_string()))?;
+    let layout = layout(&data).map_err(|e| UsageError(e.to_string()))?;
     let sketch = decode_sketch(&data).map_err(|e| UsageError(e.to_string()))?;
     println!(
         "program {} | mechanism {} | container v{} | production seed {} | {} cores | failure: {}",
         sketch.meta.program,
         sketch.mechanism.name(),
-        version,
+        layout.version,
         sketch.meta.seed,
         sketch.meta.processors,
         if sketch.meta.failure_signature.is_empty() {
@@ -364,9 +363,7 @@ fn cmd_sketch_info(args: &Args) -> Result<(), UsageError> {
         resident as f64 / index.len().max(1) as f64
     );
     if let Some(cp) = &sketch.checkpoint {
-        let segment = checkpoint_segment_bytes(&data)
-            .map_err(|e| UsageError(e.to_string()))?
-            .unwrap_or(0);
+        let segment = layout.checkpoint_bytes.unwrap_or(0);
         if cp.is_genesis() {
             println!(
                 "checkpoint: genesis (ring never rotated; full run retained, {segment} segment bytes)"
@@ -393,20 +390,18 @@ fn cmd_sketch_info(args: &Args) -> Result<(), UsageError> {
             );
         }
     }
-    if let Some(layout) = v2_layout(&data).map_err(|e| UsageError(e.to_string()))? {
+    println!(
+        "shard directory: {} thread(s), {} entries, interleave {} ({} bytes)",
+        layout.threads.len(),
+        layout.entries,
+        layout.interleave_encoding,
+        layout.interleave_bytes
+    );
+    for shard in &layout.threads {
         println!(
-            "shard directory: {} thread(s), {} entries, interleave {} ({} bytes)",
-            layout.threads.len(),
-            layout.entries,
-            layout.interleave_encoding,
-            layout.interleave_bytes
+            "  thread {:>4}: {:>8} entries, {:>8} column bytes",
+            shard.tid, shard.entries, shard.column_bytes
         );
-        for shard in &layout.threads {
-            println!(
-                "  thread {:>4}: {:>8} entries, {:>8} column bytes",
-                shard.tid, shard.entries, shard.column_bytes
-            );
-        }
     }
     Ok(())
 }

@@ -41,7 +41,7 @@
 //! ```
 
 use crate::explore::{self, ExploreConfig, Reproduction, Strategy};
-use crate::recorder::{self, RecordedRun, RecordingReport, RingConfig};
+use crate::recorder::{self, RecordedRun, RingConfig};
 use crate::sketch::Mechanism;
 use crate::program::Program;
 use pres_tvm::vm::VmConfig;
@@ -125,11 +125,6 @@ impl Pres {
             ),
             None => recorder::record_until_failure(program, self.mechanism, &self.vm, seeds),
         }
-    }
-
-    /// The overhead/log-size report row for a recorded run.
-    pub fn report(&self, run: &RecordedRun) -> RecordingReport {
-        RecordingReport::from_run(run)
     }
 
     /// Reproduces the failure captured by a recorded run.

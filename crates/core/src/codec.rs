@@ -1,26 +1,27 @@
 //! Compact binary encoding of sketches — the on-disk log format.
 //!
 //! The paper reports recording overhead *and* log growth; both depend on a
-//! realistic log encoding. The container versions share a common header
+//! realistic log encoding. Two container versions share a common header
 //! (magic, version byte, mechanism, run metadata):
 //!
-//! * **v1** — a flat entry stream: single-byte tags and LEB128 varints,
-//!   one `(tid, tag, operand, result?)` record per entry in sketch order.
-//!   No longer written; still decoded, pinned by
-//!   `tests/data/fixture_v1.sketch`.
-//! * **v2** (default) — a columnar layout: a thread directory
-//!   (delta-encoded tids + per-thread entry counts), an interleave stream
-//!   capturing the cross-thread order (plain or run-length encoded,
-//!   whichever is smaller), and one column block per thread whose entries
-//!   carry a one-byte op-kind dictionary code and a zigzag-varint operand
-//!   delta against the previous operand of the same kind group on that
-//!   thread. Same-thread runs and locally clustered ids — the common case
-//!   for marker-dense sketches — collapse to a byte or two per entry.
+//! * **v2** — a columnar layout: a thread directory (delta-encoded tids),
+//!   an interleave stream capturing the cross-thread order (plain,
+//!   run-length encoded or nibble-packed, whichever is smallest), and one
+//!   column block per thread whose entries carry a one-byte op-kind
+//!   dictionary code and a zigzag-varint operand delta against the
+//!   previous operand of the same kind group on that thread. Same-thread
+//!   runs and locally clustered ids — the common case for marker-dense
+//!   sketches — collapse to a byte or two per entry.
 //! * **v3** — a v2 body prefixed by a checkpoint segment, written for
 //!   ring-flushed sketches.
 //!
-//! [`decode_sketch`] accepts every version via the version byte, so logs
-//! written by older recorders keep decoding.
+//! [`encode_sketch`] picks the version by whether the sketch carries a
+//! checkpoint. One private reader walks every container — header,
+//! optional checkpoint segment, body, trailing-bytes check — behind the
+//! three public readers: [`decode_sketch`] (entries), [`decode_index`]
+//! (the compact replay index) and [`layout`] (sizes, for tools). Any
+//! other version byte, the retired flat v1 stream included, is refused
+//! as `unsupported version`.
 //!
 //! Bytes are written and read through [`pres_tvm::bytes`], the workspace's
 //! one byte codec (certificates, VM snapshots and the daemon's journal and
@@ -28,8 +29,8 @@
 //! decode rules hold for every field here: a varint is canonical (a
 //! tenth byte above 1 is `varint overflow`, never dropped bits, and a
 //! zero-padded encoding is `overlong varint`), and every
-//! `u32` field — the BB-N argument, the processor count, v1 thread, object
-//! and marker ids, syscall-result connection, fd and thread ids — is
+//! `u32` field — the BB-N argument, the processor count, thread ids,
+//! operands, syscall-result connection, fd and thread ids — is
 //! refused as `<what> out of range` above `u32::MAX`, never truncated. So
 //! no two byte strings decode to one sketch.
 
@@ -43,18 +44,7 @@ use pres_tvm::op::{MemLoc, OpResult};
 
 pub use pres_tvm::bytes::DecodeError;
 
-// --- entry encoding ---------------------------------------------------------
-
-const TAG_START: u8 = 0;
-const TAG_EXIT: u8 = 1;
-const TAG_MEM_READ: u8 = 2;
-const TAG_MEM_WRITE: u8 = 3;
-const TAG_SYNC: u8 = 4;
-const TAG_SPAWN: u8 = 5;
-const TAG_JOIN: u8 = 6;
-const TAG_SYS: u8 = 7;
-const TAG_FUNC: u8 = 8;
-const TAG_BB: u8 = 9;
+// --- op kinds and syscall results ------------------------------------------
 
 const RES_UNIT: u8 = 0;
 const RES_VALUE: u8 = 1;
@@ -211,107 +201,10 @@ fn decode_result(r: &mut Reader<'_>, keep: bool) -> Result<OpResult, DecodeError
     })
 }
 
-/// Encodes one entry; returns bytes appended.
-pub fn encode_entry(w: &mut Writer, e: &SketchEntry) -> usize {
-    let before = w.len();
-    w.varint(u64::from(e.tid.0));
-    match &e.op {
-        SketchOp::Start => w.u8(TAG_START),
-        SketchOp::Exit => w.u8(TAG_EXIT),
-        SketchOp::Mem { loc, write } => {
-            w.u8(if *write { TAG_MEM_WRITE } else { TAG_MEM_READ });
-            match loc {
-                MemLoc::Var(v) => {
-                    w.u8(0);
-                    w.varint(u64::from(v.0));
-                }
-                MemLoc::Buf(b) => {
-                    w.u8(1);
-                    w.varint(u64::from(b.0));
-                }
-            }
-        }
-        SketchOp::Sync { kind, obj } => {
-            w.u8(TAG_SYNC);
-            w.u8(sync_kind_code(*kind));
-            w.varint(u64::from(*obj));
-        }
-        SketchOp::Spawn => w.u8(TAG_SPAWN),
-        SketchOp::Join { target } => {
-            w.u8(TAG_JOIN);
-            w.varint(u64::from(*target));
-        }
-        SketchOp::Sys { kind, obj } => {
-            w.u8(TAG_SYS);
-            w.u8(sys_kind_code(*kind));
-            w.varint(u64::from(*obj));
-            encode_result(w, &e.result);
-        }
-        SketchOp::Func(f) => {
-            w.u8(TAG_FUNC);
-            w.varint(u64::from(*f));
-        }
-        SketchOp::Bb(b) => {
-            w.u8(TAG_BB);
-            w.varint(u64::from(*b));
-        }
-    }
-    w.len() - before
-}
-
-fn decode_entry(r: &mut Reader<'_>) -> Result<SketchEntry, DecodeError> {
-    let tid = ThreadId(r.varint_u32("thread id")?);
-    let tag = r.u8()?;
-    let mut result = OpResult::Unit;
-    let op = match tag {
-        TAG_START => SketchOp::Start,
-        TAG_EXIT => SketchOp::Exit,
-        TAG_MEM_READ | TAG_MEM_WRITE => {
-            let kind = r.u8()?;
-            let id = r.varint_u32("memory id")?;
-            let loc = match kind {
-                0 => MemLoc::Var(pres_tvm::ids::VarId(id)),
-                1 => MemLoc::Buf(pres_tvm::ids::BufId(id)),
-                other => return Err(r.err(format!("unknown loc kind {other}"))),
-            };
-            SketchOp::Mem {
-                loc,
-                write: tag == TAG_MEM_WRITE,
-            }
-        }
-        TAG_SYNC => {
-            let code = r.u8()?;
-            let kind =
-                sync_kind_from(code).ok_or_else(|| r.err(format!("bad sync kind {code}")))?;
-            SketchOp::Sync {
-                kind,
-                obj: r.varint_u32("sync object")?,
-            }
-        }
-        TAG_SPAWN => SketchOp::Spawn,
-        TAG_JOIN => SketchOp::Join {
-            target: r.varint_u32("join target")?,
-        },
-        TAG_SYS => {
-            let code = r.u8()?;
-            let kind =
-                sys_kind_from(code).ok_or_else(|| r.err(format!("bad sys kind {code}")))?;
-            let obj = r.varint_u32("syscall object")?;
-            result = decode_result(r, true)?;
-            SketchOp::Sys { kind, obj }
-        }
-        TAG_FUNC => SketchOp::Func(r.varint_u32("function id")?),
-        TAG_BB => SketchOp::Bb(r.varint_u32("basic block id")?),
-        other => return Err(r.err(format!("unknown entry tag {other}"))),
-    };
-    Ok(SketchEntry { tid, op, result })
-}
-
 const MAGIC: &[u8; 4] = b"PRES";
-const VERSION_V1: u8 = 1;
 const VERSION_V2: u8 = 2;
 /// v3 = v2 columnar body prefixed by a checkpoint segment. Only v3
-/// containers carry checkpoints, so corrupt v1/v2 input can never decode
+/// containers carry checkpoints, so corrupt v2 input can never decode
 /// into a phantom checkpoint.
 const VERSION_V3: u8 = 3;
 
@@ -352,14 +245,23 @@ fn encode_header(w: &mut Writer, sketch: &Sketch, version: u8) {
 }
 
 /// Serializes a sketch to its binary log form: the [v2](self) columnar
-/// container, or v3 (checkpoint segment + v2 body) when the sketch
-/// carries a ring-flush checkpoint.
+/// container, or v3 (checkpoint segment + the identical v2 body over the
+/// retained window's entries) when the sketch carries a ring-flush
+/// checkpoint.
 pub fn encode_sketch(sketch: &Sketch) -> Vec<u8> {
-    if sketch.checkpoint.is_some() {
-        encode_sketch_v3(sketch)
+    let mut w = Writer::new();
+    let checkpoint = sketch.checkpoint.as_deref();
+    let version = if checkpoint.is_some() {
+        VERSION_V3
     } else {
-        encode_sketch_v2(sketch)
+        VERSION_V2
+    };
+    encode_header(&mut w, sketch, version);
+    if let Some(cp) = checkpoint {
+        encode_checkpoint(&mut w, cp);
     }
+    encode_body_v2(&mut w, sketch);
+    w.finish()
 }
 
 // --- v2 columnar container --------------------------------------------------
@@ -404,7 +306,7 @@ const GROUPS: usize = 7;
 
 /// The dictionary code and (delta group, operand) of an op; operand is
 /// `None` for the three operand-free lifecycle codes.
-fn op_code(op: &SketchOp) -> (u8, Option<(usize, u32)>) {
+pub(crate) fn op_code(op: &SketchOp) -> (u8, Option<(usize, u32)>) {
     match op {
         SketchOp::Start => (CODE_START, None),
         SketchOp::Exit => (CODE_EXIT, None),
@@ -491,29 +393,6 @@ fn zigzag(v: i64) -> u64 {
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Serializes a sketch in the v2 columnar container.
-pub fn encode_sketch_v2(sketch: &Sketch) -> Vec<u8> {
-    let mut w = Writer::new();
-    encode_header(&mut w, sketch, VERSION_V2);
-    encode_body_v2(&mut w, sketch);
-    w.finish()
-}
-
-/// Serializes a checkpoint-bearing sketch in the v3 container: common
-/// header, checkpoint segment, then the identical v2 columnar body over
-/// the retained window's entries.
-pub fn encode_sketch_v3(sketch: &Sketch) -> Vec<u8> {
-    let mut w = Writer::new();
-    encode_header(&mut w, sketch, VERSION_V3);
-    let cp = sketch
-        .checkpoint
-        .as_deref()
-        .expect("v3 container requires a checkpoint");
-    encode_checkpoint(&mut w, cp);
-    encode_body_v2(&mut w, sketch);
-    w.finish()
 }
 
 fn encode_checkpoint(w: &mut Writer, cp: &SketchCheckpoint) {
@@ -711,20 +590,10 @@ impl ColumnWriter {
     }
 }
 
-fn decode_entries_v1(r: &mut Reader<'_>) -> Result<Vec<SketchEntry>, DecodeError> {
-    // A v1 entry is at least a tid varint and a tag byte.
-    let n = r.count(2, "entry")?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(decode_entry(r)?);
-    }
-    Ok(entries)
-}
-
-/// One per-thread shard of a v2 columnar container: how many entries the
-/// thread contributed and how many bytes its column block occupies.
+/// One per-thread shard of a container body: how many entries the thread
+/// contributed and how many bytes its column block occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct V2Shard {
+pub struct Shard {
     /// The thread id owning the column.
     pub tid: u32,
     /// Entries in the column.
@@ -734,10 +603,16 @@ pub struct V2Shard {
     pub column_bytes: u64,
 }
 
-/// The physical layout of a v2 container body, per shard — what
-/// `pres sketch-info` prints as the shard directory.
+/// The physical layout of a container — what `pres sketch-info` prints
+/// as its version, checkpoint segment and shard directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct V2Layout {
+pub struct Layout {
+    /// The container version byte: 2, or 3 for a checkpoint-bearing
+    /// container.
+    pub version: u8,
+    /// Encoded bytes of the v3 checkpoint segment (header excluded);
+    /// `None` for a v2 container.
+    pub checkpoint_bytes: Option<u64>,
     /// Total entries in the container.
     pub entries: u64,
     /// How the cross-thread interleave stream is encoded.
@@ -745,7 +620,7 @@ pub struct V2Layout {
     /// Bytes of the interleave stream (including its selector byte).
     pub interleave_bytes: u64,
     /// Per-thread shards, ascending by thread id.
-    pub threads: Vec<V2Shard>,
+    pub threads: Vec<Shard>,
 }
 
 /// Where [`walk_body`] delivers a v2 body's entries, column by column.
@@ -817,15 +692,14 @@ impl BodySink for IndexSink {
 
     #[inline]
     fn entry(&mut self, _pos: u32, _tid: u32, code: u8, operand: u32, _result: OpResult) {
-        let key = u64::from(code) << 32 | u64::from(operand);
-        let id = self.dict.intern(key, || {
+        let id = self.dict.intern(code, operand, || {
             op_from_code(code, operand).expect("walk_body checked the code")
         });
         self.ids.push(id);
     }
 }
 
-/// Discards entries: [`v2_layout`] needs only the walk itself.
+/// Discards entries: [`layout`] needs only the walk itself.
 impl BodySink for () {
     const KEEPS_RESULTS: bool = false;
 
@@ -834,17 +708,19 @@ impl BodySink for () {
 
 /// What [`walk_body`] recovers besides the entries: the thread directory,
 /// each thread's column range and global positions (column order), and
-/// the physical layout.
+/// the interleave encoding and shards [`layout`] reports.
 struct Body {
     tids: Vec<u32>,
     starts: Vec<u32>,
     positions: Vec<u32>,
-    layout: V2Layout,
+    interleave_encoding: &'static str,
+    interleave_bytes: u64,
+    shards: Vec<Shard>,
 }
 
-/// The one v2 body walker behind [`decode_sketch`], [`decode_index`] and
-/// [`v2_layout`]: entry count, thread directory, interleave stream, then
-/// each thread's column, handing every decoded entry to `sink`.
+/// The body walker behind every reader: entry count, thread directory,
+/// interleave stream, then each thread's column, handing every decoded
+/// entry to `sink`.
 ///
 /// Every count is bounded before it sizes an allocation: the entry count
 /// by the bytes that remain (each entry costs at least its column byte)
@@ -910,7 +786,7 @@ fn walk_body<S: BodySink>(
     })?;
 
     let mut sink = sink_for(n);
-    let mut shards: Vec<V2Shard> = Vec::with_capacity(t);
+    let mut shards = Vec::with_capacity(t);
     for (slot, &tid) in tids.iter().enumerate() {
         let column_start = r.position();
         let mut prevs = [0i64; GROUPS];
@@ -951,23 +827,19 @@ fn walk_body<S: BodySink>(
             };
             sink.entry(pos, tid, code, operand, result);
         }
-        shards.push(V2Shard {
+        shards.push(Shard {
             tid,
             entries: u64::from(starts[slot + 1] - starts[slot]),
             column_bytes: (r.position() - column_start) as u64,
         });
     }
-    let layout = V2Layout {
-        entries: n as u64,
-        interleave_encoding,
-        interleave_bytes,
-        threads: shards,
-    };
     let body = Body {
         tids,
         starts,
         positions,
-        layout,
+        interleave_encoding,
+        interleave_bytes,
+        shards,
     };
     Ok((body, sink))
 }
@@ -1039,12 +911,67 @@ fn walk_interleave(
     Ok(())
 }
 
-/// Deserializes a sketch from its binary log form (either container
-/// version — see the version byte).
-fn decode_header(
-    r: &mut Reader<'_>,
-) -> Result<(u8, Mechanism, SketchMeta), DecodeError> {
-    let version = decode_version(r)?;
+/// A container as [`read`] recovers it: header, checkpoint segment, body
+/// directory and whatever the sink built from the entries.
+struct Container<S> {
+    version: u8,
+    mechanism: Mechanism,
+    meta: SketchMeta,
+    checkpoint: Option<Box<SketchCheckpoint>>,
+    /// Encoded bytes of the checkpoint segment, for a v3 container.
+    checkpoint_bytes: Option<u64>,
+    body: Body,
+    sink: S,
+}
+
+/// The one container reader: header, the checkpoint segment of a v3
+/// container, the body through [`walk_body`] into the sink `sink_for`
+/// builds, then the trailing-bytes check. Every public reader is a sink
+/// choice of this walk, so each reports the same error (offset and
+/// message) on the same bytes.
+fn read<S: BodySink>(
+    data: &[u8],
+    sink_for: impl FnOnce(usize) -> S,
+) -> Result<Container<S>, DecodeError> {
+    let mut r = Reader::new(data);
+    let (version, mechanism, meta) = decode_header(&mut r)?;
+    let segment_start = r.position();
+    let checkpoint = match version {
+        VERSION_V3 => Some(Box::new(decode_checkpoint(&mut r)?)),
+        _ => None,
+    };
+    let checkpoint_bytes = checkpoint
+        .as_ref()
+        .map(|_| (r.position() - segment_start) as u64);
+    let (body, sink) = walk_body(&mut r, sink_for)?;
+    if !r.at_end() {
+        return Err(r.err("trailing bytes"));
+    }
+    Ok(Container {
+        version,
+        mechanism,
+        meta,
+        checkpoint,
+        checkpoint_bytes,
+        body,
+        sink,
+    })
+}
+
+/// Reads the common header: magic, version byte — refused right there
+/// unless it is v2 or v3 —, mechanism and run metadata.
+fn decode_header(r: &mut Reader<'_>) -> Result<(u8, Mechanism, SketchMeta), DecodeError> {
+    let mut magic = [0u8; 4];
+    for m in &mut magic {
+        *m = r.u8()?;
+    }
+    if &magic != MAGIC {
+        return Err(r.err("bad magic"));
+    }
+    let version = r.u8()?;
+    if version != VERSION_V2 && version != VERSION_V3 {
+        return Err(r.err(format!("unsupported version {version}")));
+    }
     let code = r.u8()?;
     let arg = r.varint_u32("mechanism argument")?;
     let mechanism =
@@ -1059,119 +986,51 @@ fn decode_header(
     Ok((version, mechanism, meta))
 }
 
+/// Deserializes a sketch from its binary log form, a v2 or v3 container
+/// (see the version byte).
 pub fn decode_sketch(data: &[u8]) -> Result<Sketch, DecodeError> {
-    let mut r = Reader::new(data);
-    let (version, mechanism, meta) = decode_header(&mut r)?;
-    let mut checkpoint = None;
-    let entries = match version {
-        VERSION_V1 => decode_entries_v1(&mut r)?,
-        VERSION_V2 | VERSION_V3 => {
-            if version == VERSION_V3 {
-                checkpoint = Some(Box::new(decode_checkpoint(&mut r)?));
-            }
-            let (_, EntrySink(entries)) = walk_body(&mut r, EntrySink::new)?;
-            entries
-        }
-        other => return Err(r.err(format!("unsupported version {other}"))),
-    };
-    if !r.at_end() {
-        return Err(r.err("trailing bytes"));
-    }
+    let c = read(data, EntrySink::new)?;
     Ok(Sketch {
-        mechanism,
-        entries,
-        meta,
-        checkpoint,
+        mechanism: c.mechanism,
+        entries: c.sink.0,
+        meta: c.meta,
+        checkpoint: c.checkpoint,
     })
 }
 
 /// Decodes a container straight into its metadata and compact replay
 /// index — what the daemon caches — without materialising a single
-/// [`SketchEntry`]: the v2/v3 body goes through the same walker as
-/// [`decode_sketch`], syscall results are validated and skipped, and
-/// every error (offset and message) is the one [`decode_sketch`] reports
-/// on the same bytes. v1 containers fall back to [`decode_sketch`] +
-/// [`SketchIndex::new`].
+/// [`SketchEntry`]: syscall results are validated and skipped, and every
+/// error (offset and message) is the one [`decode_sketch`] reports on the
+/// same bytes.
 pub fn decode_index(data: &[u8]) -> Result<(SketchMeta, SketchIndex), DecodeError> {
-    let mut r = Reader::new(data);
-    let (version, mechanism, meta) = decode_header(&mut r)?;
-    let checkpoint = match version {
-        VERSION_V1 => {
-            let sketch = decode_sketch(data)?;
-            let index = SketchIndex::new(&sketch);
-            return Ok((sketch.meta, index));
-        }
-        VERSION_V2 => None,
-        VERSION_V3 => Some(Box::new(decode_checkpoint(&mut r)?)),
-        other => return Err(r.err(format!("unsupported version {other}"))),
-    };
-    let (body, IndexSink { dict, ids }) = walk_body(&mut r, IndexSink::new)?;
-    if !r.at_end() {
-        return Err(r.err("trailing bytes"));
-    }
+    let c = read(data, IndexSink::new)?;
+    let IndexSink { dict, ids } = c.sink;
+    let body = c.body;
     let index = dict.index(
-        mechanism,
+        c.mechanism,
         body.tids,
         body.starts,
         body.positions,
         ids,
-        checkpoint,
+        c.checkpoint,
     );
-    Ok((meta, index))
+    Ok((c.meta, index))
 }
 
-/// The physical shard directory of a v2/v3 container: per-thread entry
-/// and column-byte counts plus the interleave-stream encoding. Returns
-/// `Ok(None)` for a (shard-free) v1 container; errors mirror
-/// [`decode_sketch`] on corrupt input.
-pub fn v2_layout(data: &[u8]) -> Result<Option<V2Layout>, DecodeError> {
-    let mut r = Reader::new(data);
-    let (version, _, _) = decode_header(&mut r)?;
-    match version {
-        VERSION_V1 => Ok(None),
-        VERSION_V2 | VERSION_V3 => {
-            if version == VERSION_V3 {
-                decode_checkpoint(&mut r)?;
-            }
-            let (body, ()) = walk_body(&mut r, |_| ())?;
-            if !r.at_end() {
-                return Err(r.err("trailing bytes"));
-            }
-            Ok(Some(body.layout))
-        }
-        other => Err(r.err(format!("unsupported version {other}"))),
-    }
-}
-
-/// The encoded byte span of a v3 container's checkpoint segment (header
-/// excluded), for size reporting — `Ok(None)` for v1/v2 containers.
-pub fn checkpoint_segment_bytes(data: &[u8]) -> Result<Option<u64>, DecodeError> {
-    let mut r = Reader::new(data);
-    let (version, _, _) = decode_header(&mut r)?;
-    if version != VERSION_V3 {
-        return Ok(None);
-    }
-    let start = r.position();
-    decode_checkpoint(&mut r)?;
-    Ok(Some((r.position() - start) as u64))
-}
-
-/// The container version byte of an encoded sketch (after validating the
-/// magic). Lets tools report the format without a full decode.
-pub fn container_version(data: &[u8]) -> Result<u8, DecodeError> {
-    decode_version(&mut Reader::new(data))
-}
-
-/// Reads the magic, then the version byte.
-fn decode_version(r: &mut Reader<'_>) -> Result<u8, DecodeError> {
-    let mut magic = [0u8; 4];
-    for m in &mut magic {
-        *m = r.u8()?;
-    }
-    if &magic != MAGIC {
-        return Err(r.err("bad magic"));
-    }
-    r.u8()
+/// The physical layout of a container: its version, checkpoint-segment
+/// bytes and shard directory. Errors mirror [`decode_sketch`] on the same
+/// bytes.
+pub fn layout(data: &[u8]) -> Result<Layout, DecodeError> {
+    let c = read(data, |_| ())?;
+    Ok(Layout {
+        version: c.version,
+        checkpoint_bytes: c.checkpoint_bytes,
+        entries: c.body.positions.len() as u64,
+        interleave_encoding: c.body.interleave_encoding,
+        interleave_bytes: c.body.interleave_bytes,
+        threads: c.body.shards,
+    })
 }
 
 /// The number of bytes a value occupies as a LEB128 varint: one per
@@ -1201,8 +1060,8 @@ fn result_size(r: &OpResult) -> u64 {
 /// recorder charges to the virtual clock.
 ///
 /// Computed arithmetically (this runs once per recorded event on the
-/// recorder's hot path); a test pins it to [`encode_entry`]'s actual byte
-/// count for every op and result variant.
+/// recorder's hot path); a test pins it to the byte count of the flat
+/// per-entry encoding it models, for every op and result variant.
 pub fn entry_size(e: &SketchEntry) -> u64 {
     let op = match &e.op {
         SketchOp::Start | SketchOp::Exit | SketchOp::Spawn => 1,
@@ -1227,24 +1086,72 @@ mod tests {
     use super::*;
     use pres_tvm::ids::VarId;
 
+    const TAG_START: u8 = 0;
+    const TAG_EXIT: u8 = 1;
+    const TAG_MEM_READ: u8 = 2;
+    const TAG_MEM_WRITE: u8 = 3;
+    const TAG_SYNC: u8 = 4;
+    const TAG_SPAWN: u8 = 5;
+    const TAG_JOIN: u8 = 6;
+    const TAG_SYS: u8 = 7;
+    const TAG_FUNC: u8 = 8;
+    const TAG_BB: u8 = 9;
+
+    /// The flat per-entry encoding [`entry_size`] models: tid varint, tag
+    /// byte, then the op's fields. Returns the bytes appended.
+    fn encode_entry(w: &mut Writer, e: &SketchEntry) -> usize {
+        let before = w.len();
+        w.varint(u64::from(e.tid.0));
+        match &e.op {
+            SketchOp::Start => w.u8(TAG_START),
+            SketchOp::Exit => w.u8(TAG_EXIT),
+            SketchOp::Mem { loc, write } => {
+                w.u8(if *write { TAG_MEM_WRITE } else { TAG_MEM_READ });
+                match loc {
+                    MemLoc::Var(v) => {
+                        w.u8(0);
+                        w.varint(u64::from(v.0));
+                    }
+                    MemLoc::Buf(b) => {
+                        w.u8(1);
+                        w.varint(u64::from(b.0));
+                    }
+                }
+            }
+            SketchOp::Sync { kind, obj } => {
+                w.u8(TAG_SYNC);
+                w.u8(sync_kind_code(*kind));
+                w.varint(u64::from(*obj));
+            }
+            SketchOp::Spawn => w.u8(TAG_SPAWN),
+            SketchOp::Join { target } => {
+                w.u8(TAG_JOIN);
+                w.varint(u64::from(*target));
+            }
+            SketchOp::Sys { kind, obj } => {
+                w.u8(TAG_SYS);
+                w.u8(sys_kind_code(*kind));
+                w.varint(u64::from(*obj));
+                encode_result(w, &e.result);
+            }
+            SketchOp::Func(f) => {
+                w.u8(TAG_FUNC);
+                w.varint(u64::from(*f));
+            }
+            SketchOp::Bb(b) => {
+                w.u8(TAG_BB);
+                w.varint(u64::from(*b));
+            }
+        }
+        w.len() - before
+    }
+
     fn entry(tid: u32, op: SketchOp) -> SketchEntry {
         SketchEntry {
             tid: ThreadId(tid),
             op,
             result: OpResult::Unit,
         }
-    }
-
-    /// Hand-built v1 container bytes — header, entry count, flat entry
-    /// stream — for the decoder's v1 path.
-    fn v1_bytes(sketch: &Sketch) -> Vec<u8> {
-        let mut w = Writer::new();
-        encode_header(&mut w, sketch, VERSION_V1);
-        w.varint(sketch.entries.len() as u64);
-        for e in &sketch.entries {
-            encode_entry(&mut w, e);
-        }
-        w.finish()
     }
 
     fn sample_sketch() -> Sketch {
@@ -1443,30 +1350,24 @@ mod tests {
     }
 
     #[test]
-    fn v1_container_still_decodes() {
-        let s = sample_sketch();
-        let encoded = v1_bytes(&s);
-        assert_eq!(container_version(&encoded).unwrap(), 1);
-        assert_eq!(decode_sketch(&encoded).unwrap(), s);
-    }
-
-    #[test]
     fn default_container_is_v2() {
         let encoded = encode_sketch(&sample_sketch());
-        assert_eq!(container_version(&encoded).unwrap(), 2);
-        assert_eq!(encoded, encode_sketch_v2(&sample_sketch()));
+        assert_eq!(layout(&encoded).unwrap().version, 2);
     }
 
     #[test]
     fn empty_sketch_round_trips_in_both_versions() {
-        let s = Sketch {
+        let mut s = Sketch {
             mechanism: Mechanism::Sync,
             entries: vec![],
             meta: SketchMeta::default(),
             checkpoint: None,
         };
-        assert_eq!(decode_sketch(&v1_bytes(&s)).unwrap(), s);
-        assert_eq!(decode_sketch(&encode_sketch_v2(&s)).unwrap(), s);
+        assert_eq!(decode_sketch(&encode_sketch(&s)).unwrap(), s);
+        s.checkpoint = checkpointed_sketch().checkpoint;
+        let v3 = encode_sketch(&s);
+        assert_eq!(layout(&v3).unwrap().version, 3);
+        assert_eq!(decode_sketch(&v3).unwrap(), s);
     }
 
     #[test]
@@ -1503,14 +1404,15 @@ mod tests {
             meta: SketchMeta::default(),
             checkpoint: None,
         };
-        let v1 = v1_bytes(&s);
-        let v2 = encode_sketch_v2(&s);
+        // The flat stream the recorder charges for: one tid, tag and
+        // operand per entry.
+        let flat: u64 = s.entries.iter().map(entry_size).sum();
+        let v2 = encode_sketch(&s);
         assert_eq!(decode_sketch(&v2).unwrap(), s);
         assert!(
-            (v2.len() as f64) < 0.75 * v1.len() as f64,
-            "v2 {} must be at least 25% smaller than v1 {}",
+            (v2.len() as f64) < 0.75 * flat as f64,
+            "v2 {} must be at least 25% smaller than the flat entry stream {flat}",
             v2.len(),
-            v1.len()
         );
     }
 
@@ -1536,12 +1438,12 @@ mod tests {
             meta: SketchMeta::default(),
             checkpoint: None,
         };
-        assert_eq!(decode_sketch(&encode_sketch_v2(&s)).unwrap(), s);
+        assert_eq!(decode_sketch(&encode_sketch(&s)).unwrap(), s);
     }
 
     #[test]
     fn v2_truncations_and_corruptions_are_errors_not_panics() {
-        let encoded = encode_sketch_v2(&sample_sketch());
+        let encoded = encode_sketch(&sample_sketch());
         for cut in 0..encoded.len() {
             assert!(decode_sketch(&encoded[..cut]).is_err());
         }
@@ -1585,10 +1487,10 @@ mod tests {
     fn checkpoint_bearing_sketch_selects_v3_and_round_trips() {
         let s = checkpointed_sketch();
         let encoded = encode_sketch(&s);
-        assert_eq!(container_version(&encoded).unwrap(), 3);
+        assert_eq!(layout(&encoded).unwrap().version, 3);
         assert_eq!(decode_sketch(&encoded).unwrap(), s);
         // Checkpoint-free sketches still emit v2.
-        assert_eq!(container_version(&encode_sketch(&sample_sketch())).unwrap(), 2);
+        assert_eq!(layout(&encode_sketch(&sample_sketch())).unwrap().version, 2);
     }
 
     #[test]
@@ -1607,7 +1509,7 @@ mod tests {
             cp.boundary = 9;
             cp.snapshot = b"not a vm snapshot".to_vec();
         }
-        let encoded = encode_sketch_v3(&s);
+        let encoded = encode_sketch(&s);
         let err = decode_sketch(&encoded).unwrap_err();
         assert!(err.message.contains("snapshot"), "{}", err.message);
     }
@@ -1616,7 +1518,7 @@ mod tests {
     fn genesis_checkpoint_with_a_snapshot_is_rejected() {
         let mut s = checkpointed_sketch();
         s.checkpoint.as_deref_mut().unwrap().snapshot = vec![1, 2, 3];
-        let encoded = encode_sketch_v3(&s);
+        let encoded = encode_sketch(&s);
         let err = decode_sketch(&encoded).unwrap_err();
         assert!(err.message.contains("genesis"), "{}", err.message);
     }
@@ -1627,26 +1529,24 @@ mod tests {
         // believable checkpoint: the first body varint (a nonzero entry
         // count) lands on `boundary`, and a nonzero boundary demands an
         // embedded snapshot that decodes — garbage cannot.
-        let mut encoded = encode_sketch_v2(&sample_sketch());
+        let mut encoded = encode_sketch(&sample_sketch());
         encoded[4] = 3;
         assert!(decode_sketch(&encoded).is_err());
     }
 
     #[test]
-    fn checkpoint_segment_bytes_is_v3_only() {
+    fn layout_reports_the_checkpoint_segment_of_v3_only() {
         let v3 = encode_sketch(&checkpointed_sketch());
-        let seg = checkpoint_segment_bytes(&v3).unwrap().expect("v3 has a segment");
-        assert!(seg > 0 && seg < v3.len() as u64);
-        assert_eq!(checkpoint_segment_bytes(&encode_sketch_v2(&sample_sketch())).unwrap(), None);
-        assert_eq!(checkpoint_segment_bytes(&v1_bytes(&sample_sketch())).unwrap(), None);
+        let seg = layout(&v3).unwrap().checkpoint_bytes;
+        assert!(seg.is_some_and(|seg| seg > 0 && seg < v3.len() as u64));
+        let v2 = encode_sketch(&sample_sketch());
+        assert_eq!(layout(&v2).unwrap().checkpoint_bytes, None);
     }
 
     #[test]
-    fn v2_layout_skips_the_checkpoint_segment() {
+    fn layout_skips_the_checkpoint_segment() {
         let s = checkpointed_sketch();
-        let layout = v2_layout(&encode_sketch(&s))
-            .expect("valid container")
-            .expect("v3 has a columnar layout");
+        let layout = layout(&encode_sketch(&s)).expect("valid container");
         assert_eq!(layout.entries, s.entries.len() as u64);
     }
 
@@ -1688,12 +1588,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_layout_reports_the_shard_directory() {
+    fn layout_reports_the_shard_directory() {
         let sketch = sample_sketch();
-        let encoded = encode_sketch_v2(&sketch);
-        let layout = v2_layout(&encoded)
-            .expect("valid container")
-            .expect("v2 has a layout");
+        let encoded = encode_sketch(&sketch);
+        let layout = layout(&encoded).expect("valid container");
         assert_eq!(layout.entries, sketch.entries.len() as u64);
         // Shards are ascending by tid and cover every entry exactly once.
         let tids: Vec<u32> = layout.threads.iter().map(|s| s.tid).collect();
@@ -1713,11 +1611,14 @@ mod tests {
     }
 
     #[test]
-    fn v2_layout_is_absent_for_v1_containers() {
-        let sketch = sample_sketch();
-        let encoded = v1_bytes(&sketch);
-        assert_eq!(v2_layout(&encoded).expect("valid container"), None);
-        assert!(v2_layout(b"garbage").is_err());
+    fn layout_refuses_what_decode_sketch_refuses() {
+        let mut v1 = encode_sketch(&sample_sketch());
+        v1[4] = 1;
+        for bytes in [&v1[..], b"garbage"] {
+            let want = decode_sketch(bytes).unwrap_err();
+            assert_eq!(layout(bytes).unwrap_err(), want);
+            assert_eq!(decode_index(bytes).unwrap_err(), want);
+        }
     }
 
     /// The three interleave encodings of `indices` (each entry's thread
@@ -1801,7 +1702,7 @@ mod tests {
                 meta: SketchMeta::default(),
                 checkpoint: None,
             };
-            let bytes = encode_sketch_v2(&sketch);
+            let bytes = encode_sketch(&sketch);
             assert_eq!(decode_sketch(&bytes).unwrap(), sketch, "{case}");
 
             let mut prefix = Writer::new();

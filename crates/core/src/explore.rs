@@ -193,7 +193,9 @@ pub struct AttemptRecord {
     pub index: u32,
     /// Whether the attempt ended in the target failure.
     pub reproduced: bool,
-    /// Whether the attempt aborted on divergence/stall.
+    /// Whether the attempt aborted because replay stalled: every enabled
+    /// thread was held back by the sketch order or a flip constraint. A
+    /// thread that leaves the recorded path relaxes enforcement instead.
     pub diverged: bool,
     /// Final status, rendered.
     pub status: String,

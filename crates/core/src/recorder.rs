@@ -486,22 +486,10 @@ pub struct RecordingReport {
     pub mechanism: Mechanism,
     /// Overhead percentage vs. native.
     pub overhead_pct: f64,
-    /// Slowdown factor vs. native.
-    pub slowdown: f64,
     /// Explicit sketch entry count.
     pub entries: u64,
-    /// Implicit instruction-stream events.
-    pub implicit_events: u64,
     /// Encoded log bytes.
     pub log_bytes: u64,
-    /// Native makespan (virtual units) — the run length the log amortizes
-    /// over, for bytes-per-unit-time comparisons.
-    pub native_makespan: u64,
-    /// Total operations the production run executed (normalizes log bytes
-    /// to bytes per 1k ops).
-    pub total_ops: u64,
-    /// Actual v2 (columnar) container bytes for this sketch.
-    pub encoded_v2: u64,
 }
 
 impl RecordingReport {
@@ -511,13 +499,8 @@ impl RecordingReport {
             program: run.sketch.meta.program.clone(),
             mechanism: run.sketch.mechanism,
             overhead_pct: run.overhead_pct(),
-            slowdown: run.slowdown(),
             entries: run.sketch.entries.len() as u64,
-            implicit_events: run.implicit_events,
             log_bytes: run.log_bytes,
-            native_makespan: run.native.time.makespan,
-            total_ops: run.sketch.meta.total_ops,
-            encoded_v2: codec::encode_sketch_v2(&run.sketch).len() as u64,
         }
     }
 }
@@ -1272,7 +1255,7 @@ mod tests {
         );
         assert!(ring.sketch.checkpoint.is_some());
         let encoded = crate::codec::encode_sketch(&ring.sketch);
-        assert_eq!(crate::codec::container_version(&encoded).unwrap(), 3);
+        assert_eq!(crate::codec::layout(&encoded).unwrap().version, 3);
         let decoded = crate::codec::decode_sketch(&encoded).unwrap();
         assert_eq!(decoded, ring.sketch);
     }

@@ -832,17 +832,24 @@ impl OpDict {
     /// The id of `op`, adding it on first sight.
     #[inline(always)]
     pub(crate) fn id(&mut self, op: &SketchOp) -> u32 {
-        self.intern(op_key(op), || op.clone())
+        let (code, operand) = crate::codec::op_code(op);
+        self.intern(code, operand.map_or(0, |(_, v)| v), || op.clone())
     }
 
-    /// The id of the op under `key`, adding `make()` on first sight. A
-    /// dictionary must take all its keys from one injective scheme: the
-    /// recorded op's `op_key` here, or a container's (code, operand)
-    /// pair in `codec`'s index sink. Inlined into both index builders'
-    /// per-entry loops.
+    /// The id of the op with container dictionary code `code` and
+    /// `operand`, adding `make()` on first sight. Both index builders key
+    /// ops this way — [`SketchIndex::new`] through [`OpDict::id`], the
+    /// decoder straight from a column — so an op has one numbering.
+    /// Inlined into both builders' per-entry loops.
     #[inline(always)]
-    pub(crate) fn intern(&mut self, key: u64, make: impl FnOnce() -> SketchOp) -> u32 {
+    pub(crate) fn intern(
+        &mut self,
+        code: u8,
+        operand: u32,
+        make: impl FnOnce() -> SketchOp,
+    ) -> u32 {
         let ops = &mut self.ops;
+        let key = u64::from(code) << 32 | u64::from(operand);
         self.interned.get_or_insert_with(key, || {
             ops.push(make());
             ops.len() as u32 - 1
@@ -930,30 +937,6 @@ fn id_bits(distinct: usize) -> u32 {
     }
 }
 
-/// An injective `u64` key for an op: a per-variant tag above the operand.
-#[inline]
-fn op_key(op: &SketchOp) -> u64 {
-    let (tag, operand) = match *op {
-        SketchOp::Start => (0, 0),
-        SketchOp::Exit => (1, 0),
-        SketchOp::Spawn => (2, 0),
-        SketchOp::Mem {
-            loc: MemLoc::Var(v),
-            write,
-        } => (3 + u64::from(write), v.0),
-        SketchOp::Mem {
-            loc: MemLoc::Buf(b),
-            write,
-        } => (5 + u64::from(write), b.0),
-        SketchOp::Join { target } => (7, target),
-        SketchOp::Func(f) => (8, f),
-        SketchOp::Bb(b) => (9, b),
-        SketchOp::Sync { kind, obj } => (16 + kind as u64, obj),
-        SketchOp::Sys { kind, obj } => (32 + kind as u64, obj),
-    };
-    tag << 32 | u64::from(operand)
-}
-
 /// A `u64 → u32` map for interning. The `HashMap` holds every key. A
 /// sketch has few distinct threads and ops but many entries, so a small
 /// direct-mapped cache of recent pairs sits in front of it: a repeat
@@ -967,9 +950,8 @@ pub(crate) struct Interner {
 
 /// Direct-mapped cache slots (a power of two).
 const CACHE_SLOTS: usize = 1024;
-/// An empty cache slot. No key is `u64::MAX`: tids are `u32`, op keys
-/// carry a tag below 48 (a container's op code, below 64) above the
-/// operand.
+/// An empty cache slot. No key is `u64::MAX`: tids are `u32`, and op keys
+/// carry a container op code (below 64) above the operand.
 const VACANT: u64 = u64::MAX;
 
 impl Interner {

@@ -1,79 +1,27 @@
-//! On-disk format compatibility: committed containers must keep decoding
-//! byte-for-byte forever, whatever the current default version — the v1
-//! legacy format (no longer written) and the v3 checkpoint-bearing
-//! ring-flush format alike.
+//! On-disk format compatibility: v2 and v3 keep decoding; v1 is refused.
+//! Committed containers must decode byte-for-byte whatever the current
+//! encoder writes — the v3 checkpoint-bearing ring-flush format included —
+//! and the retired flat v1 format fails the same way in every reader.
 
-use pres_core::codec::{checkpoint_segment_bytes, container_version, decode_sketch, encode_sketch};
-use pres_core::sketch::{Mechanism, Sketch, SketchEntry, SketchMeta, SketchOp, SyncKind, SysKind};
-use pres_suite::tvm::prelude::*;
-use pres_tvm::op::{MemLoc, OpResult};
+use pres_core::codec::{decode_index, decode_sketch, encode_sketch, layout, DecodeError};
+use pres_core::sketch::Mechanism;
 
-const FIXTURE: &[u8] = include_bytes!("data/fixture_v1.sketch");
+const FIXTURE_V1: &[u8] = include_bytes!("data/fixture_v1.sketch");
 const FIXTURE_V3: &[u8] = include_bytes!("data/fixture_v3.sketch");
 
-/// The exact sketch `data/fixture_v1.sketch` was written from. Committed
-/// alongside the bytes so the fixture never depends on the recorder.
-fn fixture_sketch() -> Sketch {
-    let entry = |tid: u32, op: SketchOp| SketchEntry {
-        tid: ThreadId(tid),
-        op,
-        result: OpResult::Unit,
-    };
-    Sketch {
-        mechanism: Mechanism::Sync,
-        entries: vec![
-            entry(0, SketchOp::Start),
-            entry(0, SketchOp::Spawn),
-            entry(1, SketchOp::Start),
-            entry(
-                1,
-                SketchOp::Sync {
-                    kind: SyncKind::Lock,
-                    obj: 3,
-                },
-            ),
-            entry(
-                0,
-                SketchOp::Mem {
-                    loc: MemLoc::Var(VarId(12)),
-                    write: true,
-                },
-            ),
-            entry(
-                1,
-                SketchOp::Sync {
-                    kind: SyncKind::Unlock,
-                    obj: 3,
-                },
-            ),
-            SketchEntry {
-                tid: ThreadId(1),
-                op: SketchOp::Sys {
-                    kind: SysKind::Read,
-                    obj: 5,
-                },
-                result: OpResult::Bytes(b"payload".to_vec()),
-            },
-            entry(1, SketchOp::Exit),
-            entry(0, SketchOp::Join { target: 1 }),
-            entry(0, SketchOp::Exit),
-        ],
-        meta: SketchMeta {
-            program: "fixture-app".into(),
-            seed: 99,
-            processors: 4,
-            total_ops: 321,
-            failure_signature: "assert: broken invariant".into(),
-        },
-        checkpoint: None,
-    }
-}
-
+/// The committed v1 container (87 bytes, written before the flat format
+/// was retired) is refused at its version byte, identically by every
+/// reader.
 #[test]
-fn committed_v1_fixture_still_decodes() {
-    assert_eq!(container_version(FIXTURE).unwrap(), 1);
-    let decoded = decode_sketch(FIXTURE).expect("v1 fixture decodes");
-    assert_eq!(decoded, fixture_sketch());
+fn a_v1_container_is_refused() {
+    assert_eq!(FIXTURE_V1.len(), 87);
+    let want = DecodeError {
+        offset: 5,
+        message: "unsupported version 1".into(),
+    };
+    assert_eq!(decode_sketch(FIXTURE_V1).unwrap_err(), want);
+    assert_eq!(decode_index(FIXTURE_V1).unwrap_err(), want);
+    assert_eq!(layout(FIXTURE_V1).unwrap_err(), want);
 }
 
 /// The committed v3 fixture: a real rotated-ring flush of
@@ -82,7 +30,8 @@ fn committed_v1_fixture_still_decodes() {
 /// epochs, and a 640-byte embedded VM snapshot the decoder validates.
 #[test]
 fn committed_v3_ring_fixture_still_decodes() {
-    assert_eq!(container_version(FIXTURE_V3).unwrap(), 3);
+    let layout = layout(FIXTURE_V3).expect("v3 fixture lays out");
+    assert_eq!(layout.version, 3);
     let decoded = decode_sketch(FIXTURE_V3).expect("v3 fixture decodes");
     let cp = decoded
         .checkpoint
@@ -98,7 +47,7 @@ fn committed_v3_ring_fixture_still_decodes() {
     assert_eq!(cp.retained_entries(), 48);
     assert!(!cp.snapshot.is_empty());
     assert_eq!(
-        checkpoint_segment_bytes(FIXTURE_V3).unwrap(),
+        layout.checkpoint_bytes,
         Some(661),
         "checkpoint segment size is part of the committed layout"
     );

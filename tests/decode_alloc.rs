@@ -1,13 +1,15 @@
-//! The byte codec's fuzz harness. Seeded varint-overwrite mutants of the
-//! committed v1 and v3 fixtures, a corpus certificate, the v3 fixture's
-//! embedded `VmSnapshot`, one journal record payload of each kind and one
-//! protocol frame of each request and response kind go through every
-//! decoder that reads hostile bytes: `decode_sketch`, `decode_index`,
-//! `Certificate::decode`, `VmSnapshot::decode`, journal replay (the
-//! mutant payload re-framed with a valid checksum, so the record decoder
-//! runs) and `Frame::parse` + `{Request,Response}::from_frame`. No decode
-//! may panic, or ask the allocator for more than `16 × len + 64 KiB`
-//! bytes in all, `len` being the bytes it was given.
+//! The byte codec's fuzz harness. Seeded varint-overwrite mutants of a
+//! classic v2 recording (no checkpoint segment, so the body's directory
+//! follows the header) and of the committed v3 fixture, a corpus
+//! certificate, the v3 fixture's embedded `VmSnapshot`, one journal record
+//! payload of each kind and one protocol frame of each request and
+//! response kind go through every decoder that reads hostile bytes:
+//! `decode_sketch`, `decode_index`, `layout`, `Certificate::decode`,
+//! `VmSnapshot::decode`, journal replay (the mutant payload re-framed with
+//! a valid checksum, so the record decoder runs) and `Frame::parse` +
+//! `{Request,Response}::from_frame`. No decode may panic, or ask the
+//! allocator for more than `16 × len + 64 KiB` bytes in all, `len` being
+//! the bytes it was given.
 //!
 //! The same counting allocator bounds the encoder: a sketch with sparse
 //! thread ids encodes in memory proportional to its entries, never to its
@@ -15,7 +17,7 @@
 
 mod common;
 
-use pres_core::codec::{decode_index, decode_sketch, encode_sketch};
+use pres_core::codec::{decode_index, decode_sketch, encode_sketch, layout};
 use pres_core::sketch::{Mechanism, Sketch, SketchEntry, SketchMeta, SketchOp};
 use pres_core::{Certificate, Pres};
 use pres_suite::apps::all_bugs;
@@ -37,7 +39,6 @@ const MUTANTS_PER_INPUT: usize = 1024;
 /// The generator seed every mutant stream derives from.
 const SEED: u64 = 0xdec0de;
 
-const FIXTURE_V1: &[u8] = include_bytes!("data/fixture_v1.sketch");
 const FIXTURE_V3: &[u8] = include_bytes!("data/fixture_v3.sketch");
 
 /// Counts the bytes each thread asks the system allocator for.
@@ -112,21 +113,22 @@ fn fuzz(label: &str, base: &[u8], rng: &mut ChaCha8Rng, mut decode: impl FnMut(&
     }
 }
 
-/// A certificate of a corpus bug's failing production run: its schedule
-/// replays the failure, which is what a minted certificate holds.
-fn corpus_certificate() -> Vec<u8> {
+/// A corpus bug's failing production run, recorded classically under
+/// SYNC: its v2 container, and the certificate of its schedule (which
+/// replays the failure, as a minted certificate's does).
+fn corpus_sketch_and_certificate() -> (Vec<u8>, Vec<u8>) {
     let case = all_bugs().into_iter().find(|b| b.id == "pbzip-order").unwrap();
     let program = case.program();
     let run = Pres::new(Mechanism::Sync)
         .record_until_failure(program.as_ref(), 0..5000)
         .expect("bug manifests in production");
-    Certificate {
+    let certificate = Certificate {
         program: case.id.to_string(),
         schedule: run.outcome.schedule.clone(),
         expected_signature: run.sketch.meta.failure_signature.clone(),
         processors: run.sketch.meta.processors,
-    }
-    .encode()
+    };
+    (encode_sketch(&run.sketch), certificate.encode())
 }
 
 /// One record payload of each journal kind, as `Journal::append` frames
@@ -207,14 +209,16 @@ fn frames() -> Vec<Vec<u8>> {
 #[test]
 fn hostile_bytes_never_panic_a_decoder_or_ask_for_unbounded_memory() {
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-    for (label, fixture) in [("v1 fixture", FIXTURE_V1), ("v3 fixture", FIXTURE_V3)] {
-        fuzz(label, fixture, &mut rng, |bytes| {
+    let (sketch, certificate) = corpus_sketch_and_certificate();
+    assert_eq!(layout(&sketch).unwrap().checkpoint_bytes, None);
+    for (label, container) in [("v2 recording", &sketch[..]), ("v3 fixture", FIXTURE_V3)] {
+        fuzz(label, container, &mut rng, |bytes| {
             let _ = decode_sketch(bytes);
             let _ = decode_index(bytes);
+            let _ = layout(bytes);
         });
     }
 
-    let certificate = corpus_certificate();
     fuzz("certificate", &certificate, &mut rng, |bytes| {
         let _ = Certificate::decode(bytes);
     });

@@ -278,15 +278,15 @@ fn overflowing_varints_and_ids_above_u32_are_refused_by_both_decoders() {
     let seed = |tenth: u8| [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, tenth];
     // v2: no entries, no threads, plain interleave.
     let empty = [0, 0, 0];
-    // v1: one entry, on thread `tid`, START.
-    let v1 = |tid: u64| [1, tid, 0];
+    // v2: one START (code 0) on thread `tid`, plain interleave.
+    let tid = |tid: u64| [1, 1, tid, 0, 0, 0];
     // v2: one `read` syscall (code 27, operand delta 0) on thread 0,
     // plain interleave, whose result is RES_FD (9) `fd`.
     let fd = |fd: u64| [1, 1, 0, 0, 0, 27 | (1 << 6), 9, fd];
 
     let honest = decode_sketch(&forged(2, &seed(1), 7, &empty)).unwrap();
     assert_eq!((honest.meta.seed, honest.meta.processors), (u64::MAX, 7));
-    let honest = decode_sketch(&forged(1, &[0], 0, &v1(5))).unwrap();
+    let honest = decode_sketch(&forged(2, &[0], 0, &tid(5))).unwrap();
     assert_eq!(honest.entries[0].tid, ThreadId(5));
     let honest = decode_sketch(&forged(2, &[0], 0, &fd(3))).unwrap();
     assert_eq!(honest.entries[0].result, OpResult::Fd(FdId(3)));
@@ -296,7 +296,7 @@ fn overflowing_varints_and_ids_above_u32_are_refused_by_both_decoders() {
         (forged(2, &seed(0), 7, &empty), 18, "overlong varint"),
         (forged(2, &[0x84, 0x00], 7, &empty), 10, "overlong varint"),
         (forged(2, &[0], (1 << 32) + 7, &empty), 14, "processor count out of range"),
-        (forged(1, &[0], 0, &v1(1 << 32)), 18, "thread id out of range"),
+        (forged(2, &[0], 0, &tid(1 << 32)), 19, "thread id out of range"),
         (forged(2, &[0], 0, &fd((1 << 32) + 3)), 24, "fd id out of range"),
     ];
     for (bytes, offset, message) in cases {

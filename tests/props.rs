@@ -7,7 +7,7 @@
 //! over a fixed-seed stream of generated cases, which keeps failures
 //! reproducible by construction.
 
-use pres_core::codec::{container_version, decode_sketch, encode_sketch};
+use pres_core::codec::{decode_sketch, encode_sketch, layout};
 use pres_core::sketch::{Mechanism, Sketch, SketchEntry, SketchMeta, SketchOp, SyncKind, SysKind};
 use pres_race::vclock::VectorClock;
 use pres_suite::tvm::prelude::*;
@@ -149,18 +149,29 @@ fn codec_round_trips_any_sketch() {
 }
 
 #[test]
-fn both_container_versions_round_trip_any_sketch() {
+fn v2_and_v3_containers_round_trip_any_sketch() {
     // The v2 columnar container must reproduce *arbitrary* interleavings
-    // and id sequences exactly. v1 is no longer written, but the committed
-    // v1 fixture must keep decoding into a sketch that round-trips via v2.
-    let v1 = include_bytes!("data/fixture_v1.sketch");
-    assert_eq!(container_version(v1).unwrap(), 1);
-    let legacy = decode_sketch(v1).expect("v1 fixture decodes");
+    // and id sequences exactly, and so must v3, whose body is the same
+    // columns behind a checkpoint segment (a genesis one here).
+    use pres_core::sketch::SketchCheckpoint;
     let mut rng = ChaCha8Rng::seed_from_u64(0xc0dec2);
-    for sketch in std::iter::once(legacy).chain((0..64).map(|_| gen_sketch(&mut rng))) {
+    for _ in 0..64 {
+        let mut sketch = gen_sketch(&mut rng);
         let v2 = encode_sketch(&sketch);
-        assert_eq!(container_version(&v2).unwrap(), 2);
+        assert_eq!(layout(&v2).unwrap().version, 2);
         assert_eq!(decode_sketch(&v2).unwrap(), sketch);
+        sketch.checkpoint = Some(Box::new(SketchCheckpoint {
+            boundary: 0,
+            production_seed: sketch.meta.seed,
+            dropped_epochs: 0,
+            dropped_entries: 0,
+            bbn_counters: vec![],
+            epochs: vec![],
+            snapshot: vec![],
+        }));
+        let v3 = encode_sketch(&sketch);
+        assert_eq!(layout(&v3).unwrap().version, 3);
+        assert_eq!(decode_sketch(&v3).unwrap(), sketch);
     }
 }
 
@@ -230,7 +241,7 @@ fn v3_round_trips_ring_flushed_sketches() {
         let cp = sketch.checkpoint.as_deref().expect("ring mode attaches a checkpoint");
         rotated += usize::from(!cp.is_genesis());
         let encoded = encode_sketch(&sketch);
-        assert_eq!(container_version(&encoded).unwrap(), 3);
+        assert_eq!(layout(&encoded).unwrap().version, 3);
         assert_eq!(decode_sketch(&encoded).unwrap(), sketch);
     }
     assert!(rotated > 0, "no generated ring ever rotated; budgets too loose");
@@ -280,7 +291,7 @@ fn bit_flips_never_panic_and_never_forge_a_phantom_checkpoint() {
             let Ok(decoded) = decode_sketch(&mutated) else {
                 continue;
             };
-            match container_version(&mutated) {
+            match layout(&mutated).map(|l| l.version) {
                 // Only a v3 container can carry a checkpoint at all.
                 Ok(3) => {
                     if let Some(cp) = decoded.checkpoint.as_deref() {
