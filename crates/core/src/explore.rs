@@ -37,11 +37,11 @@ use crate::feedback;
 use crate::oracle::{FailureOracle, StatusOracle};
 use crate::program::Program;
 use crate::recorder::verify_checkpoint;
-use crate::replay::{FastForwardScheduler, OrderConstraint};
+use crate::replay::{OrderConstraint, PiReplayScheduler};
 use crate::sketch::{Sketch, SketchIndex};
 use pres_tvm::error::RunStatus;
 use pres_tvm::pool::VthreadPool;
-use pres_tvm::trace::{Event, NullObserver, Observer, ObserverCharge, TraceMode};
+use pres_tvm::trace::{NullObserver, Observer, TraceMode};
 use pres_tvm::vm::{self, RunOutcome, VmConfig};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -193,9 +193,11 @@ pub struct AttemptRecord {
     pub index: u32,
     /// Whether the attempt ended in the target failure.
     pub reproduced: bool,
-    /// Whether the attempt aborted because replay stalled: every enabled
-    /// thread was held back by the sketch order or a flip constraint. A
-    /// thread that leaves the recorded path relaxes enforcement instead.
+    /// Whether the attempt left the recorded path: a thread announced an
+    /// operation other than its next recorded one, or the sketch order
+    /// wedged progress, so enforcement relaxed and the run played out free;
+    /// or replay stalled with every enabled thread held back by a flip
+    /// constraint, and the attempt aborted.
     pub diverged: bool,
     /// Final status, rendered.
     pub status: String,
@@ -251,17 +253,11 @@ struct Plan {
     constraints: Vec<OrderConstraint>,
 }
 
-fn plan_signature(constraints: &[OrderConstraint], seed: u64) -> String {
-    let mut cs: Vec<String> = constraints.iter().map(|c| c.to_string()).collect();
-    cs.sort();
-    format!("{seed}|{}", cs.join(";"))
-}
-
-/// The signature the plan `base + [extra]` *would* have — lets the dedup
+/// The canonical signature of the plan `base + extra` under `seed`: the
+/// seed, then the sorted constraints. Taking `extra` apart lets the dedup
 /// check run before the constraint vector is cloned.
-fn plan_signature_with(base: &[OrderConstraint], extra: &OrderConstraint, seed: u64) -> String {
-    let mut cs: Vec<String> = base.iter().map(|c| c.to_string()).collect();
-    cs.push(extra.to_string());
+fn plan_signature(base: &[OrderConstraint], extra: Option<&OrderConstraint>, seed: u64) -> String {
+    let mut cs: Vec<String> = base.iter().chain(extra).map(ToString::to_string).collect();
     cs.sort();
     format!("{seed}|{}", cs.join(";"))
 }
@@ -282,7 +278,7 @@ struct SearchState {
 impl SearchState {
     fn new(explore: &ExploreConfig) -> SearchState {
         let mut tried = BTreeSet::new();
-        tried.insert(plan_signature(&[], explore.base_seed));
+        tried.insert(plan_signature(&[], None, explore.base_seed));
         SearchState {
             frontier: VecDeque::from([Plan {
                 seed: explore.base_seed,
@@ -301,7 +297,7 @@ impl SearchState {
         loop {
             self.round += 1;
             let seed = explore.base_seed.wrapping_add(self.round);
-            if self.tried.insert(plan_signature(&[], seed)) {
+            if self.tried.insert(plan_signature(&[], None, seed)) {
                 return Plan {
                     seed,
                     constraints: Vec::new(),
@@ -321,7 +317,7 @@ impl SearchState {
                 let seed = explore
                     .base_seed
                     .wrapping_add(self.random_cursor.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                if self.tried.insert(plan_signature(&[], seed)) {
+                if self.tried.insert(plan_signature(&[], None, seed)) {
                     return Plan {
                         seed,
                         constraints: Vec::new(),
@@ -354,7 +350,7 @@ impl SearchState {
         plan: &Plan,
         extractor: feedback::StreamingExtractor,
     ) {
-        let mut cands = extractor.finish_ranked(explore.ranking);
+        let mut cands = extractor.finish(explore.ranking);
         cands.truncate(explore.fanout);
         // DFS pops from the back, so highest priority must land last.
         if explore.search == SearchOrder::Dfs {
@@ -367,7 +363,7 @@ impl SearchState {
             // Signature first: the constraint vector is cloned only for
             // plans that actually enter the frontier, not for every
             // candidate the dedup ledger rejects.
-            let signature = plan_signature_with(&plan.constraints, &cand.constraint, plan.seed);
+            let signature = plan_signature(&plan.constraints, Some(&cand.constraint), plan.seed);
             if self.tried.insert(signature) {
                 let mut constraints = plan.constraints.clone();
                 constraints.push(cand.constraint);
@@ -382,33 +378,23 @@ impl SearchState {
     }
 }
 
-/// Forwards only post-boundary events to the wrapped extractor: during
-/// fast-forward the attempt is replaying the production prefix, which must
-/// not contribute flip candidates (their action indices would also
-/// disagree with the replay scheduler's boundary-origin counters).
-struct WindowObserver<'a> {
-    boundary: u64,
-    inner: &'a mut feedback::StreamingExtractor,
-}
-
-impl Observer for WindowObserver<'_> {
-    fn on_event(&mut self, event: &Event) -> ObserverCharge {
-        if event.gseq >= self.boundary {
-            self.inner.on_event(event)
-        } else {
-            ObserverCharge::FREE
-        }
-    }
+/// One finished replay attempt.
+struct Attempt {
+    out: RunOutcome,
+    /// See [`AttemptRecord::diverged`].
+    diverged: bool,
+    /// The attempt's feedback; `None` under the random strategy.
+    extractor: Option<feedback::StreamingExtractor>,
 }
 
 /// Runs one replay attempt for a plan against the shared sketch index, on
 /// `pool`'s workers when given one and on the calling thread's pool
-/// otherwise.
+/// otherwise. The VM keeps no trace.
 ///
 /// Feedback attempts deliver their post-boundary events to a
-/// [`feedback::StreamingExtractor`] and buffer no trace; random attempts
-/// need no events at all (the oracle judges status and schedule only), so
-/// they return no extractor.
+/// [`feedback::StreamingExtractor`]; random attempts need no events at all
+/// (the oracle judges status and schedule only), so they return no
+/// extractor.
 fn run_attempt(
     program: &dyn Program,
     index: &Arc<SketchIndex>,
@@ -416,25 +402,17 @@ fn run_attempt(
     explore: &ExploreConfig,
     plan: &Plan,
     pool: Option<&VthreadPool>,
-) -> (RunOutcome, Option<feedback::StreamingExtractor>) {
+) -> Attempt {
     let mut sched =
-        FastForwardScheduler::with_index(Arc::clone(index), plan.constraints.clone(), plan.seed);
-    let boundary = sched.boundary();
+        PiReplayScheduler::with_index(Arc::clone(index), plan.constraints.clone(), plan.seed);
     let mut cfg = vm_config.clone();
     cfg.world = program.world();
-    let mut extractor =
-        (explore.strategy == Strategy::Feedback).then(feedback::StreamingExtractor::new);
-    let mut window;
+    cfg.trace_mode = TraceMode::Off;
+    let mut extractor = (explore.strategy == Strategy::Feedback)
+        .then(|| feedback::StreamingExtractor::new(sched.boundary()));
     let observer: &mut dyn Observer = match extractor.as_mut() {
-        Some(inner) => {
-            cfg.trace_mode = TraceMode::Feedback;
-            window = WindowObserver { boundary, inner };
-            &mut window
-        }
-        None => {
-            cfg.trace_mode = TraceMode::Off;
-            &mut NullObserver
-        }
+        Some(extractor) => extractor,
+        None => &mut NullObserver,
     };
     let body = program.root();
     let resources = program.resources();
@@ -444,18 +422,11 @@ fn run_attempt(
         }),
         None => vm::run(cfg, resources, &mut sched, observer, move |ctx| body(ctx)),
     };
-    (out, extractor)
-}
-
-fn attempt_record(attempt: u32, plan: &Plan, out: &RunOutcome, reproduced: bool) -> AttemptRecord {
-    AttemptRecord {
-        index: attempt,
-        reproduced,
-        diverged: matches!(&out.status, RunStatus::Aborted(_)),
-        status: out.status.to_string(),
-        constraints: plan.constraints.len(),
-        seed: plan.seed,
-        plan: plan_signature(&plan.constraints, plan.seed),
+    let diverged = matches!(&out.status, RunStatus::Aborted(_)) || sched.relaxed_at().is_some();
+    Attempt {
+        out,
+        diverged,
+        extractor,
     }
 }
 
@@ -585,9 +556,21 @@ fn run_search(
             };
         }
         let plan = search.next_plan(explore, attempt);
-        let (out, extractor) = run_attempt(program, index, vm_config, explore, &plan, pool);
+        let Attempt {
+            out,
+            diverged,
+            extractor,
+        } = run_attempt(program, index, vm_config, explore, &plan, pool);
         let verdict = oracle.judge(&out);
-        history.push(attempt_record(attempt, &plan, &out, verdict.is_some()));
+        history.push(AttemptRecord {
+            index: attempt,
+            reproduced: verdict.is_some(),
+            diverged,
+            status: out.status.to_string(),
+            constraints: plan.constraints.len(),
+            seed: plan.seed,
+            plan: plan_signature(&plan.constraints, None, plan.seed),
+        });
 
         if let Some(signature) = verdict {
             let certificate = Certificate {

@@ -23,7 +23,8 @@ use pres_race::hb::{dedup_static, HbDetector};
 use pres_race::lockset::LocksetDetector;
 use pres_tvm::ids::ThreadId;
 use pres_tvm::op::Op;
-use pres_tvm::trace::{Event, Observer, ObserverCharge, Trace};
+use pres_tvm::trace::{Event, Observer, ObserverCharge};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A flip candidate extracted from a failed attempt.
@@ -63,38 +64,16 @@ impl Ranking {
     }
 }
 
-/// Extracts and ranks flip candidates from an attempt trace.
+/// Extracts flip candidates from an event slice (a trace, or a failure
+/// prefix) and ranks them by the default policy.
 ///
 /// Returns candidates in **descending priority** (try the first one first).
-pub fn candidates(trace: &Trace) -> Vec<FlipCandidate> {
-    candidates_in(trace.events())
-}
-
-/// As [`candidates`], with an explicit ranking policy.
-pub fn candidates_ranked(trace: &Trace, ranking: Ranking) -> Vec<FlipCandidate> {
-    candidates_ranked_in(trace.events(), ranking)
-}
-
-/// As [`candidates_ranked`], over an event slice — e.g. the post-boundary
-/// window of a fast-forwarded attempt, whose prefix is production history
-/// rather than attempt behavior.
-pub fn candidates_ranked_in(events: &[Event], ranking: Ranking) -> Vec<FlipCandidate> {
-    let mut out = candidates_in(events);
-    match ranking {
-        Ranking::LocksetThenRecency => {}
-        Ranking::RecencyOnly => out.sort_by_key(|a| std::cmp::Reverse(a.gseq)),
-        Ranking::Oldest => out.sort_by_key(|a| a.gseq),
-    }
-    out
-}
-
-/// As [`candidates`], over an event slice (e.g. a failure prefix).
 pub fn candidates_in(events: &[Event]) -> Vec<FlipCandidate> {
-    let mut ext = StreamingExtractor::new();
+    let mut ext = StreamingExtractor::new(0);
     for e in events {
         ext.observe(e);
     }
-    ext.finish()
+    ext.finish(Ranking::LocksetThenRecency)
 }
 
 /// A contended lock-acquisition pair observed in the event stream: two
@@ -115,19 +94,20 @@ struct LockPairObs {
 /// This maintains only bounded analysis state — the happens-before
 /// detector's vector clocks and last-access tables, lockset state, the
 /// per-(thread, object) occurrence counters, and the contended-lock pairs
-/// seen so far — instead of buffering the full event vector. Feeding every
-/// event of a trace through [`StreamingExtractor::observe`] and calling
-/// [`StreamingExtractor::finish`] produces *exactly* the output of
-/// [`candidates_in`] on that trace (the post-hoc path is implemented as
-/// this wrapper), so replay attempts can run with
-/// [`pres_tvm::trace::TraceMode::Feedback`] and still feed the explorer
-/// identical candidates.
+/// seen so far — instead of buffering the full event vector, so replay
+/// attempts run with [`pres_tvm::trace::TraceMode::Off`] and the VM keeps
+/// no trace at all. [`candidates_in`] is this extractor fed from a slice.
 #[derive(Debug)]
 pub struct StreamingExtractor {
+    /// Events before this gseq are dropped: a fast-forwarded attempt's
+    /// prefix is production history, not attempt behavior, and its action
+    /// indices would disagree with the replay scheduler's boundary-origin
+    /// counters.
+    window_start: u64,
     hb: HbDetector,
     lockset: LocksetDetector,
-    /// Per-(thread, object) occurrence counters (the streaming form of
-    /// [`ActionIndex::build`]).
+    /// Per-(thread, object) occurrence counters, counted from
+    /// `window_start`.
     counters: BTreeMap<(ThreadId, ActionObj), u32>,
     /// gseq → per-(thread, object) occurrence index.
     by_gseq: BTreeMap<u64, u32>,
@@ -139,16 +119,12 @@ pub struct StreamingExtractor {
     lock_pairs: Vec<LockPairObs>,
 }
 
-impl Default for StreamingExtractor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl StreamingExtractor {
-    /// Creates an extractor with empty analysis state.
-    pub fn new() -> Self {
+    /// Creates an extractor with empty analysis state that analyses the
+    /// events from gseq `window_start` on (0 for a whole run).
+    pub fn new(window_start: u64) -> Self {
         StreamingExtractor {
+            window_start,
             hb: HbDetector::new(),
             lockset: LocksetDetector::new(),
             counters: BTreeMap::new(),
@@ -159,8 +135,12 @@ impl StreamingExtractor {
         }
     }
 
-    /// Feeds one event through every analysis.
+    /// Feeds one event through every analysis, unless it precedes the
+    /// window.
     pub fn observe(&mut self, e: &Event) {
+        if e.gseq < self.window_start {
+            return;
+        }
         self.hb.observe(e);
         self.lockset.observe(e);
         if let Some(obj) = ActionObj::of_op(&e.op) {
@@ -189,8 +169,27 @@ impl StreamingExtractor {
         self.by_gseq.get(&gseq).copied()
     }
 
-    /// Assembles the ranked candidate list (descending priority).
-    pub fn finish(self) -> Vec<FlipCandidate> {
+    /// Assembles the candidate list ranked by `ranking` (descending
+    /// priority).
+    pub fn finish(self, ranking: Ranking) -> Vec<FlipCandidate> {
+        let mut out = self.unranked();
+        // One stable sort over push order; ties keep the order of the
+        // default ranking.
+        match ranking {
+            Ranking::LocksetThenRecency => {
+                out.sort_by_key(|c| (Reverse(c.lockset_flagged), Reverse(c.gseq)))
+            }
+            Ranking::RecencyOnly => {
+                out.sort_by_key(|c| (Reverse(c.gseq), Reverse(c.lockset_flagged)))
+            }
+            Ranking::Oldest => out.sort_by_key(|c| (c.gseq, Reverse(c.lockset_flagged))),
+        }
+        out
+    }
+
+    /// The candidates in push order: racing memory pairs, then contended
+    /// lock pairs.
+    fn unranked(self) -> Vec<FlipCandidate> {
         let flagged = self.lockset.violating_locs();
         let mut out: Vec<FlipCandidate> = Vec::new();
 
@@ -246,23 +245,6 @@ impl StreamingExtractor {
             });
         }
 
-        // Rank: lockset-flagged first, then most recent first.
-        out.sort_by(|a, b| {
-            b.lockset_flagged
-                .cmp(&a.lockset_flagged)
-                .then(b.gseq.cmp(&a.gseq))
-        });
-        out
-    }
-
-    /// As [`StreamingExtractor::finish`], with an explicit ranking policy.
-    pub fn finish_ranked(self, ranking: Ranking) -> Vec<FlipCandidate> {
-        let mut out = self.finish();
-        match ranking {
-            Ranking::LocksetThenRecency => {}
-            Ranking::RecencyOnly => out.sort_by_key(|a| std::cmp::Reverse(a.gseq)),
-            Ranking::Oldest => out.sort_by_key(|a| a.gseq),
-        }
         out
     }
 }
@@ -274,38 +256,22 @@ impl Observer for StreamingExtractor {
     }
 }
 
-/// Per-(thread, object) occurrence indices for the events of a trace: the
-/// bridge from trace positions (gseq) to replay-stable [`ActionKey`]s.
-#[derive(Debug, Default)]
-pub struct ActionIndex {
-    by_gseq: BTreeMap<u64, u32>,
-}
-
-impl ActionIndex {
-    /// Builds the index by scanning the events once.
-    pub fn build(events: &[Event]) -> Self {
-        let mut counters: BTreeMap<(ThreadId, ActionObj), u32> = BTreeMap::new();
-        let mut by_gseq = BTreeMap::new();
-        for e in events {
-            if let Some(obj) = ActionObj::of_op(&e.op) {
-                let c = counters.entry((e.tid, obj)).or_insert(0);
-                by_gseq.insert(e.gseq, *c);
-                *c += 1;
-            }
-        }
-        ActionIndex { by_gseq }
-    }
-
-    /// The per-(thread, object) occurrence index of the action at `gseq`.
-    pub fn index_of(&self, gseq: u64) -> Option<u32> {
-        self.by_gseq.get(&gseq).copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pres_tvm::prelude::*;
+
+    fn extractor(trace: &Trace, window_start: u64) -> StreamingExtractor {
+        let mut ext = StreamingExtractor::new(window_start);
+        for e in trace.events() {
+            ext.on_event(e);
+        }
+        ext
+    }
+
+    fn ranked(trace: &Trace, ranking: Ranking) -> Vec<FlipCandidate> {
+        extractor(trace, 0).finish(ranking)
+    }
 
     fn traced(
         seed: u64,
@@ -338,7 +304,7 @@ mod tests {
                 ctx.join(t);
             })
         });
-        let cands = candidates(&trace);
+        let cands = candidates_in(trace.events());
         assert!(!cands.is_empty());
         let c = &cands[0];
         // before/after are on the same object, different threads.
@@ -366,7 +332,7 @@ mod tests {
                 ctx.join(t);
             })
         });
-        let cands = candidates(&trace);
+        let cands = candidates_in(trace.events());
         assert!(
             cands
                 .iter()
@@ -389,7 +355,7 @@ mod tests {
                 }
             })
         });
-        assert!(candidates(&trace).is_empty());
+        assert!(candidates_in(trace.events()).is_empty());
     }
 
     #[test]
@@ -414,7 +380,7 @@ mod tests {
                 ctx.join(t);
             })
         });
-        let cands = candidates(&trace);
+        let cands = candidates_in(trace.events());
         assert!(!cands.is_empty());
         assert!(
             cands[0].lockset_flagged,
@@ -439,77 +405,112 @@ mod tests {
                 ctx.join(t);
             })
         });
-        let newest = candidates_ranked(&trace, Ranking::RecencyOnly);
-        let oldest = candidates_ranked(&trace, Ranking::Oldest);
+        let newest = ranked(&trace, Ranking::RecencyOnly);
+        let oldest = ranked(&trace, Ranking::Oldest);
         assert!(newest.len() >= 2);
         assert!(newest.windows(2).all(|w| w[0].gseq >= w[1].gseq));
         assert!(oldest.windows(2).all(|w| w[0].gseq <= w[1].gseq));
         // The default ranks lockset violations first, then recency.
-        let full = candidates_ranked(&trace, Ranking::LocksetThenRecency);
+        let full = ranked(&trace, Ranking::LocksetThenRecency);
         assert_eq!(full.len(), newest.len());
     }
 
     #[test]
-    fn streaming_extractor_matches_post_hoc_candidates() {
-        // Feeding a trace event-by-event through the streaming extractor
-        // must produce exactly the post-hoc candidate list, under every
-        // ranking policy. (Programs chosen to exercise races, lock
-        // contention, and the lockset flag together.)
-        for seed in [1u64, 2, 4, 6] {
+    fn each_ranking_keeps_the_tie_order_of_a_resorted_default() {
+        // `finish(ranking)` is one stable sort. It must order exactly like
+        // the two-step sort it replaced — the default sort, then a stable
+        // re-sort by recency — ties included. Two reads of `x` racing with
+        // one later write give two candidates sharing a gseq; the lock
+        // pairs add unflagged candidates beside the flagged `x` races.
+        let mut ties = 0;
+        for seed in 0..8u64 {
             let trace = traced(seed, |spec| {
-                let unlocked = spec.var("unlocked", 0);
-                let m = spec.lock("m");
                 let x = spec.var("x", 0);
+                let m = spec.lock("m");
                 Box::new(move |ctx| {
-                    let t = ctx.spawn("w", move |ctx| {
-                        ctx.write(unlocked, 1);
-                        ctx.with_lock(m, |ctx| {
-                            let v = ctx.read(x);
-                            ctx.write(x, v + 1);
-                        });
-                    });
-                    ctx.write(unlocked, 2);
-                    ctx.with_lock(m, |ctx| {
-                        let v = ctx.read(x);
-                        ctx.write(x, v + 1);
-                    });
-                    ctx.join(t);
+                    let readers: Vec<ThreadId> = (0..2)
+                        .map(|i| {
+                            ctx.spawn(&format!("r{i}"), move |ctx| {
+                                ctx.read(x);
+                                ctx.with_lock(m, |ctx| ctx.compute(1));
+                            })
+                        })
+                        .collect();
+                    ctx.compute(40);
+                    ctx.write(x, 1);
+                    ctx.with_lock(m, |ctx| ctx.compute(1));
+                    for r in readers {
+                        ctx.join(r);
+                    }
                 })
             });
-            for ranking in [Ranking::LocksetThenRecency, Ranking::RecencyOnly, Ranking::Oldest] {
-                let mut ext = StreamingExtractor::new();
-                for e in trace.events() {
-                    ext.on_event(e);
+            let pushed = extractor(&trace, 0).unranked();
+            ties += pushed
+                .iter()
+                .enumerate()
+                .filter(|(i, a)| pushed[i + 1..].iter().any(|b| b.gseq == a.gseq))
+                .count();
+            for ranking in [
+                Ranking::LocksetThenRecency,
+                Ranking::RecencyOnly,
+                Ranking::Oldest,
+            ] {
+                let mut reference = pushed.clone();
+                reference.sort_by(|a, b| {
+                    b.lockset_flagged
+                        .cmp(&a.lockset_flagged)
+                        .then(b.gseq.cmp(&a.gseq))
+                });
+                match ranking {
+                    Ranking::LocksetThenRecency => {}
+                    Ranking::RecencyOnly => reference.sort_by_key(|a| Reverse(a.gseq)),
+                    Ranking::Oldest => reference.sort_by_key(|a| a.gseq),
                 }
                 assert_eq!(
-                    ext.finish_ranked(ranking),
-                    candidates_ranked(&trace, ranking),
-                    "streaming and post-hoc extraction diverged (seed {seed}, {})",
+                    ranked(&trace, ranking),
+                    reference,
+                    "seed {seed}, {}",
                     ranking.name()
                 );
             }
         }
+        assert!(ties > 0, "no two candidates shared a gseq");
     }
 
     #[test]
-    fn action_index_counts_per_thread_per_object() {
+    fn the_window_drops_the_prefix_and_counts_actions_from_its_start() {
+        // Main writes `x` once before spawning the worker, then races the
+        // worker's write with its second one.
         let trace = traced(5, |spec| {
             let x = spec.var("x", 0);
-            let y = spec.var("y", 0);
             Box::new(move |ctx| {
-                ctx.write(x, 1); // x index 0
-                ctx.write(y, 1); // y index 0
-                ctx.write(x, 2); // x index 1
+                ctx.write(x, 1);
+                let t = ctx.spawn("w", move |ctx| {
+                    ctx.write(x, 2);
+                });
+                ctx.write(x, 3);
+                ctx.join(t);
             })
         });
-        let idx = ActionIndex::build(trace.events());
-        let accesses: Vec<(u64, u32)> = trace
+        let main_index = |window_start: u64| {
+            let cands = extractor(&trace, window_start).finish(Ranking::LocksetThenRecency);
+            assert_eq!(cands.len(), 1, "{cands:?}");
+            let c = cands[0].constraint;
+            [c.before, c.after]
+                .into_iter()
+                .find(|k| k.tid == ThreadId(0))
+                .expect("main is one side of the race")
+                .index
+        };
+        let first_write = trace
             .events()
             .iter()
-            .filter(|e| e.op.is_mem_access())
-            .map(|e| (e.gseq, idx.index_of(e.gseq).unwrap()))
-            .collect();
-        let indices: Vec<u32> = accesses.iter().map(|(_, i)| *i).collect();
-        assert_eq!(indices, vec![0, 0, 1]);
+            .find(|e| e.op.is_mem_access())
+            .expect("main writes x")
+            .gseq;
+        // The whole run counts main's first write; a window past it does
+        // not.
+        assert_eq!(main_index(0), 1);
+        assert_eq!(main_index(first_write + 1), 0);
     }
 }

@@ -5,10 +5,10 @@
 //! [`RunOutcome`] into the diagnosis artifacts PRES's workflow ends with:
 //! a failure report (what happened, who was involved), a per-thread
 //! interleaving timeline of the final events before the failure, and the
-//! racing access pairs ranked the same way the feedback engine ranks them.
+//! flip candidates — racing access pairs and contended lock acquisitions —
+//! ranked the same way the feedback engine ranks them.
 
 use crate::feedback;
-use pres_race::hb::{dedup_static, detect_races};
 use pres_tvm::error::RunStatus;
 use pres_tvm::ids::ThreadId;
 use pres_tvm::vm::RunOutcome;
@@ -19,15 +19,15 @@ use std::fmt::Write as _;
 pub struct InspectOptions {
     /// How many trailing events the timeline shows.
     pub timeline_events: usize,
-    /// How many racing pairs to list.
-    pub max_races: usize,
+    /// How many flip candidates to list.
+    pub max_candidates: usize,
 }
 
 impl Default for InspectOptions {
     fn default() -> Self {
         InspectOptions {
             timeline_events: 24,
-            max_races: 8,
+            max_candidates: 8,
         }
     }
 }
@@ -91,12 +91,11 @@ pub fn failure_report(outcome: &RunOutcome, options: &InspectOptions) -> String 
         );
     }
 
-    // Racing pairs, feedback-ranked.
-    let races = dedup_static(&detect_races(&outcome.trace));
-    if !races.is_empty() {
-        let _ = writeln!(out, "\n--- racing access pairs (static, ranked) ---");
-        let ranked = feedback::candidates(&outcome.trace);
-        for cand in ranked.into_iter().take(options.max_races) {
+    // Flip candidates, feedback-ranked.
+    let ranked = feedback::candidates_in(events);
+    if !ranked.is_empty() {
+        let _ = writeln!(out, "\n--- flip candidates (ranked) ---");
+        for cand in ranked.into_iter().take(options.max_candidates) {
             let flag = if cand.lockset_flagged {
                 " [lockset violation]"
             } else {
@@ -166,6 +165,38 @@ mod tests {
     }
 
     #[test]
+    fn lock_contention_alone_lists_a_lock_flip() {
+        // Both threads take `m` around their accesses: no data race, one
+        // contended lock.
+        let mut spec = ResourceSpec::new();
+        let x = spec.var("x", 0);
+        let m = spec.lock("m");
+        let prog = ClosureProgram::new("locked", spec, WorldConfig::default(), move || {
+            Box::new(move |ctx: &mut Ctx| {
+                let t = ctx.spawn("writer", move |ctx| {
+                    ctx.with_lock(m, |ctx| ctx.write(x, 1));
+                });
+                ctx.with_lock(m, |ctx| ctx.write(x, 2));
+                ctx.join(t);
+                ctx.check(false, "always fails");
+            })
+        });
+        let out = run_traced(&prog, &VmConfig::default(), 0);
+        assert!(out.status.is_failed());
+        let report = failure_report(&out, &InspectOptions::default());
+        let flips: Vec<&str> = report
+            .lines()
+            .filter(|l| l.starts_with("  flip "))
+            .collect();
+        assert!(
+            report.contains("--- flip candidates (ranked) ---"),
+            "{report}"
+        );
+        assert!(!flips.is_empty(), "{report}");
+        assert!(flips.iter().all(|l| l.contains("@m")), "{report}");
+    }
+
+    #[test]
     fn report_degrades_without_a_trace() {
         let spec = ResourceSpec::new();
         let prog = ClosureProgram::new("tiny", spec, WorldConfig::default(), || {
@@ -190,7 +221,7 @@ mod tests {
             &out,
             &InspectOptions {
                 timeline_events: 3,
-                max_races: 1,
+                max_candidates: 1,
             },
         );
         assert!(report.contains("final 3 events"));

@@ -20,13 +20,17 @@
 //! prefix), all ordering is free — the failure typically manifests at or
 //! near this frontier, since production recording stopped at the failure.
 //!
+//! A ring-flushed sketch starts at a checkpoint boundary: the scheduler
+//! replays the production run's own scheduler up to it, then enforces the
+//! retained window (see [`PiReplayScheduler`]).
+//!
 //! The replayer consumes the sketch in its **canonical order** — the
 //! order the sharded recorder's deterministic merge produces (see
 //! `sketch::canonical_order` and DESIGN.md §3.2.2). Thread-local marker
 //! entries (FUNC/BB) sit at the same positions a single global log would
 //! have given them, so replay semantics are recorder-independent.
 
-use crate::sketch::{MechanismFilter, Sketch, SketchIndex, SketchOp};
+use crate::sketch::{MechanismFilter, SketchIndex, SketchOp};
 use pres_tvm::ids::ThreadId;
 use pres_tvm::op::{MemLoc, Op};
 use pres_tvm::sched::{Decision, SchedView, Scheduler};
@@ -126,6 +130,24 @@ impl fmt::Display for Divergence {
 }
 
 /// The sketch-constrained exploration scheduler.
+///
+/// It also replays from a checkpoint. A ring-flushed sketch covers only
+/// the retained window; everything before its checkpoint boundary was
+/// evicted. The VM is deterministic given a pick sequence, so the prefix
+/// needs no log at all: replaying the production run's own scheduler
+/// (reconstructed from the recorded seed) for exactly `boundary` picks
+/// re-derives the checkpointed state — re-execution *is* restoration, and
+/// the embedded snapshot serves as the integrity witness (see
+/// [`crate::recorder::verify_checkpoint`]) rather than as the restore
+/// source.
+///
+/// During that prefix the sketch-constrained half is completely inert:
+/// the production scheduler picks and sees every applied event, so the
+/// sketch cursor, flip bookkeeping and per-(thread, object) action
+/// counters all start counting at the boundary — the same origin the
+/// retained entries and the feedback extractor's candidates use. A
+/// checkpoint-free index has boundary 0 and enforces the sketch from the
+/// first pick.
 pub struct PiReplayScheduler {
     /// The shared, immutable sketch index (per-thread recorded order +
     /// op dictionary). Built once per reproduction and borrowed by every
@@ -149,21 +171,21 @@ pub struct PiReplayScheduler {
     /// oracle, not the sketch, decides whether the attempt succeeded.
     enforcing: bool,
     relaxed_at: Option<u64>,
+    /// The production scheduler, reconstructed from the checkpoint's
+    /// recorded seed; owns every pick before the boundary.
+    production: RandomScheduler,
+    /// Picks before this boundary fast-forward; picks at or after it
+    /// explore.
+    boundary: u64,
+    /// Events applied so far.
+    applied: u64,
 }
 
 impl PiReplayScheduler {
-    /// Builds a replay scheduler for `sketch` with the given flip
-    /// constraints and exploration seed. Convenience wrapper over
-    /// [`PiReplayScheduler::with_index`] for one-off replays; loops that
-    /// run many attempts against one sketch should build the
-    /// [`SketchIndex`] once and share it.
-    pub fn new(sketch: &Sketch, constraints: Vec<OrderConstraint>, seed: u64) -> Self {
-        Self::with_index(Arc::new(SketchIndex::new(sketch)), constraints, seed)
-    }
-
     /// Builds a replay scheduler over a pre-built, shared sketch index.
     /// The scheduler's per-attempt state is just cursors and constraint
-    /// bookkeeping; the index itself is never copied.
+    /// bookkeeping; the index itself is never copied. The boundary and
+    /// production seed come from the index's checkpoint, if it has one.
     pub fn with_index(
         index: Arc<SketchIndex>,
         constraints: Vec<OrderConstraint>,
@@ -174,9 +196,13 @@ impl PiReplayScheduler {
         // its entries start at the boundary, and the BB-N sampling counters
         // must resume from the recorded mid-run state or every Nth-marker
         // decision after the boundary would disagree with production.
-        let filter = match index.checkpoint() {
-            Some(cp) => MechanismFilter::with_counters(index.mechanism(), cp.bbn_counters.clone()),
-            None => MechanismFilter::new(index.mechanism()),
+        let (filter, boundary, production_seed) = match index.checkpoint() {
+            Some(cp) => (
+                MechanismFilter::with_counters(index.mechanism(), cp.bbn_counters.clone()),
+                cp.boundary,
+                cp.production_seed,
+            ),
+            None => (MechanismFilter::new(index.mechanism()), 0, 0),
         };
         PiReplayScheduler {
             filter,
@@ -189,21 +215,20 @@ impl PiReplayScheduler {
             rng: ChaCha8Rng::seed_from_u64(seed),
             enforcing: true,
             relaxed_at: None,
+            production: RandomScheduler::new(production_seed),
+            boundary,
+            applied: 0,
         }
+    }
+
+    /// The checkpoint boundary in picks (0 for classic sketches).
+    pub fn boundary(&self) -> u64 {
+        self.boundary
     }
 
     /// The step at which sketch enforcement was relaxed, if it was.
     pub fn relaxed_at(&self) -> Option<u64> {
         self.relaxed_at
-    }
-
-    /// How much of the sketch has been consumed (0..=1).
-    pub fn progress(&self) -> f64 {
-        if self.index.is_empty() {
-            1.0
-        } else {
-            self.cursor as f64 / self.index.len() as f64
-        }
     }
 
     /// Whether the full recorded prefix has been replayed.
@@ -282,6 +307,9 @@ enum CandidateClass {
 
 impl Scheduler for PiReplayScheduler {
     fn pick(&mut self, view: &SchedView<'_>) -> Decision {
+        if self.applied < self.boundary {
+            return self.production.pick(view);
+        }
         let mut allowed: Vec<ThreadId> = Vec::new();
         let mut sketch_stalled: Vec<ThreadId> = Vec::new();
         for cand in view.enabled {
@@ -318,6 +346,12 @@ impl Scheduler for PiReplayScheduler {
     }
 
     fn on_applied(&mut self, tid: ThreadId, op: &Op) {
+        let fast_forward = self.applied < self.boundary;
+        self.applied += 1;
+        if fast_forward {
+            self.production.on_applied(tid, op);
+            return;
+        }
         // Advance the sketch cursor if this was the expected entry.
         let relevant = self.filter.would_record(tid, op) && SketchOp::from_op(op).is_some();
         self.filter.note_executed(tid, op);
@@ -350,100 +384,12 @@ impl Scheduler for PiReplayScheduler {
     }
 }
 
-/// Replay-from-checkpoint: fast-forwards an attempt through the
-/// unretained prefix, then hands control to the sketch-constrained
-/// explorer at the checkpoint boundary.
-///
-/// A ring-flushed sketch covers only the retained window; everything
-/// before its checkpoint boundary was evicted. The VM is deterministic
-/// given a pick sequence, so the prefix needs no log at all: replaying
-/// the production run's own scheduler (reconstructed from the recorded
-/// seed) for exactly `boundary` picks re-derives the checkpointed state —
-/// re-execution *is* restoration, and the embedded snapshot serves as the
-/// integrity witness (see [`crate::recorder::verify_checkpoint`]) rather
-/// than as the restore source.
-///
-/// During the prefix the wrapped [`PiReplayScheduler`] is completely
-/// inert: its `on_applied` is suppressed, so its sketch cursor, flip
-/// bookkeeping, and per-(thread, object) action counters all start
-/// counting at the boundary — the same origin the retained entries and
-/// the feedback extractor's candidates use. A checkpoint-free index has
-/// boundary 0 and delegates from the first pick, so every classic replay
-/// is just the degenerate case of this scheduler.
-pub struct FastForwardScheduler {
-    /// The production scheduler, reconstructed from the recorded seed;
-    /// owns every pick before the boundary.
-    production: RandomScheduler,
-    /// Picks before this boundary fast-forward; picks at or after it
-    /// explore.
-    boundary: u64,
-    /// Events applied so far.
-    applied: u64,
-    inner: PiReplayScheduler,
-}
-
-impl FastForwardScheduler {
-    /// Builds the fast-forwarding explorer over a shared sketch index. The
-    /// boundary and production seed come from the index's checkpoint;
-    /// without one the scheduler is exactly a [`PiReplayScheduler`].
-    pub fn with_index(
-        index: Arc<SketchIndex>,
-        constraints: Vec<OrderConstraint>,
-        seed: u64,
-    ) -> Self {
-        let (boundary, production_seed) = index
-            .checkpoint()
-            .map(|cp| (cp.boundary, cp.production_seed))
-            .unwrap_or((0, 0));
-        FastForwardScheduler {
-            production: RandomScheduler::new(production_seed),
-            boundary,
-            applied: 0,
-            inner: PiReplayScheduler::with_index(index, constraints, seed),
-        }
-    }
-
-    /// The checkpoint boundary in picks (0 for classic sketches).
-    pub fn boundary(&self) -> u64 {
-        self.boundary
-    }
-
-    /// The step at which sketch enforcement was relaxed, if it was.
-    pub fn relaxed_at(&self) -> Option<u64> {
-        self.inner.relaxed_at()
-    }
-
-    /// Whether the full retained window has been replayed.
-    pub fn sketch_exhausted(&self) -> bool {
-        self.inner.sketch_exhausted()
-    }
-}
-
-impl Scheduler for FastForwardScheduler {
-    fn pick(&mut self, view: &SchedView<'_>) -> Decision {
-        if self.applied < self.boundary {
-            self.production.pick(view)
-        } else {
-            self.inner.pick(view)
-        }
-    }
-
-    fn on_applied(&mut self, tid: ThreadId, op: &Op) {
-        if self.applied < self.boundary {
-            self.production.on_applied(tid, op);
-        } else {
-            self.inner.on_applied(tid, op);
-        }
-        self.applied += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{ClosureProgram, Program};
     use crate::recorder::{record, record_until_failure};
-    use crate::sketch::Mechanism;
+    use crate::sketch::{Mechanism, Sketch};
     use pres_tvm::prelude::*;
 
     fn two_phase_program() -> impl Program {
@@ -467,13 +413,21 @@ mod tests {
         })
     }
 
+    fn scheduler(
+        sketch: &Sketch,
+        constraints: Vec<OrderConstraint>,
+        seed: u64,
+    ) -> PiReplayScheduler {
+        PiReplayScheduler::with_index(Arc::new(SketchIndex::new(sketch)), constraints, seed)
+    }
+
     fn replay(
         prog: &dyn Program,
-        sketch: &crate::sketch::Sketch,
+        sketch: &Sketch,
         constraints: Vec<OrderConstraint>,
         seed: u64,
     ) -> pres_tvm::vm::RunOutcome {
-        let mut sched = PiReplayScheduler::new(sketch, constraints, seed);
+        let mut sched = scheduler(sketch, constraints, seed);
         let body = prog.root();
         pres_tvm::vm::run(
             VmConfig {
@@ -505,7 +459,7 @@ mod tests {
             );
             // The shared-access interleaving is pinned: traces of shared ops
             // must match the production order regardless of seed.
-            let sketch2 = crate::sketch::Sketch::from_events(Mechanism::Rw, out.trace.events());
+            let sketch2 = Sketch::from_events(Mechanism::Rw, out.trace.events());
             assert_eq!(sketch2.entries, run.sketch.entries, "seed {attempt_seed}");
         }
     }
@@ -518,7 +472,7 @@ mod tests {
         for attempt_seed in 0..5 {
             let out = replay(&prog, &run.sketch, vec![], attempt_seed);
             assert_eq!(out.status, RunStatus::Completed);
-            let sync2 = crate::sketch::Sketch::from_events(Mechanism::Sync, out.trace.events());
+            let sync2 = Sketch::from_events(Mechanism::Sync, out.trace.events());
             assert_eq!(sync2.entries, run.sketch.entries);
         }
     }
@@ -613,9 +567,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn divergence_is_detected_when_program_changes() {
-        // Record program A; replay program B whose sync sequence differs.
+    /// Program A locks `m` twice; program B, its changed version, only
+    /// once, so its sync sequence differs from a sketch of A.
+    fn changed_program_pair() -> (impl Program, impl Program) {
         let mut spec_a = ResourceSpec::new();
         let m = spec_a.lock("m");
         let prog_a = ClosureProgram::new("a", spec_a.clone(), WorldConfig::default(), move || {
@@ -626,8 +580,6 @@ mod tests {
                 ctx.unlock(m);
             })
         });
-        let run = record(&prog_a, Mechanism::Sync, &VmConfig::default(), 1);
-
         let prog_b = ClosureProgram::new("b", spec_a, WorldConfig::default(), move || {
             Box::new(move |ctx: &mut Ctx| {
                 ctx.lock(m);
@@ -636,8 +588,16 @@ mod tests {
                 // expects a lock.
             })
         });
+        (prog_a, prog_b)
+    }
+
+    #[test]
+    fn divergence_is_detected_when_program_changes() {
+        // Record program A; replay program B whose sync sequence differs.
+        let (prog_a, prog_b) = changed_program_pair();
+        let run = record(&prog_a, Mechanism::Sync, &VmConfig::default(), 1);
         let run_with = |prog: &dyn Program| {
-            let mut sched = PiReplayScheduler::new(&run.sketch, vec![], 1);
+            let mut sched = scheduler(&run.sketch, vec![], 1);
             let body = prog.root();
             let out = pres_tvm::vm::run(
                 VmConfig {
@@ -658,6 +618,27 @@ mod tests {
         let (status, relaxed_at) = run_with(&prog_b);
         assert_eq!(status, RunStatus::Completed);
         assert!(relaxed_at.is_some(), "the divergence went unnoticed");
+    }
+
+    #[test]
+    fn an_attempt_that_relaxes_is_counted_as_diverged() {
+        // The changed program leaves the recorded path and completes free:
+        // no stall, yet the attempt diverged from the sketch.
+        let (prog_a, prog_b) = changed_program_pair();
+        let run = record(&prog_a, Mechanism::Sync, &VmConfig::default(), 1);
+        let rep = crate::explore::reproduce(
+            &prog_b,
+            &run.sketch,
+            "assert:never",
+            &VmConfig::default(),
+            &crate::explore::ExploreConfig {
+                max_attempts: 1,
+                ..crate::explore::ExploreConfig::default()
+            },
+        );
+        assert_eq!(rep.history.len(), 1);
+        assert_eq!(rep.history[0].status, RunStatus::Completed.to_string());
+        assert!(rep.history[0].diverged, "{:#?}", rep.history);
     }
 
     #[test]
@@ -728,15 +709,11 @@ mod tests {
     }
 
     #[test]
-    fn progress_tracks_cursor() {
+    fn sketch_exhausted_tracks_cursor() {
         let prog = two_phase_program();
         let run = record(&prog, Mechanism::Sync, &VmConfig::default(), 3);
-        let sched = PiReplayScheduler::new(&run.sketch, vec![], 0);
-        assert_eq!(sched.progress(), 0.0);
-        assert!(!sched.sketch_exhausted());
-        let empty = crate::sketch::Sketch::new(Mechanism::Sync);
-        let sched2 = PiReplayScheduler::new(&empty, vec![], 0);
-        assert!(sched2.sketch_exhausted());
-        assert_eq!(sched2.progress(), 1.0);
+        assert!(!scheduler(&run.sketch, vec![], 0).sketch_exhausted());
+        let empty = Sketch::new(Mechanism::Sync);
+        assert!(scheduler(&empty, vec![], 0).sketch_exhausted());
     }
 }

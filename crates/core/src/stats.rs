@@ -182,7 +182,8 @@ impl fmt::Display for SketchStats {
 pub struct ExploreStats {
     /// Attempts recorded in the history.
     pub attempts: u64,
-    /// Attempts that aborted on divergence/stall.
+    /// Attempts that left the recorded path (see
+    /// [`crate::explore::AttemptRecord::diverged`]).
     pub diverged: u64,
     /// Distinct exploration seeds (base interleavings) tried.
     pub distinct_seeds: u64,

@@ -117,14 +117,10 @@ impl Observer for NullObserver {
 /// Whether and how the VM itself retains the full event trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
-    /// Keep nothing (production recording: the observer keeps its own log).
+    /// Keep nothing. Every event still reaches the installed [`Observer`],
+    /// which keeps what it needs: the recorder its sketch log, a replay
+    /// attempt's feedback extractor its bounded analysis state.
     Off,
-    /// Keep nothing, but the run exists to *feed an observer*: every event
-    /// is delivered to the installed [`Observer`], which maintains its own
-    /// bounded analysis state (vector clocks, last-access tables) instead
-    /// of the VM buffering the full event vector. Replay attempts under the
-    /// feedback strategy run in this mode.
-    Feedback,
     /// Keep every event (inspection, certificates, trace-diffing tests).
     Full,
 }

@@ -1143,8 +1143,8 @@ fn coordinate(guard: &mut MutexGuard<'_, Hub>, shared: &Arc<Shared>, me: Option<
         // The thread is waiting for this result iff it is parked and this
         // was the last op it queued; a thread that ran ahead of the op
         // already took `Unit` for it. Only a retained trace forces the
-        // grant result to be cloned; in Off/Feedback modes it is moved out
-        // of the event.
+        // grant result to be cloned; under `Off` it is moved out of the
+        // event.
         let grant = done && {
             let slot = &slots[tid.index()];
             slot.queue.len() == 1 && matches!(slot.phase, Phase::Waiting)

@@ -2,7 +2,7 @@
 //! their protected state, buggy builds expose exactly the seeded races,
 //! and the feedback engine proposes flips on the culprit objects.
 
-use pres_core::feedback::candidates;
+use pres_core::feedback::candidates_in;
 use pres_core::recorder::run_traced;
 use pres_core::replay::ActionObj;
 use pres_race::hb::{dedup_static, detect_races};
@@ -22,7 +22,7 @@ fn buggy_builds_expose_races_or_lock_inversions() {
         let mut found = false;
         for seed in 0..30 {
             let out = run_traced(prog.as_ref(), &config, seed);
-            if !candidates(&out.trace).is_empty() {
+            if !candidates_in(out.trace.events()).is_empty() {
                 found = true;
                 break;
             }
@@ -69,7 +69,7 @@ fn httpd_log_bug_feedback_targets_the_log_buffer() {
     let mut saw_buffer_candidate = false;
     for seed in 0..50 {
         let out = run_traced(prog.as_ref(), &config, seed);
-        if candidates(&out.trace).iter().any(|c| {
+        if candidates_in(out.trace.events()).iter().any(|c| {
             matches!(c.constraint.after.obj, ActionObj::Mem(MemLoc::Buf(_)))
         }) {
             saw_buffer_candidate = true;
